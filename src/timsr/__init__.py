@@ -5,7 +5,6 @@ piggybacks one bit per block on the reflected signal."""
 from .channel import (
     ChannelModel,
     ChannelRealization,
-    PathLossModel,
     RicianSpec,
     make_realization,
     path_gain,

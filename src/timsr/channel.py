@@ -31,17 +31,6 @@ def path_gain(distance_m: float, carrier_ghz: float) -> float:
     return 10.0 ** (-path_loss_db(distance_m, carrier_ghz) / 10.0)
 
 
-@dataclass(frozen=True)
-class PathLossModel:
-    carrier_ghz: float
-
-    def loss_db(self, distance_m: float) -> float:
-        return path_loss_db(distance_m, self.carrier_ghz)
-
-    def gain(self, distance_m: float) -> float:
-        return path_gain(distance_m, self.carrier_ghz)
-
-
 @dataclass
 class RicianSpec:
     """Per-link fading parameters.
@@ -99,6 +88,13 @@ class ChannelRealization:
     def group_slice(self, l: int) -> slice:
         start = sum(self.group_sizes[:l])
         return slice(start, start + self.group_sizes[l])
+
+    def regroup(self, group_sizes) -> "ChannelRealization":
+        """The same link draws under another partition of the cells; the
+        cascaded channels are assembled again for the new groups."""
+        if tuple(group_sizes) == self.group_sizes:
+            return self
+        return make_realization(self.h_d, self.h_r, self.G_d, self.h_e, self.g_e, group_sizes)
 
 
 def make_realization(h_d, h_r, G_d, h_e, g_e, group_sizes) -> ChannelRealization:
@@ -164,10 +160,9 @@ class ChannelModel:
         self.group_sizes = tuple(group_sizes)
         self.los_phase_policy = los_phase_policy
 
-        pl = PathLossModel(carrier_ghz)
-        gain_direct = pl.gain(d_direct_m)
-        gain_tx_ris = pl.gain(d_tx_ris_m)
-        gain_ris_rx = pl.gain(d_ris_rx_m)
+        gain_direct = path_gain(d_direct_m, carrier_ghz)
+        gain_tx_ris = path_gain(d_tx_ris_m, carrier_ghz)
+        gain_ris_rx = path_gain(d_ris_rx_m, carrier_ghz)
 
         # One spec per link, drawn in a fixed order for reproducibility.
         link_shapes = {

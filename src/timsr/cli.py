@@ -139,7 +139,7 @@ def _dispatch(args, cfg) -> int:
         table = benchmark_mode(cfg, workers=args.workers)
         out = args.out or "benchmark.csv"
     else:
-        grid = _parse_grid(args.n2_grid) if args.n2_grid else default_n2_grid(cfg)
+        grid = default_n2_grid(cfg) if args.n2_grid is None else _parse_grid(args.n2_grid)
         report = harvest_sweep(cfg, grid, workers=args.workers)
         table = report.table
         out = args.out or "harvest_sweep.csv"

@@ -32,6 +32,20 @@ class Observation:
     sigma2: float
     channel: ChannelRealization
 
+    def with_noise(self, sigma2: float, unit) -> "Observation":
+        """The same block received at noise variance ``sigma2``: ``unit``
+        (from :func:`unit_noise`) scaled by sqrt(sigma2 / 2) is added to the
+        samples; at ``sigma2 = 0`` they stay as they are and ``unit`` may be
+        None."""
+        y = self.y + math.sqrt(sigma2 / 2.0) * unit if sigma2 > 0 else self.y
+        return Observation(y=y, sigma2=sigma2, channel=self.channel)
+
+
+def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian noise with unit-variance real and imaginary parts;
+    every real part is drawn before any imaginary part."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
 
 def observe(
     channel: ChannelRealization,
@@ -42,19 +56,15 @@ def observe(
 ) -> Observation:
     """Propagate one block through the channel: direct path plus the
     surface-reflected path under the per-slot reflection vector, with
-    white Gaussian noise of variance ``sigma2`` in every slot."""
+    white Gaussian noise of variance ``sigma2`` in every slot. The stream
+    is drawn from only when ``sigma2 > 0``."""
     if sigma2 < 0:
         raise ValueError("noise variance cannot be negative")
     eff_info = channel.h_d + channel.f_casc @ ris.reflection(STAGE_INFO)
     eff_power = channel.h_d + channel.f_casc @ ris.reflection(STAGE_POWER)
     eff = np.where(frame.tau[:, None] == 1, eff_info[None, :], eff_power[None, :])
-    y = eff * frame.samples[:, None]
-    if sigma2 > 0:
-        k, m = y.shape
-        y = y + math.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
-        )
-    return Observation(y=y, sigma2=sigma2, channel=channel)
+    clean = Observation(y=eff * frame.samples[:, None], sigma2=0.0, channel=channel)
+    return clean.with_noise(sigma2, unit_noise(clean.y.shape, rng) if sigma2 > 0 else None)
 
 
 def jacobian_log_sum(a: float, b: float) -> float:
@@ -218,9 +228,7 @@ def llr_per_slot(
 def select_info_slots(llr: np.ndarray, codebook: IndexCodebook) -> tuple:
     """Codeword with the largest LLR sum over its slots, searched over the
     legitimate set only; ties resolve to the earliest codeword."""
-    sums = np.array(
-        [llr[np.asarray(cw, dtype=np.int64) - 1].sum() for cw in codebook.codewords]
-    )
+    sums = llr[codebook.slot_index].sum(axis=1)
     return codebook.codewords[int(np.argmax(sums))]
 
 

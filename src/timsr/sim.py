@@ -2,8 +2,11 @@
 sweeps, the power-budget report, and CSV output.
 
 Every trial owns a counter-based random stream keyed by (seed, trial index),
-so results are independent of worker count and scheduling; aggregation runs
-in trial order to keep floating-point reductions bit-stable.
+so results are independent of worker count and scheduling. A sweep draws
+each trial once and evaluates it at every grid point: an absorber count
+regroups the same link draws, and an SNR point scales the same unit noise.
+Each point is aggregated from its own records in trial order to keep
+floating-point reductions bit-stable.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -30,7 +33,7 @@ from .ris import (
     phase_set_2bit,
     ris_power_consumption,
 )
-from .rx import llr_detect, ml_joint_detect, observe
+from .rx import llr_detect, ml_joint_detect, observe, unit_noise
 from .txphy import build_benchmark_codebook, build_codebook, build_constellation, encode_block
 
 # Stream index reserved for the per-run line-of-sight phase draws; trial
@@ -120,126 +123,117 @@ def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockRecord:
     """Outcome of one block trial. Error counters stay zero when the trial
     runs harvest-only (no detection)."""
 
-    ptx_errors: int
-    ptx_bits: int
-    index_errors: int
-    index_bits: int
-    ris_errors: int
-    ris_bits: int
     dc_ris_w: float
     dc_eh_w: float
     ok_rf: bool
     ok_var: bool
+    ptx_errors: int = 0
+    ptx_bits: int = 0
+    index_errors: int = 0
+    index_bits: int = 0
+    ris_errors: int = 0
+    ris_bits: int = 0
+
+
+def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int) -> list:
+    """One trial at every grid point. Channels, bits, surface bit, frame and
+    unit noise are drawn once; each cell-group layout gets its own surface
+    state and harvest, and each noise variance its own detection. Records
+    come layout-major: one per (layout, variance), or per layout when no
+    variance is given (harvest only)."""
+    cfg = ctx.cfg
+    rng = trial_rng(cfg.seed, trial_index)
+    drawn = ctx.channel_model.realize(rng)
+
+    eta_r = ctx.codebook.bits_index
+    eta = eta_r + cfg.l_slots * ctx.constellation.bits_per_symbol
+    bits = rng.integers(0, 2, size=eta)
+    ris_bit = int(rng.integers(0, 2))
+    noise = unit_noise((cfg.k_slots, cfg.m_rx), rng) if any(s > 0 for s in sigma2s) else None
+
+    frame = encode_block(
+        bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad
+    )
+    detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
+    records = []
+    for group_sizes in layouts:
+        channel = drawn.regroup(group_sizes)
+        ris = make_ris_state(channel, ctx.phase_set, ris_bit)
+
+        # Rectenna input at the surface: coherent sum over the absorbing group.
+        g2 = channel.h_r[channel.group_slice(1)]
+        q_ris = np.abs(np.sum(g2)) ** 2 * np.abs(frame.samples) ** 2
+        dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
+
+        # Rectenna input at the harvester: direct plus reflected path.
+        e_info = channel.h_e + channel.v_casc @ ris.reflection(STAGE_INFO)
+        e_power = channel.h_e + channel.v_casc @ ris.reflection(STAGE_POWER)
+        eps = np.where(frame.tau == 1, e_info, e_power) * frame.samples
+        dc_eh = float(np.mean(clc_dc_power(np.abs(eps) ** 2, ctx.eh_model)))
+
+        harvest = BlockRecord(dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)
+        if not sigma2s:
+            records.append(harvest)
+            continue
+
+        clean = observe(channel, frame, ris, 0.0, rng)
+        for sigma2 in sigma2s:
+            det = detect(
+                clean.with_noise(sigma2, noise),
+                ctx.codebook,
+                ctx.constellation,
+                ctx.phase_set.phi_info,
+                frame.omega,
+                ctx.phase_set,
+                cfg.p_low_w,
+                cfg.paper_compat,
+            )
+            records.append(
+                replace(
+                    harvest,
+                    ptx_errors=int(np.sum(det.ptx_bits != bits)),
+                    ptx_bits=eta,
+                    index_errors=int(np.sum(det.ptx_bits[:eta_r] != bits[:eta_r])),
+                    index_bits=eta_r,
+                    ris_errors=int(det.ris_bit != ris_bit),
+                    ris_bits=1,
+                )
+            )
+    return records
 
 
 def run_block_trial(ctx: RunContext, trial_index: int) -> BlockRecord:
     """Draw channels and bits, transmit one block, harvest, and (when a
     noise variance is set) detect and count bit errors."""
-    cfg = ctx.cfg
-    rng = trial_rng(cfg.seed, trial_index)
-    channel = ctx.channel_model.realize(rng)
-
-    bps = ctx.constellation.bits_per_symbol
-    eta = ctx.codebook.bits_index + cfg.l_slots * bps
-    bits = rng.integers(0, 2, size=eta)
-    ris_bit = int(rng.integers(0, 2))
-
-    frame = encode_block(
-        bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad
-    )
-    ris = make_ris_state(channel, ctx.phase_set, ris_bit)
-
-    # Rectenna input at the surface: coherent sum over the absorbing group.
-    g2 = channel.h_r[channel.group_slice(1)]
-    q_ris = np.abs(np.sum(g2)) ** 2 * np.abs(frame.samples) ** 2
-    dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
-
-    # Rectenna input at the harvester: direct plus reflected path.
-    e_info = channel.h_e + channel.v_casc @ ris.reflection(STAGE_INFO)
-    e_power = channel.h_e + channel.v_casc @ ris.reflection(STAGE_POWER)
-    eps = np.where(frame.tau == 1, e_info, e_power) * frame.samples
-    dc_eh = float(np.mean(clc_dc_power(np.abs(eps) ** 2, ctx.eh_model)))
-
-    record = BlockRecord(
-        ptx_errors=0,
-        ptx_bits=0,
-        index_errors=0,
-        index_bits=0,
-        ris_errors=0,
-        ris_bits=0,
-        dc_ris_w=dc_ris,
-        dc_eh_w=dc_eh,
-        ok_rf=dc_ris >= ctx.p_ris_rf_w,
-        ok_var=dc_ris >= ctx.p_ris_var_w,
-    )
-    if ctx.sigma2 is None:
-        return record
-
-    obs = observe(channel, frame, ris, ctx.sigma2, rng)
-    detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
-    det = detect(
-        obs,
-        ctx.codebook,
-        ctx.constellation,
-        ctx.phase_set.phi_info,
-        frame.omega,
-        ctx.phase_set,
-        cfg.p_low_w,
-        cfg.paper_compat,
-    )
-    eta_r = ctx.codebook.bits_index
-    record.ptx_errors = int(np.sum(det.ptx_bits != bits))
-    record.ptx_bits = eta
-    record.index_errors = int(np.sum(det.ptx_bits[:eta_r] != bits[:eta_r]))
-    record.index_bits = eta_r
-    record.ris_errors = int(det.ris_bit != ris_bit)
-    record.ris_bits = 1
-    return record
+    sigma2s = () if ctx.sigma2 is None else (ctx.sigma2,)
+    return run_trial(ctx, (ctx.cfg.group_sizes,), sigma2s, trial_index)[0]
 
 
-def _trial_star(ctx: RunContext, trial_index: int) -> BlockRecord:
-    return run_block_trial(ctx, trial_index)
-
-
-def _map_trials(ctx: RunContext, n_trials: int, workers: int) -> list:
-    if workers <= 1:
-        return [run_block_trial(ctx, i) for i in range(n_trials)]
-    chunk = max(1, math.ceil(n_trials / (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_star, repeat(ctx), range(n_trials), chunksize=chunk))
+def _map_points(ctx: RunContext, layouts: tuple, sigma2s: tuple, workers: int) -> list:
+    """Records of every grid point, each in trial order. Each trial runs once
+    for the whole grid, over one process pool when ``workers > 1``."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    n = ctx.cfg.trials
+    if workers == 1:
+        trials = [run_trial(ctx, layouts, sigma2s, i) for i in range(n)]
+    else:
+        chunk = max(1, math.ceil(n / (workers * 4)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trials = list(
+                pool.map(run_trial, repeat(ctx), repeat(layouts), repeat(sigma2s), range(n),
+                         chunksize=chunk)
+            )
+    return list(zip(*trials))
 
 
 # ---------------------------------------------------------------------------
 # Aggregation and result tables
-
-CSV_COLUMNS = (
-    "scheme",
-    "k_slots",
-    "l_slots",
-    "m_order",
-    "detector",
-    "snr_db",
-    "n2",
-    "ber_ptx",
-    "se_ber_ptx",
-    "ber_index",
-    "se_ber_index",
-    "ber_ris",
-    "se_ber_ris",
-    "avg_dc_ris_uw",
-    "avg_dc_eh_uw",
-    "standalone_frac",
-    "standalone_frac_rf",
-    "standalone_frac_var",
-    "trials",
-    "seed",
-)
-
 
 @dataclass
 class ResultRow:
@@ -263,6 +257,9 @@ class ResultRow:
     standalone_frac_var: float
     trials: int
     seed: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _ber_and_se(errors, totals):
@@ -343,13 +340,15 @@ def _fmt(value) -> str:
 
 def ber_sweep(cfg: SimConfig, workers: int = 1) -> ResultTable:
     """BER and harvest statistics over the configured SNR grid, one row per
-    grid point; trials are paired across points through shared streams."""
-    cfg.validate()
-    rows = []
-    for snr_db in cfg.snr_db_grid:
-        ctx = make_context(cfg, direct_snr_sigma2(cfg, snr_db))
-        records = _map_trials(ctx, cfg.trials, workers)
-        rows.append(_aggregate(cfg, records, snr_db=float(snr_db), n2=cfg.n2))
+    grid point; every point sees the same trials, so the harvest columns
+    agree across rows."""
+    ctx = make_context(cfg, None)
+    sigma2s = tuple(direct_snr_sigma2(cfg, snr_db) for snr_db in cfg.snr_db_grid)
+    points = _map_points(ctx, (cfg.group_sizes,), sigma2s, workers)
+    rows = [
+        _aggregate(cfg, records, snr_db=float(snr_db), n2=cfg.n2)
+        for snr_db, records in zip(cfg.snr_db_grid, points)
+    ]
     return ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed)
 
 
@@ -380,29 +379,22 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
     if n2_grid is None:
         n2_grid = default_n2_grid(cfg)
     n2_grid = tuple(int(v) for v in n2_grid)
+    if not n2_grid:
+        raise ValueError("the absorber-count grid is empty")
     for n2 in n2_grid:
         if not 0 <= n2 <= cfg.n_cells - cfg.n1:
             raise ValueError(f"absorber count {n2} incompatible with the cell split")
 
-    rows = []
-    min_rf = min_var = None
-    for n2 in n2_grid:
-        point_cfg = replace(cfg, n2=n2)
-        ctx = make_context(point_cfg, None)
-        records = _map_trials(ctx, cfg.trials, workers)
-        row = _aggregate(point_cfg, records, snr_db=None, n2=n2)
-        rows.append(row)
-        if min_rf is None and row.standalone_frac_rf >= 0.5:
-            min_rf = n2
-        if min_var is None and row.standalone_frac_var >= 0.5:
-            min_var = n2
-    table = ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed)
+    layouts = tuple(replace(cfg, n2=n2).group_sizes for n2 in n2_grid)
+    ctx = make_context(replace(cfg, n2=n2_grid[0]), None)
+    points = _map_points(ctx, layouts, (), workers)
+    rows = [_aggregate(cfg, records, snr_db=None, n2=n2) for n2, records in zip(n2_grid, points)]
     return HarvestReport(
-        table=table,
-        p_ris_rf_w=ris_power_consumption(power_budget(cfg, TECH_RF_SWITCH)),
-        p_ris_varactor_w=ris_power_consumption(power_budget(cfg, TECH_VARACTOR)),
-        min_n2_rf=min_rf,
-        min_n2_varactor=min_var,
+        table=ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed),
+        p_ris_rf_w=ctx.p_ris_rf_w,
+        p_ris_varactor_w=ctx.p_ris_var_w,
+        min_n2_rf=next((r.n2 for r in rows if r.standalone_frac_rf >= 0.5), None),
+        min_n2_varactor=next((r.n2 for r in rows if r.standalone_frac_var >= 0.5), None),
     )
 
 
@@ -423,10 +415,9 @@ class PowerBudgetReport:
 def power_budget_report(cfg: SimConfig) -> PowerBudgetReport:
     """Deterministic consumption figures for both cell technologies and the
     harvest margin at the configured absorber count (fixed-seed blocks)."""
-    p_rf = ris_power_consumption(power_budget(cfg, TECH_RF_SWITCH))
-    p_var = ris_power_consumption(power_budget(cfg, TECH_VARACTOR))
     ctx = make_context(cfg, None)
-    records = _map_trials(ctx, cfg.trials, workers=1)
+    p_rf, p_var = ctx.p_ris_rf_w, ctx.p_ris_var_w
+    records = [run_block_trial(ctx, i) for i in range(cfg.trials)]
     avg_dc = float(np.mean([r.dc_ris_w for r in records]))
     return PowerBudgetReport(
         p_ris_rf_w=p_rf,

@@ -93,7 +93,8 @@ class IndexCodebook:
     """The legitimate slot-index selections for one (K, L) layout.
 
     ``codewords[a]`` is the strictly increasing 1-based index tuple selected
-    by the index-bit pattern with integer value ``a``.
+    by the index-bit pattern with integer value ``a``; ``slot_index[a]``
+    holds the same slots 0-based, one row per codeword.
     """
 
     k_slots: int
@@ -102,6 +103,7 @@ class IndexCodebook:
     bits_index: int
     strategy: str
     _index: dict = field(repr=False, compare=False, default_factory=dict)
+    slot_index: np.ndarray = field(repr=False, compare=False, default=None)
 
     def index_of(self, codeword) -> int:
         try:
@@ -117,6 +119,8 @@ class IndexCodebook:
 
 def _make_codebook(k_slots, l_slots, codewords, bits_index, strategy) -> IndexCodebook:
     lookup = {cw: i for i, cw in enumerate(codewords)}
+    slot_index = np.array(codewords, dtype=np.int64) - 1
+    slot_index.setflags(write=False)
     return IndexCodebook(
         k_slots=k_slots,
         l_slots=l_slots,
@@ -124,6 +128,7 @@ def _make_codebook(k_slots, l_slots, codewords, bits_index, strategy) -> IndexCo
         bits_index=bits_index,
         strategy=strategy,
         _index=lookup,
+        slot_index=slot_index,
     )
 
 

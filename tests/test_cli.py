@@ -95,6 +95,20 @@ def test_bad_config_key_fails_cleanly(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ber-sweep", "--workers", "0"],
+    ["harvest-sweep", "--workers", "-1"],
+    ["harvest-sweep", "--n2-grid", "64:0:16"],
+    ["harvest-sweep", "--n2-grid", "0:0:16"],
+    ["harvest-sweep", "--n2-grid", ""],
+])
+def test_bad_sweep_input_fails_cleanly(tmp_path, cfg_file, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--config", str(cfg_file), "--trials", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_bad_scheme_flag(tmp_path, cfg_file):
     with pytest.raises(SystemExit):
         main(["ber-sweep", "--config", str(cfg_file), "--scheme", "eight-two"])

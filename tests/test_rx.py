@@ -241,6 +241,18 @@ class TestSelectInfoSlots:
         cb = build_codebook(4, 1)
         assert select_info_slots(np.array([0.0, 5.0, 1.0, 2.0]), cb) == (2,)
 
+    def test_matches_per_codeword_loop(self):
+        # reference: each codeword's LLR sum in codebook order, first maximum
+        # wins; the row sums must agree bit for bit
+        rng = np.random.default_rng(0)
+        for k, l in ((4, 2), (8, 2), (8, 4), (12, 5)):
+            cb = build_codebook(k, l)
+            for _ in range(50):
+                llr = 10.0 * rng.standard_normal(k)
+                sums = np.array([llr[np.asarray(cw) - 1].sum() for cw in cb.codewords])
+                np.testing.assert_array_equal(llr[cb.slot_index].sum(axis=1), sums)
+                assert select_info_slots(llr, cb) == cb.codewords[int(np.argmax(sums))]
+
 
 class TestMlSymbolPhase:
     def test_noiseless_exact(self, small_cfg):

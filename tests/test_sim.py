@@ -4,11 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import timsr.sim
+from conftest import build_observation
 from timsr import make_config
 from timsr.config import config_hash, dbm_to_watts, load_config, parse_config_text
 from timsr.ris import clc_dc_power, eh_received, ris_rectenna_input
+from timsr.rx import llr_detect, ml_joint_detect
 from timsr.sim import (
     CSV_COLUMNS,
+    _aggregate,
     ber_sweep,
     benchmark_mode,
     direct_snr_sigma2,
@@ -96,6 +100,24 @@ class TestBlockTrial:
         assert rec.dc_ris_w == pytest.approx(dc_ris, rel=1e-12)
         assert rec.dc_eh_w == pytest.approx(dc_eh, rel=1e-12)
 
+    @pytest.mark.parametrize("detector", ["llr", "ml"])
+    def test_detection_matches_single_block_pipeline(self, detector):
+        """The trial's noise draw and detection equal observe() and the
+        detector run on the same stream."""
+        cfg = make_config(k_slots=4, l_slots=2, codebook_strategy="table1",
+                          detector=detector, trials=1)
+        detect = ml_joint_detect if detector == "ml" else llr_detect
+        ptx_errors = 0
+        for i in range(20):
+            ctx, obs, frame, _, bits, ris_bit = build_observation(cfg, 0.0, trial=i)
+            det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+                         frame.omega, ctx.phase_set, cfg.p_low_w)
+            rec = run_block_trial(ctx, i)
+            assert rec.ptx_errors == int(np.sum(det.ptx_bits != bits))
+            assert rec.ris_errors == int(det.ris_bit != ris_bit)
+            ptx_errors += rec.ptx_errors
+        assert ptx_errors > 0  # the noise decides some bits at this SNR
+
     def test_more_info_slots_harvest_less(self):
         # paired streams: block-average harvested DC is nonincreasing in L
         means = []
@@ -165,6 +187,76 @@ class TestHarvestSweep:
         cfg = make_config(trials=10)
         with pytest.raises(ValueError):
             harvest_sweep(cfg, n2_grid=(0, 500))
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if any trial runs."""
+    def fail(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(timsr.sim, "run_trial", fail)
+
+
+class TestSweepGuards:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, no_trials, workers):
+        cfg = make_config(trials=5)
+        with pytest.raises(ValueError, match="workers"):
+            ber_sweep(cfg, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            harvest_sweep(cfg, n2_grid=(0, 16), workers=workers)
+
+    @pytest.mark.parametrize("grid", [(), [], range(64, 0, 16)])
+    def test_empty_absorber_grid_rejected(self, no_trials, grid):
+        with pytest.raises(ValueError, match="empty"):
+            harvest_sweep(make_config(trials=5), n2_grid=grid)
+
+
+def pointwise_row(point_cfg, snr_db):
+    """One sweep row built the slow way: a fresh context for the grid point
+    and one single-block trial per stream."""
+    sigma2 = None if snr_db is None else direct_snr_sigma2(point_cfg, snr_db)
+    ctx = make_context(point_cfg, sigma2)
+    records = [run_block_trial(ctx, i) for i in range(point_cfg.trials)]
+    return _aggregate(point_cfg, records, snr_db=snr_db, n2=point_cfg.n2)
+
+
+class TestFusedSweeps:
+    """A sweep draws each trial once for its whole grid; every row must equal
+    the row computed point by point."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("detector", ["llr", "ml"])
+    def test_ber_rows_equal_pointwise(self, detector, workers):
+        cfg = make_config(k_slots=4, l_slots=2, codebook_strategy="table1",
+                          detector=detector, snr_db_grid=(0.0, 10.0, 0.0, 30.0), trials=24)
+        rows = ber_sweep(cfg, workers=workers).rows
+        assert rows == [pointwise_row(cfg, snr_db) for snr_db in cfg.snr_db_grid]
+        assert rows[0] == rows[2]
+        assert len({(r.avg_dc_ris_uw, r.avg_dc_eh_uw) for r in rows}) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_harvest_rows_equal_pointwise(self, workers):
+        cfg = make_config(trials=24)
+        grid = (0, 35, cfg.n_cells - cfg.n1, 16)
+        rows = harvest_sweep(cfg, n2_grid=grid, workers=workers).table.rows
+        assert rows == [pointwise_row(replace(cfg, n2=n2), None) for n2 in grid]
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        pools = []
+
+        class CountingPool(timsr.sim.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", CountingPool)
+        cfg = make_config(snr_db_grid=(0.0, 10.0, 20.0), trials=8)
+        ber_sweep(cfg, workers=2)
+        assert len(pools) == 1
+        harvest_sweep(cfg, n2_grid=(0, 16, 32), workers=2)
+        assert len(pools) == 2
 
 
 class TestPowerBudgetReport:
