@@ -36,7 +36,7 @@ def _parse_scheme(text: str):
     try:
         k, l = (int(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(f"--scheme expects 'K,L', got {text!r}")
+        raise ValueError(f"--scheme expects 'K,L', got {text!r}") from None
     return k, l
 
 
@@ -44,12 +44,14 @@ def _parse_grid(text: str):
     if ":" in text:
         parts = [int(v) for v in text.split(":")]
         if len(parts) != 3:
-            raise SystemExit(f"--n2-grid range expects 'start:stop:step', got {text!r}")
+            raise ValueError(f"--n2-grid range expects 'start:stop:step', got {text!r}")
         return tuple(range(parts[0], parts[1], parts[2]))
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 def _build_config(args):
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if args.config:
         cfg = load_config(args.config)
     else:

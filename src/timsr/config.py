@@ -10,6 +10,10 @@ from dataclasses import dataclass, fields
 SCHEMES = ("tim", "benchmark")
 DETECTORS = ("ml", "llr")
 
+# Largest joint-ML hypothesis space |A| * J * M^L a config may ask for: the
+# detector holds one float64 metric per hypothesis (2**25 -> 256 MiB).
+ML_MAX_HYPOTHESES = 2**25
+
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -88,6 +92,14 @@ class SimConfig:
         max_l = self.k_slots if self.scheme == "benchmark" else self.k_slots - 1
         if not 1 <= self.l_slots <= max_l:
             raise ValueError(f"need 1 <= l_slots <= {max_l} for scheme {self.scheme!r}")
+        # |A| * J * M^L with J = 2 information phases and |A| = 2^floor(log2 C(K, L)).
+        index_bits = math.comb(self.k_slots, self.l_slots).bit_length() - 1
+        n_cw = 1 if self.scheme == "benchmark" else 1 << index_bits
+        hypotheses = n_cw * 2 * self.m_order**self.l_slots
+        if self.detector == "ml" and hypotheses > ML_MAX_HYPOTHESES:
+            raise ValueError(f"the ML detector would score {hypotheses} hypotheses per block "
+                             f"(|A| * J * M^L = {n_cw} * 2 * {self.m_order}^{self.l_slots}), more "
+                             f"than {ML_MAX_HYPOTHESES}; use detector = llr or a smaller layout")
         if self.n1 < 0 or self.n2 < 0 or self.n3 < 0:
             raise ValueError(
                 f"cell split n1={self.n1}, n2={self.n2} incompatible with n_cells={self.n_cells}"

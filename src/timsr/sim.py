@@ -33,7 +33,7 @@ from .ris import (
     phase_set_2bit,
     ris_power_consumption,
 )
-from .rx import llr_detect, ml_joint_detect, observe, unit_noise
+from .rx import llr_detect, ml_joint_detect, observe, receiver_context, unit_noise
 from .txphy import build_benchmark_codebook, build_codebook, build_constellation, encode_block
 
 # Stream index reserved for the per-run line-of-sight phase draws; trial
@@ -143,7 +143,8 @@ class BlockRecord:
 def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int) -> list:
     """One trial at every grid point. Channels, bits, surface bit, frame and
     unit noise are drawn once; each cell-group layout gets its own surface
-    state and harvest, and each noise variance its own detection. Records
+    state and harvest and, when detecting, one receiver context shared by
+    every noise variance's observation and detection. Records
     come layout-major: one per (layout, variance), or per layout when no
     variance is given (harvest only)."""
     cfg = ctx.cfg
@@ -181,18 +182,14 @@ def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int)
             records.append(harvest)
             continue
 
-        clean = observe(channel, frame, ris, 0.0, rng)
+        phase_pair = ctx.phase_set.phi_info
+        rx = receiver_context(
+            channel, ris.group1_phase, phase_pair, ctx.phase_set, ctx.constellation, cfg.p_low_w
+        )
+        clean = observe(channel, frame, ris, 0.0, rng, rx)
         for sigma2 in sigma2s:
-            det = detect(
-                clean.with_noise(sigma2, noise),
-                ctx.codebook,
-                ctx.constellation,
-                ctx.phase_set.phi_info,
-                frame.omega,
-                ctx.phase_set,
-                cfg.p_low_w,
-                cfg.paper_compat,
-            )
+            det = detect(clean.with_noise(sigma2, noise), ctx.codebook, ctx.constellation,
+                         phase_pair, frame.omega, ctx.phase_set, cfg.p_low_w, cfg.paper_compat, rx)
             records.append(
                 replace(
                     harvest,

@@ -32,6 +32,13 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int64)
 
 
+def _bit_table(count: int, width: int) -> np.ndarray:
+    """Row v holds :func:`int_to_bits` (v, width), for v = 0..count-1."""
+    table = (np.arange(count, dtype=np.int64)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    table.setflags(write=False)
+    return table
+
+
 def _gray(n: int) -> int:
     return n ^ (n >> 1)
 
@@ -43,11 +50,13 @@ def _is_power_of_two(n: int) -> bool:
 @dataclass(frozen=True)
 class Constellation:
     """Unit-average-power symbol set; ``points[label]`` is the symbol whose
-    Gray-coded bit label equals ``label``."""
+    Gray-coded bit label equals ``label``, and ``label_bits[label]`` holds
+    that label's log2(M) bits."""
 
     m_order: int
     kind: str
     points: np.ndarray
+    label_bits: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -85,7 +94,8 @@ def build_constellation(m_order: int, kind: str = "qam") -> Constellation:
                 points[label] = levels[ki] + 1j * levels[kq]
         points /= np.sqrt(np.mean(np.abs(points) ** 2))
     points.setflags(write=False)
-    return Constellation(m_order=m_order, kind=kind, points=points)
+    bps = m_order.bit_length() - 1
+    return Constellation(m_order, kind, points, _bit_table(m_order, bps))
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,8 @@ class IndexCodebook:
 
     ``codewords[a]`` is the strictly increasing 1-based index tuple selected
     by the index-bit pattern with integer value ``a``; ``slot_index[a]``
-    holds the same slots 0-based, one row per codeword.
+    holds the same slots 0-based and ``index_bits[a]`` that bit pattern, one
+    row per codeword.
     """
 
     k_slots: int
@@ -104,6 +115,7 @@ class IndexCodebook:
     strategy: str
     _index: dict = field(repr=False, compare=False, default_factory=dict)
     slot_index: np.ndarray = field(repr=False, compare=False, default=None)
+    index_bits: np.ndarray = field(repr=False, compare=False, default=None)
 
     def index_of(self, codeword) -> int:
         try:
@@ -129,6 +141,7 @@ def _make_codebook(k_slots, l_slots, codewords, bits_index, strategy) -> IndexCo
         strategy=strategy,
         _index=lookup,
         slot_index=slot_index,
+        index_bits=_bit_table(len(codewords), bits_index),
     )
 
 
@@ -241,6 +254,14 @@ def encode_block(
     )
 
 
+def block_bits(alpha: int, labels, codebook: IndexCodebook, constellation: Constellation):
+    """The eta bits of codeword ``alpha`` carrying symbol ``labels`` (in
+    ascending slot order), read from the codebook and label bit tables."""
+    return np.concatenate(
+        [codebook.index_bits[alpha], constellation.label_bits[list(labels)].ravel()]
+    )
+
+
 def decode_frame(tau, symbols, codebook: IndexCodebook, constellation: Constellation) -> np.ndarray:
     """Invert :func:`encode_block` from a slot-activity vector and the L
     recovered unit-power symbols (in ascending slot order).
@@ -249,9 +270,5 @@ def decode_frame(tau, symbols, codebook: IndexCodebook, constellation: Constella
     expected never to produce one.
     """
     codeword = tuple(int(i) + 1 for i in np.flatnonzero(np.asarray(tau)))
-    alpha = codebook.index_of(codeword)
-    parts = [int_to_bits(alpha, codebook.bits_index)]
-    bps = constellation.bits_per_symbol
-    for s in np.asarray(symbols, dtype=complex):
-        parts.append(int_to_bits(constellation.nearest_label(s), bps))
-    return np.concatenate(parts)
+    labels = [constellation.nearest_label(s) for s in np.asarray(symbols, dtype=complex)]
+    return block_bits(codebook.index_of(codeword), labels, codebook, constellation)

@@ -3,7 +3,8 @@
 These deliberately reimplement the metrics with explicit loops and
 numpy-level reductions so they share no code path with the implementations
 under test (beyond the fixed group-1 alignment rule, which is configuration,
-not a search).
+not a search, and the scalar ``jacobian_log_sum`` step that defines the LLR
+recursion).
 """
 
 import itertools
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from timsr.ris import STAGE_INFO, STAGE_POWER, align_group1, reflection_vector
+from timsr.rx import jacobian_log_sum
 
 
 def direct_log_sum_exp(values) -> float:
@@ -99,4 +101,42 @@ def direct_llr(obs, constellation, phase_pair, omega, phase_set, k_slots, l_slot
                 xi.append(-float(np.linalg.norm(obs.y[k] - eff_info[c] * s) ** 2) / obs.sigma2)
         delta_p = -float(np.linalg.norm(obs.y[k] - eff_power * omega) ** 2) / obs.sigma2
         llr[k] = prior + direct_log_sum_exp(xi) - delta_p
+    return llr
+
+
+def loop_joint_metric(info_cost, pow_cost, codebook, paper_compat=False):
+    """The (A, J, M^L) joint-ML metric built one codeword and one phase at a
+    time: the power-slot base, then each slot's (M,) costs outer-added in
+    slot order, earliest slot most significant."""
+    j, m, _ = info_cost.shape
+    total_pow = float(pow_cost.sum())
+    metric = np.empty((len(codebook.codewords), j, m**codebook.l_slots))
+    for a, cw in enumerate(codebook.codewords):
+        slots0 = np.asarray(cw, dtype=np.int64) - 1
+        base = 0.0 if paper_compat else total_pow - float(pow_cost[slots0].sum())
+        for c in range(j):
+            t = np.array([base])
+            for s0 in slots0:
+                t = (t[:, None] + info_cost[c, :, s0][None, :]).ravel()
+            metric[a, c, :] = t
+    return metric
+
+
+def recursive_llr(info_cost, pow_cost, sigma2, k_slots, l_slots, paper_compat=False):
+    """Per-slot LLRs with the information evidence folded pairwise by
+    :func:`jacobian_log_sum` over (phase, symbol) pairs, phase-major."""
+    xi = -info_cost / sigma2
+    delta_p = -pow_cost if paper_compat else -pow_cost / sigma2
+    prior = math.log(l_slots**2)
+    prior -= math.log((k_slots - l_slots) ** 2) if k_slots > l_slots else -math.inf
+    j, m, _ = info_cost.shape
+    llr = np.empty(k_slots)
+    for k in range(k_slots):
+        delta_i = xi[0, 0, k]
+        for c in range(j):
+            for i in range(m):
+                if c == 0 and i == 0:
+                    continue
+                delta_i = jacobian_log_sum(delta_i, xi[c, i, k])
+        llr[k] = prior + delta_i - delta_p[k]
     return llr

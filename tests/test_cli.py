@@ -109,6 +109,33 @@ def test_bad_sweep_input_fails_cleanly(tmp_path, cfg_file, capsys, argv):
     assert not out.exists()
 
 
-def test_bad_scheme_flag(tmp_path, cfg_file):
-    with pytest.raises(SystemExit):
-        main(["ber-sweep", "--config", str(cfg_file), "--scheme", "eight-two"])
+def test_bad_scheme_flag(tmp_path, cfg_file, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["ber-sweep", "--config", str(cfg_file), "--scheme", "eight-two",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --scheme expects 'K,L'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0:64", "0:64:0", "0:x:16", "1,two"])
+def test_malformed_grid_fails_cleanly(tmp_path, cfg_file, capsys, grid):
+    out = tmp_path / "out.csv"
+    assert main(["harvest-sweep", "--config", str(cfg_file), "--trials", "5",
+                 "--n2-grid", grid, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_power_budget_rejects_workers_below_one(capsys, workers):
+    assert main(["power-budget", "--trials", "5", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --workers must be >= 1")
+    assert captured.out == ""
+
+
+def test_oversized_ml_config_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "big.cfg"
+    path.write_text("l_slots = 4\nm_order = 64\ndetector = ml\n")
+    assert main(["ber-sweep", "--config", str(path), "--trials", "1"]) == 2
+    assert "hypotheses" in capsys.readouterr().err

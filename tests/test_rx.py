@@ -6,21 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_observation
-from oracles import direct_llr, direct_log_sum_exp, naive_joint_search, naive_symbol_phase
+from oracles import (
+    direct_llr,
+    direct_log_sum_exp,
+    loop_joint_metric,
+    naive_joint_search,
+    naive_symbol_phase,
+    recursive_llr,
+)
 
 from timsr import make_config
 from timsr.ris import make_ris_state
 from timsr.rx import (
     jacobian_log_sum,
+    joint_metric,
     llr_detect,
+    llr_from_costs,
     llr_per_slot,
     ml_joint_detect,
     ml_symbol_phase,
     observe,
+    receiver_context,
     select_info_slots,
 )
 from timsr.sim import direct_snr_sigma2, make_context, trial_rng
-from timsr.txphy import build_codebook, encode_block, int_to_bits
+from timsr.txphy import (
+    block_bits,
+    build_benchmark_codebook,
+    build_codebook,
+    build_constellation,
+    encode_block,
+    int_to_bits,
+)
 
 
 class TestObserve:
@@ -351,6 +368,152 @@ class TestLlrDetect:
             )
             total += 1
         assert agree / total >= 0.95
+
+
+def _costs(ctx, obs, frame, cfg):
+    """The observation's slot costs through a context built the way a sweep
+    builds it."""
+    ps = ctx.phase_set
+    state = make_ris_state(obs.channel, ps, 0)
+    rx = receiver_context(obs.channel, state.group1_phase, ps.phi_info, ps,
+                          ctx.constellation, cfg.p_low_w)
+    return rx.slot_costs(obs.y, frame.omega)
+
+
+class TestArrayKernels:
+    """The array kernels equal the per-hypothesis loops bit for bit."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(l_slots=4),
+        dict(k_slots=4, l_slots=2, codebook_strategy="table1"),
+        dict(k_slots=4, l_slots=1, m_order=2, constellation="psk"),
+        dict(k_slots=6, l_slots=1, m_order=16),
+        dict(scheme="benchmark", l_slots=3),
+    ])
+    @pytest.mark.parametrize("paper_compat", [False, True])
+    def test_joint_metric_equals_loop(self, overrides, paper_compat):
+        cfg = make_config(trials=1, **overrides)
+        for trial in range(5):
+            ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=trial)
+            assert len(ctx.codebook.codewords) == (1 if cfg.scheme == "benchmark" else
+                                                   1 << ctx.codebook.bits_index)
+            info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
+            got = joint_metric(info_cost, pow_cost, ctx.codebook.slot_index, paper_compat)
+            want = loop_joint_metric(info_cost, pow_cost, ctx.codebook, paper_compat)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_joint_metric_random_costs(self):
+        rng = np.random.default_rng(3)
+        for k, l, m in ((8, 4, 4), (12, 5, 2), (8, 2, 16)):
+            cb = build_codebook(k, l)
+            info_cost = rng.exponential(size=(2, m, k)) * 10.0 ** rng.integers(-3, 4)
+            pow_cost = rng.exponential(size=k)
+            for paper_compat in (False, True):
+                np.testing.assert_array_equal(
+                    joint_metric(info_cost, pow_cost, cb.slot_index, paper_compat),
+                    loop_joint_metric(info_cost, pow_cost, cb, paper_compat),
+                )
+
+    def test_tied_metric_takes_first_minimum(self):
+        # integer costs add exactly; the minimum 0 is reached by codewords
+        # (1,4) and (2,4) under both phases, each with symbols (2, 1); the
+        # enumeration order picks codeword index 1, phase 0, labels (2, 1)
+        cb = build_codebook(4, 2, "table1")               # (1,3) (1,4) (2,4) (2,3)
+        info_cost = np.ones((2, 4, 4))
+        pow_cost = np.zeros(4)
+        info_cost[:, 2, 0] = 0.0                           # slot 1 fits symbol 2
+        info_cost[:, 1, 3] = 0.0                           # slot 4 fits symbol 1
+        info_cost[:, 2, 1] = 0.0                           # slot 2 fits symbol 2
+        metric = joint_metric(info_cost, pow_cost, cb.slot_index)
+        np.testing.assert_array_equal(metric, loop_joint_metric(info_cost, pow_cost, cb))
+        assert np.count_nonzero(metric == 0.0) == 4
+        flat = np.unravel_index(int(np.argmin(metric.reshape(-1))), metric.shape)
+        assert tuple(int(x) for x in flat) == (1, 0, 2 * 4 + 1)
+
+    def test_detectors_break_phase_ties_to_first(self, small_cfg):
+        # no third group: both information phases give the same channel, so
+        # every hypothesis ties across phases and phase 0 must win
+        cfg = small_cfg
+        ctx, _, frame, state, bits, _ = build_observation(cfg, snr_db=0.0, trial=4, ris_bit=1)
+        ch = ctx.channel_model.realize(trial_rng(cfg.seed, 4))
+        ch.f_casc[:, 2] = 0.0
+        obs = observe(ch, frame, state, 0.0, trial_rng(0, 0))
+        obs.sigma2 = 1e-9
+        args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+                ctx.phase_set, cfg.p_low_w)
+        for detect in (ml_joint_detect, llr_detect):
+            det = detect(obs, *args)
+            assert det.ris_bit == 0
+            assert np.array_equal(det.ptx_bits, bits)
+
+    def test_detectors_on_all_equal_costs_take_first_hypothesis(self, small_cfg):
+        cfg = small_cfg
+        ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=2)
+        ch = obs.channel
+        ch.h_d = np.zeros_like(ch.h_d)
+        ch.f_casc = np.zeros_like(ch.f_casc)
+        args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+                ctx.phase_set, cfg.p_low_w)
+        for detect in (ml_joint_detect, llr_detect):
+            det = detect(obs, *args)
+            assert det.codeword == ctx.codebook.codewords[0]
+            assert det.ris_bit == 0
+            assert det.symbol_labels == (0, 0)
+
+    @pytest.mark.parametrize("paper_compat", [False, True])
+    def test_llr_equals_recursion(self, paper_compat):
+        cfg = make_config(trials=1)
+        for trial, snr in enumerate((-10.0, 0.0, 10.0, 30.0, 300.0)):
+            ctx, obs, frame, *_ = build_observation(cfg, snr_db=snr, trial=trial)
+            info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
+            for sigma2 in (obs.sigma2, 1e-300):           # 1e-300: every exp underflows
+                np.testing.assert_array_equal(
+                    llr_from_costs(info_cost, pow_cost, sigma2, 8, 2, paper_compat),
+                    recursive_llr(info_cost, pow_cost, sigma2, 8, 2, paper_compat),
+                )
+
+    def test_llr_equals_recursion_extreme_entries(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            j, m, k = 2, int(rng.choice([2, 4, 16])), int(rng.integers(2, 10))
+            info_cost = rng.exponential(size=(j, m, k)) * 10.0 ** rng.integers(-6, 7)
+            info_cost[rng.random(info_cost.shape) < 0.2] = math.inf   # xi = -inf
+            info_cost[:, :, 0] = math.inf                              # all -inf
+            info_cost[:, :, 1] = info_cost[0, 0, 1]                    # all equal
+            pow_cost = rng.exponential(size=k)
+            l = int(rng.integers(1, k))
+            sigma2 = 10.0 ** rng.uniform(-300, 2)
+            got = llr_from_costs(info_cost, pow_cost, sigma2, k, l)
+            np.testing.assert_array_equal(got, recursive_llr(info_cost, pow_cost, sigma2, k, l))
+            assert got[0] == -math.inf
+
+    def test_llr_detect_equals_its_stages(self):
+        # one set of slot costs feeds the LLR stage and the symbol search
+        cfg = make_config(trials=1)
+        for trial in range(20):
+            ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=trial)
+            args = (ctx.constellation, ctx.phase_set.phi_info)
+            llr = llr_per_slot(obs, *args, frame.omega, ctx.phase_set, 8, 2, cfg.p_low_w)
+            codeword = select_info_slots(llr, ctx.codebook)
+            labels, _, c, _ = ml_symbol_phase(obs, codeword, *args, cfg.p_low_w, ctx.phase_set)
+            det = llr_detect(obs, ctx.codebook, *args, frame.omega, ctx.phase_set, cfg.p_low_w)
+            assert (det.codeword, det.symbol_labels, det.ris_bit) == (codeword, labels, c)
+
+    def test_bit_tables(self):
+        for cb in (build_codebook(8, 4), build_codebook(4, 2, "table1"),
+                   build_benchmark_codebook(8, 2)):
+            for const in (build_constellation(4), build_constellation(16),
+                          build_constellation(8, "psk")):
+                bps = const.bits_per_symbol
+                for alpha in range(len(cb.codewords)):
+                    for labels in ((0,) * cb.l_slots, tuple(range(cb.l_slots))):
+                        labels = tuple(x % const.m_order for x in labels)
+                        want = np.concatenate([int_to_bits(alpha, cb.bits_index)]
+                                              + [int_to_bits(x, bps) for x in labels])
+                        got = block_bits(alpha, labels, cb, const)
+                        assert got.dtype == want.dtype
+                        np.testing.assert_array_equal(got, want)
 
 
 def test_direct_log_sum_exp_self_check():

@@ -7,7 +7,13 @@ import pytest
 import timsr.sim
 from conftest import build_observation
 from timsr import make_config
-from timsr.config import config_hash, dbm_to_watts, load_config, parse_config_text
+from timsr.config import (
+    ML_MAX_HYPOTHESES,
+    config_hash,
+    dbm_to_watts,
+    load_config,
+    parse_config_text,
+)
 from timsr.ris import clc_dc_power, eh_received, ris_rectenna_input
 from timsr.rx import llr_detect, ml_joint_detect
 from timsr.sim import (
@@ -358,6 +364,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(detector="sphere")
         make_config(scheme="benchmark", k_slots=8, l_slots=8)  # allowed there
+
+    def test_ml_hypothesis_space_guard(self):
+        # (8,4) 64-QAM: 64 codewords * 2 phases * 64^4 symbol vectors = 2^31
+        with pytest.raises(ValueError, match="hypotheses"):
+            make_config(l_slots=4, m_order=64, detector="ml")
+        assert 64 * 2 * 64**4 > ML_MAX_HYPOTHESES >= 64 * 2 * 16**4
+        make_config(l_slots=4, m_order=64, detector="llr")
+        make_config(l_slots=4, m_order=16, detector="ml")
+        # the fixed-slot scheme has a single codeword: 2 * 64^4 = 2^25
+        make_config(scheme="benchmark", l_slots=4, m_order=64, detector="ml")
+        with pytest.raises(ValueError, match="hypotheses"):
+            make_config(scheme="benchmark", l_slots=5, m_order=64, detector="ml")
 
     def test_hash_tracks_content(self):
         a = config_hash(make_config())
