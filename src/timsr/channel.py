@@ -10,7 +10,7 @@ assembled once per block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,24 +31,29 @@ def path_gain(distance_m: float, carrier_ghz: float) -> float:
     return 10.0 ** (-path_loss_db(distance_m, carrier_ghz) / 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RicianSpec:
     """Per-link fading parameters.
 
     ``los_phase`` fixes the deterministic line-of-sight phase(s): a scalar
     applies one common phase to every entry, an array gives per-entry phases.
-    The line-of-sight component always has unit magnitude.
+    The line-of-sight component always has unit magnitude; its weighted
+    term ``los`` = sqrt(k/(k+1)) * exp(j*theta_los) is computed once here.
     """
 
     kappa: float
     path_gain: float
     los_phase: float | np.ndarray = 0.0
+    los: complex | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kappa < 0:
             raise ValueError(f"Rician factor must be >= 0, got {self.kappa}")
         if not 0.0 < self.path_gain <= 1.0:
             raise ValueError(f"path gain must be in (0, 1], got {self.path_gain}")
+        k = self.kappa
+        los = math.sqrt(k / (k + 1.0)) * np.exp(1j * np.asarray(self.los_phase, dtype=float))
+        object.__setattr__(self, "los", los)
 
 
 def sample_rician(spec: RicianSpec, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,9 +65,7 @@ def sample_rician(spec: RicianSpec, rows: int, cols: int, rng: np.random.Generat
     """
     shape = (rows, cols)
     nlos = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    los = np.exp(1j * np.broadcast_to(np.asarray(spec.los_phase, dtype=float), shape))
-    k = spec.kappa
-    mix = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * nlos
+    mix = spec.los + math.sqrt(1.0 / (spec.kappa + 1.0)) * nlos
     return math.sqrt(spec.path_gain) * mix
 
 
@@ -161,40 +164,27 @@ class ChannelModel:
         self.los_phase_policy = los_phase_policy
 
         gain_direct = path_gain(d_direct_m, carrier_ghz)
-        gain_tx_ris = path_gain(d_tx_ris_m, carrier_ghz)
         gain_ris_rx = path_gain(d_ris_rx_m, carrier_ghz)
-
-        # One spec per link, drawn in a fixed order for reproducibility.
-        link_shapes = {
-            "h_d": (m_rx, 1),
-            "h_r": (n_cells, 1),
-            "G_d": (m_rx, n_cells),
-            "h_e": (1, 1),
-            "g_e": (n_cells, 1),
-        }
-        link_gains = {
-            "h_d": gain_direct,
-            "h_r": gain_tx_ris,
-            "G_d": gain_ris_rx,
-            "h_e": gain_direct,
-            "g_e": gain_ris_rx,
+        # (shape, path gain) of each link, drawn in this fixed order for reproducibility.
+        self.links = {
+            "h_d": ((m_rx, 1), gain_direct),
+            "h_r": ((n_cells, 1), path_gain(d_tx_ris_m, carrier_ghz)),
+            "G_d": ((m_rx, n_cells), gain_ris_rx),
+            "h_e": ((1, 1), gain_direct),
+            "g_e": ((n_cells, 1), gain_ris_rx),
         }
         self.specs = {}
-        for name in ("h_d", "h_r", "G_d", "h_e", "g_e"):
+        for name, (shape, gain) in self.links.items():
             if los_phase_policy == "zero":
                 phase = 0.0
             elif los_phase_policy == "per-link":
                 phase = float(rng.uniform(0.0, 2.0 * np.pi))
             else:
-                phase = rng.uniform(0.0, 2.0 * np.pi, size=link_shapes[name])
-            self.specs[name] = RicianSpec(kappa=kappa, path_gain=link_gains[name], los_phase=phase)
+                phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+            self.specs[name] = RicianSpec(kappa=kappa, path_gain=gain, los_phase=phase)
 
     def realize(self, rng: np.random.Generator) -> ChannelRealization:
         """Draw one block realization; fixed for the K slots of the block."""
-        m, n = self.m_rx, self.n_cells
-        h_d = sample_rician(self.specs["h_d"], m, 1, rng)[:, 0]
-        h_r = sample_rician(self.specs["h_r"], n, 1, rng)[:, 0]
-        G_d = sample_rician(self.specs["G_d"], m, n, rng)
-        h_e = sample_rician(self.specs["h_e"], 1, 1, rng)[0, 0]
-        g_e = sample_rician(self.specs["g_e"], n, 1, rng)[:, 0]
-        return make_realization(h_d, h_r, G_d, h_e, g_e, self.group_sizes)
+        h_d, h_r, G_d, h_e, g_e = (sample_rician(self.specs[name], *shape, rng)
+                                   for name, (shape, _) in self.links.items())
+        return make_realization(h_d[:, 0], h_r[:, 0], G_d, h_e[0, 0], g_e[:, 0], self.group_sizes)

@@ -7,6 +7,10 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+from .channel import LOS_PHASE_POLICIES
+from .ris import TECHNOLOGIES
+from .txphy import CONSTELLATION_KINDS
+
 SCHEMES = ("tim", "benchmark")
 DETECTORS = ("ml", "llr")
 
@@ -83,12 +87,24 @@ class SimConfig:
         return dbm_to_watts(self.p_high_dbm)
 
     def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.detector not in DETECTORS:
-            raise ValueError(f"detector must be one of {DETECTORS}, got {self.detector!r}")
-        if self.k_slots < 1:
-            raise ValueError("k_slots must be >= 1")
+        for name, allowed in (("scheme", SCHEMES), ("detector", DETECTORS),
+                              ("constellation", CONSTELLATION_KINDS),
+                              ("los_phase_policy", LOS_PHASE_POLICIES),
+                              ("technology", TECHNOLOGIES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        m = self.m_order
+        square = m.bit_length() % 2 == 1                     # 4^n has an odd bit length
+        if m < 2 or m & (m - 1) or (self.constellation == "qam" and m > 2 and not square):
+            raise ValueError(f"m_order must be a power of two >= 2, and 2 or a square "
+                             f"(4, 16, 64, ...) for QAM; got {m}")
+        # Lower bounds; distances in meters, the path-loss model's range.
+        for name, low in (("k_slots", 1), ("trials", 1), ("n_cb", 1), ("kappa", 0.0),
+                          ("d_tx_ris_m", 1.0), ("d_ris_rx_m", 1.0), ("d_direct_m", 1.0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.carrier_ghz <= 0:
+            raise ValueError(f"carrier_ghz must be positive, got {self.carrier_ghz}")
         max_l = self.k_slots if self.scheme == "benchmark" else self.k_slots - 1
         if not 1 <= self.l_slots <= max_l:
             raise ValueError(f"need 1 <= l_slots <= {max_l} for scheme {self.scheme!r}")
@@ -108,8 +124,6 @@ class SimConfig:
             raise ValueError("p_high_dbm must be >= p_low_dbm")
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid cannot be empty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -18,6 +18,7 @@ STAGE_POWER = "power"
 
 TECH_RF_SWITCH = "rf-switch"
 TECH_VARACTOR = "varactor"
+TECHNOLOGIES = (TECH_RF_SWITCH, TECH_VARACTOR)
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,10 @@ def make_ris_state(channel: ChannelRealization, phase_set: PhaseSet, ris_bit: in
     )
 
 
-def ris_rectenna_input(h_r2: np.ndarray, s_k: complex) -> float:
-    """RF power entering the surface rectenna in one slot: the absorbed
-    signals combine coherently in the RF domain before rectification."""
-    if np.size(h_r2) == 0:
-        return 0.0
-    return float(np.abs(np.sum(np.asarray(h_r2) * s_k)) ** 2)
+def ris_rectenna_input(h_r2: np.ndarray, samples):
+    """RF power |sum h_r2|^2 |s_k|^2 entering the surface rectenna in each
+    slot: the absorbed signals combine coherently before rectification."""
+    return np.abs(np.sum(h_r2)) ** 2 * np.abs(samples) ** 2
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ class RisPowerBudget:
     def __post_init__(self):
         if self.n_cells < 1 or self.n_per_controller < 1:
             raise ValueError("cell and controller counts must be >= 1")
-        if self.technology not in (TECH_RF_SWITCH, TECH_VARACTOR):
+        if self.technology not in TECHNOLOGIES:
             raise ValueError(f"unknown cell technology {self.technology!r}")
 
 
@@ -215,8 +214,12 @@ def standalone_check(per_slot_q_w, model: RectennaModel, budget: RisPowerBudget)
     return avg_dc >= p_ris, avg_dc - p_ris
 
 
-def eh_received(channel: ChannelRealization, psi: np.ndarray, s_k: complex):
-    """Received sample and rectenna input power at the harvester for one
-    slot; thermal noise is below the harvesting floor and is not modeled."""
-    eps = channel.h_e * s_k + (channel.v_casc @ psi) * s_k
-    return complex(eps), float(np.abs(eps) ** 2)
+def eh_received(channel: ChannelRealization, state: RisState, tau, samples):
+    """Received samples and rectenna input powers at the harvester in each
+    slot: direct plus reflected path, under the information-stage reflection
+    where ``tau`` is 1 and the power-stage one elsewhere. Thermal noise is
+    below the harvesting floor and is not modeled."""
+    e_info = channel.h_e + channel.v_casc @ state.reflection(STAGE_INFO)
+    e_power = channel.h_e + channel.v_casc @ state.reflection(STAGE_POWER)
+    eps = np.where(np.asarray(tau) == 1, e_info, e_power) * samples
+    return eps, np.abs(eps) ** 2

@@ -24,14 +24,14 @@ from .config import SimConfig, config_hash
 from .ris import (
     RectennaModel,
     RisPowerBudget,
-    STAGE_INFO,
-    STAGE_POWER,
     TECH_RF_SWITCH,
     TECH_VARACTOR,
     clc_dc_power,
+    eh_received,
     make_ris_state,
     phase_set_2bit,
     ris_power_consumption,
+    ris_rectenna_input,
 )
 from .rx import llr_detect, ml_joint_detect, observe, receiver_context, unit_noise
 from .txphy import build_benchmark_codebook, build_codebook, build_constellation, encode_block
@@ -143,10 +143,10 @@ class BlockRecord:
 def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int) -> list:
     """One trial at every grid point. Channels, bits, surface bit, frame and
     unit noise are drawn once; each cell-group layout gets its own surface
-    state and harvest and, when detecting, one receiver context shared by
-    every noise variance's observation and detection. Records
-    come layout-major: one per (layout, variance), or per layout when no
-    variance is given (harvest only)."""
+    state and harvest and, when detecting, one receiver context and one
+    detector call on the observation stacked over every noise variance.
+    Records come layout-major: one per (layout, variance), or per layout
+    when no variance is given (harvest only)."""
     cfg = ctx.cfg
     rng = trial_rng(cfg.seed, trial_index)
     drawn = ctx.channel_model.realize(rng)
@@ -166,20 +166,13 @@ def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int)
         channel = drawn.regroup(group_sizes)
         ris = make_ris_state(channel, ctx.phase_set, ris_bit)
 
-        # Rectenna input at the surface: coherent sum over the absorbing group.
-        g2 = channel.h_r[channel.group_slice(1)]
-        q_ris = np.abs(np.sum(g2)) ** 2 * np.abs(frame.samples) ** 2
+        q_ris = ris_rectenna_input(channel.h_r[channel.group_slice(1)], frame.samples)
         dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
-
-        # Rectenna input at the harvester: direct plus reflected path.
-        e_info = channel.h_e + channel.v_casc @ ris.reflection(STAGE_INFO)
-        e_power = channel.h_e + channel.v_casc @ ris.reflection(STAGE_POWER)
-        eps = np.where(frame.tau == 1, e_info, e_power) * frame.samples
-        dc_eh = float(np.mean(clc_dc_power(np.abs(eps) ** 2, ctx.eh_model)))
-
-        harvest = BlockRecord(dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)
+        _, q_eh = eh_received(channel, ris, frame.tau, frame.samples)
+        dc_eh = float(np.mean(clc_dc_power(q_eh, ctx.eh_model)))
+        harvest = (dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)
         if not sigma2s:
-            records.append(harvest)
+            records.append(BlockRecord(*harvest))
             continue
 
         phase_pair = ctx.phase_set.phi_info
@@ -187,20 +180,15 @@ def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int)
             channel, ris.group1_phase, phase_pair, ctx.phase_set, ctx.constellation, cfg.p_low_w
         )
         clean = observe(channel, frame, ris, 0.0, rng, rx)
-        for sigma2 in sigma2s:
-            det = detect(clean.with_noise(sigma2, noise), ctx.codebook, ctx.constellation,
-                         phase_pair, frame.omega, ctx.phase_set, cfg.p_low_w, cfg.paper_compat, rx)
-            records.append(
-                replace(
-                    harvest,
-                    ptx_errors=int(np.sum(det.ptx_bits != bits)),
-                    ptx_bits=eta,
-                    index_errors=int(np.sum(det.ptx_bits[:eta_r] != bits[:eta_r])),
-                    index_bits=eta_r,
-                    ris_errors=int(det.ris_bit != ris_bit),
-                    ris_bits=1,
-                )
-            )
+        det = detect(clean.with_noise(sigma2s, noise), ctx.codebook, ctx.constellation,
+                     phase_pair, frame.omega, ctx.phase_set, cfg.p_low_w, cfg.paper_compat, rx)
+        wrong = det.ptx_bits != bits
+        records.extend(
+            BlockRecord(*harvest, ptx, eta, index, eta_r, ris_error, 1)
+            for ptx, index, ris_error in zip(np.count_nonzero(wrong, axis=1).tolist(),
+                                             np.count_nonzero(wrong[:, :eta_r], axis=1).tolist(),
+                                             (det.ris_bit != ris_bit).astype(int).tolist())
+        )
     return records
 
 

@@ -18,6 +18,8 @@ import numpy as np
 # 00, 01, 10, 11 in order; {1,2} and {3,4} are excluded.
 TABLE1_CODEWORDS = ((1, 3), (1, 4), (2, 4), (2, 3))
 
+CONSTELLATION_KINDS = ("qam", "psk")
+
 
 def bits_to_int(bits) -> int:
     """Big-endian bit sequence to integer (bits[0] is the MSB)."""
@@ -75,7 +77,7 @@ def build_constellation(m_order: int, kind: str = "qam") -> Constellation:
     """
     if not _is_power_of_two(m_order) or m_order < 2:
         raise ValueError(f"constellation order must be a power of two >= 2, got {m_order}")
-    if kind not in ("psk", "qam"):
+    if kind not in CONSTELLATION_KINDS:
         raise ValueError(f"unknown constellation kind {kind!r}")
 
     points = np.zeros(m_order, dtype=complex)
@@ -254,12 +256,13 @@ def encode_block(
     )
 
 
-def block_bits(alpha: int, labels, codebook: IndexCodebook, constellation: Constellation):
+def block_bits(alpha, labels, codebook: IndexCodebook, constellation: Constellation):
     """The eta bits of codeword ``alpha`` carrying symbol ``labels`` (in
-    ascending slot order), read from the codebook and label bit tables."""
-    return np.concatenate(
-        [codebook.index_bits[alpha], constellation.label_bits[list(labels)].ravel()]
-    )
+    ascending slot order), read from the codebook and label bit tables;
+    indices ``alpha`` (S,) with labels (S, L) give bits (S, eta)."""
+    labels = np.asarray(labels)
+    label_bits = constellation.label_bits[labels].reshape(labels.shape[:-1] + (-1,))
+    return np.concatenate([codebook.index_bits[alpha], label_bits], axis=-1)
 
 
 def decode_frame(tau, symbols, codebook: IndexCodebook, constellation: Constellation) -> np.ndarray:

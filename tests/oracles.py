@@ -140,3 +140,37 @@ def recursive_llr(info_cost, pow_cost, sigma2, k_slots, l_slots, paper_compat=Fa
                 delta_i = jacobian_log_sum(delta_i, xi[c, i, k])
         llr[k] = prior + delta_i - delta_p[k]
     return llr
+
+
+def per_call_sample_rician(spec, rows, cols, rng):
+    """Rician fades with the line-of-sight term exp(j*theta_los) recomputed
+    over every entry on every call, from the spec's phases alone."""
+    shape = (rows, cols)
+    nlos = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    los = np.exp(1j * np.broadcast_to(np.asarray(spec.los_phase, dtype=float), shape))
+    k = spec.kappa
+    mix = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * nlos
+    return math.sqrt(spec.path_gain) * mix
+
+
+def per_call_links(model, rng):
+    """The five link draws of ``ChannelModel.realize`` in its draw order,
+    each from :func:`per_call_sample_rician`."""
+    m, n = model.m_rx, model.n_cells
+    shapes = {"h_d": (m, 1), "h_r": (n, 1), "G_d": (m, n), "h_e": (1, 1), "g_e": (n, 1)}
+    return {name: per_call_sample_rician(model.specs[name], *shape, rng)
+            for name, shape in shapes.items()}
+
+
+def slot_rectenna_input(h_r2, s_k):
+    """Surface rectenna input of one slot: |sum_n h_r2[n] * s_k|^2."""
+    if np.size(h_r2) == 0:
+        return 0.0
+    return float(np.abs(np.sum(np.asarray(h_r2) * s_k)) ** 2)
+
+
+def slot_eh_received(channel, psi, s_k):
+    """Harvester sample and rectenna input of one slot under reflection
+    ``psi``: h_e * s_k + (v_casc . psi) * s_k."""
+    eps = channel.h_e * s_k + (channel.v_casc @ psi) * s_k
+    return complex(eps), float(np.abs(eps) ** 2)

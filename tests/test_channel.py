@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import per_call_links
 from timsr.channel import (
     ChannelModel,
     RicianSpec,
@@ -143,6 +144,19 @@ class TestRealization:
             default_model(policy="per-link", rng=None)
         with pytest.raises(ValueError):
             default_model(policy="bogus")
+
+    @pytest.mark.parametrize("policy", ["per-link", "per-entry", "zero"])
+    @pytest.mark.parametrize("kappa", [0.0, 5.0, 1e9])
+    def test_realize_equals_per_call_los(self, policy, kappa):
+        # the once-per-spec line-of-sight term leaves every draw bit for bit
+        model = default_model(policy, kappa=kappa)
+        for seed in range(3):
+            ch = model.realize(np.random.default_rng(seed))
+            links = per_call_links(model, np.random.default_rng(seed))
+            got = {"h_d": ch.h_d, "h_r": ch.h_r, "G_d": ch.G_d, "h_e": ch.h_e, "g_e": ch.g_e}
+            for name, want in links.items():
+                want = want.reshape(np.shape(got[name]))
+                assert np.asarray(got[name]).tobytes() == want.tobytes(), name
 
     def test_los_phases_fixed_across_blocks(self):
         model = default_model()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import slot_eh_received, slot_rectenna_input
 from timsr.channel import make_realization
 from timsr.ris import (
     RectennaModel,
@@ -232,19 +233,40 @@ class TestStandalone:
 
 
 class TestEhReceived:
+    TAU = np.array([0, 1, 0])   # power, information, power slot
+
     def test_zero_sample(self):
         ch = tiny_realization(0.0)
-        eps, q = eh_received(ch, reflection_vector("power", 0, 0, phase_set_2bit()), 0.0)
-        assert eps == 0.0 and q == 0.0
+        state = make_ris_state(ch, phase_set_2bit(), 0)
+        eps, q = eh_received(ch, state, self.TAU, np.zeros(3))
+        assert np.all(eps == 0.0) and np.all(q == 0.0)
 
     def test_direct_path_only(self):
         h_d = np.array([1.0 + 0j])
         ch = make_realization(h_d, np.zeros(3, complex), np.zeros((1, 3), complex), 1.0,
                               np.zeros(3, complex), (1, 1, 1))
         p_high = 2.51188643150958
-        psi = reflection_vector("power", 0, 0, phase_set_2bit())
-        eps, q = eh_received(ch, psi, math.sqrt(p_high))
-        assert q == pytest.approx(p_high, rel=1e-12)
+        state = make_ris_state(ch, phase_set_2bit(), 1)
+        eps, q = eh_received(ch, state, self.TAU, np.full(3, math.sqrt(p_high)))
+        np.testing.assert_allclose(q, p_high, rtol=1e-12)
+
+    def test_slots_equal_per_slot_formulas(self):
+        # the helpers vectorised over the slots against one slot at a time
+        rng = np.random.default_rng(5)
+        cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ch = make_realization(cn(2), cn(6), cn(2, 6), complex(cn(1)[0]), cn(6), (2, 3, 1))
+        state = make_ris_state(ch, phase_set_2bit(), 1)
+        samples = cn(5)
+        tau = np.array([1, 0, 0, 1, 0])
+        eps, q = eh_received(ch, state, tau, samples)
+        g2 = ch.h_r[ch.group_slice(1)]
+        q_ris = ris_rectenna_input(g2, samples)
+        for k in range(5):
+            want_eps, want_q = slot_eh_received(ch, state.reflection("info" if tau[k] else "power"),
+                                                samples[k])
+            assert eps[k] == pytest.approx(want_eps, rel=1e-12)
+            assert q[k] == pytest.approx(want_q, rel=1e-12)
+            assert q_ris[k] == pytest.approx(slot_rectenna_input(g2, samples[k]), rel=1e-12)
 
 
 def test_wrap_angle_range():

@@ -18,6 +18,7 @@ from oracles import (
 from timsr import make_config
 from timsr.ris import make_ris_state
 from timsr.rx import (
+    Observation,
     jacobian_log_sum,
     joint_metric,
     llr_detect,
@@ -28,6 +29,7 @@ from timsr.rx import (
     observe,
     receiver_context,
     select_info_slots,
+    unit_noise,
 )
 from timsr.sim import direct_snr_sigma2, make_context, trial_rng
 from timsr.txphy import (
@@ -514,6 +516,183 @@ class TestArrayKernels:
                         got = block_bits(alpha, labels, cb, const)
                         assert got.dtype == want.dtype
                         np.testing.assert_array_equal(got, want)
+
+
+def _block_at_points(cfg, trial):
+    """One trial's block as a sweep receives it: the receiver context, the
+    noise-free observation and the unit noise that every point scales."""
+    ctx = make_context(cfg, None)
+    ps = ctx.phase_set
+    rng = trial_rng(cfg.seed, trial)
+    channel = ctx.channel_model.realize(rng)
+    eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
+    bits = rng.integers(0, 2, size=eta)
+    frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
+    state = make_ris_state(channel, ps, int(rng.integers(0, 2)))
+    rx = receiver_context(channel, state.group1_phase, ps.phi_info, ps, ctx.constellation,
+                          cfg.p_low_w)
+    clean = observe(channel, frame, state, 0.0, rng, rx)
+    return ctx, frame, rx, clean, unit_noise(clean.y.shape, rng)
+
+
+def _assert_rows_equal(batched, singles, codebook):
+    """Each point of a batched detection equals the detection of that point
+    on its own: codeword index, labels, symbols, phase, surface and data
+    bits."""
+    assert len(batched.ris_bit) == len(singles)
+    for s, det in enumerate(singles):
+        codeword = tuple(int(x) for x in batched.codeword[s])
+        assert codebook.index_of(codeword) == codebook.index_of(det.codeword)
+        assert tuple(int(x) for x in batched.symbol_labels[s]) == det.symbol_labels
+        np.testing.assert_array_equal(batched.symbols[s], det.symbols)
+        assert batched.info_phase[s] == det.info_phase
+        assert batched.ris_bit[s] == det.ris_bit
+        np.testing.assert_array_equal(batched.ptx_bits[s], det.ptx_bits)
+        assert batched.detector == det.detector
+
+
+class TestPointBatch:
+    """A block stacked over S noise variances is detected in one call; every
+    point's decision and intermediate equals detecting that point alone."""
+
+    GRID = tuple(direct_snr_sigma2(make_config(), snr) for snr in (0, 5, 10, 15, 20, 25, 30))
+    REPEATED = (GRID[2], GRID[0], GRID[2], GRID[6])
+
+    @pytest.mark.parametrize("detector", ["llr", "ml"])
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(paper_compat=True),
+        dict(scheme="benchmark"),
+        dict(k_slots=4, l_slots=1, m_order=2, constellation="psk"),
+        dict(k_slots=4, l_slots=2, codebook_strategy="table1"),
+    ], ids=["default", "paper_compat", "benchmark", "l1_bpsk", "table1"])
+    @pytest.mark.parametrize("grid", ["sweep", "repeated"])
+    def test_batch_equals_points(self, detector, overrides, grid):
+        cfg = make_config(trials=1, detector=detector, **overrides)
+        detect = ml_joint_detect if detector == "ml" else llr_detect
+        sigma2s = self.GRID if grid == "sweep" else self.REPEATED
+        for trial in range(4):
+            ctx, frame, rx, clean, unit = _block_at_points(cfg, trial)
+            args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+                    ctx.phase_set, cfg.p_low_w, cfg.paper_compat)
+            stacked = clean.with_noise(sigma2s, unit)
+            points = [clean.with_noise(s2, unit) for s2 in sigma2s]
+            np.testing.assert_array_equal(stacked.sigma2, sigma2s)
+            costs = rx.slot_costs(stacked.y, frame.omega)
+            for s, obs in enumerate(points):
+                np.testing.assert_array_equal(stacked.y[s], obs.y)
+                for batch_cost, cost in zip(costs, rx.slot_costs(obs.y, frame.omega)):
+                    np.testing.assert_array_equal(batch_cost[s], cost)
+            singles = [detect(obs, *args, rx) for obs in points]
+            _assert_rows_equal(detect(stacked, *args, rx), singles, ctx.codebook)
+            _assert_rows_equal(detect(stacked, *args), singles, ctx.codebook)   # no context
+
+    def test_llr_stages_equal_points(self):
+        cfg = make_config(trials=1)
+        for trial in range(4):
+            ctx, frame, rx, clean, unit = _block_at_points(cfg, trial)
+            args = (ctx.constellation, ctx.phase_set.phi_info, frame.omega, ctx.phase_set, 8, 2,
+                    cfg.p_low_w)
+            stacked = clean.with_noise(self.REPEATED, unit)
+            llr = llr_per_slot(stacked, *args)
+            alpha = select_info_slots(llr, ctx.codebook)
+            slots = ctx.codebook.slot_index[alpha] + 1
+            labels, phases, c, visited = ml_symbol_phase(
+                stacked, slots, ctx.constellation, ctx.phase_set.phi_info, cfg.p_low_w,
+                ctx.phase_set)
+            assert visited == len(self.REPEATED) * 2 * 4 * 2
+            for s, s2 in enumerate(self.REPEATED):
+                obs = clean.with_noise(s2, unit)
+                np.testing.assert_array_equal(llr[s], llr_per_slot(obs, *args))
+                codeword = select_info_slots(llr[s], ctx.codebook)
+                assert ctx.codebook.index_of(codeword) == alpha[s]
+                want = ml_symbol_phase(obs, codeword, ctx.constellation, ctx.phase_set.phi_info,
+                                       cfg.p_low_w, ctx.phase_set)
+                assert (tuple(labels[s]), phases[s], c[s]) == want[:3]
+
+    def test_ml_batch_with_zero_variance(self):
+        cfg = make_config(trials=1, k_slots=4, l_slots=2, codebook_strategy="table1",
+                          detector="ml")
+        sigma2s = (self.GRID[1], 0.0, self.GRID[4], 0.0)
+        for trial in range(6):
+            ctx, frame, rx, clean, unit = _block_at_points(cfg, trial)
+            args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+                    ctx.phase_set, cfg.p_low_w)
+            stacked = clean.with_noise(sigma2s, unit)
+            assert stacked.y[1].tobytes() == clean.y.tobytes()   # no 0 * unit added
+            singles = [ml_joint_detect(clean.with_noise(s2, unit), *args) for s2 in sigma2s]
+            _assert_rows_equal(ml_joint_detect(stacked, *args), singles, ctx.codebook)
+            np.testing.assert_array_equal(singles[1].ptx_bits, frame.bits)
+
+    def test_noise_free_stack_needs_no_unit_noise(self, small_cfg):
+        ctx, frame, rx, clean, _ = _block_at_points(small_cfg, 0)
+        stacked = clean.with_noise((0.0, 0.0), None)
+        assert stacked.y.shape == (2,) + clean.y.shape
+        assert stacked.y.tobytes() == np.stack([clean.y, clean.y]).tobytes()
+
+    def test_tied_rows_take_first_minimum(self):
+        cb = build_codebook(4, 2, "table1")               # (1,3) (1,4) (2,4) (2,3)
+        llr = np.array([[0.0, 0.0, 0.0, 0.0],             # every codeword ties
+                        [9.0, 8.0, 0.0, 0.0],             # (1,3) and (1,4) tie at 9
+                        [0.0, 5.0, 5.0, 5.0],             # (2,4) and (2,3) tie at 10
+                        [1.0, 1.0, 1.0, 1.0]])
+        alpha = select_info_slots(llr, cb)
+        np.testing.assert_array_equal(alpha, [0, 0, 2, 0])
+        for row, a in zip(llr, alpha):
+            assert select_info_slots(row, cb) == cb.codewords[a]
+        # integer costs add exactly; each row ties across phases and symbols
+        info_cost = np.ones((3, 2, 4, 4))
+        info_cost[0] = 0.0                                 # everything ties
+        info_cost[1, :, 2, 0] = info_cost[1, :, 3, 0] = 0.0   # symbols 2 and 3 tie, both phases
+        info_cost[2, 1, :, :] = 0.0                        # phase 1 better
+        info_cost[2, 0, 1, :] = 0.0                        # ... until phase 0 ties it
+        slots = np.array([(1, 3), (1, 4), (2, 3)])
+        labels, phases, c, _ = ml_symbol_phase(None, slots, None, (0.1, 0.2), 1.0, None,
+                                               info_cost)
+        assert c.tolist() == [0, 0, 0]
+        assert labels.tolist() == [[0, 0], [2, 0], [1, 1]]
+        for s in range(3):
+            want = ml_symbol_phase(None, tuple(slots[s]), None, (0.1, 0.2), 1.0, None,
+                                   info_cost[s])
+            assert (tuple(labels[s]), phases[s], c[s]) == want[:3]
+
+    def test_tied_blocks_take_first_hypothesis(self, small_cfg):
+        cfg = small_cfg
+        ctx, frame, _, clean, unit = _block_at_points(cfg, 2)
+        ch = clean.channel
+        ch.h_d = np.zeros_like(ch.h_d)
+        ch.f_casc = np.zeros_like(ch.f_casc)
+        args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+                ctx.phase_set, cfg.p_low_w)
+        stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]), ch)
+        for detect in (ml_joint_detect, llr_detect):
+            det = detect(stacked, *args)
+            assert det.codeword.tolist() == [list(ctx.codebook.codewords[0])] * 3
+            assert det.ris_bit.tolist() == [0, 0, 0]
+            assert det.symbol_labels.tolist() == [[0, 0]] * 3
+
+    @pytest.mark.parametrize("detector, overrides, per_point", [
+        ("llr", dict(), 72),
+        ("ml", dict(l_slots=4), 32_768),
+    ])
+    def test_visited_sums_over_points(self, detector, overrides, per_point):
+        cfg = make_config(trials=1, detector=detector, **overrides)
+        detect = ml_joint_detect if detector == "ml" else llr_detect
+        ctx, frame, rx, clean, unit = _block_at_points(cfg, 0)
+        args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+                ctx.phase_set, cfg.p_low_w, False, rx)
+        assert detect(clean.with_noise(self.GRID, unit), *args).visited == 7 * per_point
+        assert detect(clean.with_noise(self.GRID[0], unit), *args).visited == per_point
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_llr_rejects_any_nonpositive_variance(self, bad):
+        cfg = make_config(trials=1)
+        ctx, frame, rx, clean, unit = _block_at_points(cfg, 0)
+        stacked = clean.with_noise(self.GRID[:3], unit)
+        stacked.sigma2 = np.array([self.GRID[0], bad, self.GRID[2]])
+        with pytest.raises(ValueError, match="positive noise variance"):
+            llr_detect(stacked, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+                       frame.omega, ctx.phase_set, cfg.p_low_w, False, rx)
 
 
 def test_direct_log_sum_exp_self_check():

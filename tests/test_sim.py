@@ -14,7 +14,8 @@ from timsr.config import (
     load_config,
     parse_config_text,
 )
-from timsr.ris import clc_dc_power, eh_received, ris_rectenna_input
+from oracles import slot_eh_received, slot_rectenna_input
+from timsr.ris import clc_dc_power
 from timsr.rx import llr_detect, ml_joint_detect
 from timsr.sim import (
     CSV_COLUMNS,
@@ -94,11 +95,11 @@ class TestBlockTrial:
         state = make_ris_state(channel, ctx.phase_set, ris_bit)
         g2 = channel.h_r[channel.group_slice(1)]
         dc_ris = np.mean([
-            clc_dc_power(ris_rectenna_input(g2, s), ctx.ris_model) for s in frame.samples
+            clc_dc_power(slot_rectenna_input(g2, s), ctx.ris_model) for s in frame.samples
         ])
         dc_eh = np.mean([
             clc_dc_power(
-                eh_received(channel, state.reflection("info" if t else "power"), s)[1],
+                slot_eh_received(channel, state.reflection("info" if t else "power"), s)[1],
                 ctx.eh_model,
             )
             for t, s in zip(frame.tau, frame.samples)
@@ -364,6 +365,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(detector="sphere")
         make_config(scheme="benchmark", k_slots=8, l_slots=8)  # allowed there
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(kappa=-0.5), "kappa must be >= 0"),
+        (dict(d_tx_ris_m=0.5), "d_tx_ris_m must be >= 1.0"),
+        (dict(d_ris_rx_m=0.0), "d_ris_rx_m must be >= 1.0"),
+        (dict(d_direct_m=0.99), "d_direct_m must be >= 1.0"),
+        (dict(carrier_ghz=0.0), "carrier_ghz must be positive"),
+        (dict(carrier_ghz=-2.0), "carrier_ghz must be positive"),
+        (dict(n_cb=0), "n_cb must be >= 1"),
+        (dict(m_order=6), "m_order must be a power of two"),
+        (dict(m_order=1, constellation="psk"), "m_order must be a power of two"),
+        (dict(m_order=8), "a square"),
+        (dict(m_order=32, constellation="qam"), "a square"),
+        (dict(constellation="ask"), "constellation must be one of"),
+        (dict(los_phase_policy="random"), "los_phase_policy must be one of"),
+        (dict(technology="mems"), "technology must be one of"),
+    ], ids=["kappa", "d_tx_ris", "d_ris_rx", "d_direct", "carrier_zero", "carrier_negative",
+            "n_cb", "m_order_not_pow2", "m_order_below_2", "qam_8", "qam_32", "constellation",
+            "los_phase_policy", "technology"])
+    def test_config_time_guard(self, overrides, message):
+        # bad input fails in make_config, before any context or channel model
+        with pytest.raises(ValueError, match=message):
+            make_config(**overrides)
+
+    def test_guards_accept_boundary_values(self):
+        make_config(kappa=0.0, d_tx_ris_m=1.0, d_ris_rx_m=1.0, d_direct_m=1.0, n_cb=1)
+        for m_order, kind in ((2, "qam"), (4, "qam"), (64, "qam"), (8, "psk"), (2, "psk")):
+            make_config(m_order=m_order, constellation=kind)
+        for policy in ("per-link", "per-entry", "zero"):
+            make_config(los_phase_policy=policy, technology="varactor")
 
     def test_ml_hypothesis_space_guard(self):
         # (8,4) 64-QAM: 64 codewords * 2 phases * 64^4 symbol vectors = 2^31
