@@ -33,7 +33,6 @@ from .ris import (
 from .rx import (
     DetectionResult,
     Observation,
-    jacobian_log_sum,
     llr_detect,
     llr_per_slot,
     ml_joint_detect,

@@ -7,9 +7,9 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .channel import LOS_PHASE_POLICIES
+from .channel import LOS_PHASE_POLICIES, path_gain
 from .ris import TECHNOLOGIES
-from .txphy import CONSTELLATION_KINDS
+from .txphy import CODEBOOK_STRATEGIES, CONSTELLATION_KINDS
 
 SCHEMES = ("tim", "benchmark")
 DETECTORS = ("ml", "llr")
@@ -25,6 +25,12 @@ def dbm_to_watts(dbm: float) -> float:
 
 def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
+
+
+def direct_snr_sigma2(cfg: "SimConfig", snr_db: float) -> float:
+    """Noise variance from the direct-link SNR definition: the direct-path
+    gain divided by the linear SNR."""
+    return path_gain(cfg.d_direct_m, cfg.carrier_ghz) / (10.0 ** (snr_db / 10.0))
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,8 @@ class SimConfig:
         for name, allowed in (("scheme", SCHEMES), ("detector", DETECTORS),
                               ("constellation", CONSTELLATION_KINDS),
                               ("los_phase_policy", LOS_PHASE_POLICIES),
-                              ("technology", TECHNOLOGIES)):
+                              ("technology", TECHNOLOGIES),
+                              ("codebook_strategy", CODEBOOK_STRATEGIES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         m = self.m_order
@@ -108,6 +115,10 @@ class SimConfig:
         max_l = self.k_slots if self.scheme == "benchmark" else self.k_slots - 1
         if not 1 <= self.l_slots <= max_l:
             raise ValueError(f"need 1 <= l_slots <= {max_l} for scheme {self.scheme!r}")
+        if (self.scheme == "tim" and self.codebook_strategy == "table1"
+                and (self.k_slots, self.l_slots) != (4, 2)):
+            raise ValueError(f"the table1 preset is defined only for K=4, L=2, "
+                             f"got K={self.k_slots}, L={self.l_slots}")
         # |A| * J * M^L with J = 2 information phases and |A| = 2^floor(log2 C(K, L)).
         index_bits = math.comb(self.k_slots, self.l_slots).bit_length() - 1
         n_cw = 1 if self.scheme == "benchmark" else 1 << index_bits
@@ -124,6 +135,14 @@ class SimConfig:
             raise ValueError("p_high_dbm must be >= p_low_dbm")
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid cannot be empty")
+        for snr in self.snr_db_grid:
+            try:
+                sigma2 = direct_snr_sigma2(self, snr)
+            except (OverflowError, ZeroDivisionError):
+                sigma2 = math.nan
+            if not (math.isfinite(snr) and math.isfinite(sigma2) and sigma2 > 0):
+                raise ValueError(f"snr_db_grid value {snr} dB gives no finite positive "
+                                 f"noise variance")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -1,12 +1,11 @@
 """Receiver-side processing: noise injection, the exhaustive joint detector,
 and the low-complexity per-slot LLR pipeline.
 
-One :class:`ReceiverContext` per block holds what the receiver derives
-from the channel and the surface assist phase alone: the effective receive
-channels and the noise-free sample of every (phase, symbol) pair. The slot
-costs are computed once from it, and both detectors are array kernels over
-those costs. A detector called without a context builds one from the
-observation and runs the same kernel.
+The receiver knows the channel and the surface assist phase. :func:`observe`
+computes the block's effective receive channels once, under each information
+phase and then under the power phase, and the :class:`Observation` carries
+them as ``eff``. :func:`slot_costs` scores the received samples against
+them; every detector stage is an array kernel over those slot costs.
 
 The kernels carry a leading point axis: a block received at S noise
 variances is one stacked :class:`Observation`, detected in one call into a
@@ -36,76 +35,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .ris import RisState, align_group1, reflection_vector, STAGE_INFO, STAGE_POWER
-# decode_frame is the public inverse of block_bits; perfbench/spans.py looks
-# it up here by name.
+# align_group1 and decode_frame (the public inverse of block_bits) are not
+# called here; perfbench/spans.py looks them up in this module by name.
+from .ris import RisState, align_group1, reflection_vector, STAGE_INFO, STAGE_POWER  # noqa: F401
 from .txphy import Constellation, IndexCodebook, TimFrame, block_bits, decode_frame  # noqa: F401
-
-
-@dataclass(frozen=True)
-class ReceiverContext:
-    """Noise-free receiver quantities of one block: the effective receive
-    channels ``eff_info`` (J, M_R) under each information phase and
-    ``eff_power`` (M_R,) under the power phase, and the information sample
-    ``cand`` (J, M, M_R) of every (phase, symbol) pair at power p_info."""
-
-    eff_info: np.ndarray
-    eff_power: np.ndarray
-    cand: np.ndarray
-
-    def slot_costs(self, y: np.ndarray, omega: complex):
-        """Squared distances of the received vectors ``y`` (..., K, M_R) to
-        every single-slot hypothesis: ``info_cost`` (..., J, M, K) for each
-        (phase, symbol) pair and ``pow_cost`` (..., K) for the power sample
-        ``omega``."""
-        diff = y[..., None, None, :, :] - self.cand[:, :, None, :]     # (..., J, M, K, M_R)
-        info_cost = np.sum(diff.real**2 + diff.imag**2, axis=-1)
-        dp = y - self.eff_power * omega
-        return info_cost, np.sum(dp.real**2 + dp.imag**2, axis=-1)
-
-
-def effective_channels(channel: ChannelRealization, group1_phase: float, phase_pair, phase_set):
-    """Direct plus reflected receive channel under each information phase
-    (J, M_R) and under the power phase (M_R,)."""
-    def eff(stage, phase):
-        psi = reflection_vector(stage, group1_phase, phase, phase_set)
-        return channel.h_d + channel.f_casc @ psi
-
-    return np.stack([eff(STAGE_INFO, th) for th in phase_pair]), eff(STAGE_POWER, 0.0)
-
-
-def receiver_context(channel: ChannelRealization, group1_phase: float, phase_pair, phase_set,
-                     constellation: Constellation, p_info_w: float) -> ReceiverContext:
-    """The block's :class:`ReceiverContext` for the given assist phase."""
-    eff_info, eff_power = effective_channels(channel, group1_phase, phase_pair, phase_set)
-    scaled = math.sqrt(p_info_w) * constellation.points
-    return ReceiverContext(eff_info, eff_power, eff_info[:, None, :] * scaled[None, :, None])
-
-
-def _slot_costs(obs, omega, phase_pair, phase_set, constellation, p_info_w, context=None):
-    """The observation's slot costs from the block's ``context`` or, without
-    one, from the observed channel with the assist group aligned here."""
-    if context is None:
-        group1_phase = align_group1(obs.channel, phase_pair)
-        context = receiver_context(obs.channel, group1_phase, phase_pair, phase_set,
-                                   constellation, p_info_w)
-    return context.slot_costs(obs.y, omega)
 
 
 @dataclass
 class Observation:
     """The K received vectors of one block plus what the receiver knows:
-    the noise variance and the (perfectly known) channel realization; a
-    stacked observation holds samples (S, K, M_R) and variances (S,)."""
+    the noise variance, the (perfectly known) channel realization and the
+    effective receive channels ``eff`` (J+1, M_R), one row per information
+    phase and a last row for the power phase. A stacked observation holds
+    samples (S, K, M_R) and variances (S,)."""
 
     y: np.ndarray
     sigma2: float | np.ndarray
     channel: ChannelRealization
+    eff: np.ndarray
 
     def stacked(self) -> "Observation":
         """This observation with a leading point axis (S = 1 when unbatched)."""
         return self if self.y.ndim == 3 else Observation(
-            self.y[None], np.reshape(self.sigma2, 1), self.channel)
+            self.y[None], np.reshape(self.sigma2, 1), self.channel, self.eff)
 
     def with_noise(self, sigma2, unit) -> "Observation":
         """The same block received at noise variance ``sigma2``: ``unit``
@@ -117,7 +69,7 @@ class Observation:
         scale = np.sqrt(s2 / 2.0)[..., None, None]
         noisy = self.y + scale * unit if np.any(s2 > 0) else self.y
         y = np.where(scale > 0, noisy, self.y)
-        return Observation(y=y, sigma2=s2 if s2.ndim else sigma2, channel=self.channel)
+        return Observation(y, s2 if s2.ndim else sigma2, self.channel, self.eff)
 
 
 def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
@@ -127,29 +79,35 @@ def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def observe(channel: ChannelRealization, frame: TimFrame, ris: RisState, sigma2: float,
-            rng: np.random.Generator, context: ReceiverContext | None = None) -> Observation:
+            rng: np.random.Generator) -> Observation:
     """Propagate one block through the channel: direct path plus the
     surface-reflected path under the per-slot reflection vector, with
     white Gaussian noise of variance ``sigma2`` in every slot. The stream
-    is drawn from only when ``sigma2 > 0``. The effective channels come
-    from the block's ``context`` when one is given."""
+    is drawn from only when ``sigma2 > 0``. The effective channels
+    h_d + F psi are built here, one row per surface phase, and carried on
+    the observation."""
     if sigma2 < 0:
         raise ValueError("noise variance cannot be negative")
     ps = ris.phase_set
-    eff_info, eff_power = (effective_channels(channel, ris.group1_phase, ps.phi_info, ps)
-                           if context is None else (context.eff_info, context.eff_power))
-    eff = np.where(frame.tau[:, None] == 1, eff_info[ris.ris_bit][None, :], eff_power[None, :])
-    clean = Observation(y=eff * frame.samples[:, None], sigma2=0.0, channel=channel)
-    return clean.with_noise(sigma2, unit_noise(clean.y.shape, rng)) if sigma2 > 0 else clean
+    stages = [(STAGE_INFO, th) for th in ps.phi_info] + [(STAGE_POWER, 0.0)]
+    eff = np.stack([channel.h_d + channel.f_casc @ reflection_vector(st, ris.group1_phase, th, ps)
+                    for st, th in stages])
+    y = np.where(frame.tau[:, None] == 1, eff[ris.ris_bit], eff[-1]) * frame.samples[:, None]
+    clean = Observation(y, 0.0, channel, eff)
+    return clean.with_noise(sigma2, unit_noise(y.shape, rng)) if sigma2 > 0 else clean
 
 
-def jacobian_log_sum(a: float, b: float) -> float:
-    """ln(e^a + e^b) without overflow: max(a, b) + ln(1 + e^-|a-b|)."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, omega: complex):
+    """Squared distances of the received vectors ``obs.y`` (..., K, M_R) to
+    every single-slot hypothesis: ``info_cost`` (..., J, M, K) for each
+    (phase, symbol) pair at power ``p_info_w`` and ``pow_cost`` (..., K)
+    for the power sample ``omega``."""
+    scaled = math.sqrt(p_info_w) * constellation.points
+    cand = obs.eff[:-1, None, :] * scaled[None, :, None]                 # (J, M, M_R)
+    diff = obs.y[..., None, None, :, :] - cand[:, :, None, :]            # (..., J, M, K, M_R)
+    info_cost = np.sum(diff.real**2 + diff.imag**2, axis=-1)
+    dp = obs.y - obs.eff[-1] * omega
+    return info_cost, np.sum(dp.real**2 + dp.imag**2, axis=-1)
 
 
 @dataclass
@@ -159,11 +117,11 @@ class DetectionResult:
     symbols (S, L), phase and bit (S,), ``ptx_bits`` (S, eta); ``visited``
     sums over the points."""
 
-    codeword: tuple
-    symbol_labels: tuple
+    codeword: tuple | np.ndarray
+    symbol_labels: tuple | np.ndarray
     symbols: np.ndarray
-    info_phase: float
-    ris_bit: int
+    info_phase: float | np.ndarray
+    ris_bit: int | np.ndarray
     ptx_bits: np.ndarray
     detector: str
     visited: int
@@ -197,9 +155,8 @@ def joint_metric(info_cost, pow_cost, slot_index, paper_compat: bool = False) ->
 
 
 def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Constellation,
-                    phase_pair, omega: complex, phase_set, p_info_w: float,
-                    paper_compat: bool = False, context: ReceiverContext | None = None,
-                    ) -> DetectionResult:
+                    phase_pair, omega: complex, p_info_w: float,
+                    paper_compat: bool = False) -> DetectionResult:
     """Jointly minimize the block metric over every codeword, surface phase,
     and symbol vector; hypothesized power slots are scored against the known
     power sample. The slot costs of every point are computed at once; the
@@ -208,8 +165,7 @@ def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Co
     With ``paper_compat`` only the hypothesized information slots are scored,
     dropping the power-slot terms from the metric.
     """
-    costs = _slot_costs(obs.stacked(), omega, phase_pair, phase_set, constellation, p_info_w,
-                        context)
+    costs = slot_costs(obs.stacked(), constellation, p_info_w, omega)
     shape = (len(codebook.codewords), len(phase_pair)) + (constellation.m_order,) * codebook.l_slots
     # C-order flat argmin == first minimum in (codeword, phase, symbols) order.
     flat = [int(np.argmin(joint_metric(*point, codebook.slot_index, paper_compat)))
@@ -219,17 +175,25 @@ def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Co
                    len(flat) * math.prod(shape))
 
 
-def llr_from_costs(info_cost, pow_cost, sigma2, k_slots, l_slots, paper_compat=False):
-    """Per-slot LLRs from slot costs (..., J, M, K) and (..., K) at noise
-    variance ``sigma2``, a scalar or one variance per leading point (S,).
+def llr_per_slot(info_cost, pow_cost, sigma2, k_slots: int, l_slots: int,
+                 paper_compat: bool = False) -> np.ndarray:
+    """Per-slot log-likelihood ratio of information versus power from slot
+    costs (..., J, M, K) and (..., K) at noise variance ``sigma2``, a scalar
+    or one variance per leading point (S,); the result is (..., K).
 
-    ``np.logaddexp.reduce`` folds the J*M (phase, symbol) terms in order,
-    phase-major, with the same max + ln(1 + e^-|a-b|) step and the same
-    handling of -inf as :func:`jacobian_log_sum`. The prior
-    ln(L^2 / (K-L)^2) is added to every slot; every codeword has exactly L
-    slots, so it shifts every codeword's LLR sum by the same L times the
-    prior and, rounding aside, cannot change the selected codeword.
+    For each slot the information evidence is the ln-sum-exp over all
+    (surface phase, symbol) pairs; ``np.logaddexp.reduce`` folds the J*M
+    terms in order, phase-major, with the max + ln(1 + e^-|a-b|) step of the
+    pairwise Jacobian logarithm and its handling of -inf. The power
+    evidence is the single power-sample metric. With ``paper_compat`` the
+    power term keeps its literal unscaled form instead of the 1/sigma^2
+    Gaussian log-likelihood scaling. The prior ln(L^2 / (K-L)^2) is added
+    to every slot; every codeword has exactly L slots, so it shifts every
+    codeword's LLR sum by the same L times the prior and, rounding aside,
+    cannot change the selected codeword.
     """
+    if np.any(np.asarray(sigma2) <= 0):
+        raise ValueError("the LLR detector needs a positive noise variance")
     sigma2 = np.reshape(sigma2, np.shape(sigma2) + (1, 1, 1))
     xi = -info_cost / sigma2
     delta_p = -pow_cost if paper_compat else -pow_cost / sigma2[..., 0, 0]
@@ -240,26 +204,6 @@ def llr_from_costs(info_cost, pow_cost, sigma2, k_slots, l_slots, paper_compat=F
     return prior + lse - delta_p
 
 
-def llr_per_slot(obs: Observation, constellation: Constellation, phase_pair, omega: complex,
-                 phase_set, k_slots: int, l_slots: int, p_info_w: float,
-                 paper_compat: bool = False, costs=None) -> np.ndarray:
-    """Per-slot log-likelihood ratio of information versus power, (K,) or
-    (S, K) for a stacked observation.
-
-    For each slot the information evidence is the ln-sum-exp over all
-    (surface phase, symbol) pairs; the power evidence is the single
-    power-sample metric. With ``paper_compat`` the power term keeps its
-    literal unscaled form instead of the 1/sigma^2 Gaussian log-likelihood
-    scaling. ``costs`` are the observation's slot costs when the caller
-    already has them.
-    """
-    if np.any(np.asarray(obs.sigma2) <= 0):
-        raise ValueError("the LLR detector needs a positive noise variance")
-    if costs is None:
-        costs = _slot_costs(obs, omega, phase_pair, phase_set, constellation, p_info_w)
-    return llr_from_costs(*costs, obs.sigma2, k_slots, l_slots, paper_compat)
-
-
 def select_info_slots(llr: np.ndarray, codebook: IndexCodebook):
     """Codeword with the largest LLR sum over its slots, searched over the
     legitimate set only; ties resolve to the earliest codeword. For LLR rows
@@ -268,18 +212,15 @@ def select_info_slots(llr: np.ndarray, codebook: IndexCodebook):
     return alpha if llr.ndim > 1 else codebook.codewords[int(alpha)]
 
 
-def ml_symbol_phase(obs: Observation, slots, constellation: Constellation, phase_pair,
-                    p_info_w: float, phase_set, info_cost=None):
-    """Joint symbol/phase decision on the already-selected information slots.
+def ml_symbol_phase(info_cost, slots, phase_pair):
+    """Joint symbol/phase decision on the already-selected information slots
+    from the information-slot costs (..., J, M, K).
 
     For each candidate surface phase the per-slot symbol search factorizes,
     so only J*M*L metrics are evaluated; the result equals a full search
-    over all symbol vectors and phases. ``info_cost`` are the observation's
-    information-slot costs when the caller already has them. Slots (S, L)
-    and costs (S, J, M, K) give one decision per point.
+    over all symbol vectors and phases. Slots (S, L) and costs (S, J, M, K)
+    give one decision per point.
     """
-    if info_cost is None:
-        info_cost, _ = _slot_costs(obs, 0.0, phase_pair, phase_set, constellation, p_info_w)
     slots0 = np.asarray(slots, dtype=np.int64) - 1
     costs = np.take_along_axis(info_cost, slots0[..., None, None, :], axis=-1)   # (..., J, M, L)
     labels = np.argmin(costs, axis=-2)                           # first minimum per slot
@@ -291,19 +232,17 @@ def ml_symbol_phase(obs: Observation, slots, constellation: Constellation, phase
 
 
 def llr_detect(obs: Observation, codebook: IndexCodebook, constellation: Constellation,
-               phase_pair, omega: complex, phase_set, p_info_w: float,
-               paper_compat: bool = False, context: ReceiverContext | None = None,
-               ) -> DetectionResult:
+               phase_pair, omega: complex, p_info_w: float,
+               paper_compat: bool = False) -> DetectionResult:
     """Low-complexity pipeline: per-slot LLRs, legitimate-set slot selection,
     then the factorized symbol/phase search and bit recovery, all from one
     set of slot costs for every point at once. The reported hypothesis count
     is the K*(J*M + 1) metric evaluations of the LLR stage per point."""
     points = obs.stacked()
-    costs = _slot_costs(points, omega, phase_pair, phase_set, constellation, p_info_w, context)
-    llr = llr_per_slot(points, constellation, phase_pair, omega, phase_set, codebook.k_slots,
-                       codebook.l_slots, p_info_w, paper_compat, costs)
+    info_cost, pow_cost = slot_costs(points, constellation, p_info_w, omega)
+    llr = llr_per_slot(info_cost, pow_cost, points.sigma2, codebook.k_slots, codebook.l_slots,
+                       paper_compat)
     alpha = select_info_slots(llr, codebook)
-    labels, _, c, _ = ml_symbol_phase(points, codebook.slot_index[alpha] + 1, constellation,
-                                      phase_pair, p_info_w, phase_set, costs[0])
+    labels, _, c, _ = ml_symbol_phase(info_cost, codebook.slot_index[alpha] + 1, phase_pair)
     visited = len(points.y) * codebook.k_slots * (len(phase_pair) * constellation.m_order + 1)
     return _result(obs, codebook, constellation, alpha, labels, phase_pair, c, "llr", visited)

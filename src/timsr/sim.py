@@ -19,8 +19,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import ChannelModel, path_gain
-from .config import SimConfig, config_hash
+from .channel import ChannelModel
+from .config import SimConfig, config_hash, direct_snr_sigma2
 from .ris import (
     RectennaModel,
     RisPowerBudget,
@@ -33,7 +33,7 @@ from .ris import (
     ris_power_consumption,
     ris_rectenna_input,
 )
-from .rx import llr_detect, ml_joint_detect, observe, receiver_context, unit_noise
+from .rx import llr_detect, ml_joint_detect, observe, unit_noise
 from .txphy import build_benchmark_codebook, build_codebook, build_constellation, encode_block
 
 # Stream index reserved for the per-run line-of-sight phase draws; trial
@@ -79,12 +79,6 @@ def power_budget(cfg: SimConfig, technology: str | None = None) -> RisPowerBudge
         p_drive_w=cfg.p_drive_uw * 1e-6,
         p_varactor_w=cfg.p_varactor_uw * 1e-6,
     )
-
-
-def direct_snr_sigma2(cfg: SimConfig, snr_db: float) -> float:
-    """Noise variance from the direct-link SNR definition: the direct-path
-    gain divided by the linear SNR."""
-    return path_gain(cfg.d_direct_m, cfg.carrier_ghz) / (10.0 ** (snr_db / 10.0))
 
 
 @dataclass(frozen=True)
@@ -143,8 +137,8 @@ class BlockRecord:
 def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int) -> list:
     """One trial at every grid point. Channels, bits, surface bit, frame and
     unit noise are drawn once; each cell-group layout gets its own surface
-    state and harvest and, when detecting, one receiver context and one
-    detector call on the observation stacked over every noise variance.
+    state and harvest and, when detecting, one observation and one detector
+    call on that observation stacked over every noise variance.
     Records come layout-major: one per (layout, variance), or per layout
     when no variance is given (harvest only)."""
     cfg = ctx.cfg
@@ -175,13 +169,9 @@ def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int)
             records.append(BlockRecord(*harvest))
             continue
 
-        phase_pair = ctx.phase_set.phi_info
-        rx = receiver_context(
-            channel, ris.group1_phase, phase_pair, ctx.phase_set, ctx.constellation, cfg.p_low_w
-        )
-        clean = observe(channel, frame, ris, 0.0, rng, rx)
+        clean = observe(channel, frame, ris, 0.0, rng)
         det = detect(clean.with_noise(sigma2s, noise), ctx.codebook, ctx.constellation,
-                     phase_pair, frame.omega, ctx.phase_set, cfg.p_low_w, cfg.paper_compat, rx)
+                     ctx.phase_set.phi_info, frame.omega, cfg.p_low_w, cfg.paper_compat)
         wrong = det.ptx_bits != bits
         records.extend(
             BlockRecord(*harvest, ptx, eta, index, eta_r, ris_error, 1)

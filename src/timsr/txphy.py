@@ -19,6 +19,7 @@ import numpy as np
 TABLE1_CODEWORDS = ((1, 3), (1, 4), (2, 4), (2, 3))
 
 CONSTELLATION_KINDS = ("qam", "psk")
+CODEBOOK_STRATEGIES = ("lexicographic", "table1")
 
 
 def bits_to_int(bits) -> int:

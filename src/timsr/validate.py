@@ -17,7 +17,7 @@ from .ris import (
     phase_set_2bit,
     ris_power_consumption,
 )
-from .rx import jacobian_log_sum, llr_detect, ml_joint_detect, observe
+from .rx import llr_detect, llr_per_slot, ml_joint_detect, observe
 from .sim import build_channel_model, power_budget, trial_rng
 from .txphy import (
     TABLE1_CODEWORDS,
@@ -119,15 +119,19 @@ def check_reflection_structure():
         assert math.isclose(abs(vec[0]), 1.0) and math.isclose(abs(vec[2]), 1.0)
 
 
-def check_jacobian_identity():
+def check_llr_log_sum_exp():
+    # the LLR stage against a direct max-shifted log-sum-exp, slot by slot
     rng = np.random.default_rng(17)
-    for _ in range(1000):
-        vals = rng.uniform(-500, 100, size=8)
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = jacobian_log_sum(acc, v)
-        direct = vals.max() + math.log(np.sum(np.exp(vals - vals.max())))
-        assert abs(acc - direct) <= 1e-9 * max(1.0, abs(direct))
+    k_slots, l_slots = 8, 2
+    prior = math.log(l_slots**2) - math.log((k_slots - l_slots) ** 2)
+    for _ in range(200):
+        info_cost = rng.uniform(0.0, 600.0, size=(2, 4, k_slots))
+        pow_cost = rng.uniform(0.0, 600.0, size=k_slots)
+        llr = llr_per_slot(info_cost, pow_cost, 1.0, k_slots, l_slots)
+        for k in range(k_slots):
+            xi = -info_cost[:, :, k]
+            direct = prior + xi.max() + math.log(np.sum(np.exp(xi - xi.max()))) + pow_cost[k]
+            assert abs(llr[k] - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
 def _detect_setup(cfg):
@@ -150,7 +154,7 @@ def check_noiseless_detection():
         state = make_ris_state(ch, ps, value % 2)
         obs = observe(ch, frame, state, sigma2, rng)
         for detect in (ml_joint_detect, llr_detect):
-            det = detect(obs, cb, const, ps.phi_info, frame.omega, ps, cfg.p_low_w)
+            det = detect(obs, cb, const, ps.phi_info, frame.omega, cfg.p_low_w)
             assert np.array_equal(det.ptx_bits, bits)
             assert det.ris_bit == value % 2
 
@@ -168,7 +172,7 @@ def check_llr_legitimacy():
         frame = encode_block(bits, cb, const, cfg.p_low_w, cfg.p_high_w)
         state = make_ris_state(ch, ps, int(rng.integers(0, 2)))
         obs = observe(ch, frame, state, sigma2, rng)
-        det = llr_detect(obs, cb, const, ps.phi_info, frame.omega, ps, cfg.p_low_w)
+        det = llr_detect(obs, cb, const, ps.phi_info, frame.omega, cfg.p_low_w)
         assert det.codeword in cb.codewords
 
 
@@ -182,7 +186,7 @@ CHECKS = (
     ("clc-contract", check_clc_contract),
     ("power-budget", check_power_budget),
     ("reflection-structure", check_reflection_structure),
-    ("jacobian-log-sum", check_jacobian_identity),
+    ("llr-log-sum-exp", check_llr_log_sum_exp),
     ("noiseless-detection", check_noiseless_detection),
     ("llr-legitimacy", check_llr_legitimacy),
 )

@@ -3,8 +3,8 @@
 These deliberately reimplement the metrics with explicit loops and
 numpy-level reductions so they share no code path with the implementations
 under test (beyond the fixed group-1 alignment rule, which is configuration,
-not a search, and the scalar ``jacobian_log_sum`` step that defines the LLR
-recursion).
+not a search). The scalar :func:`jacobian_log_sum` step defines the LLR
+recursion.
 """
 
 import itertools
@@ -13,7 +13,15 @@ import math
 import numpy as np
 
 from timsr.ris import STAGE_INFO, STAGE_POWER, align_group1, reflection_vector
-from timsr.rx import jacobian_log_sum
+
+
+def jacobian_log_sum(a: float, b: float) -> float:
+    """ln(e^a + e^b) without overflow: max(a, b) + ln(1 + e^-|a-b|)."""
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
 
 def direct_log_sum_exp(values) -> float:

@@ -60,7 +60,7 @@ def _paired_detect(cfg, snr_db, n_blocks, detectors=("ml", "llr")):
         for d in detectors:
             fn = ml_joint_detect if d == "ml" else llr_detect
             det = fn(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                     frame.omega, ctx.phase_set, cfg.p_low_w)
+                     frame.omega, cfg.p_low_w)
             fracs[d][i] = np.sum(det.ptx_bits != bits) / eta
             idx_err[d][i] = (
                 np.sum(det.ptx_bits[: ctx.codebook.bits_index] != bits[: ctx.codebook.bits_index])
@@ -87,9 +87,9 @@ def test_criterion_2_complexity_counts():
     cfg = make_config(k_slots=8, l_slots=2, m_order=4, trials=1)
     ctx, obs, frame, *_ = build_observation(cfg, snr_db=10.0)
     ml = ml_joint_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                         frame.omega, ctx.phase_set, cfg.p_low_w)
+                         frame.omega, cfg.p_low_w)
     llr = llr_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                     frame.omega, ctx.phase_set, cfg.p_low_w)
+                     frame.omega, cfg.p_low_w)
     elapsed = time.perf_counter() - t0
     assert ml.visited == 512
     assert llr.visited == 72
@@ -131,7 +131,7 @@ def test_criterion_4_noiseless_correctness():
             obs = observe(ch, frame, state, sigma2, rng)
             for fn in (ml_joint_detect, llr_detect):
                 det = fn(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                         frame.omega, ctx.phase_set, cfg.p_low_w)
+                         frame.omega, cfg.p_low_w)
                 errors += int(not np.array_equal(det.ptx_bits, bits)) + int(det.ris_bit != rb)
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -148,7 +148,7 @@ def test_criterion_5_ml_oracle_equivalence():
     for trial in range(1000):
         ctx, obs, frame, *_ = build_observation(cfg, snr_db=-5.0, trial=trial)
         det = ml_joint_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                              frame.omega, ctx.phase_set, cfg.p_low_w)
+                              frame.omega, cfg.p_low_w)
         cw, c, labels, _ = naive_joint_search(
             obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
             frame.omega, ctx.phase_set, cfg.p_low_w,
@@ -166,12 +166,12 @@ def test_criterion_6_llr_internal_exactness():
     snrs = (-10.0, 0.0, 10.0, 20.0, 30.0)
     slots_checked = 0
     worst = 0.0
-    from timsr.rx import llr_per_slot
+    from timsr.rx import llr_per_slot, slot_costs
 
     for trial in range(2500):
         ctx, obs, frame, *_ = build_observation(cfg, snr_db=snrs[trial % len(snrs)], trial=trial)
-        got = llr_per_slot(obs, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                           ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w)
+        got = llr_per_slot(*slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega),
+                           obs.sigma2, cfg.k_slots, cfg.l_slots)
         want = direct_llr(obs, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                           ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w)
         rel = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))

@@ -139,3 +139,12 @@ def test_oversized_ml_config_fails_cleanly(tmp_path, capsys):
     path.write_text("l_slots = 4\nm_order = 64\ndetector = ml\n")
     assert main(["ber-sweep", "--config", str(path), "--trials", "1"]) == 2
     assert "hypotheses" in capsys.readouterr().err
+
+
+def test_unusable_snr_point_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "snr.cfg"
+    path.write_text("snr_db_grid = 4000\n")
+    out = tmp_path / "out.csv"
+    assert main(["ber-sweep", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: snr_db_grid value 4000.0 dB")
+    assert not out.exists()

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import build_observation
 from oracles import (
+    _effective,
     direct_llr,
     direct_log_sum_exp,
+    jacobian_log_sum,
     loop_joint_metric,
     naive_joint_search,
     naive_symbol_phase,
@@ -16,19 +18,17 @@ from oracles import (
 )
 
 from timsr import make_config
-from timsr.ris import make_ris_state
+from timsr.ris import align_group1, make_ris_state
 from timsr.rx import (
     Observation,
-    jacobian_log_sum,
     joint_metric,
     llr_detect,
-    llr_from_costs,
     llr_per_slot,
     ml_joint_detect,
     ml_symbol_phase,
     observe,
-    receiver_context,
     select_info_slots,
+    slot_costs,
     unit_noise,
 )
 from timsr.sim import direct_snr_sigma2, make_context, trial_rng
@@ -92,6 +92,34 @@ class TestObserve:
         assert np.all(np.abs(zp) > 0)
 
 
+class TestObservationChannels:
+    """The observation carries the effective receive channels the detectors
+    score against: one row per information phase, then the power phase."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(k_slots=4, l_slots=2, codebook_strategy="table1"),
+        dict(los_phase_policy="per-entry"),
+        dict(los_phase_policy="zero"),
+    ], ids=["default", "table1", "per_entry", "zero"])
+    def test_eff_equals_oracle_at_aligned_phase(self, overrides):
+        cfg = make_config(trials=1, **overrides)
+        for trial in range(5):
+            ctx, obs, *_ = build_observation(cfg, snr_db=10.0, trial=trial)
+            ps = ctx.phase_set
+            eff_info, eff_power = _effective(obs, ps.phi_info, ps,
+                                             align_group1(obs.channel, ps.phi_info))
+            assert obs.eff.shape == (len(ps.phi_info) + 1, cfg.m_rx)
+            np.testing.assert_array_equal(obs.eff, np.stack(eff_info + [eff_power]))
+
+    def test_noise_and_stacking_keep_eff(self, small_cfg):
+        _, obs, *_ = build_observation(small_cfg, snr_db=5.0)
+        unit = unit_noise(obs.y.shape, trial_rng(0, 0))
+        for derived in (obs.stacked(), obs.with_noise(0.5, unit),
+                        obs.with_noise((0.5, 0.0), unit), obs.with_noise(0.5, unit).stacked()):
+            np.testing.assert_array_equal(derived.eff, obs.eff)
+
+
 class TestJacobianLogSum:
     def test_equal_operands(self):
         assert jacobian_log_sum(3.5, 3.5) == pytest.approx(3.5 + math.log(2), rel=1e-15)
@@ -122,7 +150,6 @@ class TestMlJointDetect:
             ctx.constellation,
             ctx.phase_set.phi_info,
             frame.omega,
-            ctx.phase_set,
             cfg.p_low_w,
             **kw,
         )
@@ -177,7 +204,7 @@ class TestMlJointDetect:
         ctx2, obs2, frame2, state2, bits2, rb2 = build_observation(cfg, snr_db=200.0, trial=5)
         det = ml_joint_detect(
             obs2, ctx2.codebook, ctx2.constellation, ctx2.phase_set.phi_info,
-            frame2.omega, ctx2.phase_set, cfg.p_low_w, paper_compat=True,
+            frame2.omega, cfg.p_low_w, paper_compat=True,
         )
         assert np.array_equal(det.ptx_bits, bits2)
 
@@ -185,14 +212,10 @@ class TestMlJointDetect:
 class TestLlrPerSlot:
     def _llr(self, ctx, obs, frame, cfg, **kw):
         return llr_per_slot(
-            obs,
-            ctx.constellation,
-            ctx.phase_set.phi_info,
-            frame.omega,
-            ctx.phase_set,
+            *slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega),
+            obs.sigma2,
             cfg.k_slots,
             cfg.l_slots,
-            cfg.p_low_w,
             **kw,
         )
 
@@ -203,8 +226,7 @@ class TestLlrPerSlot:
         ctx, obs, frame, *_ = build_observation(cfg, snr_db=5.0)
         base = self._llr(ctx, obs, frame, cfg)
         shifted = llr_per_slot(
-            obs, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-            ctx.phase_set, 8, 4, cfg.p_low_w,
+            *slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega), obs.sigma2, 8, 4,
         )
         np.testing.assert_allclose(shifted - base, math.log(36.0) - math.log(4.0), rtol=1e-9)
         assert math.log(4.0) - math.log(36.0) == pytest.approx(-2.1972245773362196)
@@ -278,8 +300,8 @@ class TestMlSymbolPhase:
         cfg = small_cfg
         ctx, obs, frame, state, bits, ris_bit = build_observation(cfg, snr_db=200.0, trial=2)
         labels, phase, c, visited = ml_symbol_phase(
-            obs, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
-            cfg.p_low_w, ctx.phase_set,
+            slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], frame.codeword,
+            ctx.phase_set.phi_info,
         )
         assert c == ris_bit
         sent = [ctx.constellation.nearest_label(s / math.sqrt(cfg.p_low_w))
@@ -290,8 +312,8 @@ class TestMlSymbolPhase:
         cfg = make_config(k_slots=4, l_slots=1, m_order=2, constellation="psk", trials=1)
         ctx, obs, frame, *_ = build_observation(cfg, snr_db=10.0)
         *_, visited = ml_symbol_phase(
-            obs, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
-            cfg.p_low_w, ctx.phase_set,
+            slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], frame.codeword,
+            ctx.phase_set.phi_info,
         )
         assert visited == 4  # J * M * L = 2 * 2 * 1
 
@@ -300,8 +322,8 @@ class TestMlSymbolPhase:
         for trial in range(60):
             ctx, obs, frame, *_ = build_observation(cfg, snr_db=-5.0, trial=trial)
             labels, phase, c, _ = ml_symbol_phase(
-                obs, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
-                cfg.p_low_w, ctx.phase_set,
+                slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], frame.codeword,
+                ctx.phase_set.phi_info,
             )
             want_c, want_labels, _ = naive_symbol_phase(
                 obs, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
@@ -314,7 +336,7 @@ class TestLlrDetect:
     def _detect(self, ctx, obs, frame, cfg):
         return llr_detect(
             obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-            frame.omega, ctx.phase_set, cfg.p_low_w, cfg.paper_compat,
+            frame.omega, cfg.p_low_w, cfg.paper_compat,
         )
 
     def test_visited_count_eight_two(self):
@@ -361,7 +383,7 @@ class TestLlrDetect:
             d_llr = self._detect(ctx, obs, frame, cfg)
             d_ml = ml_joint_detect(
                 obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                frame.omega, ctx.phase_set, cfg.p_low_w,
+                frame.omega, cfg.p_low_w,
             )
             agree += int(
                 d_llr.codeword == d_ml.codeword
@@ -373,13 +395,9 @@ class TestLlrDetect:
 
 
 def _costs(ctx, obs, frame, cfg):
-    """The observation's slot costs through a context built the way a sweep
-    builds it."""
-    ps = ctx.phase_set
-    state = make_ris_state(obs.channel, ps, 0)
-    rx = receiver_context(obs.channel, state.group1_phase, ps.phi_info, ps,
-                          ctx.constellation, cfg.p_low_w)
-    return rx.slot_costs(obs.y, frame.omega)
+    """The observation's slot costs, computed the way both detectors compute
+    them."""
+    return slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega)
 
 
 class TestArrayKernels:
@@ -443,7 +461,7 @@ class TestArrayKernels:
         obs = observe(ch, frame, state, 0.0, trial_rng(0, 0))
         obs.sigma2 = 1e-9
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                ctx.phase_set, cfg.p_low_w)
+                cfg.p_low_w)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(obs, *args)
             assert det.ris_bit == 0
@@ -451,12 +469,14 @@ class TestArrayKernels:
 
     def test_detectors_on_all_equal_costs_take_first_hypothesis(self, small_cfg):
         cfg = small_cfg
-        ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=2)
+        ctx, obs, frame, state, *_ = build_observation(cfg, snr_db=0.0, trial=2)
         ch = obs.channel
         ch.h_d = np.zeros_like(ch.h_d)
         ch.f_casc = np.zeros_like(ch.f_casc)
+        # the same samples, scored against the zeroed channel's effective channels
+        obs.eff = observe(ch, frame, state, 0.0, trial_rng(0, 0)).eff
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                ctx.phase_set, cfg.p_low_w)
+                cfg.p_low_w)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(obs, *args)
             assert det.codeword == ctx.codebook.codewords[0]
@@ -471,7 +491,7 @@ class TestArrayKernels:
             info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
             for sigma2 in (obs.sigma2, 1e-300):           # 1e-300: every exp underflows
                 np.testing.assert_array_equal(
-                    llr_from_costs(info_cost, pow_cost, sigma2, 8, 2, paper_compat),
+                    llr_per_slot(info_cost, pow_cost, sigma2, 8, 2, paper_compat),
                     recursive_llr(info_cost, pow_cost, sigma2, 8, 2, paper_compat),
                 )
 
@@ -486,7 +506,7 @@ class TestArrayKernels:
             pow_cost = rng.exponential(size=k)
             l = int(rng.integers(1, k))
             sigma2 = 10.0 ** rng.uniform(-300, 2)
-            got = llr_from_costs(info_cost, pow_cost, sigma2, k, l)
+            got = llr_per_slot(info_cost, pow_cost, sigma2, k, l)
             np.testing.assert_array_equal(got, recursive_llr(info_cost, pow_cost, sigma2, k, l))
             assert got[0] == -math.inf
 
@@ -495,11 +515,12 @@ class TestArrayKernels:
         cfg = make_config(trials=1)
         for trial in range(20):
             ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=trial)
-            args = (ctx.constellation, ctx.phase_set.phi_info)
-            llr = llr_per_slot(obs, *args, frame.omega, ctx.phase_set, 8, 2, cfg.p_low_w)
+            info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
+            llr = llr_per_slot(info_cost, pow_cost, obs.sigma2, 8, 2)
             codeword = select_info_slots(llr, ctx.codebook)
-            labels, _, c, _ = ml_symbol_phase(obs, codeword, *args, cfg.p_low_w, ctx.phase_set)
-            det = llr_detect(obs, ctx.codebook, *args, frame.omega, ctx.phase_set, cfg.p_low_w)
+            labels, _, c, _ = ml_symbol_phase(info_cost, codeword, ctx.phase_set.phi_info)
+            det = llr_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+                             frame.omega, cfg.p_low_w)
             assert (det.codeword, det.symbol_labels, det.ris_bit) == (codeword, labels, c)
 
     def test_bit_tables(self):
@@ -519,20 +540,17 @@ class TestArrayKernels:
 
 
 def _block_at_points(cfg, trial):
-    """One trial's block as a sweep receives it: the receiver context, the
+    """One trial's block as a sweep receives it: the surface state, the
     noise-free observation and the unit noise that every point scales."""
     ctx = make_context(cfg, None)
-    ps = ctx.phase_set
     rng = trial_rng(cfg.seed, trial)
     channel = ctx.channel_model.realize(rng)
     eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=eta)
     frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
-    state = make_ris_state(channel, ps, int(rng.integers(0, 2)))
-    rx = receiver_context(channel, state.group1_phase, ps.phi_info, ps, ctx.constellation,
-                          cfg.p_low_w)
-    clean = observe(channel, frame, state, 0.0, rng, rx)
-    return ctx, frame, rx, clean, unit_noise(clean.y.shape, rng)
+    state = make_ris_state(channel, ctx.phase_set, int(rng.integers(0, 2)))
+    clean = observe(channel, frame, state, 0.0, rng)
+    return ctx, frame, state, clean, unit_noise(clean.y.shape, rng)
 
 
 def _assert_rows_equal(batched, singles, codebook):
@@ -572,42 +590,40 @@ class TestPointBatch:
         detect = ml_joint_detect if detector == "ml" else llr_detect
         sigma2s = self.GRID if grid == "sweep" else self.REPEATED
         for trial in range(4):
-            ctx, frame, rx, clean, unit = _block_at_points(cfg, trial)
+            ctx, frame, _, clean, unit = _block_at_points(cfg, trial)
             args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                    ctx.phase_set, cfg.p_low_w, cfg.paper_compat)
+                    cfg.p_low_w, cfg.paper_compat)
             stacked = clean.with_noise(sigma2s, unit)
             points = [clean.with_noise(s2, unit) for s2 in sigma2s]
             np.testing.assert_array_equal(stacked.sigma2, sigma2s)
-            costs = rx.slot_costs(stacked.y, frame.omega)
+            costs = slot_costs(stacked, ctx.constellation, cfg.p_low_w, frame.omega)
             for s, obs in enumerate(points):
                 np.testing.assert_array_equal(stacked.y[s], obs.y)
-                for batch_cost, cost in zip(costs, rx.slot_costs(obs.y, frame.omega)):
+                for batch_cost, cost in zip(costs, slot_costs(obs, ctx.constellation,
+                                                              cfg.p_low_w, frame.omega)):
                     np.testing.assert_array_equal(batch_cost[s], cost)
-            singles = [detect(obs, *args, rx) for obs in points]
-            _assert_rows_equal(detect(stacked, *args, rx), singles, ctx.codebook)
-            _assert_rows_equal(detect(stacked, *args), singles, ctx.codebook)   # no context
+            singles = [detect(obs, *args) for obs in points]
+            _assert_rows_equal(detect(stacked, *args), singles, ctx.codebook)
 
     def test_llr_stages_equal_points(self):
         cfg = make_config(trials=1)
         for trial in range(4):
-            ctx, frame, rx, clean, unit = _block_at_points(cfg, trial)
-            args = (ctx.constellation, ctx.phase_set.phi_info, frame.omega, ctx.phase_set, 8, 2,
-                    cfg.p_low_w)
+            ctx, frame, _, clean, unit = _block_at_points(cfg, trial)
+            args = (ctx.constellation, cfg.p_low_w, frame.omega)
             stacked = clean.with_noise(self.REPEATED, unit)
-            llr = llr_per_slot(stacked, *args)
+            info_cost, pow_cost = slot_costs(stacked, *args)
+            llr = llr_per_slot(info_cost, pow_cost, stacked.sigma2, 8, 2)
             alpha = select_info_slots(llr, ctx.codebook)
             slots = ctx.codebook.slot_index[alpha] + 1
-            labels, phases, c, visited = ml_symbol_phase(
-                stacked, slots, ctx.constellation, ctx.phase_set.phi_info, cfg.p_low_w,
-                ctx.phase_set)
+            labels, phases, c, visited = ml_symbol_phase(info_cost, slots, ctx.phase_set.phi_info)
             assert visited == len(self.REPEATED) * 2 * 4 * 2
             for s, s2 in enumerate(self.REPEATED):
                 obs = clean.with_noise(s2, unit)
-                np.testing.assert_array_equal(llr[s], llr_per_slot(obs, *args))
+                point_info, point_pow = slot_costs(obs, *args)
+                np.testing.assert_array_equal(llr[s], llr_per_slot(point_info, point_pow, s2, 8, 2))
                 codeword = select_info_slots(llr[s], ctx.codebook)
                 assert ctx.codebook.index_of(codeword) == alpha[s]
-                want = ml_symbol_phase(obs, codeword, ctx.constellation, ctx.phase_set.phi_info,
-                                       cfg.p_low_w, ctx.phase_set)
+                want = ml_symbol_phase(point_info, codeword, ctx.phase_set.phi_info)
                 assert (tuple(labels[s]), phases[s], c[s]) == want[:3]
 
     def test_ml_batch_with_zero_variance(self):
@@ -615,9 +631,9 @@ class TestPointBatch:
                           detector="ml")
         sigma2s = (self.GRID[1], 0.0, self.GRID[4], 0.0)
         for trial in range(6):
-            ctx, frame, rx, clean, unit = _block_at_points(cfg, trial)
+            ctx, frame, _, clean, unit = _block_at_points(cfg, trial)
             args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                    ctx.phase_set, cfg.p_low_w)
+                    cfg.p_low_w)
             stacked = clean.with_noise(sigma2s, unit)
             assert stacked.y[1].tobytes() == clean.y.tobytes()   # no 0 * unit added
             singles = [ml_joint_detect(clean.with_noise(s2, unit), *args) for s2 in sigma2s]
@@ -625,7 +641,7 @@ class TestPointBatch:
             np.testing.assert_array_equal(singles[1].ptx_bits, frame.bits)
 
     def test_noise_free_stack_needs_no_unit_noise(self, small_cfg):
-        ctx, frame, rx, clean, _ = _block_at_points(small_cfg, 0)
+        ctx, frame, _, clean, _ = _block_at_points(small_cfg, 0)
         stacked = clean.with_noise((0.0, 0.0), None)
         assert stacked.y.shape == (2,) + clean.y.shape
         assert stacked.y.tobytes() == np.stack([clean.y, clean.y]).tobytes()
@@ -647,24 +663,24 @@ class TestPointBatch:
         info_cost[2, 1, :, :] = 0.0                        # phase 1 better
         info_cost[2, 0, 1, :] = 0.0                        # ... until phase 0 ties it
         slots = np.array([(1, 3), (1, 4), (2, 3)])
-        labels, phases, c, _ = ml_symbol_phase(None, slots, None, (0.1, 0.2), 1.0, None,
-                                               info_cost)
+        labels, phases, c, _ = ml_symbol_phase(info_cost, slots, (0.1, 0.2))
         assert c.tolist() == [0, 0, 0]
         assert labels.tolist() == [[0, 0], [2, 0], [1, 1]]
         for s in range(3):
-            want = ml_symbol_phase(None, tuple(slots[s]), None, (0.1, 0.2), 1.0, None,
-                                   info_cost[s])
+            want = ml_symbol_phase(info_cost[s], tuple(slots[s]), (0.1, 0.2))
             assert (tuple(labels[s]), phases[s], c[s]) == want[:3]
 
     def test_tied_blocks_take_first_hypothesis(self, small_cfg):
         cfg = small_cfg
-        ctx, frame, _, clean, unit = _block_at_points(cfg, 2)
+        ctx, frame, state, clean, unit = _block_at_points(cfg, 2)
         ch = clean.channel
         ch.h_d = np.zeros_like(ch.h_d)
         ch.f_casc = np.zeros_like(ch.f_casc)
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                ctx.phase_set, cfg.p_low_w)
-        stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]), ch)
+                cfg.p_low_w)
+        zeroed = observe(ch, frame, state, 0.0, trial_rng(0, 0))
+        stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]), ch,
+                              zeroed.eff)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(stacked, *args)
             assert det.codeword.tolist() == [list(ctx.codebook.codewords[0])] * 3
@@ -678,21 +694,21 @@ class TestPointBatch:
     def test_visited_sums_over_points(self, detector, overrides, per_point):
         cfg = make_config(trials=1, detector=detector, **overrides)
         detect = ml_joint_detect if detector == "ml" else llr_detect
-        ctx, frame, rx, clean, unit = _block_at_points(cfg, 0)
+        ctx, frame, _, clean, unit = _block_at_points(cfg, 0)
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                ctx.phase_set, cfg.p_low_w, False, rx)
+                cfg.p_low_w, False)
         assert detect(clean.with_noise(self.GRID, unit), *args).visited == 7 * per_point
         assert detect(clean.with_noise(self.GRID[0], unit), *args).visited == per_point
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_llr_rejects_any_nonpositive_variance(self, bad):
         cfg = make_config(trials=1)
-        ctx, frame, rx, clean, unit = _block_at_points(cfg, 0)
+        ctx, frame, _, clean, unit = _block_at_points(cfg, 0)
         stacked = clean.with_noise(self.GRID[:3], unit)
         stacked.sigma2 = np.array([self.GRID[0], bad, self.GRID[2]])
         with pytest.raises(ValueError, match="positive noise variance"):
             llr_detect(stacked, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                       frame.omega, ctx.phase_set, cfg.p_low_w, False, rx)
+                       frame.omega, cfg.p_low_w, False)
 
 
 def test_direct_log_sum_exp_self_check():

@@ -118,7 +118,7 @@ class TestBlockTrial:
         for i in range(20):
             ctx, obs, frame, _, bits, ris_bit = build_observation(cfg, 0.0, trial=i)
             det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                         frame.omega, ctx.phase_set, cfg.p_low_w)
+                         frame.omega, cfg.p_low_w)
             rec = run_block_trial(ctx, i)
             assert rec.ptx_errors == int(np.sum(det.ptx_bits != bits))
             assert rec.ris_errors == int(det.ris_bit != ris_bit)
@@ -381,9 +381,16 @@ class TestConfig:
         (dict(constellation="ask"), "constellation must be one of"),
         (dict(los_phase_policy="random"), "los_phase_policy must be one of"),
         (dict(technology="mems"), "technology must be one of"),
+        (dict(snr_db_grid=(0.0, 4000.0)), "snr_db_grid value 4000.0 dB"),
+        (dict(snr_db_grid=(-4000.0,)), "snr_db_grid value -4000.0 dB"),
+        (dict(snr_db_grid=(math.inf,)), "snr_db_grid value inf dB"),
+        (dict(snr_db_grid=(10.0, math.nan)), "snr_db_grid value nan dB"),
+        (dict(codebook_strategy="bogus"), "codebook_strategy must be one of"),
+        (dict(codebook_strategy="table1"), "table1 preset is defined only for K=4, L=2"),
     ], ids=["kappa", "d_tx_ris", "d_ris_rx", "d_direct", "carrier_zero", "carrier_negative",
             "n_cb", "m_order_not_pow2", "m_order_below_2", "qam_8", "qam_32", "constellation",
-            "los_phase_policy", "technology"])
+            "los_phase_policy", "technology", "snr_overflow", "snr_underflow", "snr_inf",
+            "snr_nan", "codebook_strategy", "table1_layout"])
     def test_config_time_guard(self, overrides, message):
         # bad input fails in make_config, before any context or channel model
         with pytest.raises(ValueError, match=message):
