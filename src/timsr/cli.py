@@ -5,15 +5,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import load_config, make_config
-from .sim import (
-    ber_sweep,
-    benchmark_mode,
-    default_n2_grid,
-    harvest_sweep,
-    power_budget_report,
-)
+from .sim import ber_sweep, default_n2_grid, harvest_sweep, power_budget_report
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -70,8 +65,6 @@ def _build_config(args):
     if args.paper_compat:
         overrides["paper_compat"] = True
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
         cfg.validate()
     return cfg
@@ -122,7 +115,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args, cfg) -> int:
     if args.command == "power-budget":
-        report = power_budget_report(cfg)
+        report = power_budget_report(cfg, workers=args.workers)
         print(f"consumption rf-switch : {report.p_ris_rf_w * 1e3:.3f} mW")
         print(f"consumption varactor  : {report.p_ris_varactor_w * 1e3:.3f} mW")
         print(f"varactor/rf ratio     : {report.ratio_db:.2f} dB")
@@ -138,7 +131,7 @@ def _dispatch(args, cfg) -> int:
         table = ber_sweep(cfg, workers=args.workers)
         out = args.out or "ber_sweep.csv"
     elif args.command == "benchmark":
-        table = benchmark_mode(cfg, workers=args.workers)
+        table = ber_sweep(cfg, workers=args.workers)
         out = args.out or "benchmark.csv"
     else:
         grid = default_n2_grid(cfg) if args.n2_grid is None else _parse_grid(args.n2_grid)

@@ -14,8 +14,9 @@ from .txphy import CODEBOOK_STRATEGIES, CONSTELLATION_KINDS
 SCHEMES = ("tim", "benchmark")
 DETECTORS = ("ml", "llr")
 
-# Largest joint-ML hypothesis space |A| * J * M^L a config may ask for: the
-# detector holds one float64 metric per hypothesis (2**25 -> 256 MiB).
+# Largest detector array a config may ask for, in float64 values (2**25 ->
+# 256 MiB): joint ML holds one metric per hypothesis, |A| * J * M^L, and the
+# LLR path one slot LLR per (point, codeword, slot), S * |A| * L.
 ML_MAX_HYPOTHESES = 2**25
 
 
@@ -93,6 +94,9 @@ class SimConfig:
         return dbm_to_watts(self.p_high_dbm)
 
     def validate(self) -> None:
+        for f in fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name, allowed in (("scheme", SCHEMES), ("detector", DETECTORS),
                               ("constellation", CONSTELLATION_KINDS),
                               ("los_phase_policy", LOS_PHASE_POLICIES),
@@ -106,10 +110,22 @@ class SimConfig:
             raise ValueError(f"m_order must be a power of two >= 2, and 2 or a square "
                              f"(4, 16, 64, ...) for QAM; got {m}")
         # Lower bounds; distances in meters, the path-loss model's range.
-        for name, low in (("k_slots", 1), ("trials", 1), ("n_cb", 1), ("kappa", 0.0),
+        for name, low in (("k_slots", 1), ("trials", 1), ("n_cb", 1), ("m_rx", 1),
+                          ("n_cells", 1), ("kappa", 0.0), ("p_cb_uw", 0.0), ("p_switch_uw", 0.0),
+                          ("p_drive_uw", 0.0), ("p_varactor_uw", 0.0),
                           ("d_tx_ris_m", 1.0), ("d_ris_rx_m", 1.0), ("d_direct_m", 1.0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # The rectenna models' own conditions, in their units (watts).
+        for side in ("ris", "eh"):
+            rho = getattr(self, f"{side}_rho")
+            p_on = getattr(self, f"{side}_p_on_uw") * 1e-6
+            p_sat = getattr(self, f"{side}_p_sat_mw") * 1e-3
+            if not 0.0 < rho <= 1.0:
+                raise ValueError(f"{side}_rho must be in (0, 1], got {rho}")
+            if not 0.0 < p_on < p_sat:
+                raise ValueError(f"need 0 < {side}_p_on_uw < {side}_p_sat_mw in watts, "
+                                 f"got {p_on} W and {p_sat} W")
         if self.carrier_ghz <= 0:
             raise ValueError(f"carrier_ghz must be positive, got {self.carrier_ghz}")
         max_l = self.k_slots if self.scheme == "benchmark" else self.k_slots - 1
@@ -127,6 +143,12 @@ class SimConfig:
             raise ValueError(f"the ML detector would score {hypotheses} hypotheses per block "
                              f"(|A| * J * M^L = {n_cw} * 2 * {self.m_order}^{self.l_slots}), more "
                              f"than {ML_MAX_HYPOTHESES}; use detector = llr or a smaller layout")
+        slot_sums = len(self.snr_db_grid) * n_cw * self.l_slots
+        if self.detector == "llr" and slot_sums > ML_MAX_HYPOTHESES:
+            raise ValueError(f"the LLR detector would hold {slot_sums} codeword slot LLRs per "
+                             f"trial (S * |A| * L = {len(self.snr_db_grid)} * {n_cw} * "
+                             f"{self.l_slots}), more than {ML_MAX_HYPOTHESES}; use a smaller "
+                             f"layout or fewer SNR points")
         if self.n1 < 0 or self.n2 < 0 or self.n3 < 0:
             raise ValueError(
                 f"cell split n1={self.n1}, n2={self.n2} incompatible with n_cells={self.n_cells}"

@@ -1,6 +1,6 @@
-"""Surface-side models: discrete phase sets, group-1 co-phasing, per-slot
-reflection vectors, the rectenna harvest curve, and the power budget that
-decides whether the surface can run off harvested energy alone."""
+"""Surface-side models: the 2-bit phase set, group-1 co-phasing, each
+block's reflection rows, the rectenna harvest curve, and the power budget
+that decides whether the surface can run off harvested energy alone."""
 
 from __future__ import annotations
 
@@ -13,9 +13,6 @@ from .channel import ChannelRealization
 
 TWO_PI = 2.0 * math.pi
 
-STAGE_INFO = "info"
-STAGE_POWER = "power"
-
 TECH_RF_SWITCH = "rf-switch"
 TECH_VARACTOR = "varactor"
 TECHNOLOGIES = (TECH_RF_SWITCH, TECH_VARACTOR)
@@ -23,44 +20,19 @@ TECHNOLOGIES = (TECH_RF_SWITCH, TECH_VARACTOR)
 
 @dataclass(frozen=True)
 class PhaseSet:
-    """The B = 2^b - 1 selectable phase levels of a b-bit cell (one switch
-    port is lost to the absorber), with the designated information pair and
-    power phase. Fixed at design time, invariant across channel realizations."""
+    """The designated information pair and power phase of a cell. Fixed at
+    design time, invariant across channel realizations."""
 
-    resolution_bits: int
-    phases: tuple
     phi_info: tuple
     phi_power: float
 
-    @property
-    def levels(self) -> int:
-        return len(self.phases)
 
-
-def phase_set_uniform(resolution_bits: int) -> PhaseSet:
-    """Uniform levels 2*pi*m/B for m = 0..B-1; the first two levels form the
-    information pair and the last is the power phase."""
-    if resolution_bits < 2:
-        raise ValueError(f"need at least 2-bit resolution, got {resolution_bits}")
-    b_levels = (1 << resolution_bits) - 1
-    phases = tuple(TWO_PI * m / b_levels for m in range(b_levels))
-    return PhaseSet(
-        resolution_bits=resolution_bits,
-        phases=phases,
-        phi_info=(phases[0], phases[1]),
-        phi_power=phases[-1],
-    )
-
-
-def phase_set_2bit(assignment=None) -> PhaseSet:
-    """Three-level set of a 2-bit cell; ``assignment`` overrides the default
-    (phi1, phi2, phi_power) = (0, 2*pi/3, 4*pi/3)."""
-    if assignment is None:
-        return phase_set_uniform(2)
-    phi1, phi2, phi_p = (float(p) for p in assignment)
-    return PhaseSet(
-        resolution_bits=2, phases=(phi1, phi2, phi_p), phi_info=(phi1, phi2), phi_power=phi_p
-    )
+def phase_set_2bit() -> PhaseSet:
+    """The three levels 2*pi*m/3 of a 2-bit cell (one switch port is lost to
+    the absorber): (phi1, phi2) = (0, 2*pi/3) carry the surface bit and
+    phi_power = 4*pi/3 is the power phase."""
+    levels = tuple(TWO_PI * m / 3 for m in range(3))
+    return PhaseSet(phi_info=levels[:2], phi_power=levels[2])
 
 
 def wrap_angle(x: float) -> float:
@@ -94,36 +66,20 @@ def align_group1(channel: ChannelRealization, phase_pair) -> float:
     return closest_phase(mu, phase_pair)
 
 
-def reflection_vector(stage: str, group1_phase: float, info_phase: float, phase_set: PhaseSet) -> np.ndarray:
-    """Per-group reflection coefficients [psi1, psi2, psi3] for one slot.
-
-    The absorbing group never reflects (psi2 = 0); the outer groups reflect
-    at unit amplitude with the power phase during power slots and with
-    (group1_phase, info_phase) during information slots.
-    """
-    if stage == STAGE_POWER:
-        p = np.exp(-1j * phase_set.phi_power)
-        return np.array([p, 0.0, p], dtype=complex)
-    if stage == STAGE_INFO:
-        return np.array(
-            [np.exp(-1j * group1_phase), 0.0, np.exp(-1j * info_phase)], dtype=complex
-        )
-    raise ValueError(f"unknown stage {stage!r}")
-
-
 @dataclass(frozen=True)
 class RisState:
-    """Surface configuration for one block: the aligned assist phase and the
-    information phase held constant over all L information slots."""
+    """Surface configuration for one block, seen by both the receiver and
+    the harvester: the aligned assist phase, the surface bit, and the
+    reflection rows ``psi`` (J+1, 3) of the groups [psi1, psi2, psi3], one
+    row per information phase and a last row for the power phase. The
+    absorbing group never reflects (psi2 = 0); the outer groups reflect at
+    unit amplitude, with (group1_phase, information phase) in information
+    slots and the power phase in power slots. All L information slots of the
+    block use row ``ris_bit``."""
 
-    group_sizes: tuple
     group1_phase: float
-    info_phase: float
-    phase_set: PhaseSet
     ris_bit: int
-
-    def reflection(self, stage: str) -> np.ndarray:
-        return reflection_vector(stage, self.group1_phase, self.info_phase, self.phase_set)
+    psi: np.ndarray
 
 
 def make_ris_state(channel: ChannelRealization, phase_set: PhaseSet, ris_bit: int) -> RisState:
@@ -131,13 +87,10 @@ def make_ris_state(channel: ChannelRealization, phase_set: PhaseSet, ris_bit: in
     information phase; the assist group is co-phased against the channel."""
     if ris_bit not in (0, 1):
         raise ValueError(f"surface bit must be 0 or 1, got {ris_bit}")
-    return RisState(
-        group_sizes=channel.group_sizes,
-        group1_phase=align_group1(channel, phase_set.phi_info),
-        info_phase=phase_set.phi_info[ris_bit],
-        phase_set=phase_set,
-        ris_bit=ris_bit,
-    )
+    group1_phase = align_group1(channel, phase_set.phi_info)
+    p = np.exp(-1j * phase_set.phi_power)
+    rows = [[np.exp(-1j * group1_phase), 0.0, np.exp(-1j * th)] for th in phase_set.phi_info]
+    return RisState(group1_phase, ris_bit, np.array(rows + [[p, 0.0, p]], dtype=complex))
 
 
 def ris_rectenna_input(h_r2: np.ndarray, samples):
@@ -206,20 +159,12 @@ def ris_power_consumption(budget: RisPowerBudget) -> float:
     return static + dynamic
 
 
-def standalone_check(per_slot_q_w, model: RectennaModel, budget: RisPowerBudget):
-    """Whether the block-average harvested DC power covers the surface's own
-    consumption. Returns (ok, margin in watts)."""
-    avg_dc = float(np.mean(clc_dc_power(np.asarray(per_slot_q_w, dtype=float), model)))
-    p_ris = ris_power_consumption(budget)
-    return avg_dc >= p_ris, avg_dc - p_ris
-
-
 def eh_received(channel: ChannelRealization, state: RisState, tau, samples):
     """Received samples and rectenna input powers at the harvester in each
-    slot: direct plus reflected path, under the information-stage reflection
-    where ``tau`` is 1 and the power-stage one elsewhere. Thermal noise is
+    slot: direct plus reflected path, under the block's information row of
+    ``psi`` where ``tau`` is 1 and the power row elsewhere. Thermal noise is
     below the harvesting floor and is not modeled."""
-    e_info = channel.h_e + channel.v_casc @ state.reflection(STAGE_INFO)
-    e_power = channel.h_e + channel.v_casc @ state.reflection(STAGE_POWER)
+    e_info = channel.h_e + channel.v_casc @ state.psi[state.ris_bit]
+    e_power = channel.h_e + channel.v_casc @ state.psi[-1]
     eps = np.where(np.asarray(tau) == 1, e_info, e_power) * samples
     return eps, np.abs(eps) ** 2

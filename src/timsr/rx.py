@@ -1,11 +1,12 @@
 """Receiver-side processing: noise injection, the exhaustive joint detector,
 and the low-complexity per-slot LLR pipeline.
 
-The receiver knows the channel and the surface assist phase. :func:`observe`
-computes the block's effective receive channels once, under each information
-phase and then under the power phase, and the :class:`Observation` carries
-them as ``eff``. :func:`slot_costs` scores the received samples against
-them; every detector stage is an array kernel over those slot costs.
+The receiver knows the channel and the block's surface state. :func:`observe`
+computes the effective receive channels h_d + F psi once, one per reflection
+row ``psi`` of the surface state (each information phase, then the power
+phase), and the :class:`Observation` carries them as ``eff``.
+:func:`slot_costs` scores the received samples against them; every detector
+stage is an array kernel over those slot costs.
 
 The kernels carry a leading point axis: a block received at S noise
 variances is one stacked :class:`Observation`, detected in one call into a
@@ -35,29 +36,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-# align_group1 and decode_frame (the public inverse of block_bits) are not
-# called here; perfbench/spans.py looks them up in this module by name.
-from .ris import RisState, align_group1, reflection_vector, STAGE_INFO, STAGE_POWER  # noqa: F401
-from .txphy import Constellation, IndexCodebook, TimFrame, block_bits, decode_frame  # noqa: F401
+from .ris import RisState
+# Not called here: the "ris.align" span of perfbench/spans.py looks it up in this module.
+from .ris import align_group1  # noqa: F401
+from .txphy import Constellation, IndexCodebook, TimFrame, block_bits
+# Not called here: the "txphy.decode" span of perfbench/spans.py looks it up in this module.
+from .txphy import decode_frame  # noqa: F401
 
 
 @dataclass
 class Observation:
     """The K received vectors of one block plus what the receiver knows:
-    the noise variance, the (perfectly known) channel realization and the
-    effective receive channels ``eff`` (J+1, M_R), one row per information
-    phase and a last row for the power phase. A stacked observation holds
-    samples (S, K, M_R) and variances (S,)."""
+    the noise variance and the effective receive channels ``eff`` (J+1, M_R)
+    h_d + F psi, one row per reflection row ``psi`` of the surface state:
+    each information phase, then the power phase. A stacked observation
+    holds samples (S, K, M_R) and variances (S,)."""
 
     y: np.ndarray
     sigma2: float | np.ndarray
-    channel: ChannelRealization
     eff: np.ndarray
 
     def stacked(self) -> "Observation":
         """This observation with a leading point axis (S = 1 when unbatched)."""
         return self if self.y.ndim == 3 else Observation(
-            self.y[None], np.reshape(self.sigma2, 1), self.channel, self.eff)
+            self.y[None], np.reshape(self.sigma2, 1), self.eff)
 
     def with_noise(self, sigma2, unit) -> "Observation":
         """The same block received at noise variance ``sigma2``: ``unit``
@@ -69,7 +71,7 @@ class Observation:
         scale = np.sqrt(s2 / 2.0)[..., None, None]
         noisy = self.y + scale * unit if np.any(s2 > 0) else self.y
         y = np.where(scale > 0, noisy, self.y)
-        return Observation(y, s2 if s2.ndim else sigma2, self.channel, self.eff)
+        return Observation(y, s2 if s2.ndim else sigma2, self.eff)
 
 
 def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
@@ -81,19 +83,16 @@ def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
 def observe(channel: ChannelRealization, frame: TimFrame, ris: RisState, sigma2: float,
             rng: np.random.Generator) -> Observation:
     """Propagate one block through the channel: direct path plus the
-    surface-reflected path under the per-slot reflection vector, with
-    white Gaussian noise of variance ``sigma2`` in every slot. The stream
-    is drawn from only when ``sigma2 > 0``. The effective channels
-    h_d + F psi are built here, one row per surface phase, and carried on
-    the observation."""
+    surface-reflected path, under the block's information row of ``ris.psi``
+    in information slots and the power row elsewhere, with white Gaussian
+    noise of variance ``sigma2`` in every slot. The stream is drawn from
+    only when ``sigma2 > 0``. The effective channels h_d + F psi are built
+    here, one per row of ``psi``, and carried on the observation."""
     if sigma2 < 0:
         raise ValueError("noise variance cannot be negative")
-    ps = ris.phase_set
-    stages = [(STAGE_INFO, th) for th in ps.phi_info] + [(STAGE_POWER, 0.0)]
-    eff = np.stack([channel.h_d + channel.f_casc @ reflection_vector(st, ris.group1_phase, th, ps)
-                    for st, th in stages])
+    eff = np.stack([channel.h_d + channel.f_casc @ row for row in ris.psi])
     y = np.where(frame.tau[:, None] == 1, eff[ris.ris_bit], eff[-1]) * frame.samples[:, None]
-    clean = Observation(y, 0.0, channel, eff)
+    clean = Observation(y, 0.0, eff)
     return clean.with_noise(sigma2, unit_noise(y.shape, rng)) if sigma2 > 0 else clean
 
 

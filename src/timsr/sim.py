@@ -86,7 +86,7 @@ class RunContext:
     """Everything one trial needs; immutable and shareable across workers."""
 
     cfg: SimConfig
-    sigma2: float | None
+    sigma2: float | None      # read by run_block_trial only, which the benchmark still calls
     channel_model: ChannelModel
     codebook: object
     constellation: object
@@ -184,7 +184,8 @@ def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int)
 
 def run_block_trial(ctx: RunContext, trial_index: int) -> BlockRecord:
     """Draw channels and bits, transmit one block, harvest, and (when a
-    noise variance is set) detect and count bit errors."""
+    noise variance is set) detect and count bit errors. No sweep calls it;
+    it stays because the benchmark's set-up probe and span table do."""
     sigma2s = () if ctx.sigma2 is None else (ctx.sigma2,)
     return run_trial(ctx, (ctx.cfg.group_sizes,), sigma2s, trial_index)[0]
 
@@ -327,12 +328,6 @@ def ber_sweep(cfg: SimConfig, workers: int = 1) -> ResultTable:
     return ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed)
 
 
-def benchmark_mode(cfg: SimConfig, workers: int = 1) -> ResultTable:
-    """BER sweep for the fixed-slot reference scheme (no index modulation):
-    the first L slots always carry information, conveying L*log2(M) bits."""
-    return ber_sweep(replace(cfg, scheme="benchmark"), workers)
-
-
 @dataclass
 class HarvestReport:
     table: ResultTable
@@ -387,12 +382,13 @@ class PowerBudgetReport:
     standalone_frac_var: float
 
 
-def power_budget_report(cfg: SimConfig) -> PowerBudgetReport:
+def power_budget_report(cfg: SimConfig, workers: int = 1) -> PowerBudgetReport:
     """Deterministic consumption figures for both cell technologies and the
-    harvest margin at the configured absorber count (fixed-seed blocks)."""
+    harvest margin at the configured absorber count (fixed-seed blocks,
+    mapped over ``workers`` processes like a sweep's)."""
     ctx = make_context(cfg, None)
     p_rf, p_var = ctx.p_ris_rf_w, ctx.p_ris_var_w
-    records = [run_block_trial(ctx, i) for i in range(cfg.trials)]
+    (records,) = _map_points(ctx, (cfg.group_sizes,), (), workers)
     avg_dc = float(np.mean([r.dc_ris_w for r in records]))
     return PowerBudgetReport(
         p_ris_rf_w=p_rf,

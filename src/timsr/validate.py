@@ -18,7 +18,7 @@ from .ris import (
     ris_power_consumption,
 )
 from .rx import llr_detect, llr_per_slot, ml_joint_detect, observe
-from .sim import build_channel_model, power_budget, trial_rng
+from .sim import build_channel_model, make_context, power_budget, trial_rng
 from .txphy import (
     TABLE1_CODEWORDS,
     build_codebook,
@@ -113,8 +113,7 @@ def check_reflection_structure():
     cfg = make_config(trials=1)
     ch = build_channel_model(cfg).realize(trial_rng(cfg.seed, 1))
     state = make_ris_state(ch, ps, 1)
-    for stage in ("info", "power"):
-        vec = state.reflection(stage)
+    for vec in state.psi:
         assert vec[1] == 0.0
         assert math.isclose(abs(vec[0]), 1.0) and math.isclose(abs(vec[2]), 1.0)
 
@@ -134,15 +133,9 @@ def check_llr_log_sum_exp():
             assert abs(llr[k] - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
-def _detect_setup(cfg):
-    from .sim import make_context
-
-    return make_context(cfg, None)
-
-
 def check_noiseless_detection():
     cfg = make_config(k_slots=4, l_slots=2, codebook_strategy="table1", trials=1)
-    ctx = _detect_setup(cfg)
+    ctx = make_context(cfg, None)
     rng = trial_rng(cfg.seed, 9)
     ch = ctx.channel_model.realize(rng)
     const, cb, ps = ctx.constellation, ctx.codebook, ctx.phase_set
@@ -161,7 +154,7 @@ def check_noiseless_detection():
 
 def check_llr_legitimacy():
     cfg = make_config(k_slots=8, l_slots=2, trials=1)
-    ctx = _detect_setup(cfg)
+    ctx = make_context(cfg, None)
     rng = trial_rng(cfg.seed, 21)
     const, cb, ps = ctx.constellation, ctx.codebook, ctx.phase_set
     eta = cb.bits_index + cb.l_slots * const.bits_per_symbol

@@ -14,7 +14,7 @@ def small_cfg():
 
 def build_observation(cfg, snr_db, trial=0, ris_bit=None, bits=None):
     """One end-to-end block at the given SNR; returns everything a detector
-    test needs."""
+    test needs: (ctx, obs, frame, state, bits, ris_bit, channel)."""
     from timsr.ris import make_ris_state
     from timsr.rx import observe
     from timsr.txphy import encode_block
@@ -32,4 +32,4 @@ def build_observation(cfg, snr_db, trial=0, ris_bit=None, bits=None):
     )
     state = make_ris_state(channel, ctx.phase_set, ris_bit)
     obs = observe(channel, frame, state, ctx.sigma2, rng)
-    return ctx, obs, frame, state, np.asarray(bits), ris_bit
+    return ctx, obs, frame, state, np.asarray(bits), ris_bit, channel

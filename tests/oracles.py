@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from timsr.ris import STAGE_INFO, STAGE_POWER, align_group1, reflection_vector
+from timsr.ris import align_group1
 
 
 def jacobian_log_sum(a: float, b: float) -> float:
@@ -32,22 +32,32 @@ def direct_log_sum_exp(values) -> float:
     return m + float(np.log(np.sum(np.exp(values - m))))
 
 
-def _effective(obs, phase_pair, phase_set, group1_phase):
-    ch = obs.channel
-    eff_info = [
-        ch.h_d + ch.f_casc @ reflection_vector(STAGE_INFO, group1_phase, th, phase_set)
-        for th in phase_pair
-    ]
-    eff_power = ch.h_d + ch.f_casc @ reflection_vector(STAGE_POWER, group1_phase, 0.0, phase_set)
+def info_reflection(group1_phase, info_phase):
+    """Per-group reflection [psi1, psi2, psi3] of an information slot: the
+    assist phase, the absorber off, the information phase."""
+    return np.array([np.exp(-1j * group1_phase), 0.0, np.exp(-1j * info_phase)], dtype=complex)
+
+
+def power_reflection(phase_set):
+    """Per-group reflection of a power slot: the power phase on both outer
+    groups, the absorber off."""
+    p = np.exp(-1j * phase_set.phi_power)
+    return np.array([p, 0.0, p], dtype=complex)
+
+
+def _effective(ch, phase_pair, phase_set, group1_phase):
+    eff_info = [ch.h_d + ch.f_casc @ info_reflection(group1_phase, th) for th in phase_pair]
+    eff_power = ch.h_d + ch.f_casc @ power_reflection(phase_set)
     return eff_info, eff_power
 
 
-def naive_joint_search(obs, codebook, constellation, phase_pair, omega, phase_set, p_info_w):
+def naive_joint_search(obs, channel, codebook, constellation, phase_pair, omega, phase_set,
+                       p_info_w):
     """Exhaustive loop minimization in (codeword, phase, symbol-vector) order
     with a strict first-found minimum. Returns (codeword, phase index,
     symbol labels, metric)."""
-    g1 = align_group1(obs.channel, phase_pair)
-    eff_info, eff_power = _effective(obs, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, phase_pair)
+    eff_info, eff_power = _effective(channel, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     m = constellation.m_order
     k_slots = codebook.k_slots
@@ -70,11 +80,11 @@ def naive_joint_search(obs, codebook, constellation, phase_pair, omega, phase_se
     return best[0], best[1], best[2], best_metric
 
 
-def naive_symbol_phase(obs, slots, constellation, phase_pair, p_info_w, phase_set):
+def naive_symbol_phase(obs, channel, slots, constellation, phase_pair, p_info_w, phase_set):
     """Full product search over (phase, symbol vector) for fixed slots, in
     (phase, labels) order with a strict first-found minimum."""
-    g1 = align_group1(obs.channel, phase_pair)
-    eff_info, _ = _effective(obs, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, phase_pair)
+    eff_info, _ = _effective(channel, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     m = constellation.m_order
 
@@ -92,11 +102,12 @@ def naive_symbol_phase(obs, slots, constellation, phase_pair, p_info_w, phase_se
     return best[0], best[1], best_metric
 
 
-def direct_llr(obs, constellation, phase_pair, omega, phase_set, k_slots, l_slots, p_info_w):
+def direct_llr(obs, channel, constellation, phase_pair, omega, phase_set, k_slots, l_slots,
+               p_info_w):
     """Per-slot LLR recomputed from the raw definition with a vector
     log-sum-exp instead of the pairwise recursion."""
-    g1 = align_group1(obs.channel, phase_pair)
-    eff_info, eff_power = _effective(obs, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, phase_pair)
+    eff_info, eff_power = _effective(channel, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     prior = math.log(l_slots**2) - math.log((k_slots - l_slots) ** 2)
 

@@ -146,11 +146,11 @@ def test_criterion_5_ml_oracle_equivalence():
     cfg = make_config(k_slots=4, l_slots=2, codebook_strategy="table1", trials=1)
     mismatches = 0
     for trial in range(1000):
-        ctx, obs, frame, *_ = build_observation(cfg, snr_db=-5.0, trial=trial)
+        ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
         det = ml_joint_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                               frame.omega, cfg.p_low_w)
         cw, c, labels, _ = naive_joint_search(
-            obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+            obs, ch, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
             frame.omega, ctx.phase_set, cfg.p_low_w,
         )
         mismatches += int((det.codeword, det.ris_bit, det.symbol_labels) != (cw, c, labels))
@@ -169,10 +169,11 @@ def test_criterion_6_llr_internal_exactness():
     from timsr.rx import llr_per_slot, slot_costs
 
     for trial in range(2500):
-        ctx, obs, frame, *_ = build_observation(cfg, snr_db=snrs[trial % len(snrs)], trial=trial)
+        ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=snrs[trial % len(snrs)],
+                                                    trial=trial)
         got = llr_per_slot(*slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega),
                            obs.sigma2, cfg.k_slots, cfg.l_slots)
-        want = direct_llr(obs, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+        want = direct_llr(obs, ch, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                           ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w)
         rel = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
         worst = max(worst, float(rel))

@@ -141,6 +141,15 @@ def test_oversized_ml_config_fails_cleanly(tmp_path, capsys):
     assert "hypotheses" in capsys.readouterr().err
 
 
+def test_zero_receive_antennas_fail_cleanly(tmp_path, capsys):
+    path = tmp_path / "mrx.cfg"
+    path.write_text("m_rx = 0\n")
+    out = tmp_path / "out.csv"
+    assert main(["ber-sweep", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: m_rx must be >= 1")
+    assert not out.exists()
+
+
 def test_unusable_snr_point_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "snr.cfg"
     path.write_text("snr_db_grid = 4000\n")

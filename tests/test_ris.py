@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import slot_eh_received, slot_rectenna_input
+from conftest import build_observation
+from oracles import info_reflection, power_reflection, slot_eh_received, slot_rectenna_input
+from timsr import make_config
 from timsr.channel import make_realization
 from timsr.ris import (
+    PhaseSet,
     RectennaModel,
     RisPowerBudget,
     align_group1,
@@ -16,11 +19,8 @@ from timsr.ris import (
     eh_received,
     make_ris_state,
     phase_set_2bit,
-    phase_set_uniform,
-    reflection_vector,
     ris_power_consumption,
     ris_rectenna_input,
-    standalone_check,
     wrap_angle,
 )
 
@@ -43,23 +43,10 @@ def tiny_realization(mu=0.0, n=4, groups=(2, 1, 1)):
 class TestPhaseSet:
     def test_default_two_bit(self):
         ps = phase_set_2bit()
-        assert ps.levels == 3
-        np.testing.assert_allclose(ps.phases, (0.0, 2 * np.pi / 3, 4 * np.pi / 3))
+        np.testing.assert_allclose((*ps.phi_info, ps.phi_power), (0.0, 2 * np.pi / 3, 4 * np.pi / 3))
         np.testing.assert_allclose(ps.phi_info, (0.0, 2 * np.pi / 3))
         assert ps.phi_power == pytest.approx(4 * np.pi / 3)
         assert ps.phi_power not in ps.phi_info
-
-    def test_custom_assignment(self):
-        ps = phase_set_2bit((0.0, np.pi, np.pi / 2))
-        assert ps.phi_info == (0.0, np.pi)
-        assert ps.phi_power == np.pi / 2
-
-    def test_generic_levels(self):
-        ps = phase_set_uniform(3)
-        assert ps.levels == 7
-        np.testing.assert_allclose(ps.phases, [2 * np.pi * m / 7 for m in range(7)])
-        with pytest.raises(ValueError):
-            phase_set_uniform(1)
 
 
 class TestClosestPhase:
@@ -107,37 +94,40 @@ class TestAlignGroup1:
         assert align_group1(ch, (0.0, 2 * np.pi / 3)) == pytest.approx(2 * np.pi / 3)
 
 
+def reflection_rows(group1_phase, info_phase):
+    """Reflection rows of a block whose assist group aligns to
+    ``group1_phase`` and whose surface bit (1) selects ``info_phase``."""
+    ps = PhaseSet((group1_phase, info_phase), phase_set_2bit().phi_power)
+    return make_ris_state(tiny_realization(group1_phase), ps, 1).psi
+
+
 class TestReflectionVector:
     PS = phase_set_2bit()
 
     def test_power_stage(self):
-        vec = reflection_vector("power", 0.3, 0.9, self.PS)
+        vec = reflection_rows(0.3, 0.9)[-1]
         assert vec[1] == 0.0
         assert vec[0] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
         assert vec[2] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
 
     def test_info_stage(self):
-        vec = reflection_vector("info", 0.3, 0.0, self.PS)
+        vec = reflection_rows(0.3, 0.0)[1]
         assert vec[2] == pytest.approx(1.0)
         assert vec[0] == pytest.approx(np.exp(-1j * 0.3))
 
     @pytest.mark.parametrize("stage", ["info", "power"])
     def test_amplitude_structure(self, stage):
-        vec = reflection_vector(stage, 1.1, 2.2, self.PS)
+        vec = reflection_rows(1.1, 2.2)[1 if stage == "info" else -1]
         assert vec[1] == 0.0
         assert abs(vec[0]) == pytest.approx(1.0)
         assert abs(vec[2]) == pytest.approx(1.0)
 
-    def test_unknown_stage(self):
-        with pytest.raises(ValueError):
-            reflection_vector("idle", 0.0, 0.0, self.PS)
-
     def test_info_phase_constant_within_block(self):
         ch = tiny_realization(0.0)
         state = make_ris_state(ch, self.PS, 1)
-        assert state.info_phase == self.PS.phi_info[1]
-        first = state.reflection("info")
-        np.testing.assert_array_equal(first, state.reflection("info"))
+        assert state.psi[state.ris_bit][2] == np.exp(-1j * self.PS.phi_info[1])
+        first = state.psi[state.ris_bit]
+        np.testing.assert_array_equal(first, make_ris_state(ch, self.PS, 1).psi[1])
 
 
 class TestRectennaInput:
@@ -220,18 +210,6 @@ class TestPowerBudget:
             RisPowerBudget(4, 4, 50e-6, "pin-diode", 1e-6, 40e-6, 0.0)
 
 
-class TestStandalone:
-    def test_no_input(self):
-        ok, margin = standalone_check(np.zeros(8), RIS_MODEL, RF_BUDGET)
-        assert not ok
-        assert margin == pytest.approx(-3.456e-3, rel=1e-12)
-
-    def test_saturated_blocks(self):
-        ok, margin = standalone_check(np.full(8, 1.0), RIS_MODEL, RF_BUDGET)
-        assert ok
-        assert margin == pytest.approx(RIS_MODEL.p_max_w - 3.456e-3, rel=1e-12)
-
-
 class TestEhReceived:
     TAU = np.array([0, 1, 0])   # power, information, power slot
 
@@ -262,11 +240,32 @@ class TestEhReceived:
         g2 = ch.h_r[ch.group_slice(1)]
         q_ris = ris_rectenna_input(g2, samples)
         for k in range(5):
-            want_eps, want_q = slot_eh_received(ch, state.reflection("info" if tau[k] else "power"),
+            want_eps, want_q = slot_eh_received(ch, state.psi[state.ris_bit if tau[k] else -1],
                                                 samples[k])
             assert eps[k] == pytest.approx(want_eps, rel=1e-12)
             assert q[k] == pytest.approx(want_q, rel=1e-12)
             assert q_ris[k] == pytest.approx(slot_rectenna_input(g2, samples[k]), rel=1e-12)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(k_slots=4, l_slots=2, codebook_strategy="table1"),
+        dict(los_phase_policy="per-entry"),
+        dict(los_phase_policy="zero"),
+    ], ids=["default", "table1", "per_entry", "zero"])
+    def test_equals_oracle_reflection(self, overrides):
+        # the harvester sees the block's surface state: bit for bit the
+        # per-group reflection formula at the aligned assist phase
+        cfg = make_config(trials=1, **overrides)
+        for trial in range(5):
+            ctx, _, frame, state, _, ris_bit, ch = build_observation(cfg, 10.0, trial=trial)
+            ps = ctx.phase_set
+            g1 = align_group1(ch, ps.phi_info)
+            e_info = ch.h_e + ch.v_casc @ info_reflection(g1, ps.phi_info[ris_bit])
+            e_power = ch.h_e + ch.v_casc @ power_reflection(ps)
+            want = np.where(frame.tau == 1, e_info, e_power) * frame.samples
+            eps, q = eh_received(ch, state, frame.tau, frame.samples)
+            np.testing.assert_array_equal(eps, want)
+            np.testing.assert_array_equal(q, np.abs(want) ** 2)
 
 
 def test_wrap_angle_range():

@@ -44,19 +44,16 @@ from timsr.txphy import (
 
 class TestObserve:
     def test_noiseless_superposition(self, small_cfg):
-        ctx, obs, frame, state, _, _ = build_observation(small_cfg, snr_db=0.0)
-        ch = obs.channel
+        ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         # rebuild with zero noise and check the exact per-slot composition
         rng = trial_rng(small_cfg.seed, 0)
         clean = observe(ch, frame, state, 0.0, rng)
         for k in range(small_cfg.k_slots):
-            stage = "info" if frame.tau[k] else "power"
-            eff = ch.h_d + ch.f_casc @ state.reflection(stage)
+            eff = ch.h_d + ch.f_casc @ state.psi[state.ris_bit if frame.tau[k] else -1]
             np.testing.assert_allclose(clean.y[k], eff * frame.samples[k], rtol=1e-12)
 
     def test_no_reflection_reduces_to_direct(self, small_cfg):
-        ctx, obs, frame, state, _, _ = build_observation(small_cfg, snr_db=0.0)
-        ch = obs.channel
+        ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         ch.f_casc = np.zeros_like(ch.f_casc)
         clean = observe(ch, frame, state, 0.0, trial_rng(0, 0))
         for k in range(small_cfg.k_slots):
@@ -68,14 +65,13 @@ class TestObserve:
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_negative_variance_rejected(self, small_cfg):
-        ctx, obs, frame, state, _, _ = build_observation(small_cfg, snr_db=0.0)
+        ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         with pytest.raises(ValueError):
-            observe(obs.channel, frame, state, -1.0, trial_rng(0, 0))
+            observe(ch, frame, state, -1.0, trial_rng(0, 0))
 
     def test_noise_statistics(self, small_cfg):
         # every slot carries circularly symmetric noise of the set variance
-        ctx, obs, frame, state, _, _ = build_observation(small_cfg, snr_db=0.0)
-        ch = obs.channel
+        ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         sigma2 = 0.5
         rng = trial_rng(0, 0)
         residuals = []
@@ -105,10 +101,9 @@ class TestObservationChannels:
     def test_eff_equals_oracle_at_aligned_phase(self, overrides):
         cfg = make_config(trials=1, **overrides)
         for trial in range(5):
-            ctx, obs, *_ = build_observation(cfg, snr_db=10.0, trial=trial)
+            ctx, obs, *_, ch = build_observation(cfg, snr_db=10.0, trial=trial)
             ps = ctx.phase_set
-            eff_info, eff_power = _effective(obs, ps.phi_info, ps,
-                                             align_group1(obs.channel, ps.phi_info))
+            eff_info, eff_power = _effective(ch, ps.phi_info, ps, align_group1(ch, ps.phi_info))
             assert obs.eff.shape == (len(ps.phi_info) + 1, cfg.m_rx)
             np.testing.assert_array_equal(obs.eff, np.stack(eff_info + [eff_power]))
 
@@ -184,10 +179,10 @@ class TestMlJointDetect:
     def test_matches_naive_oracle(self, small_cfg):
         cfg = small_cfg
         for trial in range(100):
-            ctx, obs, frame, *_ = build_observation(cfg, snr_db=-5.0, trial=trial)
+            ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
             det = self._detect(ctx, obs, frame, cfg)
             cw, c, labels, metric = naive_joint_search(
-                obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+                obs, ch, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                 frame.omega, ctx.phase_set, cfg.p_low_w,
             )
             assert det.codeword == cw
@@ -201,7 +196,7 @@ class TestMlJointDetect:
         lit = self._detect(ctx, obs, frame, cfg, paper_compat=True)
         assert full.visited == lit.visited
         # at zero noise both variants still recover the transmitted block
-        ctx2, obs2, frame2, state2, bits2, rb2 = build_observation(cfg, snr_db=200.0, trial=5)
+        ctx2, obs2, frame2, state2, bits2, rb2, _ = build_observation(cfg, snr_db=200.0, trial=5)
         det = ml_joint_detect(
             obs2, ctx2.codebook, ctx2.constellation, ctx2.phase_set.phi_info,
             frame2.omega, cfg.p_low_w, paper_compat=True,
@@ -236,17 +231,17 @@ class TestLlrPerSlot:
 
     def test_recursion_matches_direct_logsumexp(self, small_cfg):
         for trial, snr in enumerate((-10.0, 0.0, 10.0, 20.0, 30.0)):
-            ctx, obs, frame, *_ = build_observation(small_cfg, snr_db=snr, trial=trial)
+            ctx, obs, frame, *_, ch = build_observation(small_cfg, snr_db=snr, trial=trial)
             got = self._llr(ctx, obs, frame, small_cfg)
             want = direct_llr(
-                obs, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+                obs, ch, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 ctx.phase_set, small_cfg.k_slots, small_cfg.l_slots, small_cfg.p_low_w,
             )
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zero_variance_rejected(self, small_cfg):
-        ctx, obs, frame, state, _, _ = build_observation(small_cfg, snr_db=0.0)
-        clean = observe(obs.channel, frame, state, 0.0, trial_rng(0, 0))
+        ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
+        clean = observe(ch, frame, state, 0.0, trial_rng(0, 0))
         with pytest.raises(ValueError):
             self._llr(ctx, clean, frame, small_cfg)
 
@@ -298,7 +293,7 @@ class TestSelectInfoSlots:
 class TestMlSymbolPhase:
     def test_noiseless_exact(self, small_cfg):
         cfg = small_cfg
-        ctx, obs, frame, state, bits, ris_bit = build_observation(cfg, snr_db=200.0, trial=2)
+        ctx, obs, frame, state, bits, ris_bit, _ = build_observation(cfg, snr_db=200.0, trial=2)
         labels, phase, c, visited = ml_symbol_phase(
             slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], frame.codeword,
             ctx.phase_set.phi_info,
@@ -320,13 +315,13 @@ class TestMlSymbolPhase:
     def test_matches_full_product_search(self, small_cfg):
         cfg = small_cfg
         for trial in range(60):
-            ctx, obs, frame, *_ = build_observation(cfg, snr_db=-5.0, trial=trial)
+            ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
             labels, phase, c, _ = ml_symbol_phase(
                 slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], frame.codeword,
                 ctx.phase_set.phi_info,
             )
             want_c, want_labels, _ = naive_symbol_phase(
-                obs, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
+                obs, ch, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
                 cfg.p_low_w, ctx.phase_set,
             )
             assert (c, labels) == (want_c, want_labels)
@@ -455,7 +450,7 @@ class TestArrayKernels:
         # no third group: both information phases give the same channel, so
         # every hypothesis ties across phases and phase 0 must win
         cfg = small_cfg
-        ctx, _, frame, state, bits, _ = build_observation(cfg, snr_db=0.0, trial=4, ris_bit=1)
+        ctx, _, frame, state, bits, _, _ = build_observation(cfg, snr_db=0.0, trial=4, ris_bit=1)
         ch = ctx.channel_model.realize(trial_rng(cfg.seed, 4))
         ch.f_casc[:, 2] = 0.0
         obs = observe(ch, frame, state, 0.0, trial_rng(0, 0))
@@ -469,8 +464,7 @@ class TestArrayKernels:
 
     def test_detectors_on_all_equal_costs_take_first_hypothesis(self, small_cfg):
         cfg = small_cfg
-        ctx, obs, frame, state, *_ = build_observation(cfg, snr_db=0.0, trial=2)
-        ch = obs.channel
+        ctx, obs, frame, state, *_, ch = build_observation(cfg, snr_db=0.0, trial=2)
         ch.h_d = np.zeros_like(ch.h_d)
         ch.f_casc = np.zeros_like(ch.f_casc)
         # the same samples, scored against the zeroed channel's effective channels
@@ -673,13 +667,13 @@ class TestPointBatch:
     def test_tied_blocks_take_first_hypothesis(self, small_cfg):
         cfg = small_cfg
         ctx, frame, state, clean, unit = _block_at_points(cfg, 2)
-        ch = clean.channel
+        ch = ctx.channel_model.realize(trial_rng(cfg.seed, 2))
         ch.h_d = np.zeros_like(ch.h_d)
         ch.f_casc = np.zeros_like(ch.f_casc)
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
         zeroed = observe(ch, frame, state, 0.0, trial_rng(0, 0))
-        stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]), ch,
+        stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]),
                               zeroed.eff)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(stacked, *args)

@@ -19,9 +19,9 @@ from timsr.ris import clc_dc_power
 from timsr.rx import llr_detect, ml_joint_detect
 from timsr.sim import (
     CSV_COLUMNS,
+    PowerBudgetReport,
     _aggregate,
     ber_sweep,
-    benchmark_mode,
     direct_snr_sigma2,
     harvest_sweep,
     make_context,
@@ -99,7 +99,7 @@ class TestBlockTrial:
         ])
         dc_eh = np.mean([
             clc_dc_power(
-                slot_eh_received(channel, state.reflection("info" if t else "power"), s)[1],
+                slot_eh_received(channel, state.psi[ris_bit if t else -1], s)[1],
                 ctx.eh_model,
             )
             for t, s in zip(frame.tau, frame.samples)
@@ -116,7 +116,7 @@ class TestBlockTrial:
         detect = ml_joint_detect if detector == "ml" else llr_detect
         ptx_errors = 0
         for i in range(20):
-            ctx, obs, frame, _, bits, ris_bit = build_observation(cfg, 0.0, trial=i)
+            ctx, obs, frame, _, bits, ris_bit, _ = build_observation(cfg, 0.0, trial=i)
             det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                          frame.omega, cfg.p_low_w)
             rec = run_block_trial(ctx, i)
@@ -275,6 +275,25 @@ class TestPowerBudgetReport:
         assert rep.margin_rf_w > 0  # harvested DC covers the rf-switch budget
         assert rep.margin_varactor_w < 0
 
+    @pytest.mark.parametrize("n2, want", [
+        (17, PowerBudgetReport(
+            p_ris_rf_w=0.003456, p_ris_varactor_w=0.02368, ratio_db=8.358079642440265, n2=17,
+            blocks=40, avg_dc_ris_uw=3313.2390615589106, margin_rf_w=-0.00014276093844108918,
+            margin_varactor_w=-0.02036676093844109, standalone_frac_rf=0.35,
+            standalone_frac_var=0.0)),
+        (46, PowerBudgetReport(
+            p_ris_rf_w=0.003456, p_ris_varactor_w=0.02368, ratio_db=8.358079642440265, n2=46,
+            blocks=40, avg_dc_ris_uw=23948.426385622985, margin_rf_w=0.020492426385622983,
+            margin_varactor_w=0.0002684263856229836, standalone_frac_rf=1.0,
+            standalone_frac_var=0.55)),
+    ])
+    def test_workers_keep_fixed_seed_values(self, n2, want):
+        # the report maps its blocks like a sweep; the values at seed 3 are
+        # those of the one-block-at-a-time loop it replaced
+        cfg = make_config(n2=n2, trials=40, seed=3)
+        assert power_budget_report(cfg, workers=1) == want
+        assert power_budget_report(cfg, workers=2) == want
+
     def test_scaling_with_cells(self):
         small = power_budget_report(make_config(trials=10))
         big = power_budget_report(make_config(n_cells=512, n1=60, n2=35, trials=10))
@@ -300,7 +319,7 @@ class TestBenchmark:
         bits = rng.integers(0, 2, 8)
         frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
         assert frame.tau.sum() == 4  # no power slots left
-        table = benchmark_mode(cfg)
+        table = ber_sweep(replace(cfg, scheme="benchmark"))
         assert table.rows[0].scheme == "benchmark"
 
     def test_time_domain_bits_beat_signal_domain_bits(self):
@@ -309,8 +328,8 @@ class TestBenchmark:
         # lose to carrying them in a larger constellation (fixed slots,
         # 16-QAM), within two standard errors
         tim = ber_sweep(make_config(snr_db_grid=(5.0,), trials=3000)).rows[0]
-        bench = benchmark_mode(
-            make_config(snr_db_grid=(5.0,), m_order=16, trials=3000)
+        bench = ber_sweep(
+            replace(make_config(snr_db_grid=(5.0,), m_order=16, trials=3000), scheme="benchmark")
         ).rows[0]
         slack = 2 * math.hypot(tim.se_ber_ptx, bench.se_ber_ptx)
         assert tim.ber_ptx <= bench.ber_ptx + slack
@@ -387,10 +406,23 @@ class TestConfig:
         (dict(snr_db_grid=(10.0, math.nan)), "snr_db_grid value nan dB"),
         (dict(codebook_strategy="bogus"), "codebook_strategy must be one of"),
         (dict(codebook_strategy="table1"), "table1 preset is defined only for K=4, L=2"),
+        (dict(m_rx=0), "m_rx must be >= 1"),
+        (dict(n_cells=0, n1=0, n2=0), "n_cells must be >= 1"),
+        (dict(kappa=math.nan), "kappa must be finite"),
+        (dict(omega_phase_rad=math.nan), "omega_phase_rad must be finite"),
+        (dict(p_low_dbm=math.inf, p_high_dbm=math.inf), "p_low_dbm must be finite"),
+        (dict(p_cb_uw=-5.0), "p_cb_uw must be >= 0"),
+        (dict(ris_rho=2.0), r"ris_rho must be in \(0, 1\]"),
+        (dict(ris_p_on_uw=1e6), "need 0 < ris_p_on_uw < ris_p_sat_mw"),
+        (dict(eh_rho=0.0), r"eh_rho must be in \(0, 1\]"),
+        (dict(eh_p_on_uw=0.0), "need 0 < eh_p_on_uw < eh_p_sat_mw"),
+        (dict(k_slots=64, l_slots=32), "the LLR detector would hold"),
     ], ids=["kappa", "d_tx_ris", "d_ris_rx", "d_direct", "carrier_zero", "carrier_negative",
             "n_cb", "m_order_not_pow2", "m_order_below_2", "qam_8", "qam_32", "constellation",
             "los_phase_policy", "technology", "snr_overflow", "snr_underflow", "snr_inf",
-            "snr_nan", "codebook_strategy", "table1_layout"])
+            "snr_nan", "codebook_strategy", "table1_layout", "m_rx_zero", "n_cells_zero",
+            "kappa_nan", "omega_nan", "p_dbm_inf", "p_cb_negative", "ris_rho_above_one",
+            "ris_p_on_above_sat", "eh_rho_zero", "eh_p_on_zero", "llr_codebook"])
     def test_config_time_guard(self, overrides, message):
         # bad input fails in make_config, before any context or channel model
         with pytest.raises(ValueError, match=message):
@@ -402,6 +434,16 @@ class TestConfig:
             make_config(m_order=m_order, constellation=kind)
         for policy in ("per-link", "per-entry", "zero"):
             make_config(los_phase_policy=policy, technology="varactor")
+
+    def test_physical_guards_accept_boundary_values(self):
+        make_config(m_rx=1, n_cells=1, n1=0, n2=1, ris_rho=1.0, eh_rho=1.0,
+                    p_cb_uw=0.0, p_switch_uw=0.0, p_drive_uw=0.0, p_varactor_uw=0.0)
+
+    def test_llr_codebook_guard(self):
+        # S * |A| * L: (24, 12) has 2^21 codewords, 7 * 2^21 * 12 > 2^25
+        with pytest.raises(ValueError, match="LLR detector"):
+            make_config(k_slots=24, l_slots=12)
+        make_config(k_slots=24, l_slots=12, snr_db_grid=(10.0,))   # 2^21 * 12 fits
 
     def test_ml_hypothesis_space_guard(self):
         # (8,4) 64-QAM: 64 codewords * 2 phases * 64^4 symbol vectors = 2^31
