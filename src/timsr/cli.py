@@ -1,5 +1,5 @@
-"""Command-line front end: sweep commands writing CSV, the power-budget
-report, and the invariant self-check."""
+"""Command-line front end: sweep commands writing CSV and the power-budget
+report."""
 
 from __future__ import annotations
 
@@ -93,17 +93,7 @@ def main(argv=None) -> int:
     p_bench = sub.add_parser("benchmark", help="BER sweep of the fixed-slot reference scheme")
     _add_common(p_bench)
 
-    p_val = sub.add_parser("validate", help="run the invariant self-checks")
-    _add_common(p_val)
-
     args = parser.parse_args(argv)
-
-    if args.command == "validate":
-        from .validate import run_all
-
-        failed = run_all(verbose=True)
-        print(f"{failed} check(s) failed" if failed else "all checks passed")
-        return 1 if failed else 0
 
     try:
         cfg = _build_config(args)

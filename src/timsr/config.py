@@ -24,10 +24,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts) + 30.0
-
-
 def direct_snr_sigma2(cfg: "SimConfig", snr_db: float) -> float:
     """Noise variance from the direct-link SNR definition: the direct-path
     gain divided by the linear SNR."""
@@ -153,6 +149,14 @@ class SimConfig:
             raise ValueError(
                 f"cell split n1={self.n1}, n2={self.n2} incompatible with n_cells={self.n_cells}"
             )
+        for name in ("p_low_dbm", "p_high_dbm"):
+            try:
+                watts = dbm_to_watts(getattr(self, name))
+            except OverflowError:
+                watts = math.inf
+            if not (math.isfinite(watts) and watts > 0):
+                raise ValueError(f"{name} value {getattr(self, name)} dBm gives no finite "
+                                 f"positive power in watts")
         if self.p_high_dbm < self.p_low_dbm:
             raise ValueError("p_high_dbm must be >= p_low_dbm")
         if not self.snr_db_grid:

@@ -69,15 +69,14 @@ def align_group1(channel: ChannelRealization, phase_pair) -> float:
 @dataclass(frozen=True)
 class RisState:
     """Surface configuration for one block, seen by both the receiver and
-    the harvester: the aligned assist phase, the surface bit, and the
-    reflection rows ``psi`` (J+1, 3) of the groups [psi1, psi2, psi3], one
-    row per information phase and a last row for the power phase. The
-    absorbing group never reflects (psi2 = 0); the outer groups reflect at
-    unit amplitude, with (group1_phase, information phase) in information
-    slots and the power phase in power slots. All L information slots of the
-    block use row ``ris_bit``."""
+    the harvester: the surface bit and the reflection rows ``psi`` (J+1, 3)
+    of the groups [psi1, psi2, psi3], one row per information phase and a
+    last row for the power phase. The absorbing group never reflects
+    (psi2 = 0); the outer groups reflect at unit amplitude, with (aligned
+    assist phase, information phase) in information slots and the power
+    phase in power slots. All L information slots of the block use row
+    ``ris_bit``."""
 
-    group1_phase: float
     ris_bit: int
     psi: np.ndarray
 
@@ -90,7 +89,7 @@ def make_ris_state(channel: ChannelRealization, phase_set: PhaseSet, ris_bit: in
     group1_phase = align_group1(channel, phase_set.phi_info)
     p = np.exp(-1j * phase_set.phi_power)
     rows = [[np.exp(-1j * group1_phase), 0.0, np.exp(-1j * th)] for th in phase_set.phi_info]
-    return RisState(group1_phase, ris_bit, np.array(rows + [[p, 0.0, p]], dtype=complex))
+    return RisState(ris_bit, np.array(rows + [[p, 0.0, p]], dtype=complex))
 
 
 def ris_rectenna_input(h_r2: np.ndarray, samples):

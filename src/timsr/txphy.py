@@ -115,7 +115,6 @@ class IndexCodebook:
     l_slots: int
     codewords: tuple
     bits_index: int
-    strategy: str
     _index: dict = field(repr=False, compare=False, default_factory=dict)
     slot_index: np.ndarray = field(repr=False, compare=False, default=None)
     index_bits: np.ndarray = field(repr=False, compare=False, default=None)
@@ -132,7 +131,7 @@ class IndexCodebook:
         return self.codewords[bits_to_int(bits)]
 
 
-def _make_codebook(k_slots, l_slots, codewords, bits_index, strategy) -> IndexCodebook:
+def _make_codebook(k_slots, l_slots, codewords, bits_index) -> IndexCodebook:
     lookup = {cw: i for i, cw in enumerate(codewords)}
     slot_index = np.array(codewords, dtype=np.int64) - 1
     slot_index.setflags(write=False)
@@ -141,7 +140,6 @@ def _make_codebook(k_slots, l_slots, codewords, bits_index, strategy) -> IndexCo
         l_slots=l_slots,
         codewords=tuple(codewords),
         bits_index=bits_index,
-        strategy=strategy,
         _index=lookup,
         slot_index=slot_index,
         index_bits=_bit_table(len(codewords), bits_index),
@@ -171,7 +169,7 @@ def build_codebook(k_slots: int, l_slots: int, strategy: str = "lexicographic") 
                 break
     else:
         raise ValueError(f"unknown codebook strategy {strategy!r}")
-    return _make_codebook(k_slots, l_slots, codewords, bits_index, strategy)
+    return _make_codebook(k_slots, l_slots, codewords, bits_index)
 
 
 def build_benchmark_codebook(k_slots: int, l_slots: int) -> IndexCodebook:
@@ -179,9 +177,7 @@ def build_benchmark_codebook(k_slots: int, l_slots: int) -> IndexCodebook:
     first L slots always carry information, so no index bits are conveyed."""
     if not 1 <= l_slots <= k_slots:
         raise ValueError(f"need 1 <= L <= K, got L={l_slots}, K={k_slots}")
-    return _make_codebook(
-        k_slots, l_slots, (tuple(range(1, l_slots + 1)),), 0, "benchmark"
-    )
+    return _make_codebook(k_slots, l_slots, (tuple(range(1, l_slots + 1)),), 0)
 
 
 def codeword_to_tau(codeword, k_slots: int) -> np.ndarray:
@@ -198,16 +194,9 @@ class TimFrame:
 
     tau: np.ndarray
     samples: np.ndarray
-    index_bits: np.ndarray
-    info_bits: np.ndarray
+    bits: np.ndarray
     codeword: tuple
-    p_info_w: float
-    p_power_w: float
     omega: complex
-
-    @property
-    def bits(self) -> np.ndarray:
-        return np.concatenate([self.index_bits, self.info_bits])
 
 
 def encode_block(
@@ -233,9 +222,8 @@ def encode_block(
     if bits.shape != (eta,):
         raise ValueError(f"expected {eta} bits, got shape {bits.shape}")
 
-    index_bits = bits[: codebook.bits_index]
     info_bits = bits[codebook.bits_index :]
-    codeword = codebook.codeword_for_bits(index_bits)
+    codeword = codebook.codeword_for_bits(bits[: codebook.bits_index])
     omega = math.sqrt(p_power_w) * np.exp(1j * omega_phase)
 
     samples = np.full(codebook.k_slots, omega, dtype=complex)
@@ -248,11 +236,8 @@ def encode_block(
     return TimFrame(
         tau=codeword_to_tau(codeword, codebook.k_slots),
         samples=samples,
-        index_bits=index_bits,
-        info_bits=info_bits,
+        bits=bits,
         codeword=codeword,
-        p_info_w=p_info_w,
-        p_power_w=p_power_w,
         omega=complex(omega),
     )
 

@@ -1,7 +1,14 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from timsr.cli import main
+from timsr.config import SimConfig
 from timsr.sim import CSV_COLUMNS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL = "k_slots = 4\nl_slots = 2\ncodebook_strategy = table1\nsnr_db_grid = 0, 10\n"
 
@@ -81,13 +88,6 @@ def test_paper_compat_flag(tmp_path, cfg_file):
                  "--paper-compat", "--out", str(out)]) == 0
 
 
-def test_validate_subcommand(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert out.count("PASS") >= 10
-
-
 def test_bad_config_key_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("not_a_key = 1\n")
@@ -148,6 +148,35 @@ def test_zero_receive_antennas_fail_cleanly(tmp_path, capsys):
     assert main(["ber-sweep", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: m_rx must be >= 1")
     assert not out.exists()
+
+
+def test_unusable_power_level_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "dbm.cfg"
+    path.write_text("p_low_dbm = 4000\np_high_dbm = 4000\n")
+    out = tmp_path / "out.csv"
+    assert main(["ber-sweep", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: p_low_dbm value 4000.0 dBm")
+    assert not out.exists()
+
+
+def _readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_commands_match_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    parsed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+    listed = re.findall(r"^timsr (\S+)", _readme_section("Command line"), re.MULTILINE)
+    assert listed == parsed
+
+
+def test_readme_config_keys_match_fields():
+    rows = [ln for ln in _readme_section("Configuration").splitlines() if ln.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in fields(SimConfig))
 
 
 def test_unusable_snr_point_fails_cleanly(tmp_path, capsys):

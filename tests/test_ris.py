@@ -115,9 +115,9 @@ class TestReflectionVector:
         assert vec[2] == pytest.approx(1.0)
         assert vec[0] == pytest.approx(np.exp(-1j * 0.3))
 
-    @pytest.mark.parametrize("stage", ["info", "power"])
+    @pytest.mark.parametrize("stage", ["info", "power", "info-bit0"])
     def test_amplitude_structure(self, stage):
-        vec = reflection_rows(1.1, 2.2)[1 if stage == "info" else -1]
+        vec = reflection_rows(1.1, 2.2)[{"info": 1, "power": -1, "info-bit0": 0}[stage]]
         assert vec[1] == 0.0
         assert abs(vec[0]) == pytest.approx(1.0)
         assert abs(vec[2]) == pytest.approx(1.0)

@@ -230,14 +230,16 @@ class TestLlrPerSlot:
         assert math.log(2**2) - math.log((4 - 2) ** 2) == 0.0
 
     def test_recursion_matches_direct_logsumexp(self, small_cfg):
-        for trial, snr in enumerate((-10.0, 0.0, 10.0, 20.0, 30.0)):
-            ctx, obs, frame, *_, ch = build_observation(small_cfg, snr_db=snr, trial=trial)
-            got = self._llr(ctx, obs, frame, small_cfg)
-            want = direct_llr(
-                obs, ch, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                ctx.phase_set, small_cfg.k_slots, small_cfg.l_slots, small_cfg.p_low_w,
-            )
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+        # (4, 2) has a zero slot prior, (8, 2) the prior ln(4) - ln(36)
+        for cfg in (small_cfg, make_config(k_slots=8, l_slots=2, trials=1)):
+            for trial, snr in enumerate((-10.0, 0.0, 10.0, 20.0, 30.0)):
+                ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=snr, trial=trial)
+                got = self._llr(ctx, obs, frame, cfg)
+                want = direct_llr(
+                    obs, ch, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
+                    ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w,
+                )
+                np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zero_variance_rejected(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)

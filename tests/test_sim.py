@@ -411,6 +411,9 @@ class TestConfig:
         (dict(kappa=math.nan), "kappa must be finite"),
         (dict(omega_phase_rad=math.nan), "omega_phase_rad must be finite"),
         (dict(p_low_dbm=math.inf, p_high_dbm=math.inf), "p_low_dbm must be finite"),
+        (dict(p_low_dbm=4000.0, p_high_dbm=4000.0), "p_low_dbm value 4000.0 dBm"),
+        (dict(p_high_dbm=4000.0), "p_high_dbm value 4000.0 dBm"),
+        (dict(p_low_dbm=-4000.0), "p_low_dbm value -4000.0 dBm"),
         (dict(p_cb_uw=-5.0), "p_cb_uw must be >= 0"),
         (dict(ris_rho=2.0), r"ris_rho must be in \(0, 1\]"),
         (dict(ris_p_on_uw=1e6), "need 0 < ris_p_on_uw < ris_p_sat_mw"),
@@ -421,8 +424,9 @@ class TestConfig:
             "n_cb", "m_order_not_pow2", "m_order_below_2", "qam_8", "qam_32", "constellation",
             "los_phase_policy", "technology", "snr_overflow", "snr_underflow", "snr_inf",
             "snr_nan", "codebook_strategy", "table1_layout", "m_rx_zero", "n_cells_zero",
-            "kappa_nan", "omega_nan", "p_dbm_inf", "p_cb_negative", "ris_rho_above_one",
-            "ris_p_on_above_sat", "eh_rho_zero", "eh_p_on_zero", "llr_codebook"])
+            "kappa_nan", "omega_nan", "p_dbm_inf", "p_dbm_overflow", "p_high_dbm_overflow",
+            "p_dbm_underflow", "p_cb_negative", "ris_rho_above_one", "ris_p_on_above_sat",
+            "eh_rho_zero", "eh_p_on_zero", "llr_codebook"])
     def test_config_time_guard(self, overrides, message):
         # bad input fails in make_config, before any context or channel model
         with pytest.raises(ValueError, match=message):
