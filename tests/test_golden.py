@@ -1,0 +1,104 @@
+"""Golden bytes: the SHA-256 of short sweeps' CSVs and of the power-budget
+text, pinned in ``golden_digests.json``. Any change to how trials are drawn,
+batched, detected or aggregated that moves a single output byte fails here.
+
+Record the digests again (only for a deliberate, declared output change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from timsr import make_config
+from timsr.cli import main as cli_main
+from timsr.sim import ber_sweep, harvest_sweep
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+TRIALS = 45
+
+# name -> (sweep kind, make_config overrides, workers)
+CASES = {
+    "llr_8_2": ("ber", dict(detector="llr"), 1),
+    "ml_8_2": ("ber", dict(detector="ml"), 1),
+    "ml_8_4": ("ber", dict(l_slots=4, detector="ml"), 1),
+    "llr_8_2_paper_compat": ("ber", dict(detector="llr", paper_compat=True), 1),
+    "ml_8_2_paper_compat": ("ber", dict(detector="ml", paper_compat=True), 1),
+    "llr_benchmark": ("ber", dict(scheme="benchmark", detector="llr"), 1),
+    "ml_benchmark": ("ber", dict(scheme="benchmark", detector="ml"), 1),
+    "llr_4_2_table1": ("ber", dict(k_slots=4, l_slots=2, codebook_strategy="table1",
+                                   detector="llr"), 1),
+    "ml_4_2_table1": ("ber", dict(k_slots=4, l_slots=2, codebook_strategy="table1",
+                                  detector="ml"), 1),
+    "llr_4_1_bpsk": ("ber", dict(k_slots=4, l_slots=1, m_order=2, detector="llr"), 1),
+    "ml_4_1_bpsk": ("ber", dict(k_slots=4, l_slots=1, m_order=2, detector="ml"), 1),
+    "llr_per_entry_repeated_400db": ("ber", dict(los_phase_policy="per-entry", detector="llr",
+                                                 snr_db_grid=(0.0, 10.0, 0.0, 400.0)), 1),
+    "ml_per_entry_repeated_400db": ("ber", dict(los_phase_policy="per-entry", detector="ml",
+                                                snr_db_grid=(0.0, 10.0, 0.0, 400.0)), 1),
+    "llr_zero_los": ("ber", dict(los_phase_policy="zero", detector="llr"), 1),
+    "ml_zero_los": ("ber", dict(los_phase_policy="zero", detector="ml"), 1),
+    "llr_8_2_w2": ("ber", dict(detector="llr"), 2),
+    "harvest_w1": ("harvest", {}, 1),
+    "harvest_w2": ("harvest", {}, 2),
+}
+
+# absorber counts from none to every cell outside the assist group
+HARVEST_GRID = (0, 16, 35, 100, 196)
+
+
+def case_bytes(name, tmp_path) -> bytes:
+    kind, overrides, workers = CASES[name]
+    cfg = make_config(trials=TRIALS, **overrides)
+    path = tmp_path / f"{name}.csv"
+    if kind == "ber":
+        ber_sweep(cfg, workers=workers).to_csv(path)
+    else:
+        assert HARVEST_GRID[-1] == cfg.n_cells - cfg.n1
+        harvest_sweep(cfg, n2_grid=HARVEST_GRID, workers=workers).table.to_csv(path)
+    return path.read_bytes()
+
+
+def power_budget_text() -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["power-budget", "--trials", str(TRIALS)]) == 0
+    return out.getvalue().encode("utf-8")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_bytes(name, digests, tmp_path):
+    assert sha256(case_bytes(name, tmp_path)) == digests[name]
+
+
+def test_power_budget_text(digests):
+    assert sha256(power_budget_text()) == digests["power_budget"]
+
+
+def test_every_digest_is_checked(digests):
+    assert set(digests) == set(CASES) | {"power_budget"}
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = {name: sha256(case_bytes(name, Path(tmp))) for name in sorted(CASES)}
+    recorded["power_budget"] = sha256(power_budget_text())
+    DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(recorded)} digests to {DIGESTS}", file=sys.stderr)
