@@ -5,6 +5,10 @@ transmitter->surface, surface->receiver, transmitter->harvester, and
 surface->harvester. The surface is partitioned into three cell groups
 (assist / absorb / inform) and the per-group cascaded channels are
 assembled once per block.
+
+A block's links come from one draw of standard normals, link by link, real
+parts before imaginary parts. B such draws stacked give a batch of blocks:
+every link and cascade gains a leading block axis.
 """
 
 from __future__ import annotations
@@ -56,22 +60,30 @@ class RicianSpec:
         object.__setattr__(self, "los", los)
 
 
-def sample_rician(spec: RicianSpec, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+def sample_rician(spec: RicianSpec, rows: int, cols: int, rng) -> np.ndarray:
     """Draw a rows x cols matrix of independent Rician fades.
 
     Each entry is sqrt(gain) * (sqrt(k/(k+1)) * exp(j*theta_los)
     + sqrt(1/(k+1)) * w) with w standard circularly symmetric complex
-    Gaussian, so the per-entry mean power equals the path gain.
+    Gaussian, so the per-entry mean power equals the path gain. ``rng`` is
+    a random stream, or normals (..., 2*rows*cols) drawn from one (real
+    parts, then imaginary parts) giving fades (..., rows, cols).
     """
-    shape = (rows, cols)
-    nlos = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    mix = spec.los + math.sqrt(1.0 / (spec.kappa + 1.0)) * nlos
-    return math.sqrt(spec.path_gain) * mix
+    z = rng.standard_normal(2 * rows * cols) if isinstance(rng, np.random.Generator) else rng
+    z = np.reshape(z, np.shape(z)[:-1] + (2, rows, cols))
+    fade = 1j * z[..., 1, :, :]           # in place from here: one array per link
+    fade += z[..., 0, :, :]
+    fade /= math.sqrt(2.0)
+    fade *= math.sqrt(1.0 / (spec.kappa + 1.0))
+    fade += spec.los
+    fade *= math.sqrt(spec.path_gain)
+    return fade
 
 
 @dataclass
 class ChannelRealization:
-    """All channel blocks for one coherence block of K slots.
+    """All channel blocks for one coherence block of K slots, or for a batch
+    of blocks with a leading block axis on every array.
 
     ``f_casc`` (receive antennas x 3) and ``v_casc`` (3,) hold the per-group
     cascaded channels toward the receiver and the harvester; column/entry l
@@ -82,7 +94,7 @@ class ChannelRealization:
     h_d: np.ndarray
     h_r: np.ndarray
     G_d: np.ndarray
-    h_e: complex
+    h_e: np.ndarray
     g_e: np.ndarray
     group_sizes: tuple
     f_casc: np.ndarray
@@ -101,31 +113,24 @@ class ChannelRealization:
 
 
 def make_realization(h_d, h_r, G_d, h_e, g_e, group_sizes) -> ChannelRealization:
-    """Assemble a realization and its cascaded channels from raw link draws."""
-    h_d = np.asarray(h_d, dtype=complex)
-    h_r = np.asarray(h_r, dtype=complex)
-    G_d = np.asarray(G_d, dtype=complex)
-    g_e = np.asarray(g_e, dtype=complex)
-    n = h_r.shape[0]
+    """Assemble a realization and its cascaded channels from raw link draws
+    with the same leading block axes, one stacked matrix-vector product per
+    group: each block's cascade equals that of the block alone."""
+    h_d, h_r, G_d, h_e, g_e = (np.asarray(x, dtype=complex) for x in (h_d, h_r, G_d, h_e, g_e))
+    n = h_r.shape[-1]
     if sum(group_sizes) != n:
         raise ValueError(f"group sizes {group_sizes} do not sum to N={n}")
-    if G_d.shape != (h_d.shape[0], n) or g_e.shape != (n,):
+    if G_d.shape[-2:] != (h_d.shape[-1], n) or g_e.shape[-1:] != (n,):
         raise ValueError("inconsistent link dimensions")
 
-    real = ChannelRealization(
-        h_d=h_d,
-        h_r=h_r,
-        G_d=G_d,
-        h_e=complex(h_e),
-        g_e=g_e,
-        group_sizes=tuple(group_sizes),
-        f_casc=np.zeros((h_d.shape[0], 3), dtype=complex),
-        v_casc=np.zeros(3, dtype=complex),
-    )
+    real = ChannelRealization(h_d, h_r, G_d, h_e, g_e, tuple(group_sizes),
+                              np.zeros(h_d.shape + (3,), dtype=complex),
+                              np.zeros(h_e.shape + (3,), dtype=complex))
     for l in range(3):
         sl = real.group_slice(l)
-        real.f_casc[:, l] = G_d[:, sl] @ h_r[sl]
-        real.v_casc[l] = g_e[sl] @ h_r[sl]
+        column = h_r[..., sl, None]
+        real.f_casc[..., l] = (G_d[..., sl] @ column)[..., 0]
+        real.v_casc[..., l] = (g_e[..., None, sl] @ column)[..., 0, 0]
     return real
 
 
@@ -173,6 +178,7 @@ class ChannelModel:
             "h_e": ((1, 1), gain_direct),
             "g_e": ((n_cells, 1), gain_ris_rx),
         }
+        self.n_normals = 2 * sum(math.prod(shape) for shape, _ in self.links.values())
         self.specs = {}
         for name, (shape, gain) in self.links.items():
             if los_phase_policy == "zero":
@@ -183,8 +189,16 @@ class ChannelModel:
                 phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
             self.specs[name] = RicianSpec(kappa=kappa, path_gain=gain, los_phase=phase)
 
-    def realize(self, rng: np.random.Generator) -> ChannelRealization:
-        """Draw one block realization; fixed for the K slots of the block."""
-        h_d, h_r, G_d, h_e, g_e = (sample_rician(self.specs[name], *shape, rng)
-                                   for name, (shape, _) in self.links.items())
-        return make_realization(h_d[:, 0], h_r[:, 0], G_d, h_e[0, 0], g_e[:, 0], self.group_sizes)
+    def realize(self, rng) -> ChannelRealization:
+        """One block realization, fixed for the K slots of the block, drawn
+        from random stream ``rng`` as ``rng.standard_normal(n_normals)``; or a
+        batch from those draws of B streams stacked, normals (B, n_normals)."""
+        z = rng.standard_normal(self.n_normals) if isinstance(rng, np.random.Generator) else rng
+        links, start = [], 0
+        for name, (shape, _) in self.links.items():
+            stop = start + 2 * math.prod(shape)
+            links.append(sample_rician(self.specs[name], *shape, z[..., start:stop]))
+            start = stop
+        h_d, h_r, G_d, h_e, g_e = links
+        return make_realization(h_d[..., 0], h_r[..., 0], G_d, h_e[..., 0, 0], g_e[..., 0],
+                                self.group_sizes)

@@ -35,35 +35,22 @@ def phase_set_2bit() -> PhaseSet:
     return PhaseSet(phi_info=levels[:2], phi_power=levels[2])
 
 
-def wrap_angle(x: float) -> float:
-    """Wrap to (-pi, pi]."""
-    return -((-x + math.pi) % TWO_PI - math.pi)
-
-
-def closest_phase(target: float, candidates) -> float:
-    """Candidate minimizing the squared wrapped distance to ``target``;
-    ties resolve to the earliest candidate."""
-    best = None
-    best_d = math.inf
-    for c in candidates:
-        d = wrap_angle(c - target) ** 2
-        if d < best_d:
-            best, best_d = c, d
-    return float(best)
-
-
-def align_group1(channel: ChannelRealization, phase_pair) -> float:
+def align_group1(channel: ChannelRealization, phase_pair):
     """Phase applied by the assisting group: the information-pair level
     closest to the circular mean, over the group's cells, of the phase that
     co-phases each cascaded path with the direct link (first receive antenna
-    as reference)."""
+    as reference). Closest means the least squared wrapped distance, first
+    level on ties; an empty group takes the first level. A batch of
+    realizations gives one phase per block."""
+    pair = np.asarray(phase_pair, dtype=float)
     sl = channel.group_slice(0)
-    cascade = channel.G_d[0, sl] * channel.h_r[sl]
-    if cascade.size == 0:
-        return float(phase_pair[0])
-    desired = np.angle(cascade) - np.angle(channel.h_d[0])
-    mu = float(np.angle(np.exp(1j * desired).sum()))
-    return closest_phase(mu, phase_pair)
+    cascade = channel.G_d[..., 0, sl] * channel.h_r[..., sl]
+    if cascade.shape[-1] == 0:
+        return np.full(cascade.shape[:-1], pair[0])
+    desired = np.angle(cascade) - np.angle(channel.h_d[..., :1])
+    mu = np.angle(np.exp(1j * desired).sum(axis=-1))
+    wrapped = -((-(pair - mu[..., None]) + math.pi) % TWO_PI - math.pi)      # in (-pi, pi]
+    return pair[np.argmin(np.float_power(wrapped, 2), axis=-1)]
 
 
 @dataclass(frozen=True)
@@ -75,27 +62,35 @@ class RisState:
     (psi2 = 0); the outer groups reflect at unit amplitude, with (aligned
     assist phase, information phase) in information slots and the power
     phase in power slots. All L information slots of the block use row
-    ``ris_bit``."""
+    ``ris_bit``. A batch of blocks has bits (B,) and rows (B, J+1, 3)."""
 
-    ris_bit: int
+    ris_bit: int | np.ndarray
     psi: np.ndarray
 
+    def info_row(self, rows: np.ndarray) -> np.ndarray:
+        """Row ``ris_bit`` of per-phase rows (..., J+1, n), block by block."""
+        return np.take_along_axis(rows, np.asarray(self.ris_bit)[..., None, None], -2)[..., 0, :]
 
-def make_ris_state(channel: ChannelRealization, phase_set: PhaseSet, ris_bit: int) -> RisState:
+
+def make_ris_state(channel: ChannelRealization, phase_set: PhaseSet, ris_bit) -> RisState:
     """Configure the surface for a block: bit 0/1 selects the first/second
-    information phase; the assist group is co-phased against the channel."""
-    if ris_bit not in (0, 1):
+    information phase; the assist group is co-phased against the channel.
+    A batch of realizations takes one bit per block."""
+    if not np.all((np.asarray(ris_bit) == 0) | (np.asarray(ris_bit) == 1)):
         raise ValueError(f"surface bit must be 0 or 1, got {ris_bit}")
-    group1_phase = align_group1(channel, phase_set.phi_info)
-    p = np.exp(-1j * phase_set.phi_power)
-    rows = [[np.exp(-1j * group1_phase), 0.0, np.exp(-1j * th)] for th in phase_set.phi_info]
-    return RisState(ris_bit, np.array(rows + [[p, 0.0, p]], dtype=complex))
+    assist = np.exp(-1j * align_group1(channel, phase_set.phi_info))
+    psi = np.zeros(assist.shape + (len(phase_set.phi_info) + 1, 3), dtype=complex)
+    psi[..., :-1, 0] = assist[..., None]
+    psi[..., :-1, 2] = np.exp(-1j * np.asarray(phase_set.phi_info))
+    psi[..., -1, ::2] = np.exp(-1j * phase_set.phi_power)
+    return RisState(ris_bit, psi)
 
 
 def ris_rectenna_input(h_r2: np.ndarray, samples):
     """RF power |sum h_r2|^2 |s_k|^2 entering the surface rectenna in each
-    slot: the absorbed signals combine coherently before rectification."""
-    return np.abs(np.sum(h_r2)) ** 2 * np.abs(samples) ** 2
+    slot: the absorbed signals combine coherently before rectification.
+    Absorbers (..., n2) and samples (..., K) give powers (..., K)."""
+    return np.float_power(np.abs(np.sum(h_r2, axis=-1, keepdims=True)), 2) * np.abs(samples) ** 2
 
 
 @dataclass(frozen=True)
@@ -162,8 +157,9 @@ def eh_received(channel: ChannelRealization, state: RisState, tau, samples):
     """Received samples and rectenna input powers at the harvester in each
     slot: direct plus reflected path, under the block's information row of
     ``psi`` where ``tau`` is 1 and the power row elsewhere. Thermal noise is
-    below the harvesting floor and is not modeled."""
-    e_info = channel.h_e + channel.v_casc @ state.psi[state.ris_bit]
-    e_power = channel.h_e + channel.v_casc @ state.psi[-1]
-    eps = np.where(np.asarray(tau) == 1, e_info, e_power) * samples
+    below the harvesting floor and is not modeled. A batch of blocks takes
+    ``tau`` and ``samples`` (B, K)."""
+    e_info, e_power = (channel.h_e + (channel.v_casc[..., None, :] @ row[..., None])[..., 0, 0]
+                       for row in (state.info_row(state.psi), state.psi[..., -1, :]))
+    eps = np.where(np.asarray(tau) == 1, e_info[..., None], e_power[..., None]) * samples
     return eps, np.abs(eps) ** 2

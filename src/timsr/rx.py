@@ -8,24 +8,22 @@ phase), and the :class:`Observation` carries them as ``eff``.
 :func:`slot_costs` scores the received samples against them; every detector
 stage is an array kernel over those slot costs.
 
-The kernels carry a leading point axis: a block received at S noise
-variances is one stacked :class:`Observation`, detected in one call into a
-:class:`DetectionResult` with one decision per point; an unbatched
-observation is the S = 1 case, with the axis dropped. The joint-ML metric
-alone is built and searched one point at a time: stacked, its memory grows
-S-fold (7 x 32,768 floats for (8,4) on a 7-point grid) and it ran slower.
+The kernels carry leading axes: B blocks received at S noise variances are
+one :class:`Observation` with samples (B, S, K, M_R), detected in one call
+with one decision per (block, point) row. One block stacked over S
+variances drops the block axis; an unbatched observation drops both.
 
-The joint detector scores every (codeword, surface phase, symbol vector)
-hypothesis over the whole block from the gathered slot costs of each
-codeword. The LLR pipeline first classifies each slot as information-like
-or power-like, projects the classification onto the legitimate codeword
-set, and only then runs a small symbol/phase search on the selected slots.
+The joint detector finds the least metric over every (codeword, surface
+phase, symbol vector) hypothesis without enumerating them
+(:func:`joint_search`). The LLR pipeline classifies each slot as
+information-like or power-like, projects that onto the legitimate codeword
+set, then runs a small symbol/phase search on the selected slots.
 Enumeration orders are fixed: codewords in codebook order, then the
 information-phase pair in order, then symbol vectors in lexicographic label
 order with the earliest slot most significant; the first-found minimum wins
 ties everywhere. Every kernel adds its terms in the order of a loop over
 the hypotheses, so each metric equals that loop's value bit for bit, and
-each point's decision equals that of detecting the point alone.
+each row's decision equals that of detecting the row alone.
 """
 
 from __future__ import annotations
@@ -50,16 +48,17 @@ class Observation:
     the noise variance and the effective receive channels ``eff`` (J+1, M_R)
     h_d + F psi, one row per reflection row ``psi`` of the surface state:
     each information phase, then the power phase. A stacked observation
-    holds samples (S, K, M_R) and variances (S,)."""
+    holds samples (S, K, M_R) and variances (S,); a batch of blocks adds a
+    leading block axis to the samples and to ``eff``."""
 
     y: np.ndarray
     sigma2: float | np.ndarray
     eff: np.ndarray
 
     def stacked(self) -> "Observation":
-        """This observation with a leading point axis (S = 1 when unbatched)."""
-        return self if self.y.ndim == 3 else Observation(
-            self.y[None], np.reshape(self.sigma2, 1), self.eff)
+        """This observation with a point axis (S = 1 when it has one variance)."""
+        return self if np.ndim(self.sigma2) else Observation(
+            self.y[..., None, :, :], np.reshape(self.sigma2, 1), self.eff)
 
     def with_noise(self, sigma2, unit) -> "Observation":
         """The same block received at noise variance ``sigma2``: ``unit``
@@ -68,16 +67,20 @@ class Observation:
         one row per variance. Rows at ``sigma2 = 0`` keep the samples as
         they are, and ``unit`` may be None when no variance is positive."""
         s2 = np.asarray(sigma2, dtype=float)
+        point = (Ellipsis, None, slice(None), slice(None)) if s2.ndim else Ellipsis
+        y = self.y[point]
         scale = np.sqrt(s2 / 2.0)[..., None, None]
-        noisy = self.y + scale * unit if np.any(s2 > 0) else self.y
-        y = np.where(scale > 0, noisy, self.y)
-        return Observation(y, s2 if s2.ndim else sigma2, self.eff)
+        noisy = y + scale * unit[point] if np.any(s2 > 0) else y
+        return Observation(np.where(scale > 0, noisy, y), s2 if s2.ndim else sigma2, self.eff)
 
 
-def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian noise with unit-variance real and imaginary parts;
-    every real part is drawn before any imaginary part."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def unit_noise(shape, rng) -> np.ndarray:
+    """Complex Gaussian noise of shape (rows, cols) with unit-variance real
+    and imaginary parts; every real part is drawn before any imaginary part.
+    ``rng`` is a random stream, or such draws of B streams stacked, normals
+    (B, 2, rows, cols), which give noise (B, rows, cols)."""
+    z = rng.standard_normal((2,) + tuple(shape)) if isinstance(rng, np.random.Generator) else rng
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def observe(channel: ChannelRealization, frame: TimFrame, ris: RisState, sigma2: float,
@@ -87,12 +90,13 @@ def observe(channel: ChannelRealization, frame: TimFrame, ris: RisState, sigma2:
     in information slots and the power row elsewhere, with white Gaussian
     noise of variance ``sigma2`` in every slot. The stream is drawn from
     only when ``sigma2 > 0``. The effective channels h_d + F psi are built
-    here, one per row of ``psi``, and carried on the observation."""
+    here, one per row of ``psi``, and carried on the observation. A batch
+    of realizations, frames and surface states gives a batch of blocks."""
     if sigma2 < 0:
         raise ValueError("noise variance cannot be negative")
-    eff = np.stack([channel.h_d + channel.f_casc @ row for row in ris.psi])
-    y = np.where(frame.tau[:, None] == 1, eff[ris.ris_bit], eff[-1]) * frame.samples[:, None]
-    clean = Observation(y, 0.0, eff)
+    eff = channel.h_d[..., None, :] + (channel.f_casc[..., None, :, :] @ ris.psi[..., None])[..., 0]
+    y = np.where(frame.tau[..., None] == 1, ris.info_row(eff)[..., None, :], eff[..., -1:, :])
+    clean = Observation(y * frame.samples[..., None], 0.0, eff)
     return clean.with_noise(sigma2, unit_noise(y.shape, rng)) if sigma2 > 0 else clean
 
 
@@ -100,21 +104,26 @@ def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, 
     """Squared distances of the received vectors ``obs.y`` (..., K, M_R) to
     every single-slot hypothesis: ``info_cost`` (..., J, M, K) for each
     (phase, symbol) pair at power ``p_info_w`` and ``pow_cost`` (..., K)
-    for the power sample ``omega``."""
+    for the power sample ``omega``. The largest arrays are the real and
+    imaginary differences (..., J, M, K, M_R), squared in place."""
+    eff = obs.eff[..., None, :, :] if obs.y.ndim > obs.eff.ndim else obs.eff    # point axis
     scaled = math.sqrt(p_info_w) * constellation.points
-    cand = obs.eff[:-1, None, :] * scaled[None, :, None]                 # (J, M, M_R)
-    diff = obs.y[..., None, None, :, :] - cand[:, :, None, :]            # (..., J, M, K, M_R)
-    info_cost = np.sum(diff.real**2 + diff.imag**2, axis=-1)
-    dp = obs.y - obs.eff[-1] * omega
-    return info_cost, np.sum(dp.real**2 + dp.imag**2, axis=-1)
+    cand = (eff[..., :-1, None, :] * scaled[:, None])[..., None, :]       # (..., J, M, 1, M_R)
+    y = obs.y[..., None, None, :, :]                                      # (..., 1, 1, K, M_R)
+    sq, im = y.real - cand.real, y.imag - cand.imag
+    sq *= sq
+    im *= im
+    sq += im
+    dp = obs.y - eff[..., -1:, :] * omega
+    return np.sum(sq, axis=-1), np.sum(dp.real**2 + dp.imag**2, axis=-1)
 
 
 @dataclass
 class DetectionResult:
-    """One block's decision. A stacked observation's result has a leading
-    point axis on each per-point field: ``codeword`` (S, L) slots, labels and
-    symbols (S, L), phase and bit (S,), ``ptx_bits`` (S, eta); ``visited``
-    sums over the points."""
+    """One block's decision. A stacked or batched observation's result has
+    its leading axes on each per-row field: ``codeword`` (..., L) slots,
+    labels and symbols (..., L), phase and bit (...,), ``ptx_bits``
+    (..., eta); ``visited`` sums over the rows."""
 
     codeword: tuple | np.ndarray
     symbol_labels: tuple | np.ndarray
@@ -127,10 +136,10 @@ class DetectionResult:
 
 
 def _result(obs, codebook, constellation, alpha, labels, phase_pair, c, detector, visited):
-    """Each point's detection from its codeword index, labels and phase index;
+    """Each row's detection from its codeword index, labels and phase index;
     the point axis is dropped for an unbatched ``obs``."""
     bits = block_bits(alpha, labels, codebook, constellation)
-    if obs.y.ndim == 3:
+    if obs.y.ndim > 2:
         return DetectionResult(codebook.slot_index[alpha] + 1, labels, constellation.points[labels],
                                np.asarray(phase_pair)[c], c, bits, detector, visited)
     a, labels, c = int(alpha[0]), tuple(int(x) for x in labels[0]), int(c[0])
@@ -138,19 +147,41 @@ def _result(obs, codebook, constellation, alpha, labels, phase_pair, c, detector
                            float(phase_pair[c]), c, bits[0], detector, visited)
 
 
-def joint_metric(info_cost, pow_cost, slot_index, paper_compat: bool = False) -> np.ndarray:
-    """Block metric of every (codeword, phase, symbol vector) hypothesis,
-    shape (A, J, M^L) in enumeration order. Each codeword's power-slot base
-    (zero under ``paper_compat``) gets its (J, M, L) gathered slot costs
-    added one slot position at a time, earliest slot first."""
-    n_cw = len(slot_index)
-    gathered = np.moveaxis(info_cost[:, :, slot_index], 2, 0)          # (A, J, M, L)
-    base = np.zeros(n_cw) if paper_compat else float(pow_cost.sum()) - pow_cost[slot_index].sum(1)
-    metric = base[:, None, None]
-    for pos in range(slot_index.shape[1]):
-        metric = metric[..., None] + gathered[:, :, None, :, pos]
-        metric = metric.reshape(n_cw, gathered.shape[1], -1)
-    return metric
+def joint_search(info_cost, pow_cost, slot_index, paper_compat: bool = False):
+    """Indices (codeword, phase, labels (L,)) of the first least-metric
+    hypothesis for each row of slot costs (..., J, M, K) and (..., K).
+
+    A metric is the codeword's power-slot base (zero under ``paper_compat``)
+    plus its L slot costs, added earliest slot first. Rounded addition is
+    monotone, so each (codeword, phase) has the least metric base + least
+    cost of each slot, bit for bit; the first pair at the global least holds
+    the first least hypothesis, whose labels are, slot by slot, the first
+    symbol whose least completion still reaches it. No (codeword, phase,
+    symbol vector) tensor is built."""
+    n_cw, l_slots = slot_index.shape
+    base = (np.zeros(pow_cost.shape[:-1] + (n_cw,)) if paper_compat
+            else pow_cost.sum(-1)[..., None] - pow_cost[..., slot_index].sum(-1))    # (..., A)
+    least = np.moveaxis(info_cost.min(axis=-2)[..., slot_index], -3, -2)          # (..., A, J, L)
+    total = base[..., None]
+    for pos in range(l_slots):
+        total = total + least[..., pos]
+    flat = np.argmin(total.reshape(total.shape[:-2] + (-1,)), axis=-1)
+    alpha, c = np.divmod(flat, least.shape[-2])
+    target = np.take_along_axis(total.reshape(flat.shape + (-1,)), flat[..., None], -1)
+
+    costs = np.take_along_axis(info_cost, c[..., None, None, None], -3)[..., 0, :, :]
+    costs = np.take_along_axis(costs, slot_index[alpha][..., None, :], -1)         # (..., M, L)
+    tail = costs.min(axis=-2)
+    partial = np.take_along_axis(base, alpha[..., None], -1)
+    labels = []
+    for pos in range(l_slots):
+        step = partial + costs[..., pos]                                             # (..., M)
+        reach = step
+        for later in range(pos + 1, l_slots):
+            reach = reach + tail[..., later, None]
+        labels.append(np.argmax(reach == target, axis=-1))
+        partial = np.take_along_axis(step, labels[-1][..., None], -1)
+    return alpha, c, np.stack(labels, axis=-1)
 
 
 def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Constellation,
@@ -158,20 +189,17 @@ def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Co
                     paper_compat: bool = False) -> DetectionResult:
     """Jointly minimize the block metric over every codeword, surface phase,
     and symbol vector; hypothesized power slots are scored against the known
-    power sample. The slot costs of every point are computed at once; the
-    metric is built and searched one point at a time.
+    power sample. Every row is searched at once by :func:`joint_search`;
+    the reported count is the |A|*J*M^L hypotheses per row it covers.
 
     With ``paper_compat`` only the hypothesized information slots are scored,
     dropping the power-slot terms from the metric.
     """
-    costs = slot_costs(obs.stacked(), constellation, p_info_w, omega)
-    shape = (len(codebook.codewords), len(phase_pair)) + (constellation.m_order,) * codebook.l_slots
-    # C-order flat argmin == first minimum in (codeword, phase, symbols) order.
-    flat = [int(np.argmin(joint_metric(*point, codebook.slot_index, paper_compat)))
-            for point in zip(*costs)]
-    a, c, *labels = np.unravel_index(flat, shape)
-    return _result(obs, codebook, constellation, a, np.stack(labels, axis=-1), phase_pair, c, "ml",
-                   len(flat) * math.prod(shape))
+    points = obs.stacked()
+    info_cost, pow_cost = slot_costs(points, constellation, p_info_w, omega)
+    alpha, c, labels = joint_search(info_cost, pow_cost, codebook.slot_index, paper_compat)
+    visited = alpha.size * len(codebook.codewords) * len(phase_pair) * constellation.m_order**codebook.l_slots
+    return _result(obs, codebook, constellation, alpha, labels, phase_pair, c, "ml", visited)
 
 
 def llr_per_slot(info_cost, pow_cost, sigma2, k_slots: int, l_slots: int,
@@ -243,5 +271,5 @@ def llr_detect(obs: Observation, codebook: IndexCodebook, constellation: Constel
                        paper_compat)
     alpha = select_info_slots(llr, codebook)
     labels, _, c, _ = ml_symbol_phase(info_cost, codebook.slot_index[alpha] + 1, phase_pair)
-    visited = len(points.y) * codebook.k_slots * (len(phase_pair) * constellation.m_order + 1)
+    visited = alpha.size * codebook.k_slots * (len(phase_pair) * constellation.m_order + 1)
     return _result(obs, codebook, constellation, alpha, labels, phase_pair, c, "llr", visited)

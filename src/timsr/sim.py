@@ -1,12 +1,13 @@
-"""Monte Carlo harness: per-block trials, BER-vs-SNR and harvest-vs-N2
-sweeps, the power-budget report, and CSV output.
+"""Monte Carlo harness: batches of block trials, BER-vs-SNR and
+harvest-vs-N2 sweeps, the power-budget report, and CSV output.
 
 Every trial owns a counter-based random stream keyed by (seed, trial index),
-so results are independent of worker count and scheduling. A sweep draws
-each trial once and evaluates it at every grid point: an absorber count
+so results are independent of worker count, scheduling and batching. A sweep
+draws each trial once and evaluates it at every grid point: an absorber count
 regroups the same link draws, and an SNR point scales the same unit noise.
-Each point is aggregated from its own records in trial order to keep
-floating-point reductions bit-stable.
+Trials run in batches sized from a byte budget: each trial's stream makes its
+own draws, then every step is one kernel call on the whole batch. Each
+point's counters are reduced once, in trial order, so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
@@ -41,24 +43,23 @@ from .txphy import build_benchmark_codebook, build_codebook, build_constellation
 LOS_STREAM = 2**64 - 1
 
 
-def trial_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent counter-based stream for one (seed, stream index) pair."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+def trial_rng(seed: int, stream: int, reuse: np.random.Generator | None = None) -> np.random.Generator:
+    """Independent counter-based stream for one (seed, stream index) pair.
+    A Philox generator passed as ``reuse`` is rekeyed in place and returned:
+    the same stream as a new generator's, without building one."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    zero = np.zeros(4, dtype=np.uint64)        # a new generator's counter and buffer
+    reuse.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+                                 "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return reuse
 
 
 def build_channel_model(cfg: SimConfig) -> ChannelModel:
-    return ChannelModel(
-        m_rx=cfg.m_rx,
-        n_cells=cfg.n_cells,
-        group_sizes=cfg.group_sizes,
-        kappa=cfg.kappa,
-        carrier_ghz=cfg.carrier_ghz,
-        d_tx_ris_m=cfg.d_tx_ris_m,
-        d_ris_rx_m=cfg.d_ris_rx_m,
-        d_direct_m=cfg.d_direct_m,
-        los_phase_policy=cfg.los_phase_policy,
-        rng=trial_rng(cfg.seed, LOS_STREAM),
-    )
+    return ChannelModel(cfg.m_rx, cfg.n_cells, cfg.group_sizes, cfg.kappa, cfg.carrier_ghz,
+                        cfg.d_tx_ris_m, cfg.d_ris_rx_m, cfg.d_direct_m, cfg.los_phase_policy,
+                        trial_rng(cfg.seed, LOS_STREAM))
 
 
 def ris_rectenna(cfg: SimConfig) -> RectennaModel:
@@ -70,15 +71,8 @@ def eh_rectenna(cfg: SimConfig) -> RectennaModel:
 
 
 def power_budget(cfg: SimConfig, technology: str | None = None) -> RisPowerBudget:
-    return RisPowerBudget(
-        n_cells=cfg.n_cells,
-        n_per_controller=cfg.n_cb,
-        p_controller_w=cfg.p_cb_uw * 1e-6,
-        technology=technology or cfg.technology,
-        p_switch_w=cfg.p_switch_uw * 1e-6,
-        p_drive_w=cfg.p_drive_uw * 1e-6,
-        p_varactor_w=cfg.p_varactor_uw * 1e-6,
-    )
+    return RisPowerBudget(cfg.n_cells, cfg.n_cb, cfg.p_cb_uw * 1e-6, technology or cfg.technology,
+                          cfg.p_switch_uw * 1e-6, cfg.p_drive_uw * 1e-6, cfg.p_varactor_uw * 1e-6)
 
 
 @dataclass(frozen=True)
@@ -117,95 +111,117 @@ def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
     )
 
 
-@dataclass(slots=True)
-class BlockRecord:
-    """Outcome of one block trial. Error counters stay zero when the trial
-    runs harvest-only (no detection)."""
-
-    dc_ris_w: float
-    dc_eh_w: float
-    ok_rf: bool
-    ok_var: bool
-    ptx_errors: int = 0
-    ptx_bits: int = 0
-    index_errors: int = 0
-    index_bits: int = 0
-    ris_errors: int = 0
-    ris_bits: int = 0
+# Counters of consecutive trials: each field holds one row per grid point and
+# one column per trial, in trial order (a single point's row after
+# _map_points). Error and bit counters stay zero when no detection runs.
+Tally = namedtuple("Tally", "dc_ris_w dc_eh_w ok_rf ok_var ptx_errors ptx_bits "
+                            "index_errors index_bits ris_errors ris_bits")
 
 
-def run_trial(ctx: RunContext, layouts: tuple, sigma2s: tuple, trial_index: int) -> list:
-    """One trial at every grid point. Channels, bits, surface bit, frame and
-    unit noise are drawn once; each cell-group layout gets its own surface
-    state and harvest and, when detecting, one observation and one detector
-    call on that observation stacked over every noise variance.
-    Records come layout-major: one per (layout, variance), or per layout
-    when no variance is given (harvest only)."""
-    cfg = ctx.cfg
-    rng = trial_rng(cfg.seed, trial_index)
-    drawn = ctx.channel_model.realize(rng)
-
+def run_trials(ctx: RunContext, layouts: tuple, sigma2s: tuple, start: int, stop: int) -> Tally:
+    """Trials ``start`` to ``stop - 1`` at every grid point. Each trial's
+    stream draws its channels, bits, surface bit and (when some variance is
+    positive) unit noise; every later step is one call for the batch. The
+    links are freed before detection. Points come layout-major: one per
+    (layout, variance), or per layout when harvest only."""
+    cfg, n = ctx.cfg, stop - start
     eta_r = ctx.codebook.bits_index
     eta = eta_r + cfg.l_slots * ctx.constellation.bits_per_symbol
-    bits = rng.integers(0, 2, size=eta)
-    ris_bit = int(rng.integers(0, 2))
-    noise = unit_noise((cfg.k_slots, cfg.m_rx), rng) if any(s > 0 for s in sigma2s) else None
+    normals = np.empty((n, ctx.channel_model.n_normals))
+    noise = np.empty((n, 2, cfg.k_slots, cfg.m_rx)) if any(s > 0 for s in sigma2s) else None
+    bits = np.empty((n, eta + 1), dtype=np.int64)
+    rng = None
+    for b in range(n):
+        rng = trial_rng(cfg.seed, start + b, rng)
+        rng.standard_normal(out=normals[b])
+        # the data bits, then the surface bit: one draw, the same bits as two
+        bits[b] = rng.integers(0, 2, size=eta + 1)
+        if noise is not None:
+            rng.standard_normal(out=noise[b])
+    bits, ris_bit = bits[:, :-1], bits[:, -1]
+    drawn = ctx.channel_model.realize(normals)
+    del normals
+    unit = None if noise is None else unit_noise(noise.shape[-2:], noise)
 
     frame = encode_block(
         bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad
     )
-    detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
-    records = []
+    states, q_ris, q_eh, received = {}, [], [], []
     for group_sizes in layouts:
         channel = drawn.regroup(group_sizes)
-        ris = make_ris_state(channel, ctx.phase_set, ris_bit)
+        # the surface state depends on the assist group alone
+        ris = states.get(group_sizes[0]) or states.setdefault(
+            group_sizes[0], make_ris_state(channel, ctx.phase_set, ris_bit))
+        q_ris.append(ris_rectenna_input(channel.h_r[..., channel.group_slice(1)], frame.samples))
+        q_eh.append(eh_received(channel, ris, frame.tau, frame.samples)[1])
+        if sigma2s:
+            received.append(observe(channel, frame, ris, 0.0, None))
+    del drawn, channel          # the links are done with: free them before detecting
 
-        q_ris = ris_rectenna_input(channel.h_r[channel.group_slice(1)], frame.samples)
-        dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
-        _, q_eh = eh_received(channel, ris, frame.tau, frame.samples)
-        dc_eh = float(np.mean(clc_dc_power(q_eh, ctx.eh_model)))
-        harvest = (dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)
-        if not sigma2s:
-            records.append(BlockRecord(*harvest))
-            continue
-
-        clean = observe(channel, frame, ris, 0.0, rng)
-        det = detect(clean.with_noise(sigma2s, noise), ctx.codebook, ctx.constellation,
+    detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
+    wrong, ris_wrong = [], []
+    for clean in received:
+        det = detect(clean.with_noise(sigma2s, unit), ctx.codebook, ctx.constellation,
                      ctx.phase_set.phi_info, frame.omega, cfg.p_low_w, cfg.paper_compat)
-        wrong = det.ptx_bits != bits
-        records.extend(
-            BlockRecord(*harvest, ptx, eta, index, eta_r, ris_error, 1)
-            for ptx, index, ris_error in zip(np.count_nonzero(wrong, axis=1).tolist(),
-                                             np.count_nonzero(wrong[:, :eta_r], axis=1).tolist(),
-                                             (det.ris_bit != ris_bit).astype(int).tolist())
-        )
-    return records
+        wrong.append(np.swapaxes(det.ptx_bits != bits[:, None], 0, 1))           # (S, B, eta)
+        ris_wrong.append((det.ris_bit != ris_bit[:, None]).T)
+
+    per_layout = len(sigma2s) or 1
+    dc_ris = np.mean(clc_dc_power(np.stack(q_ris), ctx.ris_model), axis=-1)     # (layouts, B)
+    dc_eh = np.mean(clc_dc_power(np.stack(q_eh), ctx.eh_model), axis=-1)
+    harvest = [np.repeat(x, per_layout, axis=0)
+               for x in (dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)]
+    if not sigma2s:
+        return Tally(*harvest, *[np.zeros(dc_ris.shape, dtype=np.int64)] * 6)
+    wrong = np.concatenate(wrong)
+    ptx = np.count_nonzero(wrong, axis=-1)
+    return Tally(*harvest, ptx, np.full(ptx.shape, eta), np.count_nonzero(wrong[..., :eta_r], axis=-1),
+                 np.full(ptx.shape, eta_r), np.concatenate(ris_wrong).astype(np.int64),
+                 np.ones(ptx.shape, dtype=np.int64))
 
 
-def run_block_trial(ctx: RunContext, trial_index: int) -> BlockRecord:
-    """Draw channels and bits, transmit one block, harvest, and (when a
-    noise variance is set) detect and count bit errors. No sweep calls it;
-    it stays because the benchmark's set-up probe and span table do."""
+def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
+    """The counters, as plain numbers, of one trial of the context's layout,
+    detected at its noise variance if one is set. No sweep calls it; the
+    benchmark's set-up probe and span table do."""
     sigma2s = () if ctx.sigma2 is None else (ctx.sigma2,)
-    return run_trial(ctx, (ctx.cfg.group_sizes,), sigma2s, trial_index)[0]
+    tally = run_trials(ctx, (ctx.cfg.group_sizes,), sigma2s, trial_index, trial_index + 1)
+    return Tally(*(field[0, 0].item() for field in tally))
+
+
+# Bytes that the largest array of one batch of trials may take.
+_BATCH_BYTES = 1 << 19
+
+
+def _batch_size(ctx: RunContext, n_points: int, workers: int) -> int:
+    """Trials per batch: as many as keep the largest array within
+    _BATCH_BYTES, up to one worker's share of the trials. Per trial that is
+    the slot-cost differences (S*J*M*K*M_R complex values), the detectors'
+    codeword gathers (S*J*|A|*L reals) or the normal draw of the links."""
+    cfg = ctx.cfg
+    j, n_cw = len(ctx.phase_set.phi_info), len(ctx.codebook.codewords)
+    values = max(ctx.channel_model.n_normals,
+                 2 * n_points * j * cfg.m_order * cfg.k_slots * cfg.m_rx,
+                 n_points * j * n_cw * cfg.l_slots)
+    return max(1, min(_BATCH_BYTES // (8 * values), -(-cfg.trials // workers)))
 
 
 def _map_points(ctx: RunContext, layouts: tuple, sigma2s: tuple, workers: int) -> list:
-    """Records of every grid point, each in trial order. Each trial runs once
-    for the whole grid, over one process pool when ``workers > 1``."""
+    """The counters of each grid point, in trial order. Each trial runs once
+    for the whole grid, in batches mapped over one process pool when
+    ``workers > 1``."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = ctx.cfg.trials
+    size = _batch_size(ctx, len(sigma2s), workers)
+    starts = range(0, n, size)
+    args = (repeat(ctx), repeat(layouts), repeat(sigma2s), starts, (min(a + size, n) for a in starts))
     if workers == 1:
-        trials = [run_trial(ctx, layouts, sigma2s, i) for i in range(n)]
+        batches = list(map(run_trials, *args))
     else:
-        chunk = max(1, math.ceil(n / (workers * 4)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = list(
-                pool.map(run_trial, repeat(ctx), repeat(layouts), repeat(sigma2s), range(n),
-                         chunksize=chunk)
-            )
-    return list(zip(*trials))
+            batches = list(pool.map(run_trials, *args))
+    return [Tally(*rows) for rows in zip(*(np.concatenate(f, axis=1) for f in zip(*batches)))]
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +266,13 @@ def _ber_and_se(errors, totals):
     return ber, se
 
 
-def _aggregate(cfg: SimConfig, records, snr_db, n2) -> ResultRow:
-    ber_ptx, se_ptx = _ber_and_se(
-        [r.ptx_errors for r in records], [r.ptx_bits for r in records]
-    )
-    ber_idx, se_idx = _ber_and_se(
-        [r.index_errors for r in records], [r.index_bits for r in records]
-    )
-    ber_ris, se_ris = _ber_and_se(
-        [r.ris_errors for r in records], [r.ris_bits for r in records]
-    )
-    frac_rf = float(np.mean([r.ok_rf for r in records]))
-    frac_var = float(np.mean([r.ok_var for r in records]))
+def _aggregate(cfg: SimConfig, tally: Tally, snr_db, n2) -> ResultRow:
+    """One grid point's row from its counters, each over trials in order."""
+    ber_ptx, se_ptx = _ber_and_se(tally.ptx_errors, tally.ptx_bits)
+    ber_idx, se_idx = _ber_and_se(tally.index_errors, tally.index_bits)
+    ber_ris, se_ris = _ber_and_se(tally.ris_errors, tally.ris_bits)
+    frac_rf = float(np.mean(tally.ok_rf))
+    frac_var = float(np.mean(tally.ok_var))
     return ResultRow(
         scheme=cfg.scheme,
         k_slots=cfg.k_slots,
@@ -276,12 +287,12 @@ def _aggregate(cfg: SimConfig, records, snr_db, n2) -> ResultRow:
         se_ber_index=se_idx,
         ber_ris=ber_ris,
         se_ber_ris=se_ris,
-        avg_dc_ris_uw=float(np.mean([r.dc_ris_w for r in records]) * 1e6),
-        avg_dc_eh_uw=float(np.mean([r.dc_eh_w for r in records]) * 1e6),
+        avg_dc_ris_uw=float(np.mean(tally.dc_ris_w) * 1e6),
+        avg_dc_eh_uw=float(np.mean(tally.dc_eh_w) * 1e6),
         standalone_frac=frac_rf if cfg.technology == TECH_RF_SWITCH else frac_var,
         standalone_frac_rf=frac_rf,
         standalone_frac_var=frac_var,
-        trials=len(records),
+        trials=len(tally.dc_ris_w),
         seed=cfg.seed,
     )
 
@@ -322,8 +333,8 @@ def ber_sweep(cfg: SimConfig, workers: int = 1) -> ResultTable:
     sigma2s = tuple(direct_snr_sigma2(cfg, snr_db) for snr_db in cfg.snr_db_grid)
     points = _map_points(ctx, (cfg.group_sizes,), sigma2s, workers)
     rows = [
-        _aggregate(cfg, records, snr_db=float(snr_db), n2=cfg.n2)
-        for snr_db, records in zip(cfg.snr_db_grid, points)
+        _aggregate(cfg, point, snr_db=float(snr_db), n2=cfg.n2)
+        for snr_db, point in zip(cfg.snr_db_grid, points)
     ]
     return ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed)
 
@@ -358,7 +369,7 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
     layouts = tuple(replace(cfg, n2=n2).group_sizes for n2 in n2_grid)
     ctx = make_context(replace(cfg, n2=n2_grid[0]), None)
     points = _map_points(ctx, layouts, (), workers)
-    rows = [_aggregate(cfg, records, snr_db=None, n2=n2) for n2, records in zip(n2_grid, points)]
+    rows = [_aggregate(cfg, point, snr_db=None, n2=n2) for n2, point in zip(n2_grid, points)]
     return HarvestReport(
         table=ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed),
         p_ris_rf_w=ctx.p_ris_rf_w,
@@ -388,17 +399,17 @@ def power_budget_report(cfg: SimConfig, workers: int = 1) -> PowerBudgetReport:
     mapped over ``workers`` processes like a sweep's)."""
     ctx = make_context(cfg, None)
     p_rf, p_var = ctx.p_ris_rf_w, ctx.p_ris_var_w
-    (records,) = _map_points(ctx, (cfg.group_sizes,), (), workers)
-    avg_dc = float(np.mean([r.dc_ris_w for r in records]))
+    (point,) = _map_points(ctx, (cfg.group_sizes,), (), workers)
+    avg_dc = float(np.mean(point.dc_ris_w))
     return PowerBudgetReport(
         p_ris_rf_w=p_rf,
         p_ris_varactor_w=p_var,
         ratio_db=10.0 * math.log10(p_var / p_rf),
         n2=cfg.n2,
-        blocks=len(records),
+        blocks=len(point.dc_ris_w),
         avg_dc_ris_uw=avg_dc * 1e6,
         margin_rf_w=avg_dc - p_rf,
         margin_varactor_w=avg_dc - p_var,
-        standalone_frac_rf=float(np.mean([r.ok_rf for r in records])),
-        standalone_frac_var=float(np.mean([r.ok_var for r in records])),
+        standalone_frac_rf=float(np.mean(point.ok_rf)),
+        standalone_frac_var=float(np.mean(point.ok_var)),
     )

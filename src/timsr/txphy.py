@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -22,12 +22,11 @@ CONSTELLATION_KINDS = ("qam", "psk")
 CODEBOOK_STRATEGIES = ("lexicographic", "table1")
 
 
-def bits_to_int(bits) -> int:
-    """Big-endian bit sequence to integer (bits[0] is the MSB)."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+def bits_to_int(bits):
+    """Big-endian bit sequence to integer (bits[0] is the MSB); rows of bits
+    (..., n) give one integer per row."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
@@ -127,23 +126,13 @@ class IndexCodebook:
                 f"time-index selection {tuple(codeword)} is not a legitimate codeword"
             ) from None
 
-    def codeword_for_bits(self, bits) -> tuple:
-        return self.codewords[bits_to_int(bits)]
-
 
 def _make_codebook(k_slots, l_slots, codewords, bits_index) -> IndexCodebook:
     lookup = {cw: i for i, cw in enumerate(codewords)}
     slot_index = np.array(codewords, dtype=np.int64) - 1
     slot_index.setflags(write=False)
-    return IndexCodebook(
-        k_slots=k_slots,
-        l_slots=l_slots,
-        codewords=tuple(codewords),
-        bits_index=bits_index,
-        _index=lookup,
-        slot_index=slot_index,
-        index_bits=_bit_table(len(codewords), bits_index),
-    )
+    return IndexCodebook(k_slots, l_slots, tuple(codewords), bits_index, lookup, slot_index,
+                         _bit_table(len(codewords), bits_index))
 
 
 def build_codebook(k_slots: int, l_slots: int, strategy: str = "lexicographic") -> IndexCodebook:
@@ -161,12 +150,7 @@ def build_codebook(k_slots: int, l_slots: int, strategy: str = "lexicographic") 
             raise ValueError("the table1 preset is defined only for K=4, L=2")
         codewords = TABLE1_CODEWORDS
     elif strategy == "lexicographic":
-        count = 1 << bits_index
-        codewords = []
-        for cw in combinations(range(1, k_slots + 1), l_slots):
-            codewords.append(cw)
-            if len(codewords) == count:
-                break
+        codewords = list(islice(combinations(range(1, k_slots + 1), l_slots), 1 << bits_index))
     else:
         raise ValueError(f"unknown codebook strategy {strategy!r}")
     return _make_codebook(k_slots, l_slots, codewords, bits_index)
@@ -181,9 +165,11 @@ def build_benchmark_codebook(k_slots: int, l_slots: int) -> IndexCodebook:
 
 
 def codeword_to_tau(codeword, k_slots: int) -> np.ndarray:
-    """0/1 slot-activity vector of length K with ones at the codeword slots."""
-    tau = np.zeros(k_slots, dtype=np.int64)
-    tau[np.asarray(codeword, dtype=np.int64) - 1] = 1
+    """0/1 slot-activity vector of length K with ones at the codeword slots;
+    codewords (..., L) give vectors (..., K)."""
+    slots = np.asarray(codeword, dtype=np.int64) - 1
+    tau = np.zeros(slots.shape[:-1] + (k_slots,), dtype=np.int64)
+    np.put_along_axis(tau, slots, 1, -1)
     return tau
 
 
@@ -195,7 +181,7 @@ class TimFrame:
     tau: np.ndarray
     samples: np.ndarray
     bits: np.ndarray
-    codeword: tuple
+    codeword: tuple | np.ndarray
     omega: complex
 
 
@@ -212,34 +198,29 @@ def encode_block(
     The leading index bits select the codeword; the remaining bits fill the
     selected slots in ascending slot order, log2(M) bits per symbol, scaled
     to power ``p_info_w``. All other slots carry the deterministic power
-    sample omega with |omega|^2 = ``p_power_w``.
+    sample omega with |omega|^2 = ``p_power_w``. Bits (B, eta) encode B
+    blocks at once: tau and samples (B, K), codeword slots (B, L).
     """
     if p_power_w < p_info_w:
         raise ValueError("power-stage level must satisfy p_power_w >= p_info_w")
     bits = np.asarray(bits, dtype=np.int64)
     bps = constellation.bits_per_symbol
     eta = codebook.bits_index + codebook.l_slots * bps
-    if bits.shape != (eta,):
+    if bits.shape[-1:] != (eta,):
         raise ValueError(f"expected {eta} bits, got shape {bits.shape}")
 
-    info_bits = bits[codebook.bits_index :]
-    codeword = codebook.codeword_for_bits(bits[: codebook.bits_index])
+    alpha = bits_to_int(bits[..., : codebook.bits_index])
+    labels = bits_to_int(bits[..., codebook.bits_index :].reshape(bits.shape[:-1] + (-1, bps)))
+    slots = codebook.slot_index[alpha]
     omega = math.sqrt(p_power_w) * np.exp(1j * omega_phase)
 
-    samples = np.full(codebook.k_slots, omega, dtype=complex)
-    amp = math.sqrt(p_info_w)
-    for pos, slot in enumerate(codeword):
-        label = bits_to_int(info_bits[pos * bps : (pos + 1) * bps])
-        samples[slot - 1] = amp * constellation.points[label]
+    samples = np.full(bits.shape[:-1] + (codebook.k_slots,), omega, dtype=complex)
+    np.put_along_axis(samples, slots, math.sqrt(p_info_w) * constellation.points[labels], -1)
     samples.setflags(write=False)
 
-    return TimFrame(
-        tau=codeword_to_tau(codeword, codebook.k_slots),
-        samples=samples,
-        bits=bits,
-        codeword=codeword,
-        omega=complex(omega),
-    )
+    codeword = codebook.codewords[alpha] if bits.ndim == 1 else slots + 1
+    return TimFrame(codeword_to_tau(slots + 1, codebook.k_slots), samples, bits, codeword,
+                    complex(omega))
 
 
 def block_bits(alpha, labels, codebook: IndexCodebook, constellation: Constellation):

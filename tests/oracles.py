@@ -4,7 +4,9 @@ These deliberately reimplement the metrics with explicit loops and
 numpy-level reductions so they share no code path with the implementations
 under test (beyond the fixed group-1 alignment rule, which is configuration,
 not a search). The scalar :func:`jacobian_log_sum` step defines the LLR
-recursion.
+recursion, :func:`closest_phase` the phase quantizer, and
+:func:`loop_trial` runs one trial alone, block by block, for comparison with
+trial batches.
 """
 
 import itertools
@@ -12,7 +14,83 @@ import math
 
 import numpy as np
 
-from timsr.ris import align_group1
+from timsr.ris import (
+    align_group1,
+    clc_dc_power,
+    eh_received,
+    make_ris_state,
+    ris_rectenna_input,
+)
+from timsr.rx import llr_detect, ml_joint_detect, observe, unit_noise
+from timsr.sim import trial_rng
+from timsr.txphy import encode_block
+
+TWO_PI = 2.0 * math.pi
+
+
+def wrap_angle(x: float) -> float:
+    """Wrap to (-pi, pi]."""
+    return -((-x + math.pi) % TWO_PI - math.pi)
+
+
+def closest_phase(target: float, candidates) -> float:
+    """Candidate minimizing the squared wrapped distance to ``target``;
+    ties resolve to the earliest candidate."""
+    best = None
+    best_d = math.inf
+    for c in candidates:
+        d = wrap_angle(c - target) ** 2
+        if d < best_d:
+            best, best_d = c, d
+    return float(best)
+
+
+def loop_align_group1(channel, phase_pair):
+    """The assist-group phase of one block: the circular mean of the
+    co-phasing angles, quantized by :func:`closest_phase` in a loop."""
+    sl = channel.group_slice(0)
+    cascade = channel.G_d[0, sl] * channel.h_r[sl]
+    if cascade.size == 0:
+        return float(phase_pair[0])
+    desired = np.angle(cascade) - np.angle(channel.h_d[0])
+    return closest_phase(float(np.angle(np.exp(1j * desired).sum())), phase_pair)
+
+
+def loop_trial(ctx, layouts, sigma2s, trial_index):
+    """One trial at every grid point, one block at a time on a fresh stream:
+    the per-trial loop that trial batches replace. Returns one tuple per
+    point in ``timsr.sim.Tally`` field order, layout-major."""
+    cfg = ctx.cfg
+    rng = trial_rng(cfg.seed, trial_index)
+    drawn = ctx.channel_model.realize(rng)
+    eta_r = ctx.codebook.bits_index
+    eta = eta_r + cfg.l_slots * ctx.constellation.bits_per_symbol
+    bits = rng.integers(0, 2, size=eta)
+    ris_bit = int(rng.integers(0, 2))
+    noise = unit_noise((cfg.k_slots, cfg.m_rx), rng) if any(s > 0 for s in sigma2s) else None
+    frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w,
+                         cfg.omega_phase_rad)
+    detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
+    records = []
+    for group_sizes in layouts:
+        channel = drawn.regroup(group_sizes)
+        ris = make_ris_state(channel, ctx.phase_set, ris_bit)
+        q_ris = ris_rectenna_input(channel.h_r[channel.group_slice(1)], frame.samples)
+        dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
+        _, q_eh = eh_received(channel, ris, frame.tau, frame.samples)
+        dc_eh = float(np.mean(clc_dc_power(q_eh, ctx.eh_model)))
+        harvest = (dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)
+        if not sigma2s:
+            records.append(harvest + (0,) * 6)
+        for s2 in sigma2s:
+            obs = observe(channel, frame, ris, 0.0, rng).with_noise(s2, noise)
+            det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+                         frame.omega, cfg.p_low_w, cfg.paper_compat)
+            wrong = det.ptx_bits != bits
+            records.append(harvest + (int(np.count_nonzero(wrong)), eta,
+                                      int(np.count_nonzero(wrong[:eta_r])), eta_r,
+                                      int(det.ris_bit != ris_bit), 1))
+    return records
 
 
 def jacobian_log_sum(a: float, b: float) -> float:

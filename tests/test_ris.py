@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_observation
-from oracles import info_reflection, power_reflection, slot_eh_received, slot_rectenna_input
+from oracles import (
+    closest_phase,
+    info_reflection,
+    loop_align_group1,
+    power_reflection,
+    slot_eh_received,
+    slot_rectenna_input,
+    wrap_angle,
+)
 from timsr import make_config
 from timsr.channel import make_realization
 from timsr.ris import (
@@ -15,14 +23,13 @@ from timsr.ris import (
     RisPowerBudget,
     align_group1,
     clc_dc_power,
-    closest_phase,
     eh_received,
     make_ris_state,
     phase_set_2bit,
     ris_power_consumption,
     ris_rectenna_input,
-    wrap_angle,
 )
+from timsr.sim import make_context
 
 RIS_MODEL = RectennaModel(0.75, 150e-6, 70e-3)
 RF_BUDGET = RisPowerBudget(256, 4, 50e-6, "rf-switch", 1e-6, 40e-6, 0.0)
@@ -92,6 +99,34 @@ class TestAlignGroup1:
         ch = tiny_realization(0.0)
         ch.h_d = np.array([np.exp(-1j * np.pi / 2)])
         assert align_group1(ch, (0.0, 2 * np.pi / 3)) == pytest.approx(2 * np.pi / 3)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(los_phase_policy="per-entry"), dict(kappa=0.0), dict(n1=1, n2=35),
+    ], ids=["default", "per_entry", "rayleigh", "one_cell"])
+    def test_batch_equals_loop_oracle(self, overrides):
+        # one vector call over a batch of blocks equals the closest_phase
+        # loop on each block alone, for the real pair and a custom one
+        model = make_context(make_config(trials=1, **overrides), None).channel_model
+        normals = np.random.default_rng(5).standard_normal((40, model.n_normals))
+        batch = model.realize(normals)
+        for pair in (phase_set_2bit().phi_info, (2.5, -1.0)):
+            want = [loop_align_group1(model.realize(row), pair) for row in normals]
+            np.testing.assert_array_equal(align_group1(batch, pair), want)
+
+    @pytest.mark.parametrize("pair", [(-0.5, 0.5), (0.5, -0.5)])
+    def test_exact_tie_takes_first(self, pair):
+        # the circular mean is exactly 0, equidistant from both levels
+        ch = tiny_realization(0.0)
+        assert wrap_angle(pair[0]) ** 2 == wrap_angle(pair[1]) ** 2
+        assert align_group1(ch, pair) == pair[0] == loop_align_group1(ch, pair)
+        batch = make_realization(*(np.stack([x, x]) for x in (ch.h_d, ch.h_r, ch.G_d, ch.h_e,
+                                                               ch.g_e)), ch.group_sizes)
+        np.testing.assert_array_equal(align_group1(batch, pair), [pair[0], pair[0]])
+
+    def test_empty_group_batch_takes_first(self):
+        model = make_context(make_config(trials=1, n1=0), None).channel_model
+        batch = model.realize(np.random.default_rng(2).standard_normal((3, model.n_normals)))
+        np.testing.assert_array_equal(align_group1(batch, (0.5, 1.5)), [0.5, 0.5, 0.5])
 
 
 def reflection_rows(group1_phase, info_phase):

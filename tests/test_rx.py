@@ -21,7 +21,7 @@ from timsr import make_config
 from timsr.ris import align_group1, make_ris_state
 from timsr.rx import (
     Observation,
-    joint_metric,
+    joint_search,
     llr_detect,
     llr_per_slot,
     ml_joint_detect,
@@ -397,6 +397,18 @@ def _costs(ctx, obs, frame, cfg):
     return slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega)
 
 
+def _assert_search_equals_loop(info_cost, pow_cost, codebook, paper_compat=False):
+    """The factored joint search picks the first minimum of the loop-built
+    (A, J, M^L) metric: its codeword, phase and symbol labels. Returns that
+    metric."""
+    metric = loop_joint_metric(info_cost, pow_cost, codebook, paper_compat)
+    a, c, flat = np.unravel_index(int(np.argmin(metric)), metric.shape)
+    want_labels = np.unravel_index(flat, (info_cost.shape[1],) * codebook.l_slots)
+    alpha, phase, labels = joint_search(info_cost, pow_cost, codebook.slot_index, paper_compat)
+    np.testing.assert_array_equal([alpha, phase, *labels], [a, c, *want_labels])
+    return metric
+
+
 class TestArrayKernels:
     """The array kernels equal the per-hypothesis loops bit for bit."""
 
@@ -415,22 +427,20 @@ class TestArrayKernels:
             assert len(ctx.codebook.codewords) == (1 if cfg.scheme == "benchmark" else
                                                    1 << ctx.codebook.bits_index)
             info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
-            got = joint_metric(info_cost, pow_cost, ctx.codebook.slot_index, paper_compat)
-            want = loop_joint_metric(info_cost, pow_cost, ctx.codebook, paper_compat)
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
+            _assert_search_equals_loop(info_cost, pow_cost, ctx.codebook, paper_compat)
 
     def test_joint_metric_random_costs(self):
         rng = np.random.default_rng(3)
+        ulp = np.finfo(float).eps
         for k, l, m in ((8, 4, 4), (12, 5, 2), (8, 2, 16)):
             cb = build_codebook(k, l)
-            info_cost = rng.exponential(size=(2, m, k)) * 10.0 ** rng.integers(-3, 4)
-            pow_cost = rng.exponential(size=k)
-            for paper_compat in (False, True):
-                np.testing.assert_array_equal(
-                    joint_metric(info_cost, pow_cost, cb.slot_index, paper_compat),
-                    loop_joint_metric(info_cost, pow_cost, cb, paper_compat),
-                )
+            spread = rng.exponential(size=(2, m, k)) * 10.0 ** rng.integers(-3, 4)
+            # entries 1 ulp apart: partial sums round equal, so rows tie often
+            close = 1.0 + ulp * rng.integers(0, 3, size=(2, m, k))
+            for info_cost in (spread, close):
+                for pow_cost in (rng.exponential(size=k), 1.0 + ulp * rng.integers(0, 3, size=k)):
+                    for paper_compat in (False, True):
+                        _assert_search_equals_loop(info_cost, pow_cost, cb, paper_compat)
 
     def test_tied_metric_takes_first_minimum(self):
         # integer costs add exactly; the minimum 0 is reached by codewords
@@ -442,11 +452,14 @@ class TestArrayKernels:
         info_cost[:, 2, 0] = 0.0                           # slot 1 fits symbol 2
         info_cost[:, 1, 3] = 0.0                           # slot 4 fits symbol 1
         info_cost[:, 2, 1] = 0.0                           # slot 2 fits symbol 2
-        metric = joint_metric(info_cost, pow_cost, cb.slot_index)
-        np.testing.assert_array_equal(metric, loop_joint_metric(info_cost, pow_cost, cb))
+        metric = _assert_search_equals_loop(info_cost, pow_cost, cb)
         assert np.count_nonzero(metric == 0.0) == 4
-        flat = np.unravel_index(int(np.argmin(metric.reshape(-1))), metric.shape)
-        assert tuple(int(x) for x in flat) == (1, 0, 2 * 4 + 1)
+        alpha, c, labels = joint_search(info_cost, pow_cost, cb.slot_index)
+        assert (int(alpha), int(c), labels.tolist()) == (1, 0, [2, 1])
+        # rows of a batch are searched independently
+        rows = np.stack([info_cost, np.ones_like(info_cost)])
+        alpha, c, labels = joint_search(rows, np.stack([pow_cost, pow_cost]), cb.slot_index)
+        assert (alpha.tolist(), c.tolist(), labels.tolist()) == ([1, 0], [0, 0], [[2, 1], [0, 0]])
 
     def test_detectors_break_phase_ties_to_first(self, small_cfg):
         # no third group: both information phases give the same channel, so

@@ -14,13 +14,16 @@ from timsr.config import (
     load_config,
     parse_config_text,
 )
-from oracles import slot_eh_received, slot_rectenna_input
+from oracles import loop_trial, slot_eh_received, slot_rectenna_input
 from timsr.ris import clc_dc_power
 from timsr.rx import llr_detect, ml_joint_detect
 from timsr.sim import (
     CSV_COLUMNS,
     PowerBudgetReport,
+    Tally,
     _aggregate,
+    _batch_size,
+    _map_points,
     ber_sweep,
     direct_snr_sigma2,
     harvest_sweep,
@@ -202,7 +205,7 @@ def no_trials(monkeypatch):
     def fail(*args):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(timsr.sim, "run_trial", fail)
+    monkeypatch.setattr(timsr.sim, "run_trials", fail)
 
 
 class TestSweepGuards:
@@ -226,7 +229,8 @@ def pointwise_row(point_cfg, snr_db):
     sigma2 = None if snr_db is None else direct_snr_sigma2(point_cfg, snr_db)
     ctx = make_context(point_cfg, sigma2)
     records = [run_block_trial(ctx, i) for i in range(point_cfg.trials)]
-    return _aggregate(point_cfg, records, snr_db=snr_db, n2=point_cfg.n2)
+    return _aggregate(point_cfg, Tally(*map(np.array, zip(*records))), snr_db=snr_db,
+                      n2=point_cfg.n2)
 
 
 class TestFusedSweeps:
@@ -264,6 +268,77 @@ class TestFusedSweeps:
         assert len(pools) == 1
         harvest_sweep(cfg, n2_grid=(0, 16, 32), workers=2)
         assert len(pools) == 2
+
+
+def _grid(cfg, kind, sigma2s=None):
+    """(context, layouts, variances) of a BER sweep, or of a harvest sweep
+    from no absorbers to every cell outside the assist group."""
+    if kind == "harvest":
+        layouts = tuple(replace(cfg, n2=n2).group_sizes for n2 in (0, 35, cfg.n_cells - cfg.n1))
+        return make_context(replace(cfg, n2=0), None), layouts, ()
+    if sigma2s is None:
+        sigma2s = tuple(direct_snr_sigma2(cfg, snr_db) for snr_db in cfg.snr_db_grid)
+    return make_context(cfg, None), (cfg.group_sizes,), sigma2s
+
+
+def _assert_equals_loop(points, ctx, layouts, sigma2s):
+    """Every counter of every point equals that of the per-trial loop."""
+    want = np.array([loop_trial(ctx, layouts, sigma2s, i) for i in range(ctx.cfg.trials)],
+                    dtype=float)
+    assert len(points) == want.shape[1]
+    for point, expected in zip(points, np.moveaxis(want, 1, 0)):
+        for name, field, column in zip(Tally._fields, point, expected.T):
+            np.testing.assert_array_equal(field, column, err_msg=name)
+
+
+class TestTrialBatches:
+    """Trial batches equal the one-trial-at-a-time loop bit for bit, wherever
+    the batch boundaries fall and however many workers map them."""
+
+    KINDS = {
+        "llr": dict(detector="llr"),
+        "ml": dict(detector="ml", k_slots=4, l_slots=2, codebook_strategy="table1"),
+        "harvest": dict(),
+    }
+
+    @pytest.mark.parametrize("kind", ["llr", "ml", "harvest"])
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_forced_batch_sizes(self, monkeypatch, kind, size):
+        # 7 does not divide 37: the last batch holds 2 trials
+        monkeypatch.setattr(timsr.sim, "_batch_size", lambda *args: size)
+        ctx, layouts, sigma2s = _grid(make_config(trials=37, **self.KINDS[kind]), kind)
+        _assert_equals_loop(_map_points(ctx, layouts, sigma2s, 1), ctx, layouts, sigma2s)
+
+    @pytest.mark.parametrize("kind", ["llr", "ml", "harvest"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_batch_size(self, kind, workers):
+        ctx, layouts, sigma2s = _grid(make_config(trials=90, **self.KINDS[kind]), kind)
+        assert 1 < _batch_size(ctx, len(sigma2s), workers) < 90
+        _assert_equals_loop(_map_points(ctx, layouts, sigma2s, workers), ctx, layouts, sigma2s)
+
+    @pytest.mark.parametrize("kind", ["llr", "harvest"])
+    @pytest.mark.parametrize("kappa", [0.0, 1e9])
+    def test_extreme_rician_factor(self, kind, kappa):
+        ctx, layouts, sigma2s = _grid(make_config(trials=23, kappa=kappa), kind)
+        _assert_equals_loop(_map_points(ctx, layouts, sigma2s, 1), ctx, layouts, sigma2s)
+
+    @pytest.mark.parametrize("detector", ["llr", "ml"])
+    @pytest.mark.parametrize("split", [dict(n1=0), dict(n2=0), dict(n2=196)],
+                             ids=["no_assist", "no_absorb", "no_inform"])
+    def test_empty_cell_groups(self, detector, split):
+        cfg = make_config(trials=23, detector=detector, k_slots=4, l_slots=2,
+                          codebook_strategy="table1", **split)
+        ctx, layouts, sigma2s = _grid(cfg, "ber")
+        assert 0 in ctx.cfg.group_sizes
+        _assert_equals_loop(_map_points(ctx, layouts, sigma2s, 1), ctx, layouts, sigma2s)
+
+    def test_ml_batch_with_zero_variance(self):
+        cfg = make_config(trials=23, **self.KINDS["ml"])
+        sigma2s = (direct_snr_sigma2(cfg, 0.0), 0.0, direct_snr_sigma2(cfg, 15.0), 0.0)
+        ctx, layouts, sigma2s = _grid(cfg, "ber", sigma2s)
+        points = _map_points(ctx, layouts, sigma2s, 1)
+        _assert_equals_loop(points, ctx, layouts, sigma2s)
+        assert not points[1].ptx_errors.any() and not points[3].ris_errors.any()
 
 
 class TestPowerBudgetReport:

@@ -69,10 +69,10 @@ class TestCodebook:
         assert cb.codewords == TABLE1_CODEWORDS
         assert cb.bits_index == 2
         # bit rows of the mapping
-        assert cb.codeword_for_bits([0, 0]) == (1, 3)
-        assert cb.codeword_for_bits([0, 1]) == (1, 4)
-        assert cb.codeword_for_bits([1, 0]) == (2, 4)
-        assert cb.codeword_for_bits([1, 1]) == (2, 3)
+        assert cb.codewords[bits_to_int([0, 0])] == (1, 3)
+        assert cb.codewords[bits_to_int([0, 1])] == (1, 4)
+        assert cb.codewords[bits_to_int([1, 0])] == (2, 4)
+        assert cb.codewords[bits_to_int([1, 1])] == (2, 3)
         for excluded in ((1, 2), (3, 4)):
             with pytest.raises(ValueError):
                 cb.index_of(excluded)
