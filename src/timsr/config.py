@@ -14,9 +14,9 @@ from .txphy import CODEBOOK_STRATEGIES, CONSTELLATION_KINDS
 SCHEMES = ("tim", "benchmark")
 DETECTORS = ("ml", "llr")
 
-# Largest detector array a config may ask for, in float64 values (2**25 ->
-# 256 MiB): joint ML holds one metric per hypothesis, |A| * J * M^L, and the
-# LLR path one slot LLR per (point, codeword, slot), S * |A| * L.
+# Largest detector size a config may ask for (2**25 float64 values, 256 MiB):
+# the LLR path holds S * |A| * L slot LLRs; joint ML searches |A| * J * M^L
+# hypotheses per block, a cap kept although its search stores none of them.
 ML_MAX_HYPOTHESES = 2**25
 
 

@@ -149,9 +149,9 @@ def run_trials(ctx: RunContext, layouts: tuple, sigma2s: tuple, start: int, stop
     states, q_ris, q_eh, received = {}, [], [], []
     for group_sizes in layouts:
         channel = drawn.regroup(group_sizes)
-        # the surface state depends on the assist group alone
-        ris = states.get(group_sizes[0]) or states.setdefault(
-            group_sizes[0], make_ris_state(channel, ctx.phase_set, ris_bit))
+        if group_sizes[0] not in states:    # the surface state depends on the assist group alone
+            states[group_sizes[0]] = make_ris_state(channel, ctx.phase_set, ris_bit)
+        ris = states[group_sizes[0]]
         q_ris.append(ris_rectenna_input(channel.h_r[..., channel.group_slice(1)], frame.samples))
         q_eh.append(eh_received(channel, ris, frame.tau, frame.samples)[1])
         if sigma2s:
@@ -189,7 +189,8 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
     return Tally(*(field[0, 0].item() for field in tally))
 
 
-# Bytes that the largest array of one batch of trials may take.
+# Bytes that the largest array of one batch of trials may take. A batch's
+# peak is about twice that (the normal draw and the links it gives coexist).
 _BATCH_BYTES = 1 << 19
 
 

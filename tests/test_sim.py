@@ -48,6 +48,30 @@ class TestTrialRng:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_rekeyed_generator_equals_new_one(self):
+        # an odd count of bits leaves half a 64-bit word buffered; rekeying
+        # must drop it along with the counter
+        used = trial_rng(5, 7)
+        used.integers(0, 2, size=3)
+        used.standard_normal(5)
+        for stream in (7, 8, 2**40):
+            reused, new = trial_rng(5, stream, used), trial_rng(5, stream)
+            assert reused is used
+            np.testing.assert_array_equal(reused.integers(0, 2, size=9), new.integers(0, 2, size=9))
+            np.testing.assert_array_equal(reused.standard_normal(7), new.standard_normal(7))
+
+    @pytest.mark.parametrize("eta", [1, 4, 8, 13])
+    def test_one_bit_draw_equals_two(self, eta):
+        # trial batches draw the data bits and the surface bit in one call
+        for stream in range(200):
+            fused, split = trial_rng(3, stream), trial_rng(3, stream)
+            fused.standard_normal(6)
+            split.standard_normal(6)
+            bits = fused.integers(0, 2, size=eta + 1)
+            np.testing.assert_array_equal(bits[:-1], split.integers(0, 2, size=eta))
+            assert bits[-1] == int(split.integers(0, 2))
+            np.testing.assert_array_equal(fused.standard_normal(4), split.standard_normal(4))
+
 
 class TestBlockTrial:
     def test_noiseless_ml_is_error_free(self):
