@@ -75,12 +75,13 @@ class Observation:
 
 
 def unit_noise(shape, rng) -> np.ndarray:
-    """Complex Gaussian noise of shape (rows, cols) with unit-variance real
-    and imaginary parts; every real part is drawn before any imaginary part.
-    ``rng`` is a random stream, or such draws of B streams stacked, normals
-    (B, 2, rows, cols), which give noise (B, rows, cols)."""
-    z = rng.standard_normal((2,) + tuple(shape)) if isinstance(rng, np.random.Generator) else rng
-    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    """Complex Gaussian noise with unit-variance real and imaginary parts;
+    every real part is drawn before any imaginary part. ``rng`` is a random
+    stream, or such draws of B streams stacked, normals (B, 2, *shape),
+    which give noise (B, *shape)."""
+    z = (rng.standard_normal((2,) + tuple(shape)) if isinstance(rng, np.random.Generator)
+         else np.moveaxis(rng, -1 - len(shape), 0))
+    return z[0] + 1j * z[1]
 
 
 def observe(channel: ChannelRealization, frame: TimFrame, ris: RisState, sigma2: float,

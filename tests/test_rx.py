@@ -720,6 +720,17 @@ class TestPointBatch:
                        frame.omega, cfg.p_low_w, False)
 
 
+def test_unit_noise_any_shape_and_stacked_draws():
+    # real parts of every entry first, then imaginary parts, whatever the shape
+    rng = trial_rng(0, 1)
+    want = rng.standard_normal((3, 8, 4)) + 1j * rng.standard_normal((3, 8, 4))
+    np.testing.assert_array_equal(unit_noise((3, 8, 4), trial_rng(0, 1)), want)
+    # the draws of several streams stacked give each stream's noise per row
+    draws = np.stack([trial_rng(0, b).standard_normal((2, 8, 4)) for b in range(3)])
+    np.testing.assert_array_equal(unit_noise((8, 4), draws),
+                                  [unit_noise((8, 4), trial_rng(0, b)) for b in range(3)])
+
+
 def test_direct_log_sum_exp_self_check():
     vals = [0.0, -1.0, 2.0]
     assert direct_log_sum_exp(vals) == pytest.approx(
