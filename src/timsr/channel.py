@@ -7,7 +7,7 @@ surface->harvester. The surface is partitioned into three cell groups
 assembled once per block.
 
 A block's links come from one draw of standard normals, link by link, real
-parts before imaginary parts. B such draws stacked give a batch of blocks:
+parts before imaginary parts. B such draws as rows give a batch of blocks:
 every link and cascade gains a leading block axis.
 """
 
@@ -60,17 +60,16 @@ class RicianSpec:
         object.__setattr__(self, "los", los)
 
 
-def sample_rician(spec: RicianSpec, rows: int, cols: int, rng) -> np.ndarray:
-    """Draw a rows x cols matrix of independent Rician fades.
+def sample_rician(spec: RicianSpec, rows: int, cols: int, normals) -> np.ndarray:
+    """Rows x cols matrices of independent Rician fades from standard
+    normals (..., 2*rows*cols), real parts then imaginary parts; the fades
+    are (..., rows, cols).
 
     Each entry is sqrt(gain) * (sqrt(k/(k+1)) * exp(j*theta_los)
     + sqrt(1/(k+1)) * w) with w standard circularly symmetric complex
-    Gaussian, so the per-entry mean power equals the path gain. ``rng`` is
-    a random stream, or normals (..., 2*rows*cols) drawn from one (real
-    parts, then imaginary parts) giving fades (..., rows, cols).
+    Gaussian, so the per-entry mean power equals the path gain.
     """
-    z = rng.standard_normal(2 * rows * cols) if isinstance(rng, np.random.Generator) else rng
-    z = np.reshape(z, np.shape(z)[:-1] + (2, rows, cols))
+    z = np.reshape(normals, np.shape(normals)[:-1] + (2, rows, cols))
     fade = 1j * z[..., 1, :, :]           # in place from here: one array per link
     fade += z[..., 0, :, :]
     fade /= math.sqrt(2.0)
@@ -114,7 +113,7 @@ class ChannelRealization:
 
 def make_realization(h_d, h_r, G_d, h_e, g_e, group_sizes) -> ChannelRealization:
     """Assemble a realization and its cascaded channels from raw link draws
-    with the same leading block axes, one stacked matrix-vector product per
+    with the same leading block axes, one batched matrix-vector product per
     group: each block's cascade equals that of the block alone."""
     h_d, h_r, G_d, h_e, g_e = (np.asarray(x, dtype=complex) for x in (h_d, h_r, G_d, h_e, g_e))
     n = h_r.shape[-1]
@@ -139,8 +138,8 @@ class ChannelModel:
 
     Line-of-sight phases are drawn once at construction (per the configured
     policy) and held fixed for every block of the run; only the diffuse
-    components are redrawn per block. ``realize`` is pure in the passed
-    random stream, so independent streams may drive concurrent workers.
+    components are redrawn per block. ``realize`` is pure in the normals
+    it is passed, so independent streams may drive concurrent workers.
     """
 
     def __init__(
@@ -189,15 +188,14 @@ class ChannelModel:
                 phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
             self.specs[name] = RicianSpec(kappa=kappa, path_gain=gain, los_phase=phase)
 
-    def realize(self, rng) -> ChannelRealization:
-        """One block realization, fixed for the K slots of the block, drawn
-        from random stream ``rng`` as ``rng.standard_normal(n_normals)``; or a
-        batch from those draws of B streams stacked, normals (B, n_normals)."""
-        z = rng.standard_normal(self.n_normals) if isinstance(rng, np.random.Generator) else rng
+    def realize(self, normals) -> ChannelRealization:
+        """The channels of the blocks whose streams drew ``normals``
+        (..., n_normals), each fixed for the K slots of its block; one
+        stream's ``standard_normal(n_normals)`` gives one block."""
         links, start = [], 0
         for name, (shape, _) in self.links.items():
             stop = start + 2 * math.prod(shape)
-            links.append(sample_rician(self.specs[name], *shape, z[..., start:stop]))
+            links.append(sample_rician(self.specs[name], *shape, normals[..., start:stop]))
             start = stop
         h_d, h_r, G_d, h_e, g_e = links
         return make_realization(h_d[..., 0], h_r[..., 0], G_d, h_e[..., 0, 0], g_e[..., 0],

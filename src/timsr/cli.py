@@ -36,12 +36,14 @@ def _parse_scheme(text: str):
 
 
 def _parse_grid(text: str):
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        if len(parts) != 3:
-            raise ValueError(f"--n2-grid range expects 'start:stop:step', got {text!r}")
-        return tuple(range(parts[0], parts[1], parts[2]))
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    try:
+        if ":" in text:
+            start, stop, step = (int(v) for v in text.split(":"))
+            return tuple(range(start, stop, step))
+        return tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValueError(f"--n2-grid expects integers 'N,N,...' or 'START:STOP:STEP' with a "
+                         f"nonzero step, got {text!r}") from None
 
 
 def _build_config(args):

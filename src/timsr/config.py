@@ -184,7 +184,10 @@ def make_config(**overrides) -> SimConfig:
     return cfg
 
 
-def _parse_value(name: str, kind, text: str):
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", tuple: "a list of numbers"}
+
+
+def _parse_value(kind, text: str):
     text = text.strip()
     if kind is bool:
         lowered = text.lower()
@@ -192,7 +195,7 @@ def _parse_value(name: str, kind, text: str):
             return True
         if lowered in ("false", "no", "0"):
             return False
-        raise ValueError(f"config key {name}: cannot parse {text!r} as a boolean")
+        raise ValueError(text)
     if kind is int:
         return int(text)
     if kind is float:
@@ -217,7 +220,11 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        overrides[key] = _parse_value(key, kinds[key], value)
+        try:
+            overrides[key] = _parse_value(kinds[key], value)
+        except ValueError:
+            raise ValueError(f"config line {lineno}: key {key}: cannot parse {value!r} as "
+                             f"{_KIND_NAMES[kinds[key]]}") from None
     return overrides
 
 

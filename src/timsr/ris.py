@@ -114,12 +114,11 @@ class RectennaModel:
 
 
 def clc_dc_power(q_w, model: RectennaModel):
-    """Harvested DC power for rectenna input ``q_w`` (scalar or array)."""
+    """Harvested DC power for rectenna input powers ``q_w`` (...)."""
     q = np.asarray(q_w, dtype=float)
     if np.any(q < 0):
         raise ValueError("rectenna input power cannot be negative")
-    out = model.efficiency * np.clip(q - model.p_on_w, 0.0, model.p_sat_w - model.p_on_w)
-    return float(out) if np.ndim(q_w) == 0 else out
+    return model.efficiency * np.clip(q - model.p_on_w, 0.0, model.p_sat_w - model.p_on_w)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ phase), and the :class:`Observation` carries them as ``eff``.
 :func:`slot_costs` scores the received samples against them; every detector
 stage is an array kernel over those slot costs.
 
-The kernels carry leading axes: B blocks received at S noise variances are
-one :class:`Observation` with samples (B, S, K, M_R), detected in one call
-with one decision per (block, point) row. One block stacked over S
-variances drops the block axis; an unbatched observation drops both.
+Every kernel takes arrays with any number of leading axes, none included,
+and returns arrays with those axes. B blocks received at S noise variances
+are one :class:`Observation` with samples (B, S, K, M_R), detected in one
+call with one decision per (block, point) row; one block at one variance
+has samples (K, M_R) and decisions with no leading axis. :func:`observe` is
+noiseless: noise enters only through :meth:`Observation.with_noise`, as
+unit noise drawn by the trials' streams.
 
 The joint detector finds the least metric over every (codeword, surface
 phase, symbol vector) hypothesis without enumerating them
@@ -44,61 +47,52 @@ from .txphy import decode_frame  # noqa: F401
 
 @dataclass
 class Observation:
-    """The K received vectors of one block plus what the receiver knows:
-    the noise variance and the effective receive channels ``eff`` (J+1, M_R)
-    h_d + F psi, one row per reflection row ``psi`` of the surface state:
-    each information phase, then the power phase. A stacked observation
-    holds samples (S, K, M_R) and variances (S,); a batch of blocks adds a
-    leading block axis to the samples and to ``eff``."""
+    """The received vectors y (..., K, M_R) of blocks plus what the receiver
+    knows: the noise variance and the effective receive channels ``eff``
+    (..., J+1, M_R) h_d + F psi, one row per reflection row ``psi`` of the
+    surface state: each information phase, then the power phase. Variances
+    (S,) give the samples a point axis ahead of the K slots that ``eff``
+    lacks."""
 
     y: np.ndarray
     sigma2: float | np.ndarray
     eff: np.ndarray
 
-    def stacked(self) -> "Observation":
-        """This observation with a point axis (S = 1 when it has one variance)."""
-        return self if np.ndim(self.sigma2) else Observation(
-            self.y[..., None, :, :], np.reshape(self.sigma2, 1), self.eff)
-
     def with_noise(self, sigma2, unit) -> "Observation":
-        """The same block received at noise variance ``sigma2``: ``unit``
-        (from :func:`unit_noise`) scaled by sqrt(sigma2 / 2) is added to the
-        samples. A sequence of S variances gives one stacked observation,
-        one row per variance. Rows at ``sigma2 = 0`` keep the samples as
-        they are, and ``unit`` may be None when no variance is positive."""
+        """The same blocks received at noise variance ``sigma2``: ``unit``
+        (from :func:`unit_noise`, shaped like the samples) scaled by
+        sqrt(sigma2 / 2) is added to the samples. A sequence of S variances
+        adds a point axis, one row per variance. Rows at ``sigma2 = 0``
+        keep the samples as they are, and ``unit`` may be None when no
+        variance is positive."""
         s2 = np.asarray(sigma2, dtype=float)
+        if not np.all(s2 >= 0):
+            raise ValueError(f"noise variance must be >= 0, got {sigma2}")
         point = (Ellipsis, None, slice(None), slice(None)) if s2.ndim else Ellipsis
         y = self.y[point]
         scale = np.sqrt(s2 / 2.0)[..., None, None]
         noisy = y + scale * unit[point] if np.any(s2 > 0) else y
-        return Observation(np.where(scale > 0, noisy, y), s2 if s2.ndim else sigma2, self.eff)
+        return Observation(np.where(scale > 0, noisy, y), s2, self.eff)
 
 
-def unit_noise(shape, rng) -> np.ndarray:
-    """Complex Gaussian noise with unit-variance real and imaginary parts;
-    every real part is drawn before any imaginary part. ``rng`` is a random
-    stream, or such draws of B streams stacked, normals (B, 2, *shape),
-    which give noise (B, *shape)."""
-    z = (rng.standard_normal((2,) + tuple(shape)) if isinstance(rng, np.random.Generator)
-         else np.moveaxis(rng, -1 - len(shape), 0))
+def unit_noise(shape, normals) -> np.ndarray:
+    """Complex Gaussian noise (..., *shape) with unit-variance real and
+    imaginary parts from standard normals (..., 2, *shape), real parts
+    first: one stream's ``standard_normal((2, *shape))`` is one block's
+    noise."""
+    z = np.moveaxis(normals, -1 - len(shape), 0)
     return z[0] + 1j * z[1]
 
 
-def observe(channel: ChannelRealization, frame: TimFrame, ris: RisState, sigma2: float,
-            rng: np.random.Generator) -> Observation:
-    """Propagate one block through the channel: direct path plus the
-    surface-reflected path, under the block's information row of ``ris.psi``
-    in information slots and the power row elsewhere, with white Gaussian
-    noise of variance ``sigma2`` in every slot. The stream is drawn from
-    only when ``sigma2 > 0``. The effective channels h_d + F psi are built
-    here, one per row of ``psi``, and carried on the observation. A batch
-    of realizations, frames and surface states gives a batch of blocks."""
-    if sigma2 < 0:
-        raise ValueError("noise variance cannot be negative")
+def observe(channel: ChannelRealization, frame: TimFrame, ris: RisState) -> Observation:
+    """The noiseless samples of blocks: direct path plus the
+    surface-reflected path, under each block's information row of
+    ``ris.psi`` in information slots and the power row elsewhere. The
+    effective channels h_d + F psi are built here, one per row of ``psi``,
+    and carried on the observation."""
     eff = channel.h_d[..., None, :] + (channel.f_casc[..., None, :, :] @ ris.psi[..., None])[..., 0]
     y = np.where(frame.tau[..., None] == 1, ris.info_row(eff)[..., None, :], eff[..., -1:, :])
-    clean = Observation(y * frame.samples[..., None], 0.0, eff)
-    return clean.with_noise(sigma2, unit_noise(y.shape, rng)) if sigma2 > 0 else clean
+    return Observation(y * frame.samples[..., None], 0.0, eff)
 
 
 def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, omega: complex):
@@ -121,31 +115,26 @@ def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, 
 
 @dataclass
 class DetectionResult:
-    """One block's decision. A stacked or batched observation's result has
-    its leading axes on each per-row field: ``codeword`` (..., L) slots,
-    labels and symbols (..., L), phase and bit (...,), ``ptx_bits``
-    (..., eta); ``visited`` sums over the rows."""
+    """The decision of each row of an observation, with its leading axes on
+    every per-row field: ``codeword`` (..., L) slots, labels and symbols
+    (..., L), phase and bit (...), ``ptx_bits`` (..., eta); ``visited``
+    sums over the rows."""
 
-    codeword: tuple | np.ndarray
-    symbol_labels: tuple | np.ndarray
+    codeword: np.ndarray
+    symbol_labels: np.ndarray
     symbols: np.ndarray
-    info_phase: float | np.ndarray
-    ris_bit: int | np.ndarray
+    info_phase: np.ndarray
+    ris_bit: np.ndarray
     ptx_bits: np.ndarray
     detector: str
     visited: int
 
 
-def _result(obs, codebook, constellation, alpha, labels, phase_pair, c, detector, visited):
-    """Each row's detection from its codeword index, labels and phase index;
-    the point axis is dropped for an unbatched ``obs``."""
-    bits = block_bits(alpha, labels, codebook, constellation)
-    if obs.y.ndim > 2:
-        return DetectionResult(codebook.slot_index[alpha] + 1, labels, constellation.points[labels],
-                               np.asarray(phase_pair)[c], c, bits, detector, visited)
-    a, labels, c = int(alpha[0]), tuple(int(x) for x in labels[0]), int(c[0])
-    return DetectionResult(codebook.codewords[a], labels, constellation.points[list(labels)],
-                           float(phase_pair[c]), c, bits[0], detector, visited)
+def _result(codebook, constellation, alpha, labels, phase_pair, c, detector, visited):
+    """Each row's detection from its codeword index, labels and phase index."""
+    return DetectionResult(codebook.slot_index[alpha] + 1, labels, constellation.points[labels],
+                           np.asarray(phase_pair)[c], c,
+                           block_bits(alpha, labels, codebook, constellation), detector, visited)
 
 
 def joint_search(info_cost, pow_cost, slot_index, paper_compat: bool = False):
@@ -196,11 +185,10 @@ def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Co
     With ``paper_compat`` only the hypothesized information slots are scored,
     dropping the power-slot terms from the metric.
     """
-    points = obs.stacked()
-    info_cost, pow_cost = slot_costs(points, constellation, p_info_w, omega)
+    info_cost, pow_cost = slot_costs(obs, constellation, p_info_w, omega)
     alpha, c, labels = joint_search(info_cost, pow_cost, codebook.slot_index, paper_compat)
     visited = alpha.size * len(codebook.codewords) * len(phase_pair) * constellation.m_order**codebook.l_slots
-    return _result(obs, codebook, constellation, alpha, labels, phase_pair, c, "ml", visited)
+    return _result(codebook, constellation, alpha, labels, phase_pair, c, "ml", visited)
 
 
 def llr_per_slot(info_cost, pow_cost, sigma2, k_slots: int, l_slots: int,
@@ -233,11 +221,10 @@ def llr_per_slot(info_cost, pow_cost, sigma2, k_slots: int, l_slots: int,
 
 
 def select_info_slots(llr: np.ndarray, codebook: IndexCodebook):
-    """Codeword with the largest LLR sum over its slots, searched over the
-    legitimate set only; ties resolve to the earliest codeword. For LLR rows
-    (S, K) the result is each row's codeword index (S,)."""
-    alpha = np.argmax(llr[..., codebook.slot_index].sum(axis=-1), axis=-1)
-    return alpha if llr.ndim > 1 else codebook.codewords[int(alpha)]
+    """Index of the codeword with the largest LLR sum over its slots,
+    searched over the legitimate set only; ties resolve to the earliest
+    codeword. LLRs (..., K) give each row's codeword index (...)."""
+    return np.argmax(llr[..., codebook.slot_index].sum(axis=-1), axis=-1)
 
 
 def ml_symbol_phase(info_cost, slots, phase_pair):
@@ -245,18 +232,17 @@ def ml_symbol_phase(info_cost, slots, phase_pair):
     from the information-slot costs (..., J, M, K).
 
     For each candidate surface phase the per-slot symbol search factorizes,
-    so only J*M*L metrics are evaluated; the result equals a full search
-    over all symbol vectors and phases. Slots (S, L) and costs (S, J, M, K)
-    give one decision per point.
+    so only J*M*L metrics are evaluated per row; the result equals a full
+    search over all symbol vectors and phases. Slots (..., L) and costs
+    (..., J, M, K) give labels (..., L), phases and phase indices (...),
+    and the count of metrics evaluated.
     """
     slots0 = np.asarray(slots, dtype=np.int64) - 1
     costs = np.take_along_axis(info_cost, slots0[..., None, None, :], axis=-1)   # (..., J, M, L)
     labels = np.argmin(costs, axis=-2)                           # first minimum per slot
     c = np.argmin(costs.min(axis=-2).sum(axis=-1), axis=-1)      # first minimum over phases
     labels = np.take_along_axis(labels, c[..., None, None], axis=-2)[..., 0, :]
-    if c.ndim:
-        return labels, np.asarray(phase_pair)[c], c, costs.size
-    return tuple(int(x) for x in labels), float(phase_pair[c]), int(c), costs.size
+    return labels, np.asarray(phase_pair)[c], c, costs.size
 
 
 def llr_detect(obs: Observation, codebook: IndexCodebook, constellation: Constellation,
@@ -266,11 +252,10 @@ def llr_detect(obs: Observation, codebook: IndexCodebook, constellation: Constel
     then the factorized symbol/phase search and bit recovery, all from one
     set of slot costs for every point at once. The reported hypothesis count
     is the K*(J*M + 1) metric evaluations of the LLR stage per point."""
-    points = obs.stacked()
-    info_cost, pow_cost = slot_costs(points, constellation, p_info_w, omega)
-    llr = llr_per_slot(info_cost, pow_cost, points.sigma2, codebook.k_slots, codebook.l_slots,
+    info_cost, pow_cost = slot_costs(obs, constellation, p_info_w, omega)
+    llr = llr_per_slot(info_cost, pow_cost, obs.sigma2, codebook.k_slots, codebook.l_slots,
                        paper_compat)
     alpha = select_info_slots(llr, codebook)
     labels, _, c, _ = ml_symbol_phase(info_cost, codebook.slot_index[alpha] + 1, phase_pair)
     visited = alpha.size * codebook.k_slots * (len(phase_pair) * constellation.m_order + 1)
-    return _result(obs, codebook, constellation, alpha, labels, phase_pair, c, "llr", visited)
+    return _result(codebook, constellation, alpha, labels, phase_pair, c, "llr", visited)

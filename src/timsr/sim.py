@@ -155,7 +155,7 @@ def run_trials(ctx: RunContext, layouts: tuple, sigma2s: tuple, start: int, stop
         q_ris.append(ris_rectenna_input(channel.h_r[..., channel.group_slice(1)], frame.samples))
         q_eh.append(eh_received(channel, ris, frame.tau, frame.samples)[1])
         if sigma2s:
-            received.append(observe(channel, frame, ris, 0.0, None))
+            received.append(observe(channel, frame, ris))
     del drawn, channel          # the links are done with: free them before detecting
 
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect

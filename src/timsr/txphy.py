@@ -175,13 +175,13 @@ def codeword_to_tau(codeword, k_slots: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimFrame:
-    """One encoded block: slot-activity vector, the K transmit samples, and
-    the bits they carry."""
+    """Encoded blocks: slot-activity vectors and the K transmit samples
+    (..., K), the bits they carry and the codeword's slots (..., L)."""
 
     tau: np.ndarray
     samples: np.ndarray
     bits: np.ndarray
-    codeword: tuple | np.ndarray
+    codeword: np.ndarray
     omega: complex
 
 
@@ -198,8 +198,8 @@ def encode_block(
     The leading index bits select the codeword; the remaining bits fill the
     selected slots in ascending slot order, log2(M) bits per symbol, scaled
     to power ``p_info_w``. All other slots carry the deterministic power
-    sample omega with |omega|^2 = ``p_power_w``. Bits (B, eta) encode B
-    blocks at once: tau and samples (B, K), codeword slots (B, L).
+    sample omega with |omega|^2 = ``p_power_w``. Bits (..., eta) give tau
+    and samples (..., K) and the codeword's slots (..., L).
     """
     if p_power_w < p_info_w:
         raise ValueError("power-stage level must satisfy p_power_w >= p_info_w")
@@ -218,8 +218,8 @@ def encode_block(
     np.put_along_axis(samples, slots, math.sqrt(p_info_w) * constellation.points[labels], -1)
     samples.setflags(write=False)
 
-    codeword = codebook.codewords[alpha] if bits.ndim == 1 else slots + 1
-    return TimFrame(codeword_to_tau(slots + 1, codebook.k_slots), samples, bits, codeword,
+    codeword = slots + 1
+    return TimFrame(codeword_to_tau(codeword, codebook.k_slots), samples, bits, codeword,
                     complex(omega))
 
 

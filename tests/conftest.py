@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from timsr import make_config
+from timsr.rx import unit_noise
 from timsr.sim import direct_snr_sigma2, make_context, trial_rng
 
 
@@ -10,6 +11,16 @@ def small_cfg():
     """(4, 2) layout with the hand-fixed codebook; cheap enough for
     exhaustive checks."""
     return make_config(k_slots=4, l_slots=2, codebook_strategy="table1", trials=1)
+
+
+def draw_channel(model, rng):
+    """One block's channels from stream ``rng``, drawn as a trial draws them."""
+    return model.realize(rng.standard_normal(model.n_normals))
+
+
+def draw_noise(shape, rng):
+    """Unit noise of ``shape`` from stream ``rng``, drawn as a trial draws it."""
+    return unit_noise(shape, rng.standard_normal((2,) + tuple(shape)))
 
 
 def build_observation(cfg, snr_db, trial=0, ris_bit=None, bits=None):
@@ -21,7 +32,7 @@ def build_observation(cfg, snr_db, trial=0, ris_bit=None, bits=None):
 
     ctx = make_context(cfg, direct_snr_sigma2(cfg, snr_db))
     rng = trial_rng(cfg.seed, trial)
-    channel = ctx.channel_model.realize(rng)
+    channel = draw_channel(ctx.channel_model, rng)
     eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
     if bits is None:
         bits = rng.integers(0, 2, size=eta)
@@ -31,5 +42,6 @@ def build_observation(cfg, snr_db, trial=0, ris_bit=None, bits=None):
         np.asarray(bits), ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w
     )
     state = make_ris_state(channel, ctx.phase_set, ris_bit)
-    obs = observe(channel, frame, state, ctx.sigma2, rng)
+    clean = observe(channel, frame, state)
+    obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
     return ctx, obs, frame, state, np.asarray(bits), ris_bit, channel

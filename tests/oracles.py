@@ -62,12 +62,14 @@ def loop_trial(ctx, layouts, sigma2s, trial_index):
     point in ``timsr.sim.Tally`` field order, layout-major."""
     cfg = ctx.cfg
     rng = trial_rng(cfg.seed, trial_index)
-    drawn = ctx.channel_model.realize(rng)
+    drawn = ctx.channel_model.realize(rng.standard_normal(ctx.channel_model.n_normals))
     eta_r = ctx.codebook.bits_index
     eta = eta_r + cfg.l_slots * ctx.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=eta)
     ris_bit = int(rng.integers(0, 2))
-    noise = unit_noise((cfg.k_slots, cfg.m_rx), rng) if any(s > 0 for s in sigma2s) else None
+    shape = (cfg.k_slots, cfg.m_rx)
+    noise = (unit_noise(shape, rng.standard_normal((2,) + shape)) if any(s > 0 for s in sigma2s)
+             else None)
     frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w,
                          cfg.omega_phase_rad)
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
@@ -83,7 +85,7 @@ def loop_trial(ctx, layouts, sigma2s, trial_index):
         if not sigma2s:
             records.append(harvest + (0,) * 6)
         for s2 in sigma2s:
-            obs = observe(channel, frame, ris, 0.0, rng).with_noise(s2, noise)
+            obs = observe(channel, frame, ris).with_noise(s2, noise)
             det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                          frame.omega, cfg.p_low_w, cfg.paper_compat)
             wrong = det.ptx_bits != bits

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import build_observation
+from conftest import build_observation, draw_channel, draw_noise
 from oracles import direct_llr, naive_joint_search
 
 from timsr import make_config
@@ -50,13 +50,14 @@ def _paired_detect(cfg, snr_db, n_blocks, detectors=("ml", "llr")):
     idx_err = {d: np.empty(n_blocks) for d in detectors}
     for i in range(n_blocks):
         rng = trial_rng(cfg.seed, i)
-        ch = ctx.channel_model.realize(rng)
+        ch = draw_channel(ctx.channel_model, rng)
         bits = rng.integers(0, 2, eta)
         rb = int(rng.integers(0, 2))
         frame = encode_block(bits, ctx.codebook, ctx.constellation,
                              cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad)
         state = make_ris_state(ch, ctx.phase_set, rb)
-        obs = observe(ch, frame, state, ctx.sigma2, rng)
+        clean = observe(ch, frame, state)
+        obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
         for d in detectors:
             fn = ml_joint_detect if d == "ml" else llr_detect
             det = fn(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
@@ -120,7 +121,7 @@ def test_criterion_4_noiseless_correctness():
     checked = 0
     for realization in range(100):
         rng = trial_rng(cfg.seed, realization)
-        ch = ctx.channel_model.realize(rng)
+        ch = draw_channel(ctx.channel_model, rng)
         sigma2 = 1e-12 * cfg.p_low_w * float(np.mean(np.abs(ch.h_d) ** 2))
         for v in range(1 << eta):
             bits = int_to_bits(v, eta)
@@ -128,7 +129,8 @@ def test_criterion_4_noiseless_correctness():
                                  cfg.p_low_w, cfg.p_high_w)
             rb = v % 2
             state = make_ris_state(ch, ctx.phase_set, rb)
-            obs = observe(ch, frame, state, sigma2, rng)
+            clean = observe(ch, frame, state)
+            obs = clean.with_noise(sigma2, draw_noise(clean.y.shape, rng))
             for fn in (ml_joint_detect, llr_detect):
                 det = fn(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                          frame.omega, cfg.p_low_w)
@@ -153,7 +155,8 @@ def test_criterion_5_ml_oracle_equivalence():
             obs, ch, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
             frame.omega, ctx.phase_set, cfg.p_low_w,
         )
-        mismatches += int((det.codeword, det.ris_bit, det.symbol_labels) != (cw, c, labels))
+        mismatches += int((tuple(det.codeword), det.ris_bit, tuple(det.symbol_labels))
+                          != (cw, c, labels))
     elapsed = time.perf_counter() - t0
     assert mismatches == 0
     assert elapsed < 30.0

@@ -51,25 +51,27 @@ class TestRician:
     @pytest.mark.parametrize("kappa,gain", [(0.0, 1.0), (5.0, 1.0), (5.0, 1e-5), (2.0, 0.3)])
     def test_mean_power_equals_path_gain(self, kappa, gain):
         rng = np.random.default_rng(123)
-        draws = sample_rician(RicianSpec(kappa, gain, 0.7), 100_000, 1, rng)
+        normals = rng.standard_normal(200_000)
+        draws = sample_rician(RicianSpec(kappa, gain, 0.7), 100_000, 1, normals)
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(gain, rel=0.02)
 
     def test_pure_rayleigh_when_kappa_zero(self):
         rng = np.random.default_rng(7)
-        draws = sample_rician(RicianSpec(0.0, 1.0, 1.2), 100_000, 1, rng)
+        draws = sample_rician(RicianSpec(0.0, 1.0, 1.2), 100_000, 1, rng.standard_normal(200_000))
         # no deterministic component survives
         assert np.abs(np.mean(draws)) < 0.02
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_huge_kappa_collapses_to_los(self):
         rng = np.random.default_rng(7)
-        draws = sample_rician(RicianSpec(1e9, 0.25, 0.4), 1000, 1, rng)
+        draws = sample_rician(RicianSpec(1e9, 0.25, 0.4), 1000, 1, rng.standard_normal(2000))
         assert np.allclose(np.abs(draws), 0.5, rtol=1e-3)
         assert np.allclose(np.angle(draws), 0.4, atol=1e-3)
 
     def test_los_phase_array(self):
         phases = np.array([[0.0], [np.pi / 2], [np.pi]])
-        draws = sample_rician(RicianSpec(1e9, 1.0, phases), 3, 1, np.random.default_rng(0))
+        normals = np.random.default_rng(0).standard_normal(6)
+        draws = sample_rician(RicianSpec(1e9, 1.0, phases), 3, 1, normals)
         assert np.allclose(np.angle(draws), phases, atol=1e-3)
 
     def test_invalid_spec(self):
@@ -95,9 +97,14 @@ def default_model(policy="per-link", **kw):
     return ChannelModel(**args)
 
 
+def draw(model, seed):
+    """One block of ``model`` from the normals of a fresh stream seeded ``seed``."""
+    return model.realize(np.random.default_rng(seed).standard_normal(model.n_normals))
+
+
 class TestRealization:
     def test_shapes_baseline_setup(self):
-        ch = default_model().realize(np.random.default_rng(1))
+        ch = draw(default_model(), 1)
         assert ch.h_d.shape == (4,)
         assert ch.h_r.shape == (256,)
         assert ch.G_d.shape == (4, 256)
@@ -107,7 +114,7 @@ class TestRealization:
         assert np.all(np.isfinite(ch.f_casc))
 
     def test_cascade_recomputable_exactly(self):
-        ch = default_model().realize(np.random.default_rng(2))
+        ch = draw(default_model(), 2)
         for l in range(3):
             sl = ch.group_slice(l)
             np.testing.assert_array_equal(ch.f_casc[:, l], ch.G_d[:, sl] @ ch.h_r[sl])
@@ -115,14 +122,14 @@ class TestRealization:
 
     def test_all_absorbers_leaves_no_reflection(self):
         model = default_model(group_sizes=(0, 256, 0))
-        ch = model.realize(np.random.default_rng(3))
+        ch = draw(model, 3)
         np.testing.assert_array_equal(ch.f_casc[:, 0], np.zeros(4))
         np.testing.assert_array_equal(ch.f_casc[:, 2], np.zeros(4))
         assert ch.v_casc[0] == 0 and ch.v_casc[2] == 0
 
     def test_determinism(self):
-        a = default_model().realize(np.random.default_rng(42))
-        b = default_model().realize(np.random.default_rng(42))
+        a = draw(default_model(), 42)
+        b = draw(default_model(), 42)
         np.testing.assert_array_equal(a.h_d, b.h_d)
         np.testing.assert_array_equal(a.G_d, b.G_d)
         np.testing.assert_array_equal(a.f_casc, b.f_casc)
@@ -151,7 +158,7 @@ class TestRealization:
         # the once-per-spec line-of-sight term leaves every draw bit for bit
         model = default_model(policy, kappa=kappa)
         for seed in range(3):
-            ch = model.realize(np.random.default_rng(seed))
+            ch = draw(model, seed)
             links = per_call_links(model, np.random.default_rng(seed))
             got = {"h_d": ch.h_d, "h_r": ch.h_r, "G_d": ch.G_d, "h_e": ch.h_e, "g_e": ch.g_e}
             for name, want in links.items():
@@ -160,8 +167,8 @@ class TestRealization:
 
     def test_los_phases_fixed_across_blocks(self):
         model = default_model()
-        a = model.realize(np.random.default_rng(1))
-        b = model.realize(np.random.default_rng(2))
+        a = draw(model, 1)
+        b = draw(model, 2)
         # different diffuse draws, same deterministic component underneath:
         # averaging many blocks converges to the shared LoS mean
         assert not np.array_equal(a.h_d, b.h_d)
@@ -172,5 +179,5 @@ class TestRealization:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_moment_property_any_seed(seed):
     rng = np.random.default_rng(seed)
-    draws = sample_rician(RicianSpec(3.0, 0.5, 0.1), 20_000, 1, rng)
+    draws = sample_rician(RicianSpec(3.0, 0.5, 0.1), 20_000, 1, rng.standard_normal(40_000))
     assert np.mean(np.abs(draws) ** 2) == pytest.approx(0.5, rel=0.05)

@@ -126,6 +126,33 @@ def test_malformed_grid_fails_cleanly(tmp_path, cfg_file, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0:10:0", "a,b"])
+def test_malformed_grid_names_the_flag(tmp_path, cfg_file, capsys, grid):
+    out = tmp_path / "out.csv"
+    assert main(["harvest-sweep", "--config", str(cfg_file), "--trials", "5",
+                 "--n2-grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n2-grid expects ") and repr(grid) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, kind", [
+    ("seed = abc", "an integer"),
+    ("kappa = five", "a number"),
+    ("snr_db_grid = 0, x", "a list of numbers"),
+    ("paper_compat = maybe", "a boolean"),
+])
+def test_unparsable_config_value_names_line_and_key(tmp_path, capsys, line, kind):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"trials = 5\n{line}\n")
+    out = tmp_path / "out.csv"
+    assert main(["ber-sweep", "--config", str(path), "--out", str(out)]) == 2
+    key, value = (part.strip() for part in line.split("="))
+    assert capsys.readouterr().err == (f"error: config line 2: key {key}: cannot parse "
+                                       f"{value!r} as {kind}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_power_budget_rejects_workers_below_one(capsys, workers):
     assert main(["power-budget", "--trials", "5", "--workers", workers]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_observation
+from conftest import build_observation, draw_channel, draw_noise
 from oracles import (
     _effective,
     direct_llr,
@@ -46,8 +46,7 @@ class TestObserve:
     def test_noiseless_superposition(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         # rebuild with zero noise and check the exact per-slot composition
-        rng = trial_rng(small_cfg.seed, 0)
-        clean = observe(ch, frame, state, 0.0, rng)
+        clean = observe(ch, frame, state)
         for k in range(small_cfg.k_slots):
             eff = ch.h_d + ch.f_casc @ state.psi[state.ris_bit if frame.tau[k] else -1]
             np.testing.assert_allclose(clean.y[k], eff * frame.samples[k], rtol=1e-12)
@@ -55,7 +54,7 @@ class TestObserve:
     def test_no_reflection_reduces_to_direct(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         ch.f_casc = np.zeros_like(ch.f_casc)
-        clean = observe(ch, frame, state, 0.0, trial_rng(0, 0))
+        clean = observe(ch, frame, state)
         for k in range(small_cfg.k_slots):
             np.testing.assert_allclose(clean.y[k], ch.h_d * frame.samples[k], rtol=1e-12)
 
@@ -67,7 +66,13 @@ class TestObserve:
     def test_negative_variance_rejected(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         with pytest.raises(ValueError):
-            observe(ch, frame, state, -1.0, trial_rng(0, 0))
+            observe(ch, frame, state).with_noise(-1.0, draw_noise(obs.y.shape, trial_rng(0, 0)))
+
+    @pytest.mark.parametrize("bad", [-1.0, (-1.0, 0.5), (0.5, math.nan), math.nan])
+    def test_with_noise_rejects_negative_or_nan_variance(self, small_cfg, bad):
+        _, obs, *_ = build_observation(small_cfg, snr_db=0.0)
+        with pytest.raises(ValueError, match="noise variance must be >= 0"):
+            obs.with_noise(bad, draw_noise(obs.y.shape, trial_rng(0, 0)))
 
     def test_noise_statistics(self, small_cfg):
         # every slot carries circularly symmetric noise of the set variance
@@ -76,8 +81,8 @@ class TestObserve:
         rng = trial_rng(0, 0)
         residuals = []
         for _ in range(2000):
-            noisy = observe(ch, frame, state, sigma2, rng)
-            clean = observe(ch, frame, state, 0.0, rng)
+            noisy = observe(ch, frame, state).with_noise(sigma2, draw_noise(obs.y.shape, rng))
+            clean = observe(ch, frame, state)
             residuals.append((noisy.y - clean.y).ravel())
         z = np.concatenate(residuals)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(sigma2, rel=0.02)
@@ -109,9 +114,8 @@ class TestObservationChannels:
 
     def test_noise_and_stacking_keep_eff(self, small_cfg):
         _, obs, *_ = build_observation(small_cfg, snr_db=5.0)
-        unit = unit_noise(obs.y.shape, trial_rng(0, 0))
-        for derived in (obs.stacked(), obs.with_noise(0.5, unit),
-                        obs.with_noise((0.5, 0.0), unit), obs.with_noise(0.5, unit).stacked()):
+        unit = draw_noise(obs.y.shape, trial_rng(0, 0))
+        for derived in (obs.with_noise(0.5, unit), obs.with_noise((0.5, 0.0), unit)):
             np.testing.assert_array_equal(derived.eff, obs.eff)
 
 
@@ -153,16 +157,16 @@ class TestMlJointDetect:
         cfg = small_cfg
         ctx = make_context(cfg, None)
         rng = trial_rng(cfg.seed, 11)
-        ch = ctx.channel_model.realize(rng)
+        ch = draw_channel(ctx.channel_model, rng)
         eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
         for v in range(1 << eta):
             bits = int_to_bits(v, eta)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
             for ris_bit in (0, 1):
                 state = make_ris_state(ch, ctx.phase_set, ris_bit)
-                obs = observe(ch, frame, state, 0.0, rng)
+                obs = observe(ch, frame, state)
                 det = self._detect(ctx, obs, frame, cfg)
-                assert det.codeword == frame.codeword
+                assert np.array_equal(det.codeword, frame.codeword)
                 assert np.array_equal(det.ptx_bits, bits)
                 assert det.ris_bit == ris_bit
 
@@ -185,9 +189,9 @@ class TestMlJointDetect:
                 obs, ch, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                 frame.omega, ctx.phase_set, cfg.p_low_w,
             )
-            assert det.codeword == cw
+            assert tuple(det.codeword) == cw
             assert det.ris_bit == c
-            assert det.symbol_labels == labels
+            assert tuple(det.symbol_labels) == labels
 
     def test_paper_compat_scores_info_slots_only(self, small_cfg):
         cfg = small_cfg
@@ -243,7 +247,7 @@ class TestLlrPerSlot:
 
     def test_zero_variance_rejected(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
-        clean = observe(ch, frame, state, 0.0, trial_rng(0, 0))
+        clean = observe(ch, frame, state)
         with pytest.raises(ValueError):
             self._llr(ctx, clean, frame, small_cfg)
 
@@ -262,22 +266,23 @@ class TestSelectInfoSlots:
     CB = build_codebook(4, 2, "table1")
 
     def test_dominant_legitimate_pair(self):
-        assert select_info_slots(np.array([9.0, 0.0, 8.0, 0.0]), self.CB) == (1, 3)
+        alpha = select_info_slots(np.array([9.0, 0.0, 8.0, 0.0]), self.CB)
+        assert self.CB.codewords[alpha] == (1, 3)
 
     def test_never_returns_excluded_pair(self):
         # the two largest LLRs {1,2} are not a codeword; the max legitimate
         # sum is 9, shared by (1,3) and (1,4); first codeword order wins
-        got = select_info_slots(np.array([9.0, 8.0, 0.0, 0.0]), self.CB)
+        got = self.CB.codewords[select_info_slots(np.array([9.0, 8.0, 0.0, 0.0]), self.CB)]
         assert got != (1, 2)
         assert got in ((1, 3), (1, 4))
         assert got == (1, 3)
 
     def test_all_equal_takes_first_codeword(self):
-        assert select_info_slots(np.zeros(4), self.CB) == self.CB.codewords[0]
+        assert select_info_slots(np.zeros(4), self.CB) == 0
 
     def test_single_slot_layout(self):
         cb = build_codebook(4, 1)
-        assert select_info_slots(np.array([0.0, 5.0, 1.0, 2.0]), cb) == (2,)
+        assert cb.codewords[select_info_slots(np.array([0.0, 5.0, 1.0, 2.0]), cb)] == (2,)
 
     def test_matches_per_codeword_loop(self):
         # reference: each codeword's LLR sum in codebook order, first maximum
@@ -289,7 +294,7 @@ class TestSelectInfoSlots:
                 llr = 10.0 * rng.standard_normal(k)
                 sums = np.array([llr[np.asarray(cw) - 1].sum() for cw in cb.codewords])
                 np.testing.assert_array_equal(llr[cb.slot_index].sum(axis=1), sums)
-                assert select_info_slots(llr, cb) == cb.codewords[int(np.argmax(sums))]
+                assert select_info_slots(llr, cb) == int(np.argmax(sums))
 
 
 class TestMlSymbolPhase:
@@ -326,7 +331,7 @@ class TestMlSymbolPhase:
                 obs, ch, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
                 cfg.p_low_w, ctx.phase_set,
             )
-            assert (c, labels) == (want_c, want_labels)
+            assert (c, tuple(labels)) == (want_c, want_labels)
 
 
 class TestLlrDetect:
@@ -347,14 +352,15 @@ class TestLlrDetect:
         cfg = small_cfg
         ctx = make_context(cfg, None)
         rng = trial_rng(cfg.seed, 31)
-        ch = ctx.channel_model.realize(rng)
+        ch = draw_channel(ctx.channel_model, rng)
         sigma2 = 1e-12 * cfg.p_low_w * float(np.mean(np.abs(ch.h_d) ** 2))
         eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
         for v in range(1 << eta):
             bits = int_to_bits(v, eta)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
             state = make_ris_state(ch, ctx.phase_set, v % 2)
-            obs = observe(ch, frame, state, sigma2, rng)
+            clean = observe(ch, frame, state)
+            obs = clean.with_noise(sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
             assert np.array_equal(det.ptx_bits, bits)
             assert det.ris_bit == v % 2
@@ -364,13 +370,14 @@ class TestLlrDetect:
         ctx = make_context(cfg, direct_snr_sigma2(cfg, -10.0))  # deep noise
         for trial in range(2000):
             rng = trial_rng(cfg.seed, trial)
-            ch = ctx.channel_model.realize(rng)
+            ch = draw_channel(ctx.channel_model, rng)
             bits = rng.integers(0, 2, 8)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
             state = make_ris_state(ch, ctx.phase_set, int(rng.integers(0, 2)))
-            obs = observe(ch, frame, state, ctx.sigma2, rng)
+            clean = observe(ch, frame, state)
+            obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
-            assert det.codeword in ctx.codebook.codewords
+            assert tuple(det.codeword) in ctx.codebook.codewords
 
     def test_agrees_with_ml_at_high_snr(self):
         cfg = make_config(k_slots=8, l_slots=2, trials=1)
@@ -383,8 +390,8 @@ class TestLlrDetect:
                 frame.omega, cfg.p_low_w,
             )
             agree += int(
-                d_llr.codeword == d_ml.codeword
-                and d_llr.symbol_labels == d_ml.symbol_labels
+                np.array_equal(d_llr.codeword, d_ml.codeword)
+                and np.array_equal(d_llr.symbol_labels, d_ml.symbol_labels)
                 and d_llr.ris_bit == d_ml.ris_bit
             )
             total += 1
@@ -466,9 +473,9 @@ class TestArrayKernels:
         # every hypothesis ties across phases and phase 0 must win
         cfg = small_cfg
         ctx, _, frame, state, bits, _, _ = build_observation(cfg, snr_db=0.0, trial=4, ris_bit=1)
-        ch = ctx.channel_model.realize(trial_rng(cfg.seed, 4))
+        ch = draw_channel(ctx.channel_model, trial_rng(cfg.seed, 4))
         ch.f_casc[:, 2] = 0.0
-        obs = observe(ch, frame, state, 0.0, trial_rng(0, 0))
+        obs = observe(ch, frame, state)
         obs.sigma2 = 1e-9
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
@@ -483,14 +490,14 @@ class TestArrayKernels:
         ch.h_d = np.zeros_like(ch.h_d)
         ch.f_casc = np.zeros_like(ch.f_casc)
         # the same samples, scored against the zeroed channel's effective channels
-        obs.eff = observe(ch, frame, state, 0.0, trial_rng(0, 0)).eff
+        obs.eff = observe(ch, frame, state).eff
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(obs, *args)
-            assert det.codeword == ctx.codebook.codewords[0]
+            assert tuple(det.codeword) == ctx.codebook.codewords[0]
             assert det.ris_bit == 0
-            assert det.symbol_labels == (0, 0)
+            assert tuple(det.symbol_labels) == (0, 0)
 
     @pytest.mark.parametrize("paper_compat", [False, True])
     def test_llr_equals_recursion(self, paper_compat):
@@ -526,11 +533,12 @@ class TestArrayKernels:
             ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=trial)
             info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
             llr = llr_per_slot(info_cost, pow_cost, obs.sigma2, 8, 2)
-            codeword = select_info_slots(llr, ctx.codebook)
+            codeword = ctx.codebook.codewords[select_info_slots(llr, ctx.codebook)]
             labels, _, c, _ = ml_symbol_phase(info_cost, codeword, ctx.phase_set.phi_info)
             det = llr_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                              frame.omega, cfg.p_low_w)
-            assert (det.codeword, det.symbol_labels, det.ris_bit) == (codeword, labels, c)
+            assert ((tuple(det.codeword), tuple(det.symbol_labels), det.ris_bit)
+                    == (codeword, tuple(labels), c))
 
     def test_bit_tables(self):
         for cb in (build_codebook(8, 4), build_codebook(4, 2, "table1"),
@@ -553,13 +561,13 @@ def _block_at_points(cfg, trial):
     noise-free observation and the unit noise that every point scales."""
     ctx = make_context(cfg, None)
     rng = trial_rng(cfg.seed, trial)
-    channel = ctx.channel_model.realize(rng)
+    channel = draw_channel(ctx.channel_model, rng)
     eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=eta)
     frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
     state = make_ris_state(channel, ctx.phase_set, int(rng.integers(0, 2)))
-    clean = observe(channel, frame, state, 0.0, rng)
-    return ctx, frame, state, clean, unit_noise(clean.y.shape, rng)
+    clean = observe(channel, frame, state)
+    return ctx, frame, state, clean, draw_noise(clean.y.shape, rng)
 
 
 def _assert_rows_equal(batched, singles, codebook):
@@ -569,8 +577,8 @@ def _assert_rows_equal(batched, singles, codebook):
     assert len(batched.ris_bit) == len(singles)
     for s, det in enumerate(singles):
         codeword = tuple(int(x) for x in batched.codeword[s])
-        assert codebook.index_of(codeword) == codebook.index_of(det.codeword)
-        assert tuple(int(x) for x in batched.symbol_labels[s]) == det.symbol_labels
+        assert codebook.index_of(codeword) == codebook.index_of(tuple(int(x) for x in det.codeword))
+        assert tuple(int(x) for x in batched.symbol_labels[s]) == tuple(det.symbol_labels)
         np.testing.assert_array_equal(batched.symbols[s], det.symbols)
         assert batched.info_phase[s] == det.info_phase
         assert batched.ris_bit[s] == det.ris_bit
@@ -630,10 +638,10 @@ class TestPointBatch:
                 obs = clean.with_noise(s2, unit)
                 point_info, point_pow = slot_costs(obs, *args)
                 np.testing.assert_array_equal(llr[s], llr_per_slot(point_info, point_pow, s2, 8, 2))
-                codeword = select_info_slots(llr[s], ctx.codebook)
+                codeword = ctx.codebook.codewords[select_info_slots(llr[s], ctx.codebook)]
                 assert ctx.codebook.index_of(codeword) == alpha[s]
                 want = ml_symbol_phase(point_info, codeword, ctx.phase_set.phi_info)
-                assert (tuple(labels[s]), phases[s], c[s]) == want[:3]
+                assert (tuple(labels[s]), phases[s], c[s]) == (tuple(want[0]), *want[1:3])
 
     def test_ml_batch_with_zero_variance(self):
         cfg = make_config(trials=1, k_slots=4, l_slots=2, codebook_strategy="table1",
@@ -664,7 +672,7 @@ class TestPointBatch:
         alpha = select_info_slots(llr, cb)
         np.testing.assert_array_equal(alpha, [0, 0, 2, 0])
         for row, a in zip(llr, alpha):
-            assert select_info_slots(row, cb) == cb.codewords[a]
+            assert select_info_slots(row, cb) == a
         # integer costs add exactly; each row ties across phases and symbols
         info_cost = np.ones((3, 2, 4, 4))
         info_cost[0] = 0.0                                 # everything ties
@@ -677,17 +685,17 @@ class TestPointBatch:
         assert labels.tolist() == [[0, 0], [2, 0], [1, 1]]
         for s in range(3):
             want = ml_symbol_phase(info_cost[s], tuple(slots[s]), (0.1, 0.2))
-            assert (tuple(labels[s]), phases[s], c[s]) == want[:3]
+            assert (tuple(labels[s]), phases[s], c[s]) == (tuple(want[0]), *want[1:3])
 
     def test_tied_blocks_take_first_hypothesis(self, small_cfg):
         cfg = small_cfg
         ctx, frame, state, clean, unit = _block_at_points(cfg, 2)
-        ch = ctx.channel_model.realize(trial_rng(cfg.seed, 2))
+        ch = draw_channel(ctx.channel_model, trial_rng(cfg.seed, 2))
         ch.h_d = np.zeros_like(ch.h_d)
         ch.f_casc = np.zeros_like(ch.f_casc)
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
-        zeroed = observe(ch, frame, state, 0.0, trial_rng(0, 0))
+        zeroed = observe(ch, frame, state)
         stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]),
                               zeroed.eff)
         for detect in (ml_joint_detect, llr_detect):
@@ -724,11 +732,12 @@ def test_unit_noise_any_shape_and_stacked_draws():
     # real parts of every entry first, then imaginary parts, whatever the shape
     rng = trial_rng(0, 1)
     want = rng.standard_normal((3, 8, 4)) + 1j * rng.standard_normal((3, 8, 4))
-    np.testing.assert_array_equal(unit_noise((3, 8, 4), trial_rng(0, 1)), want)
+    normals = trial_rng(0, 1).standard_normal((2, 3, 8, 4))
+    np.testing.assert_array_equal(unit_noise((3, 8, 4), normals), want)
     # the draws of several streams stacked give each stream's noise per row
     draws = np.stack([trial_rng(0, b).standard_normal((2, 8, 4)) for b in range(3)])
     np.testing.assert_array_equal(unit_noise((8, 4), draws),
-                                  [unit_noise((8, 4), trial_rng(0, b)) for b in range(3)])
+                                  [unit_noise((8, 4), draws[b]) for b in range(3)])
 
 
 def test_direct_log_sum_exp_self_check():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import timsr.sim
-from conftest import build_observation
+from conftest import build_observation, draw_channel
 from timsr import make_config
 from timsr.config import (
     ML_MAX_HYPOTHESES,
@@ -111,7 +111,7 @@ class TestBlockTrial:
         rec = run_block_trial(ctx, 4)
 
         rng = trial_rng(cfg.seed, 4)
-        channel = ctx.channel_model.realize(rng)
+        channel = draw_channel(ctx.channel_model, rng)
         eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
         bits = rng.integers(0, 2, eta)
         ris_bit = int(rng.integers(0, 2))
@@ -414,7 +414,7 @@ class TestBenchmark:
                           snr_db_grid=(10.0,), trials=20)
         ctx = make_context(cfg, direct_snr_sigma2(cfg, 10.0))
         rng = trial_rng(cfg.seed, 0)
-        ch = ctx.channel_model.realize(rng)
+        ch = draw_channel(ctx.channel_model, rng)
         bits = rng.integers(0, 2, 8)
         frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
         assert frame.tau.sum() == 4  # no power slots left

@@ -205,7 +205,7 @@ class TestDecode:
         bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=eta, max_size=eta)))
         frame = encode_block(bits, cb, const, 1.0, 4.0)
         assert frame.tau.sum() == l
-        assert frame.codeword in cb.codewords
+        assert tuple(frame.codeword) in cb.codewords
         symbols = frame.samples[frame.tau == 1]
         np.testing.assert_array_equal(decode_frame(frame.tau, symbols, cb, const), bits)
 
