@@ -165,7 +165,6 @@ class ChannelModel:
         self.m_rx = m_rx
         self.n_cells = n_cells
         self.group_sizes = tuple(group_sizes)
-        self.los_phase_policy = los_phase_policy
 
         gain_direct = path_gain(d_direct_m, carrier_ghz)
         gain_ris_rx = path_gain(d_ris_rx_m, carrier_ghz)

@@ -91,8 +91,12 @@ class SimConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value, kind = getattr(self, f.name), type(f.default)
+            if not _fits(value, kind):
+                wanted = "a tuple of numbers" if kind is tuple else _KIND_NAMES[kind]
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name, allowed in (("scheme", SCHEMES), ("detector", DETECTORS),
                               ("constellation", CONSTELLATION_KINDS),
                               ("los_phase_policy", LOS_PHASE_POLICIES),
@@ -173,6 +177,20 @@ class SimConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               tuple: "a list of numbers"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether ``value`` may fill a field of type ``kind``: a bool fits only a
+    bool field, an int an int or a float field, a tuple of numbers a tuple
+    field, anything else its own type."""
+    if kind is tuple:
+        return isinstance(value, tuple) and all(_fits(v, float) for v in value)
+    allowed = (int, float) if kind is float else kind
+    return isinstance(value, allowed) and (kind is bool or not isinstance(value, bool))
+
+
 def make_config(**overrides) -> SimConfig:
     """Build a validated config; unknown keys are rejected."""
     known = {f.name for f in fields(SimConfig)}
@@ -182,9 +200,6 @@ def make_config(**overrides) -> SimConfig:
     cfg = SimConfig(**overrides)
     cfg.validate()
     return cfg
-
-
-_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", tuple: "a list of numbers"}
 
 
 def _parse_value(kind, text: str):
@@ -210,7 +225,7 @@ def parse_config_text(text: str) -> dict:
     defaults = SimConfig()
     kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(SimConfig)}
 
-    overrides = {}
+    overrides, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -220,6 +235,9 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ValueError(f"config line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             overrides[key] = _parse_value(kinds[key], value)
         except ValueError:

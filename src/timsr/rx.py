@@ -68,6 +68,8 @@ class Observation:
         s2 = np.asarray(sigma2, dtype=float)
         if not np.all(s2 >= 0):
             raise ValueError(f"noise variance must be >= 0, got {sigma2}")
+        if unit is None and np.any(s2 > 0):
+            raise ValueError(f"unit noise is required when a variance is positive, got {sigma2}")
         point = (Ellipsis, None, slice(None), slice(None)) if s2.ndim else Ellipsis
         y = self.y[point]
         scale = np.sqrt(s2 / 2.0)[..., None, None]

@@ -16,7 +16,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -56,25 +56,6 @@ def trial_rng(seed: int, stream: int, reuse: np.random.Generator | None = None) 
     return reuse
 
 
-def build_channel_model(cfg: SimConfig) -> ChannelModel:
-    return ChannelModel(cfg.m_rx, cfg.n_cells, cfg.group_sizes, cfg.kappa, cfg.carrier_ghz,
-                        cfg.d_tx_ris_m, cfg.d_ris_rx_m, cfg.d_direct_m, cfg.los_phase_policy,
-                        trial_rng(cfg.seed, LOS_STREAM))
-
-
-def ris_rectenna(cfg: SimConfig) -> RectennaModel:
-    return RectennaModel(cfg.ris_rho, cfg.ris_p_on_uw * 1e-6, cfg.ris_p_sat_mw * 1e-3)
-
-
-def eh_rectenna(cfg: SimConfig) -> RectennaModel:
-    return RectennaModel(cfg.eh_rho, cfg.eh_p_on_uw * 1e-6, cfg.eh_p_sat_mw * 1e-3)
-
-
-def power_budget(cfg: SimConfig, technology: str | None = None) -> RisPowerBudget:
-    return RisPowerBudget(cfg.n_cells, cfg.n_cb, cfg.p_cb_uw * 1e-6, technology or cfg.technology,
-                          cfg.p_switch_uw * 1e-6, cfg.p_drive_uw * 1e-6, cfg.p_varactor_uw * 1e-6)
-
-
 @dataclass(frozen=True)
 class RunContext:
     """Everything one trial needs; immutable and shareable across workers."""
@@ -89,6 +70,7 @@ class RunContext:
     eh_model: RectennaModel
     p_ris_rf_w: float
     p_ris_var_w: float
+    bit_widths: tuple         # bits per block under each error count: eta, eta_r and 1
 
 
 def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
@@ -97,36 +79,43 @@ def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
         codebook = build_benchmark_codebook(cfg.k_slots, cfg.l_slots)
     else:
         codebook = build_codebook(cfg.k_slots, cfg.l_slots, cfg.codebook_strategy)
+    constellation = build_constellation(cfg.m_order, cfg.constellation)
+    p_rf, p_var = (ris_power_consumption(RisPowerBudget(
+        cfg.n_cells, cfg.n_cb, cfg.p_cb_uw * 1e-6, technology, cfg.p_switch_uw * 1e-6,
+        cfg.p_drive_uw * 1e-6, cfg.p_varactor_uw * 1e-6))
+        for technology in (TECH_RF_SWITCH, TECH_VARACTOR))
+    eta_r = codebook.bits_index
     return RunContext(
         cfg=cfg,
         sigma2=sigma2,
-        channel_model=build_channel_model(cfg),
+        channel_model=ChannelModel(cfg.m_rx, cfg.n_cells, cfg.group_sizes, cfg.kappa,
+                                   cfg.carrier_ghz, cfg.d_tx_ris_m, cfg.d_ris_rx_m, cfg.d_direct_m,
+                                   cfg.los_phase_policy, trial_rng(cfg.seed, LOS_STREAM)),
         codebook=codebook,
-        constellation=build_constellation(cfg.m_order, cfg.constellation),
+        constellation=constellation,
         phase_set=phase_set_2bit(),
-        ris_model=ris_rectenna(cfg),
-        eh_model=eh_rectenna(cfg),
-        p_ris_rf_w=ris_power_consumption(power_budget(cfg, TECH_RF_SWITCH)),
-        p_ris_var_w=ris_power_consumption(power_budget(cfg, TECH_VARACTOR)),
+        ris_model=RectennaModel(cfg.ris_rho, cfg.ris_p_on_uw * 1e-6, cfg.ris_p_sat_mw * 1e-3),
+        eh_model=RectennaModel(cfg.eh_rho, cfg.eh_p_on_uw * 1e-6, cfg.eh_p_sat_mw * 1e-3),
+        p_ris_rf_w=p_rf,
+        p_ris_var_w=p_var,
+        bit_widths=(eta_r + cfg.l_slots * constellation.bits_per_symbol, eta_r, 1),
     )
 
 
-# Counters of consecutive trials: each field holds one row per grid point and
-# one column per trial, in trial order (a single point's row after
-# _map_points). Error and bit counters stay zero when no detection runs.
-Tally = namedtuple("Tally", "dc_ris_w dc_eh_w ok_rf ok_var ptx_errors ptx_bits "
-                            "index_errors index_bits ris_errors ris_bits")
+# Per-trial counters, one column per trial in trial order: the harvested
+# powers one row per absorber count, the error counts one row per noise
+# variance at the context's own layout (None when no detection runs).
+Tally = namedtuple("Tally", "dc_ris_w dc_eh_w ptx_errors index_errors ris_errors")
 
 
-def run_trials(ctx: RunContext, layouts: tuple, sigma2s: tuple, start: int, stop: int) -> Tally:
-    """Trials ``start`` to ``stop - 1`` at every grid point. Each trial's
-    stream draws its channels, bits, surface bit and (when some variance is
-    positive) unit noise; every later step is one call for the batch. The
-    links are freed before detection. Points come layout-major: one per
-    (layout, variance), or per layout when harvest only."""
+def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: int) -> Tally:
+    """Trials ``start`` to ``stop - 1``: the harvest at every absorber count
+    in ``n2s`` (beside ``cfg.n1`` assist cells), the detection at every noise
+    variance in ``sigma2s``. Each trial's stream draws its channels, bits,
+    surface bit and (when some variance is positive) unit noise; every later
+    step is one call for the batch. The links are freed before detection."""
     cfg, n = ctx.cfg, stop - start
-    eta_r = ctx.codebook.bits_index
-    eta = eta_r + cfg.l_slots * ctx.constellation.bits_per_symbol
+    eta, eta_r, _ = ctx.bit_widths
     normals = np.empty((n, ctx.channel_model.n_normals))
     noise = np.empty((n, 2, cfg.k_slots, cfg.m_rx)) if any(s > 0 for s in sigma2s) else None
     bits = np.empty((n, eta + 1), dtype=np.int64)
@@ -141,43 +130,31 @@ def run_trials(ctx: RunContext, layouts: tuple, sigma2s: tuple, start: int, stop
     bits, ris_bit = bits[:, :-1], bits[:, -1]
     drawn = ctx.channel_model.realize(normals)
     del normals
-    unit = None if noise is None else unit_noise(noise.shape[-2:], noise)
 
     frame = encode_block(
         bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad
     )
-    states, q_ris, q_eh, received = {}, [], [], []
-    for group_sizes in layouts:
-        channel = drawn.regroup(group_sizes)
-        if group_sizes[0] not in states:    # the surface state depends on the assist group alone
-            states[group_sizes[0]] = make_ris_state(channel, ctx.phase_set, ris_bit)
-        ris = states[group_sizes[0]]
-        q_ris.append(ris_rectenna_input(channel.h_r[..., channel.group_slice(1)], frame.samples))
+    ris = make_ris_state(drawn, ctx.phase_set, ris_bit)     # every layout keeps the assist group
+    n1, q_ris, q_eh = cfg.n1, [], []
+    for n2 in n2s:
+        q_ris.append(ris_rectenna_input(drawn.h_r[..., n1:n1 + n2], frame.samples))
+        channel = drawn.regroup((n1, n2, cfg.n_cells - n1 - n2))
         q_eh.append(eh_received(channel, ris, frame.tau, frame.samples)[1])
-        if sigma2s:
-            received.append(observe(channel, frame, ris))
-    del drawn, channel          # the links are done with: free them before detecting
-
-    detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
-    wrong, ris_wrong = [], []
-    for clean in received:
-        det = detect(clean.with_noise(sigma2s, unit), ctx.codebook, ctx.constellation,
-                     ctx.phase_set.phi_info, frame.omega, cfg.p_low_w, cfg.paper_compat)
-        wrong.append(np.swapaxes(det.ptx_bits != bits[:, None], 0, 1))           # (S, B, eta)
-        ris_wrong.append((det.ris_bit != ris_bit[:, None]).T)
-
-    per_layout = len(sigma2s) or 1
-    dc_ris = np.mean(clc_dc_power(np.stack(q_ris), ctx.ris_model), axis=-1)     # (layouts, B)
+    dc_ris = np.mean(clc_dc_power(np.stack(q_ris), ctx.ris_model), axis=-1)     # (n2s, B)
     dc_eh = np.mean(clc_dc_power(np.stack(q_eh), ctx.eh_model), axis=-1)
-    harvest = [np.repeat(x, per_layout, axis=0)
-               for x in (dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)]
     if not sigma2s:
-        return Tally(*harvest, *[np.zeros(dc_ris.shape, dtype=np.int64)] * 6)
-    wrong = np.concatenate(wrong)
-    ptx = np.count_nonzero(wrong, axis=-1)
-    return Tally(*harvest, ptx, np.full(ptx.shape, eta), np.count_nonzero(wrong[..., :eta_r], axis=-1),
-                 np.full(ptx.shape, eta_r), np.concatenate(ris_wrong).astype(np.int64),
-                 np.ones(ptx.shape, dtype=np.int64))
+        return Tally(dc_ris, dc_eh, None, None, None)
+
+    clean = observe(drawn, frame, ris)
+    del drawn, channel          # the links are done with: free them before detecting
+    unit = None if noise is None else unit_noise(noise.shape[-2:], noise)
+    detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
+    det = detect(clean.with_noise(sigma2s, unit), ctx.codebook, ctx.constellation,
+                 ctx.phase_set.phi_info, frame.omega, cfg.p_low_w, cfg.paper_compat)
+    wrong = np.swapaxes(det.ptx_bits != bits[:, None], 0, 1)                    # (S, B, eta)
+    return Tally(dc_ris, dc_eh, np.count_nonzero(wrong, axis=-1),
+                 np.count_nonzero(wrong[..., :eta_r], axis=-1),
+                 (det.ris_bit != ris_bit[:, None]).T.astype(np.int64))
 
 
 def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
@@ -185,8 +162,8 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
     detected at its noise variance if one is set. No sweep calls it; the
     benchmark's set-up probe and span table do."""
     sigma2s = () if ctx.sigma2 is None else (ctx.sigma2,)
-    tally = run_trials(ctx, (ctx.cfg.group_sizes,), sigma2s, trial_index, trial_index + 1)
-    return Tally(*(field[0, 0].item() for field in tally))
+    tally = run_trials(ctx, (ctx.cfg.n2,), sigma2s, trial_index, trial_index + 1)
+    return Tally(*(None if field is None else field[0, 0].item() for field in tally))
 
 
 # Bytes that the largest array of one batch of trials may take. A batch's
@@ -207,22 +184,22 @@ def _batch_size(ctx: RunContext, n_points: int, workers: int) -> int:
     return max(1, min(_BATCH_BYTES // (8 * values), -(-cfg.trials // workers)))
 
 
-def _map_points(ctx: RunContext, layouts: tuple, sigma2s: tuple, workers: int) -> list:
-    """The counters of each grid point, in trial order. Each trial runs once
-    for the whole grid, in batches mapped over one process pool when
-    ``workers > 1``."""
+def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Tally:
+    """The counters of every trial as one tally, columns in trial order. Each
+    trial runs once for the whole grid, in batches mapped over one process
+    pool when ``workers > 1``."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = ctx.cfg.trials
     size = _batch_size(ctx, len(sigma2s), workers)
     starts = range(0, n, size)
-    args = (repeat(ctx), repeat(layouts), repeat(sigma2s), starts, (min(a + size, n) for a in starts))
+    args = (repeat(ctx), repeat(n2s), repeat(sigma2s), starts, (min(a + size, n) for a in starts))
     if workers == 1:
         batches = list(map(run_trials, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_trials, *args))
-    return [Tally(*rows) for rows in zip(*(np.concatenate(f, axis=1) for f in zip(*batches)))]
+    return Tally(*(None if f[0] is None else np.concatenate(f, axis=1) for f in zip(*batches)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +232,31 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _ber_and_se(errors, totals):
-    """Pooled BER and its standard error from per-block error fractions."""
-    totals = np.asarray(totals, dtype=float)
-    if totals.sum() == 0:
+def _ber_and_se(errors, width: int):
+    """Pooled BER and its standard error from per-block error counts, each
+    out of ``width`` bits; None for both when a block carries no such bits."""
+    if width == 0:
         return None, None
-    fractions = np.asarray(errors, dtype=float) / totals
-    ber = float(np.asarray(errors, dtype=float).sum() / totals.sum())
+    fractions = np.asarray(errors, dtype=float) / width
     n = len(fractions)
+    ber = float(np.sum(errors) / (width * n))
     se = float(np.std(fractions, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return ber, se
 
 
-def _aggregate(cfg: SimConfig, tally: Tally, snr_db, n2) -> ResultRow:
-    """One grid point's row from its counters, each over trials in order."""
-    ber_ptx, se_ptx = _ber_and_se(tally.ptx_errors, tally.ptx_bits)
-    ber_idx, se_idx = _ber_and_se(tally.index_errors, tally.index_bits)
-    ber_ris, se_ris = _ber_and_se(tally.ris_errors, tally.ris_bits)
-    frac_rf = float(np.mean(tally.ok_rf))
-    frac_var = float(np.mean(tally.ok_var))
+def _aggregate(ctx: RunContext, tally: Tally, n2_row: int, snr_row: int | None,
+               snr_db, n2) -> ResultRow:
+    """One grid point's row from harvest row ``n2_row`` of the counters and,
+    for a BER point, error row ``snr_row``; each row holds trials in order."""
+    cfg, dc_ris = ctx.cfg, tally.dc_ris_w[n2_row]
+    if snr_row is None:
+        bers = [(None, None)] * 3
+    else:
+        errors = (tally.ptx_errors, tally.index_errors, tally.ris_errors)
+        bers = [_ber_and_se(e[snr_row], width) for e, width in zip(errors, ctx.bit_widths)]
+    (ber_ptx, se_ptx), (ber_idx, se_idx), (ber_ris, se_ris) = bers
+    frac_rf = float(np.mean(dc_ris >= ctx.p_ris_rf_w))
+    frac_var = float(np.mean(dc_ris >= ctx.p_ris_var_w))
     return ResultRow(
         scheme=cfg.scheme,
         k_slots=cfg.k_slots,
@@ -288,12 +271,12 @@ def _aggregate(cfg: SimConfig, tally: Tally, snr_db, n2) -> ResultRow:
         se_ber_index=se_idx,
         ber_ris=ber_ris,
         se_ber_ris=se_ris,
-        avg_dc_ris_uw=float(np.mean(tally.dc_ris_w) * 1e6),
-        avg_dc_eh_uw=float(np.mean(tally.dc_eh_w) * 1e6),
+        avg_dc_ris_uw=float(np.mean(dc_ris) * 1e6),
+        avg_dc_eh_uw=float(np.mean(tally.dc_eh_w[n2_row]) * 1e6),
         standalone_frac=frac_rf if cfg.technology == TECH_RF_SWITCH else frac_var,
         standalone_frac_rf=frac_rf,
         standalone_frac_var=frac_var,
-        trials=len(tally.dc_ris_w),
+        trials=len(dc_ris),
         seed=cfg.seed,
     )
 
@@ -316,8 +299,6 @@ class ResultTable:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -332,11 +313,9 @@ def ber_sweep(cfg: SimConfig, workers: int = 1) -> ResultTable:
     agree across rows."""
     ctx = make_context(cfg, None)
     sigma2s = tuple(direct_snr_sigma2(cfg, snr_db) for snr_db in cfg.snr_db_grid)
-    points = _map_points(ctx, (cfg.group_sizes,), sigma2s, workers)
-    rows = [
-        _aggregate(cfg, point, snr_db=float(snr_db), n2=cfg.n2)
-        for snr_db, point in zip(cfg.snr_db_grid, points)
-    ]
+    tally = _map_points(ctx, (cfg.n2,), sigma2s, workers)
+    rows = [_aggregate(ctx, tally, 0, s, snr_db=float(snr_db), n2=cfg.n2)
+            for s, snr_db in enumerate(cfg.snr_db_grid)]
     return ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed)
 
 
@@ -360,17 +339,18 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
     standalone condition (majority vote) for each cell technology."""
     if n2_grid is None:
         n2_grid = default_n2_grid(cfg)
-    n2_grid = tuple(int(v) for v in n2_grid)
+    n2_grid = tuple(n2_grid)
     if not n2_grid:
         raise ValueError("the absorber-count grid is empty")
+    top = cfg.n_cells - cfg.n1
     for n2 in n2_grid:
-        if not 0 <= n2 <= cfg.n_cells - cfg.n1:
-            raise ValueError(f"absorber count {n2} incompatible with the cell split")
+        if not (float(n2).is_integer() and 0 <= n2 <= top):
+            raise ValueError(f"absorber count {n2} is not a whole number from 0 to {top}")
 
-    layouts = tuple(replace(cfg, n2=n2).group_sizes for n2 in n2_grid)
-    ctx = make_context(replace(cfg, n2=n2_grid[0]), None)
-    points = _map_points(ctx, layouts, (), workers)
-    rows = [_aggregate(cfg, point, snr_db=None, n2=n2) for n2, point in zip(n2_grid, points)]
+    n2_grid = tuple(int(v) for v in n2_grid)
+    ctx = make_context(cfg, None)
+    tally = _map_points(ctx, n2_grid, (), workers)
+    rows = [_aggregate(ctx, tally, h, None, snr_db=None, n2=n2) for h, n2 in enumerate(n2_grid)]
     return HarvestReport(
         table=ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed),
         p_ris_rf_w=ctx.p_ris_rf_w,
@@ -400,17 +380,17 @@ def power_budget_report(cfg: SimConfig, workers: int = 1) -> PowerBudgetReport:
     mapped over ``workers`` processes like a sweep's)."""
     ctx = make_context(cfg, None)
     p_rf, p_var = ctx.p_ris_rf_w, ctx.p_ris_var_w
-    (point,) = _map_points(ctx, (cfg.group_sizes,), (), workers)
-    avg_dc = float(np.mean(point.dc_ris_w))
+    (dc_ris,) = _map_points(ctx, (cfg.n2,), (), workers).dc_ris_w
+    avg_dc = float(np.mean(dc_ris))
     return PowerBudgetReport(
         p_ris_rf_w=p_rf,
         p_ris_varactor_w=p_var,
         ratio_db=10.0 * math.log10(p_var / p_rf),
         n2=cfg.n2,
-        blocks=len(point.dc_ris_w),
+        blocks=len(dc_ris),
         avg_dc_ris_uw=avg_dc * 1e6,
         margin_rf_w=avg_dc - p_rf,
         margin_varactor_w=avg_dc - p_var,
-        standalone_frac_rf=float(np.mean(point.ok_rf)),
-        standalone_frac_var=float(np.mean(point.ok_var)),
+        standalone_frac_rf=float(np.mean(dc_ris >= p_rf)),
+        standalone_frac_var=float(np.mean(dc_ris >= p_var)),
     )

@@ -153,6 +153,15 @@ def test_unparsable_config_value_names_line_and_key(tmp_path, capsys, line, kind
     assert not out.exists()
 
 
+def test_repeated_config_key_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("seed = 1\ntrials = 5\nseed = 2\n")
+    out = tmp_path / "out.csv"
+    assert main(["ber-sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: config line 3: key 'seed' already set on line 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_power_budget_rejects_workers_below_one(capsys, workers):
     assert main(["power-budget", "--trials", "5", "--workers", workers]) == 2

@@ -23,7 +23,8 @@ from timsr.sim import ber_sweep, harvest_sweep
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 TRIALS = 45
 
-# name -> (sweep kind, make_config overrides, workers)
+# name -> (sweep kind, make_config overrides, workers); a harvest kind names
+# its absorber-count grid in HARVEST_GRIDS
 CASES = {
     "llr_8_2": ("ber", dict(detector="llr"), 1),
     "ml_8_2": ("ber", dict(detector="ml"), 1),
@@ -47,10 +48,13 @@ CASES = {
     "llr_8_2_w2": ("ber", dict(detector="llr"), 2),
     "harvest_w1": ("harvest", {}, 1),
     "harvest_w2": ("harvest", {}, 2),
+    "harvest_unsorted_repeated_w1": ("harvest_unsorted", {}, 1),
+    "harvest_unsorted_repeated_w2": ("harvest_unsorted", {}, 2),
 }
 
-# absorber counts from none to every cell outside the assist group
-HARVEST_GRID = (0, 16, 35, 100, 196)
+# absorber counts from none to every cell outside the assist group, in order
+# and out of order with a count repeated
+HARVEST_GRIDS = {"harvest": (0, 16, 35, 100, 196), "harvest_unsorted": (35, 0, 196, 35)}
 
 
 def case_bytes(name, tmp_path) -> bytes:
@@ -60,8 +64,9 @@ def case_bytes(name, tmp_path) -> bytes:
     if kind == "ber":
         ber_sweep(cfg, workers=workers).to_csv(path)
     else:
-        assert HARVEST_GRID[-1] == cfg.n_cells - cfg.n1
-        harvest_sweep(cfg, n2_grid=HARVEST_GRID, workers=workers).table.to_csv(path)
+        grid = HARVEST_GRIDS[kind]
+        assert max(grid) == cfg.n_cells - cfg.n1
+        harvest_sweep(cfg, n2_grid=grid, workers=workers).table.to_csv(path)
     return path.read_bytes()
 
 

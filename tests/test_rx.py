@@ -74,6 +74,13 @@ class TestObserve:
         with pytest.raises(ValueError, match="noise variance must be >= 0"):
             obs.with_noise(bad, draw_noise(obs.y.shape, trial_rng(0, 0)))
 
+    @pytest.mark.parametrize("sigma2", [0.5, (0.0, 0.5)])
+    def test_with_noise_needs_unit_noise_for_positive_variance(self, small_cfg, sigma2):
+        _, obs, *_ = build_observation(small_cfg, snr_db=0.0)
+        with pytest.raises(ValueError, match="unit noise is required"):
+            obs.with_noise(sigma2, None)
+        np.testing.assert_array_equal(obs.with_noise((0.0, 0.0), None).y[1], obs.y)
+
     def test_noise_statistics(self, small_cfg):
         # every slot carries circularly symmetric noise of the set variance
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)

@@ -81,14 +81,14 @@ class TestBlockTrial:
         for i in range(30):
             rec = run_block_trial(ctx, i)
             assert rec.ptx_errors == 0 and rec.ris_errors == 0
-            assert rec.ptx_bits == 6  # 2 index bits + 2 symbols * 2 bits
+            assert ctx.bit_widths[0] == 6  # 2 index bits + 2 symbols * 2 bits
 
     def test_no_absorbers_means_no_harvest(self):
         cfg = make_config(n2=0, trials=1)
         ctx = make_context(cfg, None)
         rec = run_block_trial(ctx, 0)
         assert rec.dc_ris_w == 0.0
-        assert not rec.ok_rf and not rec.ok_var
+        assert not rec.dc_ris_w >= ctx.p_ris_rf_w and not rec.dc_ris_w >= ctx.p_ris_var_w
 
     def test_deterministic_record(self):
         cfg = make_config(trials=1)
@@ -246,6 +246,11 @@ class TestSweepGuards:
         with pytest.raises(ValueError, match="empty"):
             harvest_sweep(make_config(trials=5), n2_grid=grid)
 
+    @pytest.mark.parametrize("grid", [(35.7,), (0, 16, 35.5)])
+    def test_fractional_absorber_count_rejected(self, no_trials, grid):
+        with pytest.raises(ValueError, match="not a whole number from 0 to 196"):
+            harvest_sweep(make_config(trials=5), n2_grid=grid)
+
 
 def pointwise_row(point_cfg, snr_db):
     """One sweep row built the slow way: a fresh context for the grid point
@@ -253,7 +258,8 @@ def pointwise_row(point_cfg, snr_db):
     sigma2 = None if snr_db is None else direct_snr_sigma2(point_cfg, snr_db)
     ctx = make_context(point_cfg, sigma2)
     records = [run_block_trial(ctx, i) for i in range(point_cfg.trials)]
-    return _aggregate(point_cfg, Tally(*map(np.array, zip(*records))), snr_db=snr_db,
+    tally = Tally(*(None if f[0] is None else np.array([f]) for f in zip(*records)))
+    return _aggregate(ctx, tally, 0, None if sigma2 is None else 0, snr_db=snr_db,
                       n2=point_cfg.n2)
 
 
@@ -296,7 +302,8 @@ class TestFusedSweeps:
 
 def _grid(cfg, kind, sigma2s=None):
     """(context, layouts, variances) of a BER sweep, or of a harvest sweep
-    from no absorbers to every cell outside the assist group."""
+    from no absorbers to every cell outside the assist group; the sweep
+    maps the layouts' absorber counts."""
     if kind == "harvest":
         layouts = tuple(replace(cfg, n2=n2).group_sizes for n2 in (0, 35, cfg.n_cells - cfg.n1))
         return make_context(replace(cfg, n2=0), None), layouts, ()
@@ -305,14 +312,34 @@ def _grid(cfg, kind, sigma2s=None):
     return make_context(cfg, None), (cfg.group_sizes,), sigma2s
 
 
-def _assert_equals_loop(points, ctx, layouts, sigma2s):
-    """Every counter of every point equals that of the per-trial loop."""
+# The per-trial loop's record fields, in order.
+LOOP_FIELDS = ("dc_ris_w", "dc_eh_w", "ok_rf", "ok_var", "ptx_errors", "ptx_bits",
+               "index_errors", "index_bits", "ris_errors", "ris_bits")
+
+
+def _n2s(layouts):
+    return tuple(n2 for _, n2, _ in layouts)
+
+
+def _assert_equals_loop(tally, ctx, layouts, sigma2s):
+    """Every counter of every point equals that of the per-trial loop: the
+    harvest row of its layout, the error row of its variance, the ok flags
+    as the thresholded harvest and the bit totals as the context's widths;
+    with no variance the error counters are absent and the loop's zero."""
     want = np.array([loop_trial(ctx, layouts, sigma2s, i) for i in range(ctx.cfg.trials)],
                     dtype=float)
-    assert len(points) == want.shape[1]
-    for point, expected in zip(points, np.moveaxis(want, 1, 0)):
-        for name, field, column in zip(Tally._fields, point, expected.T):
-            np.testing.assert_array_equal(field, column, err_msg=name)
+    per_layout = len(sigma2s) or 1
+    assert want.shape[1] == len(layouts) * per_layout == len(tally.dc_ris_w) * per_layout
+    for p, expected in enumerate(np.moveaxis(want, 1, 0)):
+        h, s = divmod(p, per_layout)
+        dc_ris = tally.dc_ris_w[h]
+        got = [dc_ris, tally.dc_eh_w[h], dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w]
+        for errors, width in zip(tally[2:], ctx.bit_widths):
+            assert (errors is None) == (not sigma2s)
+            got += [0, 0] if errors is None else [errors[s], width]
+        for name, field, column in zip(LOOP_FIELDS, got, expected.T):
+            np.testing.assert_array_equal(np.broadcast_to(field, column.shape), column,
+                                          err_msg=name)
 
 
 class TestTrialBatches:
@@ -331,20 +358,21 @@ class TestTrialBatches:
         # 7 does not divide 37: the last batch holds 2 trials
         monkeypatch.setattr(timsr.sim, "_batch_size", lambda *args: size)
         ctx, layouts, sigma2s = _grid(make_config(trials=37, **self.KINDS[kind]), kind)
-        _assert_equals_loop(_map_points(ctx, layouts, sigma2s, 1), ctx, layouts, sigma2s)
+        _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, 1), ctx, layouts, sigma2s)
 
     @pytest.mark.parametrize("kind", ["llr", "ml", "harvest"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_default_batch_size(self, kind, workers):
         ctx, layouts, sigma2s = _grid(make_config(trials=90, **self.KINDS[kind]), kind)
         assert 1 < _batch_size(ctx, len(sigma2s), workers) < 90
-        _assert_equals_loop(_map_points(ctx, layouts, sigma2s, workers), ctx, layouts, sigma2s)
+        _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, workers), ctx, layouts,
+                            sigma2s)
 
     @pytest.mark.parametrize("kind", ["llr", "harvest"])
     @pytest.mark.parametrize("kappa", [0.0, 1e9])
     def test_extreme_rician_factor(self, kind, kappa):
         ctx, layouts, sigma2s = _grid(make_config(trials=23, kappa=kappa), kind)
-        _assert_equals_loop(_map_points(ctx, layouts, sigma2s, 1), ctx, layouts, sigma2s)
+        _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, 1), ctx, layouts, sigma2s)
 
     @pytest.mark.parametrize("detector", ["llr", "ml"])
     @pytest.mark.parametrize("split", [dict(n1=0), dict(n2=0), dict(n2=196)],
@@ -354,15 +382,15 @@ class TestTrialBatches:
                           codebook_strategy="table1", **split)
         ctx, layouts, sigma2s = _grid(cfg, "ber")
         assert 0 in ctx.cfg.group_sizes
-        _assert_equals_loop(_map_points(ctx, layouts, sigma2s, 1), ctx, layouts, sigma2s)
+        _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, 1), ctx, layouts, sigma2s)
 
     def test_ml_batch_with_zero_variance(self):
         cfg = make_config(trials=23, **self.KINDS["ml"])
         sigma2s = (direct_snr_sigma2(cfg, 0.0), 0.0, direct_snr_sigma2(cfg, 15.0), 0.0)
         ctx, layouts, sigma2s = _grid(cfg, "ber", sigma2s)
-        points = _map_points(ctx, layouts, sigma2s, 1)
-        _assert_equals_loop(points, ctx, layouts, sigma2s)
-        assert not points[1].ptx_errors.any() and not points[3].ris_errors.any()
+        tally = _map_points(ctx, _n2s(layouts), sigma2s, 1)
+        _assert_equals_loop(tally, ctx, layouts, sigma2s)
+        assert not tally.ptx_errors[1].any() and not tally.ris_errors[3].any()
 
 
 class TestPowerBudgetReport:
@@ -405,9 +433,8 @@ class TestBenchmark:
         cfg = make_config(scheme="benchmark", k_slots=8, l_slots=2,
                           snr_db_grid=(10.0,), trials=50)
         ctx = make_context(cfg, direct_snr_sigma2(cfg, 10.0))
-        rec = run_block_trial(ctx, 0)
-        assert rec.ptx_bits == 4   # eta_m = L * log2(M) only
-        assert rec.index_bits == 0
+        assert ctx.bit_widths[0] == 4   # eta_m = L * log2(M) only
+        assert ctx.bit_widths[1] == 0
 
     def test_full_info_block(self):
         cfg = make_config(scheme="benchmark", k_slots=4, l_slots=4,
@@ -519,13 +546,25 @@ class TestConfig:
         (dict(eh_rho=0.0), r"eh_rho must be in \(0, 1\]"),
         (dict(eh_p_on_uw=0.0), "need 0 < eh_p_on_uw < eh_p_sat_mw"),
         (dict(k_slots=64, l_slots=32), "the LLR detector would hold"),
+        (dict(paper_compat="no"), "paper_compat must be a boolean, got 'no'"),
+        (dict(trials=2.5), "trials must be an integer, got 2.5"),
+        (dict(n2=35.0), "n2 must be an integer, got 35.0"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(k_slots=8.0), "k_slots must be an integer, got 8.0"),
+        (dict(trials=True), "trials must be an integer, got True"),
+        (dict(kappa=True), "kappa must be a number, got True"),
+        (dict(detector=2), "detector must be a string, got 2"),
+        (dict(snr_db_grid=[0.0, 10.0]), "snr_db_grid must be a tuple of numbers"),
+        (dict(snr_db_grid=(0.0, "10")), "snr_db_grid must be a tuple of numbers"),
     ], ids=["kappa", "d_tx_ris", "d_ris_rx", "d_direct", "carrier_zero", "carrier_negative",
             "n_cb", "m_order_not_pow2", "m_order_below_2", "qam_8", "qam_32", "constellation",
             "los_phase_policy", "technology", "snr_overflow", "snr_underflow", "snr_inf",
             "snr_nan", "codebook_strategy", "table1_layout", "m_rx_zero", "n_cells_zero",
             "kappa_nan", "omega_nan", "p_dbm_inf", "p_dbm_overflow", "p_high_dbm_overflow",
             "p_dbm_underflow", "p_cb_negative", "ris_rho_above_one", "ris_p_on_above_sat",
-            "eh_rho_zero", "eh_p_on_zero", "llr_codebook"])
+            "eh_rho_zero", "eh_p_on_zero", "llr_codebook", "paper_compat_str", "trials_float",
+            "n2_float", "seed_float", "k_slots_float", "trials_bool", "kappa_bool",
+            "detector_int", "snr_grid_list", "snr_grid_str"])
     def test_config_time_guard(self, overrides, message):
         # bad input fails in make_config, before any context or channel model
         with pytest.raises(ValueError, match=message):
