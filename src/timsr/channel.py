@@ -3,12 +3,13 @@
 Five links are drawn per block: transmitter->receiver (direct),
 transmitter->surface, surface->receiver, transmitter->harvester, and
 surface->harvester. The surface is partitioned into three cell groups
-(assist / absorb / inform) and the per-group cascaded channels are
-assembled once per block.
+(assist / absorb / inform); a block's per-group cascaded channels are
+computed where they are read, for the partition the reader passes, so one
+draw serves every absorber count.
 
 A block's links come from one draw of standard normals, link by link, real
 parts before imaginary parts. B such draws as rows give a batch of blocks:
-every link and cascade gains a leading block axis.
+every link, and every cascade built from them, gains a leading block axis.
 """
 
 from __future__ import annotations
@@ -81,56 +82,29 @@ def sample_rician(spec: RicianSpec, rows: int, cols: int, normals) -> np.ndarray
 
 @dataclass
 class ChannelRealization:
-    """All channel blocks for one coherence block of K slots, or for a batch
-    of blocks with a leading block axis on every array.
-
-    ``f_casc`` (receive antennas x 3) and ``v_casc`` (3,) hold the per-group
-    cascaded channels toward the receiver and the harvester; column/entry l
-    is the group-l surface->destination block applied to the
-    transmitter->surface block.
-    """
+    """The five links of one coherence block of K slots, or of a batch of
+    blocks with a leading block axis on every array. The cell groups are
+    not part of the draw: :func:`group_cascades` builds the cascades of
+    any partition of the cells where they are read."""
 
     h_d: np.ndarray
     h_r: np.ndarray
     G_d: np.ndarray
     h_e: np.ndarray
     g_e: np.ndarray
-    group_sizes: tuple
-    f_casc: np.ndarray
-    v_casc: np.ndarray
-
-    def group_slice(self, l: int) -> slice:
-        start = sum(self.group_sizes[:l])
-        return slice(start, start + self.group_sizes[l])
-
-    def regroup(self, group_sizes) -> "ChannelRealization":
-        """The same link draws under another partition of the cells; the
-        cascaded channels are assembled again for the new groups."""
-        if tuple(group_sizes) == self.group_sizes:
-            return self
-        return make_realization(self.h_d, self.h_r, self.G_d, self.h_e, self.g_e, group_sizes)
 
 
-def make_realization(h_d, h_r, G_d, h_e, g_e, group_sizes) -> ChannelRealization:
-    """Assemble a realization and its cascaded channels from raw link draws
-    with the same leading block axes, one batched matrix-vector product per
-    group: each block's cascade equals that of the block alone."""
-    h_d, h_r, G_d, h_e, g_e = (np.asarray(x, dtype=complex) for x in (h_d, h_r, G_d, h_e, g_e))
-    n = h_r.shape[-1]
-    if sum(group_sizes) != n:
-        raise ValueError(f"group sizes {group_sizes} do not sum to N={n}")
-    if G_d.shape[-2:] != (h_d.shape[-1], n) or g_e.shape[-1:] != (n,):
-        raise ValueError("inconsistent link dimensions")
-
-    real = ChannelRealization(h_d, h_r, G_d, h_e, g_e, tuple(group_sizes),
-                              np.zeros(h_d.shape + (3,), dtype=complex),
-                              np.zeros(h_e.shape + (3,), dtype=complex))
-    for l in range(3):
-        sl = real.group_slice(l)
-        column = h_r[..., sl, None]
-        real.f_casc[..., l] = (G_d[..., sl] @ column)[..., 0]
-        real.v_casc[..., l] = (g_e[..., None, sl] @ column)[..., 0, 0]
-    return real
+def group_cascades(dest, h_r, group_sizes) -> np.ndarray:
+    """Per-group cascaded channels (..., rows, 3) of surface->destination
+    blocks ``dest`` (..., rows, N) applied to transmitter->surface blocks
+    ``h_r`` (..., N): column l is ``dest`` times ``h_r`` over group l's
+    cells, one batched matrix-vector product per group, so each block's
+    cascade equals that of the block alone. An empty group gives zeros."""
+    if sum(group_sizes) != h_r.shape[-1]:
+        raise ValueError(f"group sizes {tuple(group_sizes)} do not sum to N={h_r.shape[-1]}")
+    edges = np.cumsum((0, *group_sizes))
+    return np.stack([(dest[..., a:b] @ h_r[..., a:b, None])[..., 0]
+                     for a, b in zip(edges[:-1], edges[1:])], axis=-1)
 
 
 class ChannelModel:
@@ -139,14 +113,14 @@ class ChannelModel:
     Line-of-sight phases are drawn once at construction (per the configured
     policy) and held fixed for every block of the run; only the diffuse
     components are redrawn per block. ``realize`` is pure in the normals
-    it is passed, so independent streams may drive concurrent workers.
+    it is passed, so independent streams may drive concurrent workers. The
+    model knows no cell groups: a realization holds the links only.
     """
 
     def __init__(
         self,
         m_rx: int,
         n_cells: int,
-        group_sizes,
         kappa: float = 5.0,
         carrier_ghz: float = 2.0,
         d_tx_ris_m: float = 5.0,
@@ -155,8 +129,6 @@ class ChannelModel:
         los_phase_policy: str = "per-link",
         rng: np.random.Generator | None = None,
     ):
-        if sum(group_sizes) != n_cells:
-            raise ValueError(f"group sizes {tuple(group_sizes)} do not sum to N={n_cells}")
         if los_phase_policy not in LOS_PHASE_POLICIES:
             raise ValueError(f"unknown LoS phase policy {los_phase_policy!r}")
         if los_phase_policy != "zero" and rng is None:
@@ -164,7 +136,6 @@ class ChannelModel:
 
         self.m_rx = m_rx
         self.n_cells = n_cells
-        self.group_sizes = tuple(group_sizes)
 
         gain_direct = path_gain(d_direct_m, carrier_ghz)
         gain_ris_rx = path_gain(d_ris_rx_m, carrier_ghz)
@@ -197,5 +168,4 @@ class ChannelModel:
             links.append(sample_rician(self.specs[name], *shape, normals[..., start:stop]))
             start = stop
         h_d, h_r, G_d, h_e, g_e = links
-        return make_realization(h_d[..., 0], h_r[..., 0], G_d, h_e[..., 0, 0], g_e[..., 0],
-                                self.group_sizes)
+        return ChannelRealization(h_d[..., 0], h_r[..., 0], G_d, h_e[..., 0, 0], g_e[..., 0])

@@ -73,6 +73,16 @@ class SimConfig:
     omega_phase_rad: float = 0.0
     paper_compat: bool = False
 
+    def __post_init__(self):
+        # An exact int in a float field or in a valid SNR grid is stored as
+        # that float, so configs of equal content compare and hash equal.
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is float and type(value) is int:
+                object.__setattr__(self, f.name, float(value))
+            elif kind is tuple and _fits(value, tuple):
+                object.__setattr__(self, f.name, tuple(map(float, value)))
+
     @property
     def n3(self) -> int:
         return self.n_cells - self.n1 - self.n2

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, group_cascades
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,16 +35,15 @@ def phase_set_2bit() -> PhaseSet:
     return PhaseSet(phi_info=levels[:2], phi_power=levels[2])
 
 
-def align_group1(channel: ChannelRealization, phase_pair):
-    """Phase applied by the assisting group: the information-pair level
-    closest to the circular mean, over the group's cells, of the phase that
-    co-phases each cascaded path with the direct link (first receive antenna
-    as reference). Closest means the least squared wrapped distance, first
-    level on ties; an empty group takes the first level. A batch of
-    realizations gives one phase per block."""
+def align_group1(channel: ChannelRealization, n1: int, phase_pair):
+    """Phase applied by the assisting group, the first ``n1`` cells: the
+    information-pair level closest to the circular mean, over those cells,
+    of the phase that co-phases each cascaded path with the direct link
+    (first receive antenna as reference). Closest means the least squared
+    wrapped distance, first level on ties; an empty group takes the first
+    level. A batch of realizations gives one phase per block."""
     pair = np.asarray(phase_pair, dtype=float)
-    sl = channel.group_slice(0)
-    cascade = channel.G_d[..., 0, sl] * channel.h_r[..., sl]
+    cascade = channel.G_d[..., 0, :n1] * channel.h_r[..., :n1]
     if cascade.shape[-1] == 0:
         return np.full(cascade.shape[:-1], pair[0])
     desired = np.angle(cascade) - np.angle(channel.h_d[..., :1])
@@ -72,13 +71,14 @@ class RisState:
         return np.take_along_axis(rows, np.asarray(self.ris_bit)[..., None, None], -2)[..., 0, :]
 
 
-def make_ris_state(channel: ChannelRealization, phase_set: PhaseSet, ris_bit) -> RisState:
+def make_ris_state(channel: ChannelRealization, n1: int, phase_set: PhaseSet,
+                   ris_bit) -> RisState:
     """Configure the surface for a block: bit 0/1 selects the first/second
-    information phase; the assist group is co-phased against the channel.
-    A batch of realizations takes one bit per block."""
+    information phase; the assist group of ``n1`` cells is co-phased against
+    the channel. A batch of realizations takes one bit per block."""
     if not np.all((np.asarray(ris_bit) == 0) | (np.asarray(ris_bit) == 1)):
         raise ValueError(f"surface bit must be 0 or 1, got {ris_bit}")
-    assist = np.exp(-1j * align_group1(channel, phase_set.phi_info))
+    assist = np.exp(-1j * align_group1(channel, n1, phase_set.phi_info))
     psi = np.zeros(assist.shape + (len(phase_set.phi_info) + 1, 3), dtype=complex)
     psi[..., :-1, 0] = assist[..., None]
     psi[..., :-1, 2] = np.exp(-1j * np.asarray(phase_set.phi_info))
@@ -152,13 +152,15 @@ def ris_power_consumption(budget: RisPowerBudget) -> float:
     return static + dynamic
 
 
-def eh_received(channel: ChannelRealization, state: RisState, tau, samples):
+def eh_received(channel: ChannelRealization, group_sizes, state: RisState, tau, samples):
     """Received samples and rectenna input powers at the harvester in each
-    slot: direct plus reflected path, under the block's information row of
-    ``psi`` where ``tau`` is 1 and the power row elsewhere. Thermal noise is
-    below the harvesting floor and is not modeled. A batch of blocks takes
-    ``tau`` and ``samples`` (B, K)."""
-    e_info, e_power = (channel.h_e + (channel.v_casc[..., None, :] @ row[..., None])[..., 0, 0]
+    slot: direct plus reflected path through the cell groups of
+    ``group_sizes``, under the block's information row of ``psi`` where
+    ``tau`` is 1 and the power row elsewhere. Thermal noise is below the
+    harvesting floor and is not modeled. A batch of blocks takes ``tau``
+    and ``samples`` (B, K)."""
+    casc = group_cascades(channel.g_e[..., None, :], channel.h_r, group_sizes)     # (..., 1, 3)
+    e_info, e_power = (channel.h_e + (casc @ row[..., None])[..., 0, 0]
                        for row in (state.info_row(state.psi), state.psi[..., -1, :]))
     eps = np.where(np.asarray(tau) == 1, e_info[..., None], e_power[..., None]) * samples
     return eps, np.abs(eps) ** 2

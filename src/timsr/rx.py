@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, group_cascades
 from .ris import RisState
 # Not called here: the "ris.align" span of perfbench/spans.py looks it up in this module.
 from .ris import align_group1  # noqa: F401
@@ -86,13 +86,15 @@ def unit_noise(shape, normals) -> np.ndarray:
     return z[0] + 1j * z[1]
 
 
-def observe(channel: ChannelRealization, frame: TimFrame, ris: RisState) -> Observation:
-    """The noiseless samples of blocks: direct path plus the
-    surface-reflected path, under each block's information row of
-    ``ris.psi`` in information slots and the power row elsewhere. The
-    effective channels h_d + F psi are built here, one per row of ``psi``,
-    and carried on the observation."""
-    eff = channel.h_d[..., None, :] + (channel.f_casc[..., None, :, :] @ ris.psi[..., None])[..., 0]
+def observe(channel: ChannelRealization, group_sizes, frame: TimFrame,
+            ris: RisState) -> Observation:
+    """The noiseless samples of blocks: direct path plus the path reflected
+    by the cell groups of ``group_sizes``, under each block's information
+    row of ``ris.psi`` in information slots and the power row elsewhere.
+    The effective channels h_d + F psi are built here, F being the groups'
+    cascades, one per row of ``psi``, and carried on the observation."""
+    casc = group_cascades(channel.G_d, channel.h_r, group_sizes)                    # (..., M_R, 3)
+    eff = channel.h_d[..., None, :] + (casc[..., None, :, :] @ ris.psi[..., None])[..., 0]
     y = np.where(frame.tau[..., None] == 1, ris.info_row(eff)[..., None, :], eff[..., -1:, :])
     return Observation(y * frame.samples[..., None], 0.0, eff)
 

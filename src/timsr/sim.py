@@ -4,7 +4,8 @@ harvest-vs-N2 sweeps, the power-budget report, and CSV output.
 Every trial owns a counter-based random stream keyed by (seed, trial index),
 so results are independent of worker count, scheduling and batching. A sweep
 draws each trial once and evaluates it at every grid point: an absorber count
-regroups the same link draws, and an SNR point scales the same unit noise.
+reads the same link draws through its own cell groups, whose cascades are
+computed where they are read, and an SNR point scales the same unit noise.
 Trials run in batches sized from a byte budget: each trial's stream makes its
 own draws, then every step is one kernel call on the whole batch. Each
 point's counters are reduced once, in trial order, so results are bit-stable.
@@ -88,8 +89,8 @@ def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
     return RunContext(
         cfg=cfg,
         sigma2=sigma2,
-        channel_model=ChannelModel(cfg.m_rx, cfg.n_cells, cfg.group_sizes, cfg.kappa,
-                                   cfg.carrier_ghz, cfg.d_tx_ris_m, cfg.d_ris_rx_m, cfg.d_direct_m,
+        channel_model=ChannelModel(cfg.m_rx, cfg.n_cells, cfg.kappa, cfg.carrier_ghz,
+                                   cfg.d_tx_ris_m, cfg.d_ris_rx_m, cfg.d_direct_m,
                                    cfg.los_phase_policy, trial_rng(cfg.seed, LOS_STREAM)),
         codebook=codebook,
         constellation=constellation,
@@ -134,19 +135,19 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     frame = encode_block(
         bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad
     )
-    ris = make_ris_state(drawn, ctx.phase_set, ris_bit)     # every layout keeps the assist group
     n1, q_ris, q_eh = cfg.n1, [], []
+    ris = make_ris_state(drawn, n1, ctx.phase_set, ris_bit)   # every layout keeps the assist group
     for n2 in n2s:
         q_ris.append(ris_rectenna_input(drawn.h_r[..., n1:n1 + n2], frame.samples))
-        channel = drawn.regroup((n1, n2, cfg.n_cells - n1 - n2))
-        q_eh.append(eh_received(channel, ris, frame.tau, frame.samples)[1])
+        layout = (n1, n2, cfg.n_cells - n1 - n2)
+        q_eh.append(eh_received(drawn, layout, ris, frame.tau, frame.samples)[1])
     dc_ris = np.mean(clc_dc_power(np.stack(q_ris), ctx.ris_model), axis=-1)     # (n2s, B)
     dc_eh = np.mean(clc_dc_power(np.stack(q_eh), ctx.eh_model), axis=-1)
     if not sigma2s:
         return Tally(dc_ris, dc_eh, None, None, None)
 
-    clean = observe(drawn, frame, ris)
-    del drawn, channel          # the links are done with: free them before detecting
+    clean = observe(drawn, cfg.group_sizes, frame, ris)
+    del drawn                   # the links are done with: free them before detecting
     unit = None if noise is None else unit_noise(noise.shape[-2:], noise)
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
     det = detect(clean.with_noise(sigma2s, unit), ctx.codebook, ctx.constellation,
@@ -187,7 +188,7 @@ def _batch_size(ctx: RunContext, n_points: int, workers: int) -> int:
 def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Tally:
     """The counters of every trial as one tally, columns in trial order. Each
     trial runs once for the whole grid, in batches mapped over one process
-    pool when ``workers > 1``."""
+    pool when ``workers > 1``; the pool has no more processes than batches."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = ctx.cfg.trials
@@ -197,7 +198,7 @@ def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Ta
     if workers == 1:
         batches = list(map(run_trials, *args))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             batches = list(pool.map(run_trials, *args))
     return Tally(*(None if f[0] is None else np.concatenate(f, axis=1) for f in zip(*batches)))
 
@@ -385,7 +386,9 @@ def power_budget_report(cfg: SimConfig, workers: int = 1) -> PowerBudgetReport:
     return PowerBudgetReport(
         p_ris_rf_w=p_rf,
         p_ris_varactor_w=p_var,
-        ratio_db=10.0 * math.log10(p_var / p_rf),
+        # +-inf when only one consumption is zero, nan when both are
+        ratio_db=(10.0 * math.log10(p_var / p_rf) if p_var > 0 and p_rf > 0 else
+                  math.nan if p_var == p_rf else math.copysign(math.inf, p_var - p_rf)),
         n2=cfg.n2,
         blocks=len(dc_ris),
         avg_dc_ris_uw=avg_dc * 1e6,

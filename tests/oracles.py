@@ -3,8 +3,9 @@
 These deliberately reimplement the metrics with explicit loops and
 numpy-level reductions so they share no code path with the implementations
 under test (beyond the fixed group-1 alignment rule, which is configuration,
-not a search). The scalar :func:`jacobian_log_sum` step defines the LLR
-recursion, :func:`closest_phase` the phase quantizer, and
+not a search, and the per-group cascades of ``channel.group_cascades``,
+which the golden digests pin). The scalar :func:`jacobian_log_sum` step
+defines the LLR recursion, :func:`closest_phase` the phase quantizer, and
 :func:`loop_trial` runs one trial alone, block by block, for comparison with
 trial batches.
 """
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from timsr.channel import group_cascades
 from timsr.ris import (
     align_group1,
     clc_dc_power,
@@ -45,11 +47,11 @@ def closest_phase(target: float, candidates) -> float:
     return float(best)
 
 
-def loop_align_group1(channel, phase_pair):
-    """The assist-group phase of one block: the circular mean of the
-    co-phasing angles, quantized by :func:`closest_phase` in a loop."""
-    sl = channel.group_slice(0)
-    cascade = channel.G_d[0, sl] * channel.h_r[sl]
+def loop_align_group1(channel, n1, phase_pair):
+    """The assist-group phase of one block, whose first ``n1`` cells assist:
+    the circular mean of the co-phasing angles, quantized by
+    :func:`closest_phase` in a loop."""
+    cascade = channel.G_d[0, :n1] * channel.h_r[:n1]
     if cascade.size == 0:
         return float(phase_pair[0])
     desired = np.angle(cascade) - np.angle(channel.h_d[0])
@@ -75,17 +77,17 @@ def loop_trial(ctx, layouts, sigma2s, trial_index):
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
     records = []
     for group_sizes in layouts:
-        channel = drawn.regroup(group_sizes)
-        ris = make_ris_state(channel, ctx.phase_set, ris_bit)
-        q_ris = ris_rectenna_input(channel.h_r[channel.group_slice(1)], frame.samples)
+        n1, n2, _ = group_sizes
+        ris = make_ris_state(drawn, n1, ctx.phase_set, ris_bit)
+        q_ris = ris_rectenna_input(drawn.h_r[n1:n1 + n2], frame.samples)
         dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
-        _, q_eh = eh_received(channel, ris, frame.tau, frame.samples)
+        _, q_eh = eh_received(drawn, group_sizes, ris, frame.tau, frame.samples)
         dc_eh = float(np.mean(clc_dc_power(q_eh, ctx.eh_model)))
         harvest = (dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)
         if not sigma2s:
             records.append(harvest + (0,) * 6)
         for s2 in sigma2s:
-            obs = observe(channel, frame, ris).with_noise(s2, noise)
+            obs = observe(drawn, group_sizes, frame, ris).with_noise(s2, noise)
             det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                          frame.omega, cfg.p_low_w, cfg.paper_compat)
             wrong = det.ptx_bits != bits
@@ -125,19 +127,20 @@ def power_reflection(phase_set):
     return np.array([p, 0.0, p], dtype=complex)
 
 
-def _effective(ch, phase_pair, phase_set, group1_phase):
-    eff_info = [ch.h_d + ch.f_casc @ info_reflection(group1_phase, th) for th in phase_pair]
-    eff_power = ch.h_d + ch.f_casc @ power_reflection(phase_set)
+def _effective(ch, group_sizes, phase_pair, phase_set, group1_phase):
+    f_casc = group_cascades(ch.G_d, ch.h_r, group_sizes)
+    eff_info = [ch.h_d + f_casc @ info_reflection(group1_phase, th) for th in phase_pair]
+    eff_power = ch.h_d + f_casc @ power_reflection(phase_set)
     return eff_info, eff_power
 
 
-def naive_joint_search(obs, channel, codebook, constellation, phase_pair, omega, phase_set,
-                       p_info_w):
+def naive_joint_search(obs, channel, group_sizes, codebook, constellation, phase_pair, omega,
+                       phase_set, p_info_w):
     """Exhaustive loop minimization in (codeword, phase, symbol-vector) order
     with a strict first-found minimum. Returns (codeword, phase index,
     symbol labels, metric)."""
-    g1 = align_group1(channel, phase_pair)
-    eff_info, eff_power = _effective(channel, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, group_sizes[0], phase_pair)
+    eff_info, eff_power = _effective(channel, group_sizes, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     m = constellation.m_order
     k_slots = codebook.k_slots
@@ -160,11 +163,12 @@ def naive_joint_search(obs, channel, codebook, constellation, phase_pair, omega,
     return best[0], best[1], best[2], best_metric
 
 
-def naive_symbol_phase(obs, channel, slots, constellation, phase_pair, p_info_w, phase_set):
+def naive_symbol_phase(obs, channel, group_sizes, slots, constellation, phase_pair, p_info_w,
+                       phase_set):
     """Full product search over (phase, symbol vector) for fixed slots, in
     (phase, labels) order with a strict first-found minimum."""
-    g1 = align_group1(channel, phase_pair)
-    eff_info, _ = _effective(channel, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, group_sizes[0], phase_pair)
+    eff_info, _ = _effective(channel, group_sizes, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     m = constellation.m_order
 
@@ -182,12 +186,12 @@ def naive_symbol_phase(obs, channel, slots, constellation, phase_pair, p_info_w,
     return best[0], best[1], best_metric
 
 
-def direct_llr(obs, channel, constellation, phase_pair, omega, phase_set, k_slots, l_slots,
-               p_info_w):
+def direct_llr(obs, channel, group_sizes, constellation, phase_pair, omega, phase_set, k_slots,
+               l_slots, p_info_w):
     """Per-slot LLR recomputed from the raw definition with a vector
     log-sum-exp instead of the pairwise recursion."""
-    g1 = align_group1(channel, phase_pair)
-    eff_info, eff_power = _effective(channel, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, group_sizes[0], phase_pair)
+    eff_info, eff_power = _effective(channel, group_sizes, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     prior = math.log(l_slots**2) - math.log((k_slots - l_slots) ** 2)
 
@@ -268,8 +272,9 @@ def slot_rectenna_input(h_r2, s_k):
     return float(np.abs(np.sum(np.asarray(h_r2) * s_k)) ** 2)
 
 
-def slot_eh_received(channel, psi, s_k):
+def slot_eh_received(channel, group_sizes, psi, s_k):
     """Harvester sample and rectenna input of one slot under reflection
-    ``psi``: h_e * s_k + (v_casc . psi) * s_k."""
-    eps = channel.h_e * s_k + (channel.v_casc @ psi) * s_k
+    ``psi`` of the cell groups ``group_sizes``: h_e * s_k + (v_casc . psi) * s_k."""
+    v_casc = group_cascades(channel.g_e[None, :], channel.h_r, group_sizes)[0]
+    eps = channel.h_e * s_k + (v_casc @ psi) * s_k
     return complex(eps), float(np.abs(eps) ** 2)

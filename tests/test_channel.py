@@ -7,7 +7,7 @@ from oracles import per_call_links
 from timsr.channel import (
     ChannelModel,
     RicianSpec,
-    make_realization,
+    group_cascades,
     path_gain,
     path_loss_db,
     sample_rician,
@@ -87,7 +87,6 @@ def default_model(policy="per-link", **kw):
     args = dict(
         m_rx=4,
         n_cells=256,
-        group_sizes=(60, 35, 161),
         kappa=5.0,
         carrier_ghz=2.0,
         los_phase_policy=policy,
@@ -102,6 +101,15 @@ def draw(model, seed):
     return model.realize(np.random.default_rng(seed).standard_normal(model.n_normals))
 
 
+GROUPS = (60, 35, 161)
+
+
+def cascades(ch, groups=GROUPS):
+    """The receive and harvester cascades of one block under ``groups``."""
+    return group_cascades(ch.G_d, ch.h_r, groups), group_cascades(ch.g_e[None, :], ch.h_r,
+                                                                   groups)[0]
+
+
 class TestRealization:
     def test_shapes_baseline_setup(self):
         ch = draw(default_model(), 1)
@@ -109,38 +117,38 @@ class TestRealization:
         assert ch.h_r.shape == (256,)
         assert ch.G_d.shape == (4, 256)
         assert ch.g_e.shape == (256,)
-        assert ch.f_casc.shape == (4, 3)
-        assert ch.v_casc.shape == (3,)
-        assert np.all(np.isfinite(ch.f_casc))
+        f_casc, v_casc = cascades(ch)
+        assert f_casc.shape == (4, 3)
+        assert v_casc.shape == (3,)
+        assert np.all(np.isfinite(f_casc))
 
     def test_cascade_recomputable_exactly(self):
         ch = draw(default_model(), 2)
-        for l in range(3):
-            sl = ch.group_slice(l)
-            np.testing.assert_array_equal(ch.f_casc[:, l], ch.G_d[:, sl] @ ch.h_r[sl])
-            assert ch.v_casc[l] == ch.g_e[sl] @ ch.h_r[sl]
+        f_casc, v_casc = cascades(ch)
+        for l, start in enumerate((0, 60, 95)):
+            sl = slice(start, start + GROUPS[l])
+            np.testing.assert_array_equal(f_casc[:, l], ch.G_d[:, sl] @ ch.h_r[sl])
+            assert v_casc[l] == ch.g_e[sl] @ ch.h_r[sl]
 
     def test_all_absorbers_leaves_no_reflection(self):
-        model = default_model(group_sizes=(0, 256, 0))
-        ch = draw(model, 3)
-        np.testing.assert_array_equal(ch.f_casc[:, 0], np.zeros(4))
-        np.testing.assert_array_equal(ch.f_casc[:, 2], np.zeros(4))
-        assert ch.v_casc[0] == 0 and ch.v_casc[2] == 0
+        ch = draw(default_model(), 3)
+        f_casc, v_casc = cascades(ch, (0, 256, 0))
+        np.testing.assert_array_equal(f_casc[:, 0], np.zeros(4))
+        np.testing.assert_array_equal(f_casc[:, 2], np.zeros(4))
+        assert v_casc[0] == 0 and v_casc[2] == 0
 
     def test_determinism(self):
         a = draw(default_model(), 42)
         b = draw(default_model(), 42)
         np.testing.assert_array_equal(a.h_d, b.h_d)
         np.testing.assert_array_equal(a.G_d, b.G_d)
-        np.testing.assert_array_equal(a.f_casc, b.f_casc)
+        np.testing.assert_array_equal(cascades(a)[0], cascades(b)[0])
 
     def test_group_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            default_model(group_sizes=(60, 35, 160))
+            cascades(draw(default_model(), 1), (60, 35, 160))
         with pytest.raises(ValueError):
-            make_realization(
-                np.ones(2), np.ones(4), np.ones((2, 4)), 1.0, np.ones(4), (1, 1, 1)
-            )
+            group_cascades(np.ones((2, 4)), np.ones(4), (1, 1, 1))
 
     def test_los_policies(self):
         zero = default_model(policy="zero", rng=None)

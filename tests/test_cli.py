@@ -162,6 +162,21 @@ def test_repeated_config_key_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("zeroed, ratio", [
+    ("p_switch_uw = 0\n", "inf"),
+    ("p_drive_uw = 0\n", "-inf"),
+    ("p_switch_uw = 0\np_drive_uw = 0\n", "nan"),
+], ids=["free_rf", "free_varactor", "both_free"])
+def test_power_budget_with_free_technology(tmp_path, capsys, zeroed, ratio):
+    # zero consumption validates; the ratio to a free technology is infinite
+    path = tmp_path / "free.cfg"
+    path.write_text("p_cb_uw = 0\n" + zeroed)
+    assert main(["power-budget", "--config", str(path), "--trials", "3"]) == 0
+    captured = capsys.readouterr()
+    assert f"varactor/rf ratio     : {ratio} dB\n" in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_power_budget_rejects_workers_below_one(capsys, workers):
     assert main(["power-budget", "--trials", "5", "--workers", workers]) == 2

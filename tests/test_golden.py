@@ -50,11 +50,15 @@ CASES = {
     "harvest_w2": ("harvest", {}, 2),
     "harvest_unsorted_repeated_w1": ("harvest_unsorted", {}, 1),
     "harvest_unsorted_repeated_w2": ("harvest_unsorted", {}, 2),
+    "llr_8_2_n1_0": ("ber", dict(detector="llr", n1=0), 1),
+    "ml_8_2_n2_0": ("ber", dict(detector="ml", n2=0), 1),
+    "harvest_n1_0": ("harvest_n1_0", dict(n1=0), 1),
 }
 
 # absorber counts from none to every cell outside the assist group, in order
-# and out of order with a count repeated
-HARVEST_GRIDS = {"harvest": (0, 16, 35, 100, 196), "harvest_unsorted": (35, 0, 196, 35)}
+# and out of order with a count repeated, and with no assist group at all
+HARVEST_GRIDS = {"harvest": (0, 16, 35, 100, 196), "harvest_unsorted": (35, 0, 196, 35),
+                 "harvest_n1_0": (0, 16, 35, 100, 256)}
 
 
 def case_bytes(name, tmp_path) -> bytes:

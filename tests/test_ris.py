@@ -16,7 +16,7 @@ from oracles import (
     wrap_angle,
 )
 from timsr import make_config
-from timsr.channel import make_realization
+from timsr.channel import ChannelRealization, group_cascades
 from timsr.ris import (
     PhaseSet,
     RectennaModel,
@@ -36,15 +36,15 @@ RF_BUDGET = RisPowerBudget(256, 4, 50e-6, "rf-switch", 1e-6, 40e-6, 0.0)
 VAR_BUDGET = RisPowerBudget(256, 4, 50e-6, "varactor", 1e-6, 40e-6, 0.0)
 
 
-def tiny_realization(mu=0.0, n=4, groups=(2, 1, 1)):
-    """Single-antenna setup where every assist-group element wants the same
-    co-phasing angle mu."""
+def tiny_realization(mu=0.0, n=4, n1=2):
+    """Single-antenna setup where every element of an assist group of ``n1``
+    cells wants the same co-phasing angle mu."""
     h_d = np.array([1.0 + 0j])
     h_r = np.ones(n, dtype=complex)
     G_d = np.ones((1, n), dtype=complex)
-    G_d[0, : groups[0]] = np.exp(1j * mu)
+    G_d[0, :n1] = np.exp(1j * mu)
     g_e = np.ones(n, dtype=complex)
-    return make_realization(h_d, h_r, G_d, 1.0, g_e, groups)
+    return ChannelRealization(h_d, h_r, G_d, 1.0, g_e)
 
 
 class TestPhaseSet:
@@ -83,22 +83,21 @@ class TestClosestPhase:
 
 class TestAlignGroup1:
     def test_zero_offset(self):
-        assert align_group1(tiny_realization(0.0), (0.0, 2 * np.pi / 3)) == 0.0
+        assert align_group1(tiny_realization(0.0), 2, (0.0, 2 * np.pi / 3)) == 0.0
 
     def test_quantizes_to_nearer_phase(self):
-        assert align_group1(tiny_realization(np.pi / 2), (0.0, 2 * np.pi / 3)) == pytest.approx(
-            2 * np.pi / 3
-        )
+        assert align_group1(tiny_realization(np.pi / 2), 2,
+                            (0.0, 2 * np.pi / 3)) == pytest.approx(2 * np.pi / 3)
 
     def test_empty_group_defaults_to_first(self):
-        ch = tiny_realization(0.0, n=4, groups=(0, 2, 2))
-        assert align_group1(ch, (0.5, 1.5)) == 0.5
+        ch = tiny_realization(0.0, n=4, n1=0)
+        assert align_group1(ch, 0, (0.5, 1.5)) == 0.5
 
     def test_uses_direct_link_reference(self):
         # rotating the direct link rotates the desired angle the other way
         ch = tiny_realization(0.0)
         ch.h_d = np.array([np.exp(-1j * np.pi / 2)])
-        assert align_group1(ch, (0.0, 2 * np.pi / 3)) == pytest.approx(2 * np.pi / 3)
+        assert align_group1(ch, 2, (0.0, 2 * np.pi / 3)) == pytest.approx(2 * np.pi / 3)
 
     @pytest.mark.parametrize("overrides", [
         dict(), dict(los_phase_policy="per-entry"), dict(kappa=0.0), dict(n1=1, n2=35),
@@ -106,34 +105,35 @@ class TestAlignGroup1:
     def test_batch_equals_loop_oracle(self, overrides):
         # one vector call over a batch of blocks equals the closest_phase
         # loop on each block alone, for the real pair and a custom one
-        model = make_context(make_config(trials=1, **overrides), None).channel_model
+        cfg = make_config(trials=1, **overrides)
+        model = make_context(cfg, None).channel_model
         normals = np.random.default_rng(5).standard_normal((40, model.n_normals))
         batch = model.realize(normals)
         for pair in (phase_set_2bit().phi_info, (2.5, -1.0)):
-            want = [loop_align_group1(model.realize(row), pair) for row in normals]
-            np.testing.assert_array_equal(align_group1(batch, pair), want)
+            want = [loop_align_group1(model.realize(row), cfg.n1, pair) for row in normals]
+            np.testing.assert_array_equal(align_group1(batch, cfg.n1, pair), want)
 
     @pytest.mark.parametrize("pair", [(-0.5, 0.5), (0.5, -0.5)])
     def test_exact_tie_takes_first(self, pair):
         # the circular mean is exactly 0, equidistant from both levels
         ch = tiny_realization(0.0)
         assert wrap_angle(pair[0]) ** 2 == wrap_angle(pair[1]) ** 2
-        assert align_group1(ch, pair) == pair[0] == loop_align_group1(ch, pair)
-        batch = make_realization(*(np.stack([x, x]) for x in (ch.h_d, ch.h_r, ch.G_d, ch.h_e,
-                                                               ch.g_e)), ch.group_sizes)
-        np.testing.assert_array_equal(align_group1(batch, pair), [pair[0], pair[0]])
+        assert align_group1(ch, 2, pair) == pair[0] == loop_align_group1(ch, 2, pair)
+        batch = ChannelRealization(*(np.stack([x, x]) for x in (ch.h_d, ch.h_r, ch.G_d, ch.h_e,
+                                                                 ch.g_e)))
+        np.testing.assert_array_equal(align_group1(batch, 2, pair), [pair[0], pair[0]])
 
     def test_empty_group_batch_takes_first(self):
         model = make_context(make_config(trials=1, n1=0), None).channel_model
         batch = model.realize(np.random.default_rng(2).standard_normal((3, model.n_normals)))
-        np.testing.assert_array_equal(align_group1(batch, (0.5, 1.5)), [0.5, 0.5, 0.5])
+        np.testing.assert_array_equal(align_group1(batch, 0, (0.5, 1.5)), [0.5, 0.5, 0.5])
 
 
 def reflection_rows(group1_phase, info_phase):
     """Reflection rows of a block whose assist group aligns to
     ``group1_phase`` and whose surface bit (1) selects ``info_phase``."""
     ps = PhaseSet((group1_phase, info_phase), phase_set_2bit().phi_power)
-    return make_ris_state(tiny_realization(group1_phase), ps, 1).psi
+    return make_ris_state(tiny_realization(group1_phase), 2, ps, 1).psi
 
 
 class TestReflectionVector:
@@ -159,10 +159,10 @@ class TestReflectionVector:
 
     def test_info_phase_constant_within_block(self):
         ch = tiny_realization(0.0)
-        state = make_ris_state(ch, self.PS, 1)
+        state = make_ris_state(ch, 2, self.PS, 1)
         assert state.psi[state.ris_bit][2] == np.exp(-1j * self.PS.phi_info[1])
         first = state.psi[state.ris_bit]
-        np.testing.assert_array_equal(first, make_ris_state(ch, self.PS, 1).psi[1])
+        np.testing.assert_array_equal(first, make_ris_state(ch, 2, self.PS, 1).psi[1])
 
 
 class TestRectennaInput:
@@ -250,32 +250,34 @@ class TestEhReceived:
 
     def test_zero_sample(self):
         ch = tiny_realization(0.0)
-        state = make_ris_state(ch, phase_set_2bit(), 0)
-        eps, q = eh_received(ch, state, self.TAU, np.zeros(3))
+        state = make_ris_state(ch, 2, phase_set_2bit(), 0)
+        eps, q = eh_received(ch, (2, 1, 1), state, self.TAU, np.zeros(3))
         assert np.all(eps == 0.0) and np.all(q == 0.0)
 
     def test_direct_path_only(self):
         h_d = np.array([1.0 + 0j])
-        ch = make_realization(h_d, np.zeros(3, complex), np.zeros((1, 3), complex), 1.0,
-                              np.zeros(3, complex), (1, 1, 1))
+        ch = ChannelRealization(h_d, np.zeros(3, complex), np.zeros((1, 3), complex), 1.0,
+                                np.zeros(3, complex))
         p_high = 2.51188643150958
-        state = make_ris_state(ch, phase_set_2bit(), 1)
-        eps, q = eh_received(ch, state, self.TAU, np.full(3, math.sqrt(p_high)))
+        state = make_ris_state(ch, 1, phase_set_2bit(), 1)
+        eps, q = eh_received(ch, (1, 1, 1), state, self.TAU, np.full(3, math.sqrt(p_high)))
         np.testing.assert_allclose(q, p_high, rtol=1e-12)
 
     def test_slots_equal_per_slot_formulas(self):
         # the helpers vectorised over the slots against one slot at a time
         rng = np.random.default_rng(5)
         cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ch = make_realization(cn(2), cn(6), cn(2, 6), complex(cn(1)[0]), cn(6), (2, 3, 1))
-        state = make_ris_state(ch, phase_set_2bit(), 1)
+        ch = ChannelRealization(cn(2), cn(6), cn(2, 6), complex(cn(1)[0]), cn(6))
+        groups = (2, 3, 1)
+        state = make_ris_state(ch, groups[0], phase_set_2bit(), 1)
         samples = cn(5)
         tau = np.array([1, 0, 0, 1, 0])
-        eps, q = eh_received(ch, state, tau, samples)
-        g2 = ch.h_r[ch.group_slice(1)]
+        eps, q = eh_received(ch, groups, state, tau, samples)
+        g2 = ch.h_r[2:5]
         q_ris = ris_rectenna_input(g2, samples)
         for k in range(5):
-            want_eps, want_q = slot_eh_received(ch, state.psi[state.ris_bit if tau[k] else -1],
+            want_eps, want_q = slot_eh_received(ch, groups,
+                                                state.psi[state.ris_bit if tau[k] else -1],
                                                 samples[k])
             assert eps[k] == pytest.approx(want_eps, rel=1e-12)
             assert q[k] == pytest.approx(want_q, rel=1e-12)
@@ -294,11 +296,12 @@ class TestEhReceived:
         for trial in range(5):
             ctx, _, frame, state, _, ris_bit, ch = build_observation(cfg, 10.0, trial=trial)
             ps = ctx.phase_set
-            g1 = align_group1(ch, ps.phi_info)
-            e_info = ch.h_e + ch.v_casc @ info_reflection(g1, ps.phi_info[ris_bit])
-            e_power = ch.h_e + ch.v_casc @ power_reflection(ps)
+            g1 = align_group1(ch, cfg.n1, ps.phi_info)
+            v_casc = group_cascades(ch.g_e[None, :], ch.h_r, cfg.group_sizes)[0]
+            e_info = ch.h_e + v_casc @ info_reflection(g1, ps.phi_info[ris_bit])
+            e_power = ch.h_e + v_casc @ power_reflection(ps)
             want = np.where(frame.tau == 1, e_info, e_power) * frame.samples
-            eps, q = eh_received(ch, state, frame.tau, frame.samples)
+            eps, q = eh_received(ch, cfg.group_sizes, state, frame.tau, frame.samples)
             np.testing.assert_array_equal(eps, want)
             np.testing.assert_array_equal(q, np.abs(want) ** 2)
 
@@ -314,4 +317,4 @@ def test_wrap_angle_range():
 
 def test_ris_state_requires_binary_bit():
     with pytest.raises(ValueError):
-        make_ris_state(tiny_realization(0.0), phase_set_2bit(), 2)
+        make_ris_state(tiny_realization(0.0), 2, phase_set_2bit(), 2)

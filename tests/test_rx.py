@@ -18,6 +18,7 @@ from oracles import (
 )
 
 from timsr import make_config
+from timsr.channel import group_cascades
 from timsr.ris import align_group1, make_ris_state
 from timsr.rx import (
     Observation,
@@ -46,15 +47,16 @@ class TestObserve:
     def test_noiseless_superposition(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         # rebuild with zero noise and check the exact per-slot composition
-        clean = observe(ch, frame, state)
+        clean = observe(ch, small_cfg.group_sizes, frame, state)
+        f_casc = group_cascades(ch.G_d, ch.h_r, small_cfg.group_sizes)
         for k in range(small_cfg.k_slots):
-            eff = ch.h_d + ch.f_casc @ state.psi[state.ris_bit if frame.tau[k] else -1]
+            eff = ch.h_d + f_casc @ state.psi[state.ris_bit if frame.tau[k] else -1]
             np.testing.assert_allclose(clean.y[k], eff * frame.samples[k], rtol=1e-12)
 
     def test_no_reflection_reduces_to_direct(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
-        ch.f_casc = np.zeros_like(ch.f_casc)
-        clean = observe(ch, frame, state)
+        ch.G_d = np.zeros_like(ch.G_d)
+        clean = observe(ch, small_cfg.group_sizes, frame, state)
         for k in range(small_cfg.k_slots):
             np.testing.assert_allclose(clean.y[k], ch.h_d * frame.samples[k], rtol=1e-12)
 
@@ -66,7 +68,8 @@ class TestObserve:
     def test_negative_variance_rejected(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         with pytest.raises(ValueError):
-            observe(ch, frame, state).with_noise(-1.0, draw_noise(obs.y.shape, trial_rng(0, 0)))
+            observe(ch, small_cfg.group_sizes, frame, state).with_noise(
+                -1.0, draw_noise(obs.y.shape, trial_rng(0, 0)))
 
     @pytest.mark.parametrize("bad", [-1.0, (-1.0, 0.5), (0.5, math.nan), math.nan])
     def test_with_noise_rejects_negative_or_nan_variance(self, small_cfg, bad):
@@ -88,8 +91,9 @@ class TestObserve:
         rng = trial_rng(0, 0)
         residuals = []
         for _ in range(2000):
-            noisy = observe(ch, frame, state).with_noise(sigma2, draw_noise(obs.y.shape, rng))
-            clean = observe(ch, frame, state)
+            noisy = observe(ch, small_cfg.group_sizes, frame, state).with_noise(
+                sigma2, draw_noise(obs.y.shape, rng))
+            clean = observe(ch, small_cfg.group_sizes, frame, state)
             residuals.append((noisy.y - clean.y).ravel())
         z = np.concatenate(residuals)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(sigma2, rel=0.02)
@@ -115,7 +119,8 @@ class TestObservationChannels:
         for trial in range(5):
             ctx, obs, *_, ch = build_observation(cfg, snr_db=10.0, trial=trial)
             ps = ctx.phase_set
-            eff_info, eff_power = _effective(ch, ps.phi_info, ps, align_group1(ch, ps.phi_info))
+            eff_info, eff_power = _effective(ch, cfg.group_sizes, ps.phi_info, ps,
+                                             align_group1(ch, cfg.n1, ps.phi_info))
             assert obs.eff.shape == (len(ps.phi_info) + 1, cfg.m_rx)
             np.testing.assert_array_equal(obs.eff, np.stack(eff_info + [eff_power]))
 
@@ -170,8 +175,8 @@ class TestMlJointDetect:
             bits = int_to_bits(v, eta)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
             for ris_bit in (0, 1):
-                state = make_ris_state(ch, ctx.phase_set, ris_bit)
-                obs = observe(ch, frame, state)
+                state = make_ris_state(ch, cfg.n1, ctx.phase_set, ris_bit)
+                obs = observe(ch, cfg.group_sizes, frame, state)
                 det = self._detect(ctx, obs, frame, cfg)
                 assert np.array_equal(det.codeword, frame.codeword)
                 assert np.array_equal(det.ptx_bits, bits)
@@ -193,7 +198,7 @@ class TestMlJointDetect:
             ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
             det = self._detect(ctx, obs, frame, cfg)
             cw, c, labels, metric = naive_joint_search(
-                obs, ch, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+                obs, ch, cfg.group_sizes, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                 frame.omega, ctx.phase_set, cfg.p_low_w,
             )
             assert tuple(det.codeword) == cw
@@ -247,14 +252,14 @@ class TestLlrPerSlot:
                 ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=snr, trial=trial)
                 got = self._llr(ctx, obs, frame, cfg)
                 want = direct_llr(
-                    obs, ch, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                    ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w,
+                    obs, ch, cfg.group_sizes, ctx.constellation, ctx.phase_set.phi_info,
+                    frame.omega, ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w,
                 )
                 np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zero_variance_rejected(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
-        clean = observe(ch, frame, state)
+        clean = observe(ch, small_cfg.group_sizes, frame, state)
         with pytest.raises(ValueError):
             self._llr(ctx, clean, frame, small_cfg)
 
@@ -335,7 +340,7 @@ class TestMlSymbolPhase:
                 ctx.phase_set.phi_info,
             )
             want_c, want_labels, _ = naive_symbol_phase(
-                obs, ch, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
+                obs, ch, cfg.group_sizes, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
                 cfg.p_low_w, ctx.phase_set,
             )
             assert (c, tuple(labels)) == (want_c, want_labels)
@@ -365,8 +370,8 @@ class TestLlrDetect:
         for v in range(1 << eta):
             bits = int_to_bits(v, eta)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
-            state = make_ris_state(ch, ctx.phase_set, v % 2)
-            clean = observe(ch, frame, state)
+            state = make_ris_state(ch, cfg.n1, ctx.phase_set, v % 2)
+            clean = observe(ch, cfg.group_sizes, frame, state)
             obs = clean.with_noise(sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
             assert np.array_equal(det.ptx_bits, bits)
@@ -380,8 +385,8 @@ class TestLlrDetect:
             ch = draw_channel(ctx.channel_model, rng)
             bits = rng.integers(0, 2, 8)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
-            state = make_ris_state(ch, ctx.phase_set, int(rng.integers(0, 2)))
-            clean = observe(ch, frame, state)
+            state = make_ris_state(ch, cfg.n1, ctx.phase_set, int(rng.integers(0, 2)))
+            clean = observe(ch, cfg.group_sizes, frame, state)
             obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
             assert tuple(det.codeword) in ctx.codebook.codewords
@@ -481,8 +486,8 @@ class TestArrayKernels:
         cfg = small_cfg
         ctx, _, frame, state, bits, _, _ = build_observation(cfg, snr_db=0.0, trial=4, ris_bit=1)
         ch = draw_channel(ctx.channel_model, trial_rng(cfg.seed, 4))
-        ch.f_casc[:, 2] = 0.0
-        obs = observe(ch, frame, state)
+        ch.G_d[:, cfg.n1 + cfg.n2:] = 0.0
+        obs = observe(ch, cfg.group_sizes, frame, state)
         obs.sigma2 = 1e-9
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
@@ -495,9 +500,9 @@ class TestArrayKernels:
         cfg = small_cfg
         ctx, obs, frame, state, *_, ch = build_observation(cfg, snr_db=0.0, trial=2)
         ch.h_d = np.zeros_like(ch.h_d)
-        ch.f_casc = np.zeros_like(ch.f_casc)
+        ch.G_d = np.zeros_like(ch.G_d)
         # the same samples, scored against the zeroed channel's effective channels
-        obs.eff = observe(ch, frame, state).eff
+        obs.eff = observe(ch, cfg.group_sizes, frame, state).eff
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
         for detect in (ml_joint_detect, llr_detect):
@@ -572,8 +577,8 @@ def _block_at_points(cfg, trial):
     eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=eta)
     frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
-    state = make_ris_state(channel, ctx.phase_set, int(rng.integers(0, 2)))
-    clean = observe(channel, frame, state)
+    state = make_ris_state(channel, cfg.n1, ctx.phase_set, int(rng.integers(0, 2)))
+    clean = observe(channel, cfg.group_sizes, frame, state)
     return ctx, frame, state, clean, draw_noise(clean.y.shape, rng)
 
 
@@ -699,10 +704,10 @@ class TestPointBatch:
         ctx, frame, state, clean, unit = _block_at_points(cfg, 2)
         ch = draw_channel(ctx.channel_model, trial_rng(cfg.seed, 2))
         ch.h_d = np.zeros_like(ch.h_d)
-        ch.f_casc = np.zeros_like(ch.f_casc)
+        ch.G_d = np.zeros_like(ch.G_d)
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
-        zeroed = observe(ch, frame, state)
+        zeroed = observe(ch, cfg.group_sizes, frame, state)
         stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]),
                               zeroed.eff)
         for detect in (ml_joint_detect, llr_detect):

@@ -119,14 +119,14 @@ class TestBlockTrial:
                              cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad)
         from timsr.ris import make_ris_state
 
-        state = make_ris_state(channel, ctx.phase_set, ris_bit)
-        g2 = channel.h_r[channel.group_slice(1)]
+        state = make_ris_state(channel, cfg.n1, ctx.phase_set, ris_bit)
+        g2 = channel.h_r[cfg.n1:cfg.n1 + cfg.n2]
         dc_ris = np.mean([
             clc_dc_power(slot_rectenna_input(g2, s), ctx.ris_model) for s in frame.samples
         ])
         dc_eh = np.mean([
             clc_dc_power(
-                slot_eh_received(channel, state.psi[ris_bit if t else -1], s)[1],
+                slot_eh_received(channel, cfg.group_sizes, state.psi[ris_bit if t else -1], s)[1],
                 ctx.eh_model,
             )
             for t, s in zip(frame.tau, frame.samples)
@@ -283,6 +283,33 @@ class TestFusedSweeps:
         grid = (0, 35, cfg.n_cells - cfg.n1, 16)
         rows = harvest_sweep(cfg, n2_grid=grid, workers=workers).table.rows
         assert rows == [pointwise_row(replace(cfg, n2=n2), None) for n2 in grid]
+
+    def test_pool_never_larger_than_its_batches(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = make_config(trials=1)
+        want = power_budget_report(cfg)
+        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", InlinePool)
+        assert power_budget_report(cfg, workers=64) == want
+        assert sizes == [1]
+        cfg = make_config(snr_db_grid=(0.0, 10.0), trials=5)
+        assert ber_sweep(cfg, workers=64).rows == ber_sweep(cfg).rows
+        assert sizes == [1, 5]
 
     def test_one_pool_per_sweep(self, monkeypatch):
         pools = []
@@ -604,3 +631,12 @@ class TestConfig:
         assert a == config_hash(make_config())
         assert a != config_hash(make_config(seed=2))
         assert len(a) == 12
+        # an exact int in a float field or in the SNR grid is the same config
+        grid = tuple(int(v) for v in make_config().snr_db_grid)
+        for ints, floats in ((dict(kappa=5), dict(kappa=5.0)),
+                             (dict(snr_db_grid=grid), dict()),
+                             (dict(p_cb_uw=0, snr_db_grid=(0, 7.5)),
+                              dict(p_cb_uw=0.0, snr_db_grid=(0.0, 7.5)))):
+            assert make_config(**ints) == make_config(**floats)
+            assert config_hash(make_config(**ints)) == config_hash(make_config(**floats))
+        assert config_hash(replace(make_config(), kappa=3)) == config_hash(make_config(kappa=3.0))
