@@ -78,10 +78,13 @@ class SimConfig:
         # that float, so configs of equal content compare and hash equal.
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
-            if kind is float and type(value) is int:
-                object.__setattr__(self, f.name, float(value))
-            elif kind is tuple and _fits(value, tuple):
-                object.__setattr__(self, f.name, tuple(map(float, value)))
+            try:
+                if kind is float and type(value) is int:
+                    object.__setattr__(self, f.name, float(value))
+                elif kind is tuple and _fits(value, tuple):
+                    object.__setattr__(self, f.name, tuple(map(float, value)))
+            except OverflowError as exc:
+                raise ValueError(f"{f.name} must be finite: {exc}") from None
 
     @property
     def n3(self) -> int:

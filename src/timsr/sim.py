@@ -7,8 +7,9 @@ draws each trial once and evaluates it at every grid point: an absorber count
 reads the same link draws through its own cell groups, whose cascades are
 computed where they are read, and an SNR point scales the same unit noise.
 Trials run in batches sized from a byte budget: each trial's stream makes its
-own draws, then every step is one kernel call on the whole batch. Each
-point's counters are reduced once, in trial order, so results are bit-stable.
+own draws, then every step is one kernel call on the whole batch, and each
+worker runs one contiguous shard of batches. Each point's counters are
+reduced once, in trial order, so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -172,35 +174,62 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
 _BATCH_BYTES = 1 << 19
 
 
-def _batch_size(ctx: RunContext, n_points: int, workers: int) -> int:
-    """Trials per batch: as many as keep the largest array within
-    _BATCH_BYTES, up to one worker's share of the trials. Per trial that is
-    the slot-cost differences (S*J*M*K*M_R complex values), the detectors'
-    codeword gathers (S*J*|A|*L reals) or the normal draw of the links."""
+def _batch_size(ctx: RunContext, n_points: int) -> int:
+    """Trials per batch: as many as keep the largest array within _BATCH_BYTES:
+    per trial, the slot-cost differences (S*J*M*K*M_R complex values), the
+    detectors' codeword gathers (S*J*|A|*L reals) or the links' normal draw."""
     cfg = ctx.cfg
     j, n_cw = len(ctx.phase_set.phi_info), len(ctx.codebook.codewords)
     values = max(ctx.channel_model.n_normals,
                  2 * n_points * j * cfg.m_order * cfg.k_slots * cfg.m_rx,
                  n_points * j * n_cw * cfg.l_slots)
-    return max(1, min(_BATCH_BYTES // (8 * values), -(-cfg.trials // workers)))
+    return max(1, _BATCH_BYTES // (8 * values))
+
+
+def _joined(tallies) -> Tally:
+    return Tally(*(None if f[0] is None else np.concatenate(f, axis=1) for f in zip(*tallies)))
+
+
+def _run_shard(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: int) -> Tally:
+    """Trials ``start`` to ``stop - 1`` as one tally, run in batches."""
+    size = _batch_size(ctx, len(sigma2s))
+    return _joined([run_trials(ctx, n2s, sigma2s, a, min(a + size, stop))
+                    for a in range(start, stop, size)])
+
+
+# (size, pool) shared by multi-shard sweeps until one needs another size or it breaks
+_pool = None
+
+
+def _close_pool() -> None:
+    """Shut the shared pool down, if any; the next multi-shard sweep starts one."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+    _pool = None
 
 
 def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Tally:
     """The counters of every trial as one tally, columns in trial order. Each
-    trial runs once for the whole grid, in batches mapped over one process
-    pool when ``workers > 1``; the pool has no more processes than batches."""
+    trial runs once for the whole grid, in one of at most ``workers`` shards:
+    a lone shard runs in this process, several on the shared pool."""
+    global _pool
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = ctx.cfg.trials
-    size = _batch_size(ctx, len(sigma2s), workers)
+    size = -(-n // workers)
     starts = range(0, n, size)
     args = (repeat(ctx), repeat(n2s), repeat(sigma2s), starts, (min(a + size, n) for a in starts))
-    if workers == 1:
-        batches = list(map(run_trials, *args))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            batches = list(pool.map(run_trials, *args))
-    return Tally(*(None if f[0] is None else np.concatenate(f, axis=1) for f in zip(*batches)))
+    if len(starts) == 1:
+        return _run_shard(ctx, n2s, sigma2s, 0, n)
+    if _pool is None or _pool[0] != len(starts):
+        _close_pool()
+        _pool = (len(starts), ProcessPoolExecutor(max_workers=len(starts)))
+    try:
+        return _joined(_pool[1].map(_run_shard, *args))
+    except BrokenProcessPool:
+        _close_pool()
+        raise
 
 
 # ---------------------------------------------------------------------------

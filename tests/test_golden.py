@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import timsr.sim
 from timsr import make_config
 from timsr.cli import main as cli_main
 from timsr.sim import ber_sweep, harvest_sweep
@@ -61,8 +62,11 @@ HARVEST_GRIDS = {"harvest": (0, 16, 35, 100, 196), "harvest_unsorted": (35, 0, 1
                  "harvest_n1_0": (0, 16, 35, 100, 256)}
 
 
-def case_bytes(name, tmp_path) -> bytes:
-    kind, overrides, workers = CASES[name]
+def case_bytes(name, tmp_path, workers=None) -> bytes:
+    """The CSV bytes of case ``name``, on its own worker count unless
+    ``workers`` is given."""
+    kind, overrides, case_workers = CASES[name]
+    workers = workers or case_workers
     cfg = make_config(trials=TRIALS, **overrides)
     path = tmp_path / f"{name}.csv"
     if kind == "ber":
@@ -93,6 +97,22 @@ def digests():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_bytes(name, digests, tmp_path):
     assert sha256(case_bytes(name, tmp_path)) == digests[name]
+
+
+@pytest.mark.parametrize("name", ["llr_8_2", "ml_8_2", "harvest_w1"])
+def test_sweep_bytes_on_three_workers(name, digests, tmp_path):
+    assert sha256(case_bytes(name, tmp_path, 3)) == digests[name]
+
+
+@pytest.mark.parametrize("name", ["llr_8_2", "ml_8_2", "harvest_unsorted_repeated_w1"])
+def test_sweep_bytes_on_uneven_shards_and_batches(name, digests, tmp_path, fresh_pool,
+                                                  monkeypatch):
+    # 4 workers split the trials into shards of 12, 12, 12 and 9, and 7-trial
+    # batches divide none of them. The pool starts after the batch size is
+    # forced, so its forked workers run the forced size too.
+    monkeypatch.setattr(timsr.sim, "_batch_size", lambda *args: 7)
+    assert [len(range(a, min(a + 12, TRIALS))) % 7 for a in range(0, TRIALS, 12)] == [5, 5, 5, 2]
+    assert sha256(case_bytes(name, tmp_path, 4)) == digests[name]
 
 
 def test_power_budget_text(digests):
