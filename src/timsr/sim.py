@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -197,39 +196,22 @@ def _run_shard(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
                     for a in range(start, stop, size)])
 
 
-# (size, pool) shared by multi-shard sweeps until one needs another size or it breaks
-_pool = None
-
-
-def _close_pool() -> None:
-    """Shut the shared pool down, if any; the next multi-shard sweep starts one."""
-    global _pool
-    if _pool is not None:
-        _pool[1].shutdown()
-    _pool = None
-
-
 def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Tally:
     """The counters of every trial as one tally, columns in trial order. Each
-    trial runs once for the whole grid, in one of at most ``workers`` shards:
-    a lone shard runs in this process, several on the shared pool."""
-    global _pool
+    trial runs once for the whole grid, in one of at most ``workers`` shards.
+    This process runs the first shard while a process pool of its own runs
+    the rest, so a lone shard starts no pool."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = ctx.cfg.trials
     size = -(-n // workers)
-    starts = range(0, n, size)
-    args = (repeat(ctx), repeat(n2s), repeat(sigma2s), starts, (min(a + size, n) for a in starts))
-    if len(starts) == 1:
+    rest = range(size, n, size)
+    if not rest:
         return _run_shard(ctx, n2s, sigma2s, 0, n)
-    if _pool is None or _pool[0] != len(starts):
-        _close_pool()
-        _pool = (len(starts), ProcessPoolExecutor(max_workers=len(starts)))
-    try:
-        return _joined(_pool[1].map(_run_shard, *args))
-    except BrokenProcessPool:
-        _close_pool()
-        raise
+    args = (repeat(ctx), repeat(n2s), repeat(sigma2s), rest, (min(a + size, n) for a in rest))
+    with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+        shards = pool.map(_run_shard, *args)
+        return _joined([_run_shard(ctx, n2s, sigma2s, 0, size), *shards])
 
 
 # ---------------------------------------------------------------------------

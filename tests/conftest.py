@@ -1,28 +1,9 @@
 import numpy as np
 import pytest
 
-import timsr.sim
 from timsr import make_config
 from timsr.rx import unit_noise
 from timsr.sim import direct_snr_sigma2, make_context, trial_rng
-
-
-@pytest.fixture(scope="session", autouse=True)
-def shared_pool_closed():
-    """Shut the process pool that multi-worker sweeps share down when the
-    session ends."""
-    yield
-    timsr.sim._close_pool()
-
-
-@pytest.fixture
-def fresh_pool():
-    """No shared pool before the test and none after it: a pool the test
-    builds (perhaps through a stand-in for ``ProcessPoolExecutor``) never
-    serves a later test."""
-    timsr.sim._close_pool()
-    yield
-    timsr.sim._close_pool()
 
 
 @pytest.fixture

@@ -1,17 +1,10 @@
 import math
 import multiprocessing
-import os
-import signal
-import subprocess
-import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import timsr
 import timsr.sim
 from conftest import build_observation, draw_channel
 from timsr import make_config
@@ -292,7 +285,7 @@ class TestFusedSweeps:
         rows = harvest_sweep(cfg, n2_grid=grid, workers=workers).table.rows
         assert rows == [pointwise_row(replace(cfg, n2=n2), None) for n2 in grid]
 
-    def test_pool_never_larger_than_its_batches(self, fresh_pool, monkeypatch):
+    def test_pool_never_larger_than_its_batches(self, monkeypatch):
         sizes = []
 
         class InlinePool:
@@ -301,8 +294,11 @@ class TestFusedSweeps:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def shutdown(self):
-                pass
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
 
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
@@ -314,94 +310,27 @@ class TestFusedSweeps:
         assert sizes == []          # one shard runs in this process
         cfg = make_config(snr_db_grid=(0.0, 10.0), trials=5)
         assert ber_sweep(cfg, workers=64).rows == ber_sweep(cfg).rows
-        assert sizes == [5]
+        assert sizes == [4]         # this process runs the first of 5 shards
 
-    def test_one_pool_per_sweep(self, fresh_pool, monkeypatch):
-        sizes = []
-        real = timsr.sim.ProcessPoolExecutor
+    def test_one_pool_per_sweep(self, monkeypatch):
+        pools = []
 
-        def counting_pool(max_workers):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers)
+        class CountingPool(timsr.sim.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", CountingPool)
         cfg = make_config(snr_db_grid=(0.0, 10.0, 20.0), trials=8)
         ber_sweep(cfg, workers=2)
+        assert len(pools) == 1
         harvest_sweep(cfg, n2_grid=(0, 16, 32), workers=2)
-        assert sizes == [2]         # two 2-worker sweeps share one pool
-        harvest_sweep(cfg, n2_grid=(0, 16, 32), workers=3)
-        assert sizes == [2, 3]      # another size replaces it
+        assert len(pools) == 2
 
-
-def _worker_pids():
-    return {p.pid for p in multiprocessing.active_children()}
-
-
-def _alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
-
-
-class TestSharedPool:
-    """Multi-shard sweeps share one process pool for the life of the process;
-    it is replaced when a sweep needs another size and dropped when it
-    breaks, and no worker outlives the interpreter."""
-
-    CFG = dict(trials=6)
-    GRID = (0, 16, 35)
-
-    def _csv(self, tmp_path, workers):
-        path = tmp_path / f"harvest_w{workers}.csv"
-        report = harvest_sweep(make_config(**self.CFG), n2_grid=self.GRID, workers=workers)
-        report.table.to_csv(path)
-        return path.read_bytes()
-
-    def test_same_size_reuses_pool(self, fresh_pool, tmp_path):
-        want = self._csv(tmp_path, 1)
-        assert timsr.sim._pool is None
-        assert self._csv(tmp_path, 2) == want
-        pool, pids = timsr.sim._pool, _worker_pids()
-        assert len(pids) == 2
-        assert self._csv(tmp_path, 2) == want
-        assert timsr.sim._pool is pool and _worker_pids() == pids
-
-    def test_new_size_replaces_pool(self, fresh_pool, tmp_path):
-        want = self._csv(tmp_path, 1)
-        assert self._csv(tmp_path, 2) == want
-        old = _worker_pids()
-        assert self._csv(tmp_path, 3) == want
-        assert timsr.sim._pool[0] == 3
-        assert len(_worker_pids()) == 3 and not old & _worker_pids()
-        assert not any(_alive(pid) for pid in old)
-
-    def test_killed_worker_drops_pool(self, fresh_pool, tmp_path):
-        want = self._csv(tmp_path, 1)
-        assert self._csv(tmp_path, 2) == want
-        os.kill(min(_worker_pids()), signal.SIGKILL)
-        try:
-            assert self._csv(tmp_path, 2) == want     # recovered
-        except BrokenProcessPool:
-            assert timsr.sim._pool is None            # raised, and the pool is dropped
-        assert self._csv(tmp_path, 2) == want
-
-    def test_no_worker_outlives_the_interpreter(self):
-        script = ("import multiprocessing\n"
-                  "from timsr import make_config\n"
-                  "from timsr.sim import harvest_sweep\n"
-                  f"harvest_sweep(make_config(**{self.CFG!r}), n2_grid={self.GRID!r}, workers=2)\n"
-                  "print(*(p.pid for p in multiprocessing.active_children()))\n")
-        src = str(Path(timsr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        pids = [int(pid) for pid in done.stdout.split()]
-        assert len(pids) == 2
-        assert not any(_alive(pid) for pid in pids)
+    def test_no_worker_outlives_its_sweep(self):
+        cfg = make_config(trials=6)
+        harvest_sweep(cfg, n2_grid=(0, 16, 35), workers=3)
+        assert multiprocessing.active_children() == []
 
 
 def _grid(cfg, kind, sigma2s=None):
