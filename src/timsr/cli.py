@@ -66,10 +66,7 @@ def _build_config(args):
         overrides["k_slots"], overrides["l_slots"] = _parse_scheme(args.scheme)
     if args.paper_compat:
         overrides["paper_compat"] = True
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        cfg.validate()
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:

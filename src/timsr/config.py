@@ -74,40 +74,21 @@ class SimConfig:
     paper_compat: bool = False
 
     def __post_init__(self):
-        # An exact int in a float field or in a valid SNR grid is stored as
-        # that float, so configs of equal content compare and hash equal.
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            try:
-                if kind is float and type(value) is int:
-                    object.__setattr__(self, f.name, float(value))
-                elif kind is tuple and _fits(value, tuple):
-                    object.__setattr__(self, f.name, tuple(map(float, value)))
-            except OverflowError as exc:
-                raise ValueError(f"{f.name} must be finite: {exc}") from None
-
-    @property
-    def n3(self) -> int:
-        return self.n_cells - self.n1 - self.n2
-
-    @property
-    def group_sizes(self) -> tuple:
-        return (self.n1, self.n2, self.n3)
-
-    @property
-    def p_low_w(self) -> float:
-        return dbm_to_watts(self.p_low_dbm)
-
-    @property
-    def p_high_w(self) -> float:
-        return dbm_to_watts(self.p_high_dbm)
-
-    def validate(self) -> None:
+        # Every field has its default's type; an exact int in a float field
+        # or in the SNR grid is stored as that float, so configs of equal
+        # content compare and hash equal.
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if not _fits(value, kind):
                 wanted = "a tuple of numbers" if kind is tuple else _KIND_NAMES[kind]
                 raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+            try:
+                if kind is float and type(value) is int:
+                    object.__setattr__(self, f.name, float(value))
+                elif kind is tuple:
+                    object.__setattr__(self, f.name, tuple(map(float, value)))
+            except OverflowError as exc:
+                raise ValueError(f"{f.name} must be finite: {exc}") from None
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name, allowed in (("scheme", SCHEMES), ("detector", DETECTORS),
@@ -189,6 +170,22 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
+    @property
+    def n3(self) -> int:
+        return self.n_cells - self.n1 - self.n2
+
+    @property
+    def group_sizes(self) -> tuple:
+        return (self.n1, self.n2, self.n3)
+
+    @property
+    def p_low_w(self) -> float:
+        return dbm_to_watts(self.p_low_dbm)
+
+    @property
+    def p_high_w(self) -> float:
+        return dbm_to_watts(self.p_high_dbm)
+
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                tuple: "a list of numbers"}
@@ -205,14 +202,12 @@ def _fits(value, kind) -> bool:
 
 
 def make_config(**overrides) -> SimConfig:
-    """Build a validated config; unknown keys are rejected."""
+    """Build a config; unknown keys are rejected."""
     known = {f.name for f in fields(SimConfig)}
     unknown = set(overrides) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cfg = SimConfig(**overrides)
-    cfg.validate()
-    return cfg
+    return SimConfig(**overrides)
 
 
 def _parse_value(kind, text: str):
@@ -235,8 +230,7 @@ def _parse_value(kind, text: str):
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines (with # comments) into typed overrides."""
-    defaults = SimConfig()
-    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(SimConfig)}
+    kinds = {f.name: type(f.default) for f in fields(SimConfig)}
 
     overrides, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,6 +1,9 @@
 """Surface-side models: the 2-bit phase set, group-1 co-phasing, each
 block's reflection rows, the rectenna harvest curve, and the power budget
-that decides whether the surface can run off harvested energy alone."""
+that decides whether the surface can run off harvested energy alone.
+
+:func:`received` states the received-signal model once, for the receiver
+(:func:`timsr.rx.observe`) and the harvester (:func:`eh_received`) alike."""
 
 from __future__ import annotations
 
@@ -65,10 +68,6 @@ class RisState:
 
     ris_bit: int | np.ndarray
     psi: np.ndarray
-
-    def info_row(self, rows: np.ndarray) -> np.ndarray:
-        """Row ``ris_bit`` of per-phase rows (..., J+1, n), block by block."""
-        return np.take_along_axis(rows, np.asarray(self.ris_bit)[..., None, None], -2)[..., 0, :]
 
 
 def make_ris_state(channel: ChannelRealization, n1: int, phase_set: PhaseSet,
@@ -152,15 +151,24 @@ def ris_power_consumption(budget: RisPowerBudget) -> float:
     return static + dynamic
 
 
+def received(direct, dest, h_r, group_sizes, state: RisState, tau, samples):
+    """What a destination of R antennas sees through the surface: the
+    effective channels ``eff`` (..., J+1, R) direct + F psi, one per row of
+    ``state.psi``, F being the group cascades of links ``dest`` (..., R, N)
+    and ``h_r`` (..., N) through ``group_sizes``; and the noiseless samples
+    (..., K, R) under the block's information row where ``tau`` (..., K) is
+    1 and the power row elsewhere. ``direct`` is (..., R)."""
+    casc = group_cascades(dest, h_r, group_sizes)                                   # (..., R, 3)
+    eff = direct[..., None, :] + (casc[..., None, :, :] @ state.psi[..., None])[..., 0]
+    info = np.take_along_axis(eff, np.asarray(state.ris_bit)[..., None, None], -2)
+    return eff, np.where(tau[..., None] == 1, info, eff[..., -1:, :]) * samples[..., None]
+
+
 def eh_received(channel: ChannelRealization, group_sizes, state: RisState, tau, samples):
     """Received samples and rectenna input powers at the harvester in each
-    slot: direct plus reflected path through the cell groups of
-    ``group_sizes``, under the block's information row of ``psi`` where
-    ``tau`` is 1 and the power row elsewhere. Thermal noise is below the
-    harvesting floor and is not modeled. A batch of blocks takes ``tau``
-    and ``samples`` (B, K)."""
-    casc = group_cascades(channel.g_e[..., None, :], channel.h_r, group_sizes)     # (..., 1, 3)
-    e_info, e_power = (channel.h_e + (casc @ row[..., None])[..., 0, 0]
-                       for row in (state.info_row(state.psi), state.psi[..., -1, :]))
-    eps = np.where(np.asarray(tau) == 1, e_info[..., None], e_power[..., None]) * samples
-    return eps, np.abs(eps) ** 2
+    slot, from :func:`received` on its single antenna. Thermal noise is
+    below the harvesting floor and is not modeled. A batch of blocks takes
+    ``tau`` and ``samples`` (B, K)."""
+    _, y = received(np.asarray(channel.h_e)[..., None], channel.g_e[..., None, :], channel.h_r,
+                    group_sizes, state, tau, samples)
+    return y[..., 0], np.abs(y[..., 0]) ** 2

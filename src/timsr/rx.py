@@ -2,9 +2,10 @@
 and the low-complexity per-slot LLR pipeline.
 
 The receiver knows the channel and the block's surface state. :func:`observe`
-computes the effective receive channels h_d + F psi once, one per reflection
-row ``psi`` of the surface state (each information phase, then the power
-phase), and the :class:`Observation` carries them as ``eff``.
+takes the effective receive channels, one per reflection row ``psi`` of the
+surface state (each information phase, then the power phase), from
+:func:`timsr.ris.received`, where the received-signal model is stated once,
+and the :class:`Observation` carries them as ``eff``.
 :func:`slot_costs` scores the received samples against them; every detector
 stage is an array kernel over those slot costs.
 
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, group_cascades
-from .ris import RisState
+from .channel import ChannelRealization
+from .ris import RisState, received
 # Not called here: the "ris.align" span of perfbench/spans.py looks it up in this module.
 from .ris import align_group1  # noqa: F401
 from .txphy import Constellation, IndexCodebook, TimFrame, block_bits
@@ -49,10 +50,10 @@ from .txphy import decode_frame  # noqa: F401
 class Observation:
     """The received vectors y (..., K, M_R) of blocks plus what the receiver
     knows: the noise variance and the effective receive channels ``eff``
-    (..., J+1, M_R) h_d + F psi, one row per reflection row ``psi`` of the
-    surface state: each information phase, then the power phase. Variances
-    (S,) give the samples a point axis ahead of the K slots that ``eff``
-    lacks."""
+    (..., J+1, M_R) of :func:`timsr.ris.received`, one row per reflection
+    row ``psi`` of the surface state: each information phase, then the
+    power phase. Variances (S,) give the samples a point axis ahead of the
+    K slots that ``eff`` lacks."""
 
     y: np.ndarray
     sigma2: float | np.ndarray
@@ -88,15 +89,12 @@ def unit_noise(shape, normals) -> np.ndarray:
 
 def observe(channel: ChannelRealization, group_sizes, frame: TimFrame,
             ris: RisState) -> Observation:
-    """The noiseless samples of blocks: direct path plus the path reflected
-    by the cell groups of ``group_sizes``, under each block's information
-    row of ``ris.psi`` in information slots and the power row elsewhere.
-    The effective channels h_d + F psi are built here, F being the groups'
-    cascades, one per row of ``psi``, and carried on the observation."""
-    casc = group_cascades(channel.G_d, channel.h_r, group_sizes)                    # (..., M_R, 3)
-    eff = channel.h_d[..., None, :] + (casc[..., None, :, :] @ ris.psi[..., None])[..., 0]
-    y = np.where(frame.tau[..., None] == 1, ris.info_row(eff)[..., None, :], eff[..., -1:, :])
-    return Observation(y * frame.samples[..., None], 0.0, eff)
+    """The noiseless samples of blocks at the receive antennas, with the
+    effective channels that :func:`timsr.ris.received` builds for them
+    carried on the observation."""
+    eff, y = received(channel.h_d, channel.G_d, channel.h_r, group_sizes, ris, frame.tau,
+                      frame.samples)
+    return Observation(y, 0.0, eff)
 
 
 def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, omega: complex):

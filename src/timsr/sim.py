@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -24,7 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import ChannelModel
-from .config import SimConfig, config_hash, direct_snr_sigma2
+from .config import SimConfig, _fits, config_hash, direct_snr_sigma2
 from .ris import (
     RectennaModel,
     RisPowerBudget,
@@ -76,7 +77,6 @@ class RunContext:
 
 
 def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
-    cfg.validate()
     if cfg.scheme == "benchmark":
         codebook = build_benchmark_codebook(cfg.k_slots, cfg.l_slots)
     else:
@@ -201,8 +201,8 @@ def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Ta
     trial runs once for the whole grid, in one of at most ``workers`` shards.
     This process runs the first shard while a process pool of its own runs
     the rest, so a lone shard starts no pool."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not (_fits(workers, int) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n = ctx.cfg.trials
     size = -(-n // workers)
     rest = range(size, n, size)
@@ -356,7 +356,8 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
         raise ValueError("the absorber-count grid is empty")
     top = cfg.n_cells - cfg.n1
     for n2 in n2_grid:
-        if not (float(n2).is_integer() and 0 <= n2 <= top):
+        if not (isinstance(n2, numbers.Real) and not isinstance(n2, bool)
+                and float(n2).is_integer() and 0 <= n2 <= top):
             raise ValueError(f"absorber count {n2} is not a whole number from 0 to {top}")
 
     n2_grid = tuple(int(v) for v in n2_grid)

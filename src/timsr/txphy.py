@@ -41,10 +41,6 @@ def _bit_table(count: int, width: int) -> np.ndarray:
     return table
 
 
-def _gray(n: int) -> int:
-    return n ^ (n >> 1)
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -82,18 +78,17 @@ def build_constellation(m_order: int, kind: str = "qam") -> Constellation:
 
     points = np.zeros(m_order, dtype=complex)
     if kind == "psk" or m_order == 2:
-        for k in range(m_order):
-            points[_gray(k)] = np.exp(2j * np.pi * k / m_order)
+        k = np.arange(m_order)
+        points[k ^ (k >> 1)] = np.exp(2j * np.pi * k / m_order)
     else:
         side = math.isqrt(m_order)
         if side * side != m_order or not _is_power_of_two(side):
             raise ValueError(f"square QAM needs M in (4, 16, 64, ...), got {m_order}")
         levels = np.arange(-(side - 1), side, 2, dtype=float)
-        half = side.bit_length() - 1
-        for ki in range(side):
-            for kq in range(side):
-                label = (_gray(ki) << half) | _gray(kq)
-                points[label] = levels[ki] + 1j * levels[kq]
+        k = np.arange(side)
+        gray = k ^ (k >> 1)
+        labels = (gray[:, None] << (side.bit_length() - 1)) | gray          # (in-phase, quadrature)
+        points[labels] = levels[:, None] + 1j * levels
         points /= np.sqrt(np.mean(np.abs(points) ** 2))
     points.setflags(write=False)
     bps = m_order.bit_length() - 1

@@ -7,7 +7,8 @@ not a search, and the per-group cascades of ``channel.group_cascades``,
 which the golden digests pin). The scalar :func:`jacobian_log_sum` step
 defines the LLR recursion, :func:`closest_phase` the phase quantizer, and
 :func:`loop_trial` runs one trial alone, block by block, for comparison with
-trial batches.
+trial batches, and :func:`loop_constellation_points` labels the symbol
+points one at a time.
 """
 
 import itertools
@@ -278,3 +279,25 @@ def slot_eh_received(channel, group_sizes, psi, s_k):
     v_casc = group_cascades(channel.g_e[None, :], channel.h_r, group_sizes)[0]
     eps = channel.h_e * s_k + (v_casc @ psi) * s_k
     return complex(eps), float(np.abs(eps) ** 2)
+
+
+def loop_constellation_points(m_order, kind):
+    """Gray-labeled M-PSK or square M-QAM points, one label at a time: the
+    label of PSK point k is gray(k), that of QAM point (ki, kq) is gray(ki)
+    followed by gray(kq); QAM is scaled to unit average power."""
+    def gray(n):
+        return n ^ (n >> 1)
+
+    points = np.zeros(m_order, dtype=complex)
+    if kind == "psk" or m_order == 2:
+        for k in range(m_order):
+            points[gray(k)] = np.exp(2j * np.pi * k / m_order)
+    else:
+        side = math.isqrt(m_order)
+        levels = np.arange(-(side - 1), side, 2, dtype=float)
+        half = side.bit_length() - 1
+        for ki in range(side):
+            for kq in range(side):
+                points[(gray(ki) << half) | gray(kq)] = levels[ki] + 1j * levels[kq]
+        points /= np.sqrt(np.mean(np.abs(points) ** 2))
+    return points

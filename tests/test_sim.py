@@ -10,6 +10,7 @@ from conftest import build_observation, draw_channel
 from timsr import make_config
 from timsr.config import (
     ML_MAX_HYPOTHESES,
+    SimConfig,
     config_hash,
     dbm_to_watts,
     load_config,
@@ -234,7 +235,7 @@ def no_trials(monkeypatch):
 
 
 class TestSweepGuards:
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, 2.0, True])
     def test_workers_below_one_rejected(self, no_trials, workers):
         cfg = make_config(trials=5)
         with pytest.raises(ValueError, match="workers"):
@@ -247,7 +248,7 @@ class TestSweepGuards:
         with pytest.raises(ValueError, match="empty"):
             harvest_sweep(make_config(trials=5), n2_grid=grid)
 
-    @pytest.mark.parametrize("grid", [(35.7,), (0, 16, 35.5)])
+    @pytest.mark.parametrize("grid", [(35.7,), (0, 16, 35.5), ("3",), (None,), (True,)])
     def test_fractional_absorber_count_rejected(self, no_trials, grid):
         with pytest.raises(ValueError, match="not a whole number from 0 to 196"):
             harvest_sweep(make_config(trials=5), n2_grid=grid)
@@ -602,6 +603,16 @@ class TestConfig:
         # bad input fails in make_config, before any context or channel model
         with pytest.raises(ValueError, match=message):
             make_config(**overrides)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: replace(make_config(), n2=500), "cell split n1=60, n2=500 incompatible"),
+        (lambda: SimConfig(trials=0), "trials must be >= 1"),
+        (lambda: SimConfig(snr_db_grid=[0.0]), "snr_db_grid must be a tuple of numbers"),
+    ], ids=["replace_cell_split", "direct_trials", "direct_snr_grid_list"])
+    def test_config_checked_when_built(self, build, message):
+        # no config object exists unchecked, whichever way it is built
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_guards_accept_boundary_values(self):
         make_config(kappa=0.0, d_tx_ris_m=1.0, d_ris_rx_m=1.0, d_direct_m=1.0, n_cb=1)

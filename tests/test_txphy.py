@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loop_constellation_points
 from timsr.txphy import (
     TABLE1_CODEWORDS,
     bits_to_int,
@@ -51,6 +52,15 @@ class TestConstellation:
             for j in range(16):
                 if abs(pts[i] - pts[j]) == pytest.approx(2.0, abs=1e-9):
                     assert bin(i ^ j).count("1") == 1
+
+    @pytest.mark.parametrize("m,kind", [(2, "qam"), (4, "qam"), (16, "qam"), (64, "qam"),
+                                        (256, "qam"), (1024, "qam"), (2, "psk"), (4, "psk"),
+                                        (8, "psk"), (16, "psk"), (1024, "psk")])
+    def test_points_equal_loop_reference(self, m, kind):
+        # every point bit for bit, signs of zeros included
+        got, want = build_constellation(m, kind).points, loop_constellation_points(m, kind)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
     def test_rejected_orders(self):
         with pytest.raises(ValueError):
