@@ -7,8 +7,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import load_config, make_config
-from .sim import ber_sweep, default_n2_grid, harvest_sweep, power_budget_report
+from .config import DETECTORS, load_config, make_config
+from .sim import ber_sweep, harvest_sweep, power_budget_report
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -16,7 +16,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="base seed for the trial streams")
     parser.add_argument("--trials", type=int, help="Monte Carlo blocks per sweep point")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
-    parser.add_argument("--detector", choices=("ml", "llr"), help="receiver to simulate")
+    parser.add_argument("--detector", choices=DETECTORS, help="receiver to simulate")
     parser.add_argument("--scheme", metavar="K,L", help="slots per block and information slots")
     parser.add_argument(
         "--paper-compat",
@@ -49,20 +49,12 @@ def _parse_grid(text: str):
 def _build_config(args):
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = make_config()
-    overrides = {}
+    cfg = load_config(args.config) if args.config else make_config()
+    overrides = {key: getattr(args, key) for key in ("seed", "trials", "detector")
+                 if getattr(args, key) is not None}
     if args.command == "benchmark":
         overrides["scheme"] = "benchmark"
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.detector is not None:
-        overrides["detector"] = args.detector
-    if getattr(args, "scheme", None):
+    if args.scheme:
         overrides["k_slots"], overrides["l_slots"] = _parse_scheme(args.scheme)
     if args.paper_compat:
         overrides["paper_compat"] = True
@@ -123,7 +115,7 @@ def _dispatch(args, cfg) -> int:
         table = ber_sweep(cfg, workers=args.workers)
         out = args.out or "benchmark.csv"
     else:
-        grid = default_n2_grid(cfg) if args.n2_grid is None else _parse_grid(args.n2_grid)
+        grid = None if args.n2_grid is None else _parse_grid(args.n2_grid)
         report = harvest_sweep(cfg, grid, workers=args.workers)
         table = report.table
         out = args.out or "harvest_sweep.csv"

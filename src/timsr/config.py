@@ -8,16 +8,14 @@ import math
 from dataclasses import dataclass, fields
 
 from .channel import LOS_PHASE_POLICIES, path_gain
-from .ris import TECHNOLOGIES
-from .txphy import CODEBOOK_STRATEGIES, CONSTELLATION_KINDS
+from .ris import TECHNOLOGIES, phase_set_2bit
+from .txphy import CODEBOOK_STRATEGIES, CONSTELLATION_KINDS, index_bit_count
 
 SCHEMES = ("tim", "benchmark")
 DETECTORS = ("ml", "llr")
 
-# Largest detector size a config may ask for (2**25 float64 values, 256 MiB):
-# the LLR path holds S * |A| * L slot LLRs; joint ML searches |A| * J * M^L
-# hypotheses per block, a cap kept although its search stores none of them.
-ML_MAX_HYPOTHESES = 2**25
+# Largest detector array one trial may hold (2**25 float64 values, 256 MiB).
+TRIAL_MAX_VALUES = 2**25
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -129,20 +127,11 @@ class SimConfig:
                 and (self.k_slots, self.l_slots) != (4, 2)):
             raise ValueError(f"the table1 preset is defined only for K=4, L=2, "
                              f"got K={self.k_slots}, L={self.l_slots}")
-        # |A| * J * M^L with J = 2 information phases and |A| = 2^floor(log2 C(K, L)).
-        index_bits = math.comb(self.k_slots, self.l_slots).bit_length() - 1
-        n_cw = 1 if self.scheme == "benchmark" else 1 << index_bits
-        hypotheses = n_cw * 2 * self.m_order**self.l_slots
-        if self.detector == "ml" and hypotheses > ML_MAX_HYPOTHESES:
-            raise ValueError(f"the ML detector would score {hypotheses} hypotheses per block "
-                             f"(|A| * J * M^L = {n_cw} * 2 * {self.m_order}^{self.l_slots}), more "
-                             f"than {ML_MAX_HYPOTHESES}; use detector = llr or a smaller layout")
-        slot_sums = len(self.snr_db_grid) * n_cw * self.l_slots
-        if self.detector == "llr" and slot_sums > ML_MAX_HYPOTHESES:
-            raise ValueError(f"the LLR detector would hold {slot_sums} codeword slot LLRs per "
-                             f"trial (S * |A| * L = {len(self.snr_db_grid)} * {n_cw} * "
-                             f"{self.l_slots}), more than {ML_MAX_HYPOTHESES}; use a smaller "
-                             f"layout or fewer SNR points")
+        values, array = trial_values(self, len(self.snr_db_grid))
+        if values > TRIAL_MAX_VALUES:
+            raise ValueError(f"the {self.detector.upper()} detector would hold {values} {array} "
+                             f"per trial, more than {TRIAL_MAX_VALUES}; use a smaller layout or "
+                             f"fewer SNR points")
         if self.n1 < 0 or self.n2 < 0 or self.n3 < 0:
             raise ValueError(
                 f"cell split n1={self.n1}, n2={self.n2} incompatible with n_cells={self.n_cells}"
@@ -185,6 +174,21 @@ class SimConfig:
     @property
     def p_high_w(self) -> float:
         return dbm_to_watts(self.p_high_dbm)
+
+
+def trial_values(cfg: SimConfig, n_points: int) -> tuple:
+    """The largest detector array one trial holds at ``n_points`` noise
+    variances: its count of float64 values, and its name with its product.
+    Both detectors hold the slot-cost differences of ``rx.slot_costs``; LLR
+    gathers a codeword's slot LLRs, joint ML its slot minima per phase."""
+    s, j, l = n_points, len(phase_set_2bit().phi_info), cfg.l_slots
+    n_cw = 1 if cfg.scheme == "benchmark" else 1 << index_bit_count(cfg.k_slots, l)
+    arrays = [("slot-cost differences", "2 * S * J * M * K * M_R",
+               (2, s, j, cfg.m_order, cfg.k_slots, cfg.m_rx)),
+              ("codeword slot LLRs", "S * |A| * L", (s, n_cw, l)) if cfg.detector == "llr"
+              else ("codeword slot minima", "S * J * |A| * L", (s, j, n_cw, l))]
+    return max((math.prod(factors), f"{name} ({product} = {' * '.join(map(str, factors))})")
+               for name, product, factors in arrays)
 
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",

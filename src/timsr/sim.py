@@ -25,7 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import ChannelModel
-from .config import SimConfig, _fits, config_hash, direct_snr_sigma2
+from .config import SimConfig, _fits, config_hash, direct_snr_sigma2, trial_values
 from .ris import (
     RectennaModel,
     RisPowerBudget,
@@ -174,14 +174,11 @@ _BATCH_BYTES = 1 << 19
 
 
 def _batch_size(ctx: RunContext, n_points: int) -> int:
-    """Trials per batch: as many as keep the largest array within _BATCH_BYTES:
-    per trial, the slot-cost differences (S*J*M*K*M_R complex values), the
-    detectors' codeword gathers (S*J*|A|*L reals) or the links' normal draw."""
-    cfg = ctx.cfg
-    j, n_cw = len(ctx.phase_set.phi_info), len(ctx.codebook.codewords)
-    values = max(ctx.channel_model.n_normals,
-                 2 * n_points * j * cfg.m_order * cfg.k_slots * cfg.m_rx,
-                 n_points * j * n_cw * cfg.l_slots)
+    """Trials per batch: as many as keep the largest array within _BATCH_BYTES,
+    counted in float64 values per trial: the links' normal draw or the
+    largest detector array (``config.trial_values``, the count the config
+    guard bounds)."""
+    values = max(ctx.channel_model.n_normals, trial_values(ctx.cfg, n_points)[0])
     return max(1, _BATCH_BYTES // (8 * values))
 
 
@@ -357,8 +354,8 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
     top = cfg.n_cells - cfg.n1
     for n2 in n2_grid:
         if not (isinstance(n2, numbers.Real) and not isinstance(n2, bool)
-                and float(n2).is_integer() and 0 <= n2 <= top):
-            raise ValueError(f"absorber count {n2} is not a whole number from 0 to {top}")
+                and 0 <= n2 <= top and float(n2).is_integer()):
+            raise ValueError(f"absorber count {n2!r} is not a whole number from 0 to {top}")
 
     n2_grid = tuple(int(v) for v in n2_grid)
     ctx = make_context(cfg, None)

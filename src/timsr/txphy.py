@@ -41,6 +41,11 @@ def _bit_table(count: int, width: int) -> np.ndarray:
     return table
 
 
+def index_bit_count(k_slots: int, l_slots: int) -> int:
+    """floor(log2 C(K, L)) in exact integers: a (K, L) codebook's index bits."""
+    return math.comb(k_slots, l_slots).bit_length() - 1
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -139,7 +144,7 @@ def build_codebook(k_slots: int, l_slots: int, strategy: str = "lexicographic") 
     """
     if not 1 <= l_slots < k_slots:
         raise ValueError(f"need 1 <= L < K, got L={l_slots}, K={k_slots}")
-    bits_index = int(math.floor(math.log2(math.comb(k_slots, l_slots))))
+    bits_index = index_bit_count(k_slots, l_slots)
     if strategy == "table1":
         if (k_slots, l_slots) != (4, 2):
             raise ValueError("the table1 preset is defined only for K=4, L=2")

@@ -187,9 +187,20 @@ def test_power_budget_rejects_workers_below_one(capsys, workers):
 
 def test_oversized_ml_config_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "big.cfg"
-    path.write_text("l_slots = 4\nm_order = 64\ndetector = ml\n")
-    assert main(["ber-sweep", "--config", str(path), "--trials", "1"]) == 2
-    assert "hypotheses" in capsys.readouterr().err
+    path.write_text("m_rx = 100000\ndetector = ml\n")
+    out = tmp_path / "out.csv"
+    assert main(["ber-sweep", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the ML detector would hold 89600000 slot-cost differences")
+    assert not out.exists()
+
+
+def test_overflowing_absorber_count_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    grid = "1" + "0" * 400
+    assert main(["harvest-sweep", "--trials", "1", "--n2-grid", grid, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: absorber count {grid} is not a whole")
+    assert not out.exists()
 
 
 def test_zero_receive_antennas_fail_cleanly(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,13 @@ import timsr.sim
 from conftest import build_observation, draw_channel
 from timsr import make_config
 from timsr.config import (
-    ML_MAX_HYPOTHESES,
+    TRIAL_MAX_VALUES,
     SimConfig,
     config_hash,
     dbm_to_watts,
     load_config,
     parse_config_text,
+    trial_values,
 )
 from oracles import loop_trial, slot_eh_received, slot_rectenna_input
 from timsr.ris import clc_dc_power
@@ -248,9 +250,12 @@ class TestSweepGuards:
         with pytest.raises(ValueError, match="empty"):
             harvest_sweep(make_config(trials=5), n2_grid=grid)
 
-    @pytest.mark.parametrize("grid", [(35.7,), (0, 16, 35.5), ("3",), (None,), (True,)])
+    @pytest.mark.parametrize("grid", [(35.7,), (0, 16, 35.5), ("3",), (None,), (True,),
+                                      (10**400,)])
     def test_fractional_absorber_count_rejected(self, no_trials, grid):
-        with pytest.raises(ValueError, match="not a whole number from 0 to 196"):
+        # the rejected count is named as given: the string "3" as '3'
+        message = f"absorber count {re.escape(repr(grid[-1]))} is not a whole number from 0 to 196"
+        with pytest.raises(ValueError, match=message):
             harvest_sweep(make_config(trials=5), n2_grid=grid)
 
 
@@ -393,6 +398,14 @@ class TestTrialBatches:
         monkeypatch.setattr(timsr.sim, "_batch_size", lambda *args: size)
         ctx, layouts, sigma2s = _grid(make_config(trials=37, **self.KINDS[kind]), kind)
         _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, 1), ctx, layouts, sigma2s)
+
+    @pytest.mark.parametrize("overrides, n_points, size", [
+        (dict(detector="llr"), 7, 18),                 # 3,584 slot-cost differences
+        (dict(l_slots=4, detector="ml"), 7, 18),       # 3,584 of them and 3,584 slot minima
+        (dict(), 0, 21),                               # a harvest sweep: 3,082 normals
+    ], ids=["ber_llr_8_2", "ber_ml_8_4", "harvest_n2_w2"])
+    def test_benchmark_workload_batch_sizes(self, overrides, n_points, size):
+        assert _batch_size(make_context(make_config(**overrides), None), n_points) == size
 
     @pytest.mark.parametrize("kind", ["llr", "ml", "harvest"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -631,17 +644,20 @@ class TestConfig:
             make_config(k_slots=24, l_slots=12)
         make_config(k_slots=24, l_slots=12, snr_db_grid=(10.0,))   # 2^21 * 12 fits
 
-    def test_ml_hypothesis_space_guard(self):
-        # (8,4) 64-QAM: 64 codewords * 2 phases * 64^4 symbol vectors = 2^31
-        with pytest.raises(ValueError, match="hypotheses"):
-            make_config(l_slots=4, m_order=64, detector="ml")
-        assert 64 * 2 * 64**4 > ML_MAX_HYPOTHESES >= 64 * 2 * 16**4
-        make_config(l_slots=4, m_order=64, detector="llr")
-        make_config(l_slots=4, m_order=16, detector="ml")
-        # the fixed-slot scheme has a single codeword: 2 * 64^4 = 2^25
-        make_config(scheme="benchmark", l_slots=4, m_order=64, detector="ml")
-        with pytest.raises(ValueError, match="hypotheses"):
-            make_config(scheme="benchmark", l_slots=5, m_order=64, detector="ml")
+    def test_trial_array_guard(self):
+        # (8,4) 64-QAM ML searches 2^31 hypotheses but holds no array of them
+        cfg = make_config(l_slots=4, m_order=64, detector="ml", trials=5)
+        assert trial_values(cfg, 7) == (57344, "slot-cost differences "
+                                               "(2 * S * J * M * K * M_R = 2 * 7 * 2 * 64 * 8 * 4)")
+        assert ber_sweep(cfg).rows[-1].trials == 5
+        make_config(scheme="benchmark", l_slots=5, m_order=64, detector="ml")
+        # 2 * 7 * 2 * 2^20 * 8 * 4 and 2 * 7 * 2 * 4 * 8 * 100000 slot-cost differences
+        for detector in ("llr", "ml"):
+            for big in (dict(m_order=2**20, constellation="psk"), dict(m_rx=100000)):
+                with pytest.raises(ValueError, match=f"the {detector.upper()} detector would "
+                                                     f"hold [0-9]+ slot-cost differences"):
+                    make_config(detector=detector, **big)
+        assert 2 * 7 * 2 * 4 * 8 * 100000 > TRIAL_MAX_VALUES > 2 * 7 * 2 * 64 * 8 * 4
 
     @pytest.mark.parametrize("overrides, field", [
         (dict(kappa=10**400), "kappa"),
