@@ -107,6 +107,13 @@ def group_cascades(dest, h_r, group_sizes) -> np.ndarray:
                      for a, b in zip(edges[:-1], edges[1:])], axis=-1)
 
 
+def link_shapes(m_rx: int, n_cells: int) -> dict:
+    """The (rows, cols) of each link, in the fixed order a block draws them:
+    M_R * (N + 1) + 2 * N + 1 complex entries in all."""
+    return {"h_d": (m_rx, 1), "h_r": (n_cells, 1), "G_d": (m_rx, n_cells), "h_e": (1, 1),
+            "g_e": (n_cells, 1)}
+
+
 class ChannelModel:
     """Per-run channel generator.
 
@@ -139,14 +146,11 @@ class ChannelModel:
 
         gain_direct = path_gain(d_direct_m, carrier_ghz)
         gain_ris_rx = path_gain(d_ris_rx_m, carrier_ghz)
-        # (shape, path gain) of each link, drawn in this fixed order for reproducibility.
-        self.links = {
-            "h_d": ((m_rx, 1), gain_direct),
-            "h_r": ((n_cells, 1), path_gain(d_tx_ris_m, carrier_ghz)),
-            "G_d": ((m_rx, n_cells), gain_ris_rx),
-            "h_e": ((1, 1), gain_direct),
-            "g_e": ((n_cells, 1), gain_ris_rx),
-        }
+        gains = {"h_d": gain_direct, "h_r": path_gain(d_tx_ris_m, carrier_ghz),
+                 "G_d": gain_ris_rx, "h_e": gain_direct, "g_e": gain_ris_rx}
+        # (shape, path gain) of each link, drawn in the order of link_shapes.
+        self.links = {name: (shape, gains[name])
+                      for name, shape in link_shapes(m_rx, n_cells).items()}
         self.n_normals = 2 * sum(math.prod(shape) for shape, _ in self.links.values())
         self.specs = {}
         for name, (shape, gain) in self.links.items():

@@ -7,14 +7,14 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .channel import LOS_PHASE_POLICIES, path_gain
+from .channel import LOS_PHASE_POLICIES, link_shapes, path_gain
 from .ris import TECHNOLOGIES, phase_set_2bit
 from .txphy import CODEBOOK_STRATEGIES, CONSTELLATION_KINDS, index_bit_count
 
 SCHEMES = ("tim", "benchmark")
 DETECTORS = ("ml", "llr")
 
-# Largest detector array one trial may hold (2**25 float64 values, 256 MiB).
+# Largest array one trial may hold (2**25 float64 values, 256 MiB).
 TRIAL_MAX_VALUES = 2**25
 
 
@@ -177,13 +177,17 @@ class SimConfig:
 
 
 def trial_values(cfg: SimConfig, n_points: int) -> tuple:
-    """The largest detector array one trial holds at ``n_points`` noise
-    variances: its count of float64 values, and its name with its product.
-    Both detectors hold the slot-cost differences of ``rx.slot_costs``; LLR
-    gathers a codeword's slot LLRs, joint ML its slot minima per phase."""
+    """The largest array one trial holds at ``n_points`` noise variances:
+    its count of float64 values, and its name with its product. A trial
+    draws its links' normals; both detectors hold the slot-cost differences
+    of ``rx.slot_costs``; LLR gathers a codeword's slot LLRs, joint ML its
+    slot minima per phase. No per-run table is larger: the codebook holds
+    |A| * L slots and the constellation M points."""
     s, j, l = n_points, len(phase_set_2bit().phi_info), cfg.l_slots
     n_cw = 1 if cfg.scheme == "benchmark" else 1 << index_bit_count(cfg.k_slots, l)
-    arrays = [("slot-cost differences", "2 * S * J * M * K * M_R",
+    link_entries = sum(map(math.prod, link_shapes(cfg.m_rx, cfg.n_cells).values()))
+    arrays = [("link normals", "2 * (M_R * (N + 1) + 2 * N + 1)", (2, link_entries)),
+              ("slot-cost differences", "2 * S * J * M * K * M_R",
                (2, s, j, cfg.m_order, cfg.k_slots, cfg.m_rx)),
               ("codeword slot LLRs", "S * |A| * L", (s, n_cw, l)) if cfg.detector == "llr"
               else ("codeword slot minima", "S * J * |A| * L", (s, j, n_cw, l))]

@@ -189,7 +189,8 @@ def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Co
     """
     info_cost, pow_cost = slot_costs(obs, constellation, p_info_w, omega)
     alpha, c, labels = joint_search(info_cost, pow_cost, codebook.slot_index, paper_compat)
-    visited = alpha.size * len(codebook.codewords) * len(phase_pair) * constellation.m_order**codebook.l_slots
+    visited = (alpha.size * len(codebook.slot_index) * len(phase_pair)
+               * constellation.m_order**codebook.l_slots)
     return _result(codebook, constellation, alpha, labels, phase_pair, c, "ml", visited)
 
 

@@ -175,11 +175,9 @@ _BATCH_BYTES = 1 << 19
 
 def _batch_size(ctx: RunContext, n_points: int) -> int:
     """Trials per batch: as many as keep the largest array within _BATCH_BYTES,
-    counted in float64 values per trial: the links' normal draw or the
-    largest detector array (``config.trial_values``, the count the config
-    guard bounds)."""
-    values = max(ctx.channel_model.n_normals, trial_values(ctx.cfg, n_points)[0])
-    return max(1, _BATCH_BYTES // (8 * values))
+    counted in float64 values per trial by ``config.trial_values``, the
+    count the config guard bounds."""
+    return max(1, _BATCH_BYTES // (8 * trial_values(ctx.cfg, n_points)[0]))
 
 
 def _joined(tallies) -> Tally:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -29,16 +29,10 @@ def bits_to_int(bits):
     return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Integer to big-endian bit vector of the given width."""
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int64)
-
-
-def _bit_table(count: int, width: int) -> np.ndarray:
-    """Row v holds :func:`int_to_bits` (v, width), for v = 0..count-1."""
-    table = (np.arange(count, dtype=np.int64)[:, None] >> np.arange(width - 1, -1, -1)) & 1
-    table.setflags(write=False)
-    return table
+def int_to_bits(values, width: int) -> np.ndarray:
+    """Integers to big-endian bit vectors of the given width: values (...)
+    give bits (..., width), bits[..., 0] the MSB."""
+    return (np.asarray(values, dtype=np.int64)[..., None] >> np.arange(width - 1, -1, -1)) & 1
 
 
 def index_bit_count(k_slots: int, l_slots: int) -> int:
@@ -53,20 +47,15 @@ def _is_power_of_two(n: int) -> bool:
 @dataclass(frozen=True)
 class Constellation:
     """Unit-average-power symbol set; ``points[label]`` is the symbol whose
-    Gray-coded bit label equals ``label``, and ``label_bits[label]`` holds
-    that label's log2(M) bits."""
+    Gray-coded bit label equals ``label``, an integer of log2(M) bits."""
 
     m_order: int
     kind: str
     points: np.ndarray
-    label_bits: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def bits_per_symbol(self) -> int:
         return self.m_order.bit_length() - 1
-
-    def nearest_label(self, sample: complex) -> int:
-        return int(np.argmin(np.abs(self.points - sample)))
 
 
 def build_constellation(m_order: int, kind: str = "qam") -> Constellation:
@@ -96,43 +85,29 @@ def build_constellation(m_order: int, kind: str = "qam") -> Constellation:
         points[labels] = levels[:, None] + 1j * levels
         points /= np.sqrt(np.mean(np.abs(points) ** 2))
     points.setflags(write=False)
-    bps = m_order.bit_length() - 1
-    return Constellation(m_order, kind, points, _bit_table(m_order, bps))
+    return Constellation(m_order, kind, points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexCodebook:
     """The legitimate slot-index selections for one (K, L) layout.
 
-    ``codewords[a]`` is the strictly increasing 1-based index tuple selected
-    by the index-bit pattern with integer value ``a``; ``slot_index[a]``
-    holds the same slots 0-based and ``index_bits[a]`` that bit pattern, one
-    row per codeword.
+    ``slot_index[a]`` holds the strictly increasing 0-based slots (L,) that
+    the index-bit pattern with integer value ``a`` selects, one row per
+    codeword; the pattern's bits are :func:`int_to_bits` (a, bits_index).
+    A codebook equals only itself: its array is not compared.
     """
 
     k_slots: int
     l_slots: int
-    codewords: tuple
     bits_index: int
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
-    slot_index: np.ndarray = field(repr=False, compare=False, default=None)
-    index_bits: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def index_of(self, codeword) -> int:
-        try:
-            return self._index[tuple(codeword)]
-        except KeyError:
-            raise ValueError(
-                f"time-index selection {tuple(codeword)} is not a legitimate codeword"
-            ) from None
+    slot_index: np.ndarray = field(repr=False)
 
 
-def _make_codebook(k_slots, l_slots, codewords, bits_index) -> IndexCodebook:
-    lookup = {cw: i for i, cw in enumerate(codewords)}
-    slot_index = np.array(codewords, dtype=np.int64) - 1
+def _make_codebook(k_slots, l_slots, bits_index, slot_index) -> IndexCodebook:
+    slot_index = np.asarray(slot_index, dtype=np.int64).reshape(-1, l_slots)
     slot_index.setflags(write=False)
-    return IndexCodebook(k_slots, l_slots, tuple(codewords), bits_index, lookup, slot_index,
-                         _bit_table(len(codewords), bits_index))
+    return IndexCodebook(k_slots, l_slots, bits_index, slot_index)
 
 
 def build_codebook(k_slots: int, l_slots: int, strategy: str = "lexicographic") -> IndexCodebook:
@@ -148,12 +123,14 @@ def build_codebook(k_slots: int, l_slots: int, strategy: str = "lexicographic") 
     if strategy == "table1":
         if (k_slots, l_slots) != (4, 2):
             raise ValueError("the table1 preset is defined only for K=4, L=2")
-        codewords = TABLE1_CODEWORDS
+        slot_index = np.array(TABLE1_CODEWORDS) - 1
     elif strategy == "lexicographic":
-        codewords = list(islice(combinations(range(1, k_slots + 1), l_slots), 1 << bits_index))
+        n_cw = 1 << bits_index
+        stream = chain.from_iterable(islice(combinations(range(k_slots), l_slots), n_cw))
+        slot_index = np.fromiter(stream, dtype=np.int64, count=n_cw * l_slots)
     else:
         raise ValueError(f"unknown codebook strategy {strategy!r}")
-    return _make_codebook(k_slots, l_slots, codewords, bits_index)
+    return _make_codebook(k_slots, l_slots, bits_index, slot_index)
 
 
 def build_benchmark_codebook(k_slots: int, l_slots: int) -> IndexCodebook:
@@ -161,7 +138,7 @@ def build_benchmark_codebook(k_slots: int, l_slots: int) -> IndexCodebook:
     first L slots always carry information, so no index bits are conveyed."""
     if not 1 <= l_slots <= k_slots:
         raise ValueError(f"need 1 <= L <= K, got L={l_slots}, K={k_slots}")
-    return _make_codebook(k_slots, l_slots, (tuple(range(1, l_slots + 1)),), 0)
+    return _make_codebook(k_slots, l_slots, 0, np.arange(l_slots))
 
 
 def codeword_to_tau(codeword, k_slots: int) -> np.ndarray:
@@ -176,11 +153,10 @@ def codeword_to_tau(codeword, k_slots: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TimFrame:
     """Encoded blocks: slot-activity vectors and the K transmit samples
-    (..., K), the bits they carry and the codeword's slots (..., L)."""
+    (..., K), and the codeword's slots (..., L)."""
 
     tau: np.ndarray
     samples: np.ndarray
-    bits: np.ndarray
     codeword: np.ndarray
     omega: complex
 
@@ -219,17 +195,17 @@ def encode_block(
     samples.setflags(write=False)
 
     codeword = slots + 1
-    return TimFrame(codeword_to_tau(codeword, codebook.k_slots), samples, bits, codeword,
-                    complex(omega))
+    return TimFrame(codeword_to_tau(codeword, codebook.k_slots), samples, codeword, complex(omega))
 
 
 def block_bits(alpha, labels, codebook: IndexCodebook, constellation: Constellation):
     """The eta bits of codeword ``alpha`` carrying symbol ``labels`` (in
-    ascending slot order), read from the codebook and label bit tables;
-    indices ``alpha`` (S,) with labels (S, L) give bits (S, eta)."""
+    ascending slot order): the index bits of ``alpha``, then each label's
+    bits; indices ``alpha`` (S,) with labels (S, L) give bits (S, eta)."""
     labels = np.asarray(labels)
-    label_bits = constellation.label_bits[labels].reshape(labels.shape[:-1] + (-1,))
-    return np.concatenate([codebook.index_bits[alpha], label_bits], axis=-1)
+    symbol_bits = int_to_bits(labels, constellation.bits_per_symbol)
+    return np.concatenate([int_to_bits(alpha, codebook.bits_index),
+                           symbol_bits.reshape(labels.shape[:-1] + (-1,))], axis=-1)
 
 
 def decode_frame(tau, symbols, codebook: IndexCodebook, constellation: Constellation) -> np.ndarray:
@@ -239,6 +215,12 @@ def decode_frame(tau, symbols, codebook: IndexCodebook, constellation: Constella
     Raises ``ValueError`` if ``tau`` does not match a codeword; detectors are
     expected never to produce one.
     """
-    codeword = tuple(int(i) + 1 for i in np.flatnonzero(np.asarray(tau)))
-    labels = [constellation.nearest_label(s) for s in np.asarray(symbols, dtype=complex)]
-    return block_bits(codebook.index_of(codeword), labels, codebook, constellation)
+    slots = np.flatnonzero(np.asarray(tau))
+    rows = (np.flatnonzero((codebook.slot_index == slots).all(axis=-1))
+            if slots.size == codebook.l_slots else ())
+    if len(rows) == 0:
+        raise ValueError(f"time-index selection {tuple((slots + 1).tolist())} is not a "
+                         f"legitimate codeword")
+    symbols = np.asarray(symbols, dtype=complex)
+    labels = np.argmin(np.abs(constellation.points - symbols[:, None]), axis=-1)
+    return block_bits(rows[0], labels, codebook, constellation)

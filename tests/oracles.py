@@ -8,7 +8,8 @@ which the golden digests pin). The scalar :func:`jacobian_log_sum` step
 defines the LLR recursion, :func:`closest_phase` the phase quantizer, and
 :func:`loop_trial` runs one trial alone, block by block, for comparison with
 trial batches, and :func:`loop_constellation_points` labels the symbol
-points one at a time.
+points one at a time. :func:`codewords` and :func:`codeword_index` read a
+codebook as the paper's 1-based slot tuples.
 """
 
 import itertools
@@ -29,6 +30,18 @@ from timsr.sim import trial_rng
 from timsr.txphy import encode_block
 
 TWO_PI = 2.0 * math.pi
+
+
+def codewords(codebook):
+    """The codebook's codewords as strictly increasing 1-based slot tuples,
+    in codebook order."""
+    return tuple(tuple(int(s) + 1 for s in row) for row in codebook.slot_index)
+
+
+def codeword_index(codebook, codeword) -> int:
+    """Row of the 1-based ``codeword`` in the codebook, found by a linear
+    scan; ``ValueError`` if it is not a codeword."""
+    return codewords(codebook).index(tuple(codeword))
 
 
 def wrap_angle(x: float) -> float:
@@ -148,7 +161,7 @@ def naive_joint_search(obs, channel, group_sizes, codebook, constellation, phase
 
     best = None
     best_metric = math.inf
-    for cw in codebook.codewords:
+    for cw in codewords(codebook):
         for c in range(len(phase_pair)):
             for labels in itertools.product(range(m), repeat=codebook.l_slots):
                 metric = 0.0
@@ -214,8 +227,8 @@ def loop_joint_metric(info_cost, pow_cost, codebook, paper_compat=False):
     slot order, earliest slot most significant."""
     j, m, _ = info_cost.shape
     total_pow = float(pow_cost.sum())
-    metric = np.empty((len(codebook.codewords), j, m**codebook.l_slots))
-    for a, cw in enumerate(codebook.codewords):
+    metric = np.empty((len(codebook.slot_index), j, m**codebook.l_slots))
+    for a, cw in enumerate(codewords(codebook)):
         slots0 = np.asarray(cw, dtype=np.int64) - 1
         base = 0.0 if paper_compat else total_pow - float(pow_cost[slots0].sum())
         for c in range(j):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import build_observation, draw_channel, draw_noise
-from oracles import direct_llr, naive_joint_search
+from oracles import codewords, direct_llr, naive_joint_search
 
 from timsr import make_config
 from timsr.ris import clc_dc_power, make_ris_state
@@ -27,7 +27,14 @@ from timsr.sim import (
     run_block_trial,
     trial_rng,
 )
-from timsr.txphy import build_codebook, encode_block, int_to_bits
+from timsr.txphy import (
+    build_codebook,
+    build_constellation,
+    codeword_to_tau,
+    decode_frame,
+    encode_block,
+    int_to_bits,
+)
 
 
 def _report(num, name, detail):
@@ -102,13 +109,14 @@ def test_criterion_2_complexity_counts():
 def test_criterion_3_codebook_preset():
     t0 = time.perf_counter()
     cb = build_codebook(4, 2, "table1")
-    assert cb.codewords == ((1, 3), (1, 4), (2, 4), (2, 3))
+    const = build_constellation(4, "qam")
+    assert codewords(cb) == ((1, 3), (1, 4), (2, 4), (2, 3))
     for excluded in ((1, 2), (3, 4)):
         with pytest.raises(ValueError):
-            cb.index_of(excluded)
+            decode_frame(codeword_to_tau(excluded, 4), const.points[[0, 0]], cb, const)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    _report(3, "codebook preset", f"codewords {cb.codewords}, exclusions rejected")
+    _report(3, "codebook preset", f"codewords {codewords(cb)}, exclusions rejected")
 
 
 def test_criterion_4_noiseless_correctness():

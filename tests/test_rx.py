@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import build_observation, draw_channel, draw_noise
 from oracles import (
     _effective,
+    codeword_index,
+    codewords,
     direct_llr,
     direct_log_sum_exp,
     jacobian_log_sum,
@@ -279,12 +281,12 @@ class TestSelectInfoSlots:
 
     def test_dominant_legitimate_pair(self):
         alpha = select_info_slots(np.array([9.0, 0.0, 8.0, 0.0]), self.CB)
-        assert self.CB.codewords[alpha] == (1, 3)
+        assert codewords(self.CB)[alpha] == (1, 3)
 
     def test_never_returns_excluded_pair(self):
         # the two largest LLRs {1,2} are not a codeword; the max legitimate
         # sum is 9, shared by (1,3) and (1,4); first codeword order wins
-        got = self.CB.codewords[select_info_slots(np.array([9.0, 8.0, 0.0, 0.0]), self.CB)]
+        got = codewords(self.CB)[select_info_slots(np.array([9.0, 8.0, 0.0, 0.0]), self.CB)]
         assert got != (1, 2)
         assert got in ((1, 3), (1, 4))
         assert got == (1, 3)
@@ -294,7 +296,7 @@ class TestSelectInfoSlots:
 
     def test_single_slot_layout(self):
         cb = build_codebook(4, 1)
-        assert cb.codewords[select_info_slots(np.array([0.0, 5.0, 1.0, 2.0]), cb)] == (2,)
+        assert codewords(cb)[select_info_slots(np.array([0.0, 5.0, 1.0, 2.0]), cb)] == (2,)
 
     def test_matches_per_codeword_loop(self):
         # reference: each codeword's LLR sum in codebook order, first maximum
@@ -304,7 +306,7 @@ class TestSelectInfoSlots:
             cb = build_codebook(k, l)
             for _ in range(50):
                 llr = 10.0 * rng.standard_normal(k)
-                sums = np.array([llr[np.asarray(cw) - 1].sum() for cw in cb.codewords])
+                sums = np.array([llr[np.asarray(cw) - 1].sum() for cw in codewords(cb)])
                 np.testing.assert_array_equal(llr[cb.slot_index].sum(axis=1), sums)
                 assert select_info_slots(llr, cb) == int(np.argmax(sums))
 
@@ -318,7 +320,7 @@ class TestMlSymbolPhase:
             ctx.phase_set.phi_info,
         )
         assert c == ris_bit
-        sent = [ctx.constellation.nearest_label(s / math.sqrt(cfg.p_low_w))
+        sent = [int(np.argmin(np.abs(ctx.constellation.points - s / math.sqrt(cfg.p_low_w))))
                 for s in frame.samples[frame.tau == 1]]
         assert list(labels) == sent
 
@@ -389,7 +391,7 @@ class TestLlrDetect:
             clean = observe(ch, cfg.group_sizes, frame, state)
             obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
-            assert tuple(det.codeword) in ctx.codebook.codewords
+            assert tuple(det.codeword) in codewords(ctx.codebook)
 
     def test_agrees_with_ml_at_high_snr(self):
         cfg = make_config(k_slots=8, l_slots=2, trials=1)
@@ -443,7 +445,7 @@ class TestArrayKernels:
         cfg = make_config(trials=1, **overrides)
         for trial in range(5):
             ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=trial)
-            assert len(ctx.codebook.codewords) == (1 if cfg.scheme == "benchmark" else
+            assert len(ctx.codebook.slot_index) == (1 if cfg.scheme == "benchmark" else
                                                    1 << ctx.codebook.bits_index)
             info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
             _assert_search_equals_loop(info_cost, pow_cost, ctx.codebook, paper_compat)
@@ -507,7 +509,7 @@ class TestArrayKernels:
                 cfg.p_low_w)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(obs, *args)
-            assert tuple(det.codeword) == ctx.codebook.codewords[0]
+            assert tuple(det.codeword) == codewords(ctx.codebook)[0]
             assert det.ris_bit == 0
             assert tuple(det.symbol_labels) == (0, 0)
 
@@ -545,7 +547,7 @@ class TestArrayKernels:
             ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=trial)
             info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
             llr = llr_per_slot(info_cost, pow_cost, obs.sigma2, 8, 2)
-            codeword = ctx.codebook.codewords[select_info_slots(llr, ctx.codebook)]
+            codeword = codewords(ctx.codebook)[select_info_slots(llr, ctx.codebook)]
             labels, _, c, _ = ml_symbol_phase(info_cost, codeword, ctx.phase_set.phi_info)
             det = llr_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                              frame.omega, cfg.p_low_w)
@@ -558,7 +560,7 @@ class TestArrayKernels:
             for const in (build_constellation(4), build_constellation(16),
                           build_constellation(8, "psk")):
                 bps = const.bits_per_symbol
-                for alpha in range(len(cb.codewords)):
+                for alpha in range(len(cb.slot_index)):
                     for labels in ((0,) * cb.l_slots, tuple(range(cb.l_slots))):
                         labels = tuple(x % const.m_order for x in labels)
                         want = np.concatenate([int_to_bits(alpha, cb.bits_index)]
@@ -570,7 +572,8 @@ class TestArrayKernels:
 
 def _block_at_points(cfg, trial):
     """One trial's block as a sweep receives it: the surface state, the
-    noise-free observation and the unit noise that every point scales."""
+    noise-free observation, the unit noise that every point scales and the
+    data bits sent."""
     ctx = make_context(cfg, None)
     rng = trial_rng(cfg.seed, trial)
     channel = draw_channel(ctx.channel_model, rng)
@@ -579,7 +582,7 @@ def _block_at_points(cfg, trial):
     frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
     state = make_ris_state(channel, cfg.n1, ctx.phase_set, int(rng.integers(0, 2)))
     clean = observe(channel, cfg.group_sizes, frame, state)
-    return ctx, frame, state, clean, draw_noise(clean.y.shape, rng)
+    return ctx, frame, state, clean, draw_noise(clean.y.shape, rng), bits
 
 
 def _assert_rows_equal(batched, singles, codebook):
@@ -589,7 +592,7 @@ def _assert_rows_equal(batched, singles, codebook):
     assert len(batched.ris_bit) == len(singles)
     for s, det in enumerate(singles):
         codeword = tuple(int(x) for x in batched.codeword[s])
-        assert codebook.index_of(codeword) == codebook.index_of(tuple(int(x) for x in det.codeword))
+        assert codeword_index(codebook, codeword) == codeword_index(codebook, det.codeword)
         assert tuple(int(x) for x in batched.symbol_labels[s]) == tuple(det.symbol_labels)
         np.testing.assert_array_equal(batched.symbols[s], det.symbols)
         assert batched.info_phase[s] == det.info_phase
@@ -619,7 +622,7 @@ class TestPointBatch:
         detect = ml_joint_detect if detector == "ml" else llr_detect
         sigma2s = self.GRID if grid == "sweep" else self.REPEATED
         for trial in range(4):
-            ctx, frame, _, clean, unit = _block_at_points(cfg, trial)
+            ctx, frame, _, clean, unit, _ = _block_at_points(cfg, trial)
             args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                     cfg.p_low_w, cfg.paper_compat)
             stacked = clean.with_noise(sigma2s, unit)
@@ -637,7 +640,7 @@ class TestPointBatch:
     def test_llr_stages_equal_points(self):
         cfg = make_config(trials=1)
         for trial in range(4):
-            ctx, frame, _, clean, unit = _block_at_points(cfg, trial)
+            ctx, frame, _, clean, unit, _ = _block_at_points(cfg, trial)
             args = (ctx.constellation, cfg.p_low_w, frame.omega)
             stacked = clean.with_noise(self.REPEATED, unit)
             info_cost, pow_cost = slot_costs(stacked, *args)
@@ -650,8 +653,8 @@ class TestPointBatch:
                 obs = clean.with_noise(s2, unit)
                 point_info, point_pow = slot_costs(obs, *args)
                 np.testing.assert_array_equal(llr[s], llr_per_slot(point_info, point_pow, s2, 8, 2))
-                codeword = ctx.codebook.codewords[select_info_slots(llr[s], ctx.codebook)]
-                assert ctx.codebook.index_of(codeword) == alpha[s]
+                codeword = codewords(ctx.codebook)[select_info_slots(llr[s], ctx.codebook)]
+                assert codeword_index(ctx.codebook, codeword) == alpha[s]
                 want = ml_symbol_phase(point_info, codeword, ctx.phase_set.phi_info)
                 assert (tuple(labels[s]), phases[s], c[s]) == (tuple(want[0]), *want[1:3])
 
@@ -660,17 +663,17 @@ class TestPointBatch:
                           detector="ml")
         sigma2s = (self.GRID[1], 0.0, self.GRID[4], 0.0)
         for trial in range(6):
-            ctx, frame, _, clean, unit = _block_at_points(cfg, trial)
+            ctx, frame, _, clean, unit, bits = _block_at_points(cfg, trial)
             args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                     cfg.p_low_w)
             stacked = clean.with_noise(sigma2s, unit)
             assert stacked.y[1].tobytes() == clean.y.tobytes()   # no 0 * unit added
             singles = [ml_joint_detect(clean.with_noise(s2, unit), *args) for s2 in sigma2s]
             _assert_rows_equal(ml_joint_detect(stacked, *args), singles, ctx.codebook)
-            np.testing.assert_array_equal(singles[1].ptx_bits, frame.bits)
+            np.testing.assert_array_equal(singles[1].ptx_bits, bits)
 
     def test_noise_free_stack_needs_no_unit_noise(self, small_cfg):
-        ctx, frame, _, clean, _ = _block_at_points(small_cfg, 0)
+        ctx, frame, _, clean, _, _ = _block_at_points(small_cfg, 0)
         stacked = clean.with_noise((0.0, 0.0), None)
         assert stacked.y.shape == (2,) + clean.y.shape
         assert stacked.y.tobytes() == np.stack([clean.y, clean.y]).tobytes()
@@ -701,7 +704,7 @@ class TestPointBatch:
 
     def test_tied_blocks_take_first_hypothesis(self, small_cfg):
         cfg = small_cfg
-        ctx, frame, state, clean, unit = _block_at_points(cfg, 2)
+        ctx, frame, state, clean, unit, _ = _block_at_points(cfg, 2)
         ch = draw_channel(ctx.channel_model, trial_rng(cfg.seed, 2))
         ch.h_d = np.zeros_like(ch.h_d)
         ch.G_d = np.zeros_like(ch.G_d)
@@ -712,7 +715,7 @@ class TestPointBatch:
                               zeroed.eff)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(stacked, *args)
-            assert det.codeword.tolist() == [list(ctx.codebook.codewords[0])] * 3
+            assert det.codeword.tolist() == [list(codewords(ctx.codebook)[0])] * 3
             assert det.ris_bit.tolist() == [0, 0, 0]
             assert det.symbol_labels.tolist() == [[0, 0]] * 3
 
@@ -723,7 +726,7 @@ class TestPointBatch:
     def test_visited_sums_over_points(self, detector, overrides, per_point):
         cfg = make_config(trials=1, detector=detector, **overrides)
         detect = ml_joint_detect if detector == "ml" else llr_detect
-        ctx, frame, _, clean, unit = _block_at_points(cfg, 0)
+        ctx, frame, _, clean, unit, _ = _block_at_points(cfg, 0)
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w, False)
         assert detect(clean.with_noise(self.GRID, unit), *args).visited == 7 * per_point
@@ -732,7 +735,7 @@ class TestPointBatch:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_llr_rejects_any_nonpositive_variance(self, bad):
         cfg = make_config(trials=1)
-        ctx, frame, _, clean, unit = _block_at_points(cfg, 0)
+        ctx, frame, _, clean, unit, _ = _block_at_points(cfg, 0)
         stacked = clean.with_noise(self.GRID[:3], unit)
         stacked.sigma2 = np.array([self.GRID[0], bad, self.GRID[2]])
         with pytest.raises(ValueError, match="positive noise variance"):

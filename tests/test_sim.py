@@ -659,6 +659,21 @@ class TestConfig:
                     make_config(detector=detector, **big)
         assert 2 * 7 * 2 * 4 * 8 * 100000 > TRIAL_MAX_VALUES > 2 * 7 * 2 * 64 * 8 * 4
 
+    def test_guard_edges(self):
+        # configs only: nothing here builds a codebook, a constellation or a draw
+        edge = dict(k_slots=2, l_slots=1, m_rx=1, constellation="psk", snr_db_grid=(10.0,))
+        cfg = make_config(m_order=2**22, **edge)
+        assert trial_values(cfg, 1)[0] == 2 * 1 * 2 * 2**22 * 2 * 1 == TRIAL_MAX_VALUES
+        with pytest.raises(ValueError, match="would hold 67108864 slot-cost differences"):
+            make_config(m_order=2**23, **edge)
+        # one point: 12,800,000 slot-cost differences, but 51,401,026 link normals
+        with pytest.raises(ValueError, match=re.escape("would hold 51401026 link normals (2 * (M_R"
+                                                       " * (N + 1) + 2 * N + 1) = 2 * 25700513)")):
+            make_config(m_rx=100000, snr_db_grid=(10.0,))
+        # the harvest sweep holds the draw alone: 2 * (4 * 257 + 513) normals
+        assert trial_values(make_config(), 0) == (3082, "link normals (2 * (M_R * (N + 1) "
+                                                        "+ 2 * N + 1) = 2 * 1541)")
+
     @pytest.mark.parametrize("overrides, field", [
         (dict(kappa=10**400), "kappa"),
         (dict(snr_db_grid=(0.0, 10**400)), "snr_db_grid"),

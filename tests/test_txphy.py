@@ -1,11 +1,13 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_constellation_points
+from oracles import codeword_index, codewords, loop_constellation_points
 from timsr.txphy import (
     TABLE1_CODEWORDS,
     bits_to_int,
@@ -76,29 +78,35 @@ class TestConstellation:
 class TestCodebook:
     def test_table1_exact(self):
         cb = build_codebook(4, 2, "table1")
-        assert cb.codewords == TABLE1_CODEWORDS
+        assert codewords(cb) == TABLE1_CODEWORDS
         assert cb.bits_index == 2
         # bit rows of the mapping
-        assert cb.codewords[bits_to_int([0, 0])] == (1, 3)
-        assert cb.codewords[bits_to_int([0, 1])] == (1, 4)
-        assert cb.codewords[bits_to_int([1, 0])] == (2, 4)
-        assert cb.codewords[bits_to_int([1, 1])] == (2, 3)
+        assert codewords(cb)[bits_to_int([0, 0])] == (1, 3)
+        assert codewords(cb)[bits_to_int([0, 1])] == (1, 4)
+        assert codewords(cb)[bits_to_int([1, 0])] == (2, 4)
+        assert codewords(cb)[bits_to_int([1, 1])] == (2, 3)
+        const = build_constellation(4, "qam")
         for excluded in ((1, 2), (3, 4)):
             with pytest.raises(ValueError):
-                cb.index_of(excluded)
+                codeword_index(cb, excluded)
+            message = re.escape(f"selection {excluded} is not a legitimate")
+            with pytest.raises(ValueError, match=message):
+                decode_frame(codeword_to_tau(excluded, 4), const.points[[0, 0]], cb, const)
 
     def test_four_two_count_any_strategy(self):
         # C(4,2) = 6 combinations, floor(log2 6) = 2 index bits
         for strategy in ("table1", "lexicographic"):
             cb = build_codebook(4, 2, strategy)
-            assert len(cb.codewords) == 4
+            assert len(cb.slot_index) == 4
+        # two codebooks of one layout are not confused
+        assert build_codebook(4, 2, "table1") != build_codebook(4, 2)
 
     def test_eight_two_lexicographic(self):
         cb = build_codebook(8, 2)
         assert cb.bits_index == math.floor(math.log2(math.comb(8, 2)))
         assert cb.bits_index == 4
-        assert len(cb.codewords) == 16
-        assert cb.codewords[0] == (1, 2)
+        assert len(cb.slot_index) == 16
+        assert codewords(cb)[0] == (1, 2)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -116,27 +124,27 @@ class TestCodebook:
         l = data.draw(st.integers(1, k - 1))
         cb = build_codebook(k, l)
         assert cb.bits_index == math.floor(math.log2(math.comb(k, l)))
-        assert len(cb.codewords) == 1 << cb.bits_index
-        assert len(set(cb.codewords)) == len(cb.codewords)
-        for cw in cb.codewords:
+        assert cb.slot_index.shape == (1 << cb.bits_index, l)
+        assert len(set(codewords(cb))) == len(cb.slot_index)
+        for cw in codewords(cb):
             assert len(cw) == l
             assert all(1 <= i <= k for i in cw)
             assert list(cw) == sorted(cw)
 
     def test_benchmark_codebook(self):
         cb = build_benchmark_codebook(8, 3)
-        assert cb.codewords == ((1, 2, 3),)
+        assert codewords(cb) == ((1, 2, 3),)
         assert cb.bits_index == 0
         full = build_benchmark_codebook(4, 4)
-        assert full.codewords == ((1, 2, 3, 4),)
+        assert codewords(full) == ((1, 2, 3, 4),)
 
 
 class TestEncode:
     def test_fig_layout_six_three(self):
         cb = build_codebook(6, 3)
         const = build_constellation(4, "qam")
-        assert (1, 3, 6) in cb.codewords
-        alpha = cb.index_of((1, 3, 6))
+        assert (1, 3, 6) in codewords(cb)
+        alpha = codeword_index(cb, (1, 3, 6))
         bits = np.concatenate([int_to_bits(alpha, cb.bits_index), np.zeros(6, dtype=np.int64)])
         frame = encode_block(bits, cb, const, 1.0, 2.0)
         np.testing.assert_array_equal(frame.tau, [1, 0, 1, 0, 0, 1])
@@ -201,8 +209,9 @@ class TestDecode:
     def test_illegitimate_tau_rejected(self):
         cb = build_codebook(4, 2, "table1")
         const = build_constellation(4, "qam")
-        with pytest.raises(ValueError):
-            decode_frame([1, 1, 0, 0], const.points[[0, 0]], cb, const)
+        for tau in ([1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 0, 0]):
+            with pytest.raises(ValueError, match="is not a legitimate codeword"):
+                decode_frame(tau, const.points[[0, 0]], cb, const)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(3, 8), st.data())
@@ -215,7 +224,7 @@ class TestDecode:
         bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=eta, max_size=eta)))
         frame = encode_block(bits, cb, const, 1.0, 4.0)
         assert frame.tau.sum() == l
-        assert tuple(frame.codeword) in cb.codewords
+        assert tuple(frame.codeword) in codewords(cb)
         symbols = frame.samples[frame.tau == 1]
         np.testing.assert_array_equal(decode_frame(frame.tau, symbols, cb, const), bits)
 
@@ -223,6 +232,27 @@ class TestDecode:
 def test_bit_helpers_inverse():
     for v in range(64):
         assert bits_to_int(int_to_bits(v, 6)) == v
+        assert int_to_bits(v, 6).tolist() == [(v >> (5 - i)) & 1 for i in range(6)]
+    values = np.arange(64).reshape(4, 2, 8)
+    np.testing.assert_array_equal(bits_to_int(int_to_bits(values, 6)), values)
+    assert int_to_bits(5, 0).shape == (0,)
+
+
+@pytest.mark.parametrize("build, table", [
+    (lambda: build_codebook(363, 2), "slot_index"),        # 2^16 codewords
+    (lambda: build_constellation(2**16, "psk"), "points"),
+], ids=["codebook", "constellation"])
+def test_table_holds_only_its_array(build, table):
+    # a codebook is its slot indices and a constellation its points: no
+    # tuples, lookup or bit tables held beside them
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= getattr(built, table).nbytes + (64 << 10)
 
 
 def test_codeword_to_tau():
