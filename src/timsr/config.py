@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, fields
 
 from .channel import LOS_PHASE_POLICIES, link_shapes, path_gain
@@ -129,9 +130,9 @@ class SimConfig:
                              f"got K={self.k_slots}, L={self.l_slots}")
         values, array = trial_values(self, len(self.snr_db_grid))
         if values > TRIAL_MAX_VALUES:
-            raise ValueError(f"the {self.detector.upper()} detector would hold {values} {array} "
-                             f"per trial, more than {TRIAL_MAX_VALUES}; use a smaller layout or "
-                             f"fewer SNR points")
+            fewer = " or fewer SNR points" if re.search(r"\bS\b", array) else ""
+            raise ValueError(f"one trial would hold {values} {array}, more than "
+                             f"{TRIAL_MAX_VALUES}; use a smaller layout{fewer}")
         if self.n1 < 0 or self.n2 < 0 or self.n3 < 0:
             raise ValueError(
                 f"cell split n1={self.n1}, n2={self.n2} incompatible with n_cells={self.n_cells}"
@@ -179,10 +180,12 @@ class SimConfig:
 def trial_values(cfg: SimConfig, n_points: int) -> tuple:
     """The largest array one trial holds at ``n_points`` noise variances:
     its count of float64 values, and its name with its product. A trial
-    draws its links' normals; both detectors hold the slot-cost differences
-    of ``rx.slot_costs``; LLR gathers a codeword's slot LLRs, joint ML its
-    slot minima per phase. No per-run table is larger: the codebook holds
-    |A| * L slots and the constellation M points."""
+    draws its links' normals; both detectors form the slot-cost differences
+    of ``rx.slot_costs``, counted here as if all were held at once, though
+    the kernel holds them one antenna at a time, so the count is an upper
+    bound; LLR gathers a codeword's slot LLRs, joint ML its slot minima per
+    phase. No per-run table is larger: the codebook holds |A| * L slots and
+    the constellation M points."""
     s, j, l = n_points, len(phase_set_2bit().phi_info), cfg.l_slots
     n_cw = 1 if cfg.scheme == "benchmark" else 1 << index_bit_count(cfg.k_slots, l)
     link_entries = sum(map(math.prod, link_shapes(cfg.m_rx, cfg.n_cells).values()))

@@ -3,7 +3,8 @@ block's reflection rows, the rectenna harvest curve, and the power budget
 that decides whether the surface can run off harvested energy alone.
 
 :func:`received` states the received-signal model once, for the receiver
-(:func:`timsr.rx.observe`) and the harvester (:func:`eh_received`) alike."""
+(:func:`timsr.rx.observe`) and the harvester (:func:`eh_received`, and
+:func:`harvest_inputs` for every absorber count at once) alike."""
 
 from __future__ import annotations
 
@@ -151,16 +152,19 @@ def ris_power_consumption(budget: RisPowerBudget) -> float:
     return static + dynamic
 
 
-def received(direct, dest, h_r, group_sizes, state: RisState, tau, samples):
+def received(direct, casc, state: RisState, tau, samples):
     """What a destination of R antennas sees through the surface: the
     effective channels ``eff`` (..., J+1, R) direct + F psi, one per row of
-    ``state.psi``, F being the group cascades of links ``dest`` (..., R, N)
-    and ``h_r`` (..., N) through ``group_sizes``; and the noiseless samples
+    ``state.psi``, F being the group cascades ``casc`` (..., R, 3) of its
+    links (:func:`timsr.channel.group_cascades`); and the noiseless samples
     (..., K, R) under the block's information row where ``tau`` (..., K) is
-    1 and the power row elsewhere. ``direct`` is (..., R)."""
-    casc = group_cascades(dest, h_r, group_sizes)                                   # (..., R, 3)
+    1 and the power row elsewhere. ``direct`` is (..., R). Cascades may
+    carry leading axes that the blocks lack, such as one layout per
+    absorber count, and every result then carries them too."""
     eff = direct[..., None, :] + (casc[..., None, :, :] @ state.psi[..., None])[..., 0]
-    info = np.take_along_axis(eff, np.asarray(state.ris_bit)[..., None, None], -2)
+    bit = np.asarray(state.ris_bit)
+    bit = np.reshape(bit, (1,) * (eff.ndim - 2 - bit.ndim) + bit.shape + (1, 1))
+    info = np.take_along_axis(eff, bit, -2)
     return eff, np.where(tau[..., None] == 1, info, eff[..., -1:, :]) * samples[..., None]
 
 
@@ -169,6 +173,25 @@ def eh_received(channel: ChannelRealization, group_sizes, state: RisState, tau, 
     slot, from :func:`received` on its single antenna. Thermal noise is
     below the harvesting floor and is not modeled. A batch of blocks takes
     ``tau`` and ``samples`` (B, K)."""
-    _, y = received(np.asarray(channel.h_e)[..., None], channel.g_e[..., None, :], channel.h_r,
-                    group_sizes, state, tau, samples)
+    casc = group_cascades(channel.g_e[..., None, :], channel.h_r, group_sizes)
+    _, y = received(np.asarray(channel.h_e)[..., None], casc, state, tau, samples)
     return y[..., 0], np.abs(y[..., 0]) ** 2
+
+
+def harvest_inputs(channel: ChannelRealization, n1: int, n2s, state: RisState, tau, samples):
+    """Rectenna input powers (len(n2s), ..., K) at the surface and at the
+    harvester for every absorber count in ``n2s`` beside ``n1`` assist
+    cells, each row equal to :func:`ris_rectenna_input` and
+    :func:`eh_received` at that count alone. The absorbers never reflect
+    (psi2 = 0), so the harvester's cascades of every count are stacked from
+    the assist column, built once, a zero column, and one sliced product
+    over the cells past the absorbers per count; one :func:`received` call
+    covers them all."""
+    h_r, g_e = channel.h_r, channel.g_e[..., None, :]
+    casc = np.zeros((len(n2s),) + g_e.shape[:-1] + (3,), dtype=complex)         # (n2s, ..., 1, 3)
+    casc[..., 0] = (g_e[..., :n1] @ h_r[..., :n1, None])[..., 0]
+    for row, n2 in enumerate(n2s):
+        casc[row, ..., 2] = (g_e[..., n1 + n2:] @ h_r[..., n1 + n2:, None])[..., 0]
+    _, y = received(np.asarray(channel.h_e)[..., None], casc, state, tau, samples)
+    q_ris = np.stack([ris_rectenna_input(h_r[..., n1:n1 + n2], samples) for n2 in n2s])
+    return q_ris, np.abs(y[..., 0]) ** 2

@@ -3,12 +3,12 @@ harvest-vs-N2 sweeps, the power-budget report, and CSV output.
 
 Every trial owns a counter-based random stream keyed by (seed, trial index),
 so results are independent of worker count, scheduling and batching. A sweep
-draws each trial once and evaluates it at every grid point: an absorber count
-reads the same link draws through its own cell groups, whose cascades are
-computed where they are read, and an SNR point scales the same unit noise.
+draws each trial once and evaluates it at every grid point: every absorber
+count reads the same link draws in one stacked harvest pass
+(``ris.harvest_inputs``), and an SNR point scales the same unit noise.
 Trials run in batches sized from a byte budget: each trial's stream makes its
-own draws, then every step is one kernel call on the whole batch, and each
-worker runs one contiguous shard of batches. Each point's counters are
+own draws, then every step is one kernel call on the whole batch and grid,
+and each worker runs one contiguous shard of batches. Each point's counters are
 reduced once, in trial order, so results are bit-stable.
 """
 
@@ -32,11 +32,10 @@ from .ris import (
     TECH_RF_SWITCH,
     TECH_VARACTOR,
     clc_dc_power,
-    eh_received,
+    harvest_inputs,
     make_ris_state,
     phase_set_2bit,
     ris_power_consumption,
-    ris_rectenna_input,
 )
 from .rx import llr_detect, ml_joint_detect, observe, unit_noise
 from .txphy import build_benchmark_codebook, build_codebook, build_constellation, encode_block
@@ -136,14 +135,10 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     frame = encode_block(
         bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad
     )
-    n1, q_ris, q_eh = cfg.n1, [], []
-    ris = make_ris_state(drawn, n1, ctx.phase_set, ris_bit)   # every layout keeps the assist group
-    for n2 in n2s:
-        q_ris.append(ris_rectenna_input(drawn.h_r[..., n1:n1 + n2], frame.samples))
-        layout = (n1, n2, cfg.n_cells - n1 - n2)
-        q_eh.append(eh_received(drawn, layout, ris, frame.tau, frame.samples)[1])
-    dc_ris = np.mean(clc_dc_power(np.stack(q_ris), ctx.ris_model), axis=-1)     # (n2s, B)
-    dc_eh = np.mean(clc_dc_power(np.stack(q_eh), ctx.eh_model), axis=-1)
+    ris = make_ris_state(drawn, cfg.n1, ctx.phase_set, ris_bit)   # one state for every count
+    q_ris, q_eh = harvest_inputs(drawn, cfg.n1, n2s, ris, frame.tau, frame.samples)
+    dc_ris = np.mean(clc_dc_power(q_ris, ctx.ris_model), axis=-1)     # (n2s, B)
+    dc_eh = np.mean(clc_dc_power(q_eh, ctx.eh_model), axis=-1)
     if not sigma2s:
         return Tally(dc_ris, dc_eh, None, None, None)
 
@@ -170,7 +165,7 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
 
 # Bytes that the largest array of one batch of trials may take. A batch's
 # peak is about twice that (the normal draw and the links it gives coexist).
-_BATCH_BYTES = 1 << 19
+_BATCH_BYTES = 1 << 20
 
 
 def _batch_size(ctx: RunContext, n_points: int) -> int:

@@ -44,10 +44,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Unit-average-power symbol set; ``points[label]`` is the symbol whose
-    Gray-coded bit label equals ``label``, an integer of log2(M) bits."""
+    Gray-coded bit label equals ``label``, an integer of log2(M) bits. A
+    constellation equals only itself: its array is not compared."""
 
     m_order: int
     kind: str

@@ -7,9 +7,11 @@ not a search, and the per-group cascades of ``channel.group_cascades``,
 which the golden digests pin). The scalar :func:`jacobian_log_sum` step
 defines the LLR recursion, :func:`closest_phase` the phase quantizer, and
 :func:`loop_trial` runs one trial alone, block by block, for comparison with
-trial batches, and :func:`loop_constellation_points` labels the symbol
-points one at a time. :func:`codewords` and :func:`codeword_index` read a
-codebook as the paper's 1-based slot tuples.
+trial batches, :func:`broadcast_slot_costs` forms every slot-cost difference
+at once and sums over the antennas with ``np.sum``, and
+:func:`loop_constellation_points` labels the symbol points one at a time.
+:func:`codewords` and :func:`codeword_index` read a codebook as the paper's
+1-based slot tuples.
 """
 
 import itertools
@@ -292,6 +294,20 @@ def slot_eh_received(channel, group_sizes, psi, s_k):
     v_casc = group_cascades(channel.g_e[None, :], channel.h_r, group_sizes)[0]
     eps = channel.h_e * s_k + (v_casc @ psi) * s_k
     return complex(eps), float(np.abs(eps) ** 2)
+
+
+def broadcast_slot_costs(obs, constellation, p_info_w, omega):
+    """The slot costs of ``rx.slot_costs`` as one broadcast expression: the
+    real and imaginary differences (..., J, M, K, M_R) from strided views of
+    the samples and candidates, squared, added and summed over the antenna
+    axis by ``np.sum``."""
+    eff = obs.eff[..., None, :, :] if obs.y.ndim > obs.eff.ndim else obs.eff
+    scaled = math.sqrt(p_info_w) * constellation.points
+    cand = (eff[..., :-1, None, :] * scaled[:, None])[..., None, :]       # (..., J, M, 1, M_R)
+    y = obs.y[..., None, None, :, :]                                      # (..., 1, 1, K, M_R)
+    sq = (y.real - cand.real) ** 2 + (y.imag - cand.imag) ** 2
+    dp = obs.y - eff[..., -1:, :] * omega
+    return np.sum(sq, axis=-1), np.sum(dp.real**2 + dp.imag**2, axis=-1)
 
 
 def loop_constellation_points(m_order, kind):

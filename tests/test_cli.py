@@ -191,7 +191,7 @@ def test_oversized_ml_config_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["ber-sweep", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: the ML detector would hold 89600000 slot-cost differences")
+        "error: one trial would hold 89600000 slot-cost differences")
     assert not out.exists()
 
 

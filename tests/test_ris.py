@@ -16,7 +16,7 @@ from oracles import (
     wrap_angle,
 )
 from timsr import make_config
-from timsr.channel import ChannelRealization, group_cascades
+from timsr.channel import ChannelModel, ChannelRealization, group_cascades
 from timsr.ris import (
     PhaseSet,
     RectennaModel,
@@ -24,6 +24,7 @@ from timsr.ris import (
     align_group1,
     clc_dc_power,
     eh_received,
+    harvest_inputs,
     make_ris_state,
     phase_set_2bit,
     ris_power_consumption,
@@ -304,6 +305,33 @@ class TestEhReceived:
             eps, q = eh_received(ch, cfg.group_sizes, state, frame.tau, frame.samples)
             np.testing.assert_array_equal(eps, want)
             np.testing.assert_array_equal(q, np.abs(want) ** 2)
+
+
+class TestHarvestInputs:
+    """The stacked pass over every absorber count equals the harvest of each
+    count alone, bit for bit."""
+
+    @pytest.mark.parametrize("n1, n2s", [
+        (3, (0, 34, 9)),            # no absorbers; n2 = N - n1 leaves group 3 empty
+        (0, (2, 37, 0)),            # no assist cells; n2 = N leaves the direct link alone
+        (5, (14, 0, 7, 14, 2, 0)),  # an unsorted grid with repeats
+    ], ids=["ends", "no_assist", "unsorted_repeats"])
+    @pytest.mark.parametrize("lead", [(), (6,)], ids=["one_block", "blocks"])
+    def test_equals_each_count_alone(self, n1, n2s, lead):
+        n = 37                      # group edges off multiples of 4, where a masked product differs
+        rng = np.random.default_rng(n1)
+        model = ChannelModel(2, n, rng=rng)
+        ch = model.realize(rng.standard_normal(lead + (model.n_normals,)))
+        state = make_ris_state(ch, n1, phase_set_2bit(), rng.integers(0, 2, lead))
+        tau = rng.integers(0, 2, lead + (5,))
+        samples = rng.standard_normal(lead + (5,)) + 1j * rng.standard_normal(lead + (5,))
+        q_ris, q_eh = harvest_inputs(ch, n1, n2s, state, tau, samples)
+        assert q_ris.shape == q_eh.shape == (len(n2s),) + lead + (5,)
+        for row, n2 in enumerate(n2s):
+            np.testing.assert_array_equal(
+                q_ris[row], ris_rectenna_input(ch.h_r[..., n1:n1 + n2], samples))
+            np.testing.assert_array_equal(
+                q_eh[row], eh_received(ch, (n1, n2, n - n1 - n2), state, tau, samples)[1])
 
 
 def test_wrap_angle_range():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import build_observation, draw_channel, draw_noise
 from oracles import (
     _effective,
+    broadcast_slot_costs,
     codeword_index,
     codewords,
     direct_llr,
@@ -131,6 +132,29 @@ class TestObservationChannels:
         unit = draw_noise(obs.y.shape, trial_rng(0, 0))
         for derived in (obs.with_noise(0.5, unit), obs.with_noise((0.5, 0.0), unit)):
             np.testing.assert_array_equal(derived.eff, obs.eff)
+
+
+class TestSlotCosts:
+    """The antenna-major kernel equals the broadcast expression bit for bit:
+    one antenna after another below 8 antennas, and numpy's pairwise order
+    of ``np.sum`` from 8 on (8 running sums, then halves beyond 128)."""
+
+    @pytest.mark.parametrize("m_rx", [1, 2, 4, 8, 9, 20, 136])
+    @pytest.mark.parametrize("lead, points", [((), ()), ((3,), ()), ((3,), (2,))],
+                             ids=["one_block", "blocks", "points"])
+    @pytest.mark.parametrize("k_slots, m_order", [(1, 2), (5, 4)])
+    def test_equals_broadcast_sum(self, m_rx, lead, points, k_slots, m_order):
+        rng = np.random.default_rng(m_rx)
+
+        def cn(*shape):   # magnitudes over six decades, so the order of addition shows
+            scale = 10.0 ** rng.uniform(-3, 3, shape)
+            return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        obs = Observation(cn(*lead, *points, k_slots, m_rx), 1.0, cn(*lead, 3, m_rx))
+        args = (build_constellation(m_order), 1.7, 0.3 - 0.2j)
+        for got, want in zip(slot_costs(obs, *args), broadcast_slot_costs(obs, *args)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
 
 
 class TestJacobianLogSum:

@@ -400,9 +400,9 @@ class TestTrialBatches:
         _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, 1), ctx, layouts, sigma2s)
 
     @pytest.mark.parametrize("overrides, n_points, size", [
-        (dict(detector="llr"), 7, 18),                 # 3,584 slot-cost differences
-        (dict(l_slots=4, detector="ml"), 7, 18),       # 3,584 of them and 3,584 slot minima
-        (dict(), 0, 21),                               # a harvest sweep: 3,082 normals
+        (dict(detector="llr"), 7, 36),                 # 3,584 slot-cost differences
+        (dict(l_slots=4, detector="ml"), 7, 36),       # 3,584 of them and 3,584 slot minima
+        (dict(), 0, 42),                               # a harvest sweep: 3,082 normals
     ], ids=["ber_llr_8_2", "ber_ml_8_4", "harvest_n2_w2"])
     def test_benchmark_workload_batch_sizes(self, overrides, n_points, size):
         assert _batch_size(make_context(make_config(**overrides), None), n_points) == size
@@ -592,7 +592,7 @@ class TestConfig:
         (dict(ris_p_on_uw=1e6), "need 0 < ris_p_on_uw < ris_p_sat_mw"),
         (dict(eh_rho=0.0), r"eh_rho must be in \(0, 1\]"),
         (dict(eh_p_on_uw=0.0), "need 0 < eh_p_on_uw < eh_p_sat_mw"),
-        (dict(k_slots=64, l_slots=32), "the LLR detector would hold"),
+        (dict(k_slots=64, l_slots=32), "one trial would hold [0-9]+ codeword slot LLRs"),
         (dict(paper_compat="no"), "paper_compat must be a boolean, got 'no'"),
         (dict(trials=2.5), "trials must be an integer, got 2.5"),
         (dict(n2=35.0), "n2 must be an integer, got 35.0"),
@@ -640,7 +640,7 @@ class TestConfig:
 
     def test_llr_codebook_guard(self):
         # S * |A| * L: (24, 12) has 2^21 codewords, 7 * 2^21 * 12 > 2^25
-        with pytest.raises(ValueError, match="LLR detector"):
+        with pytest.raises(ValueError, match="codeword slot LLRs"):
             make_config(k_slots=24, l_slots=12)
         make_config(k_slots=24, l_slots=12, snr_db_grid=(10.0,))   # 2^21 * 12 fits
 
@@ -654,8 +654,9 @@ class TestConfig:
         # 2 * 7 * 2 * 2^20 * 8 * 4 and 2 * 7 * 2 * 4 * 8 * 100000 slot-cost differences
         for detector in ("llr", "ml"):
             for big in (dict(m_order=2**20, constellation="psk"), dict(m_rx=100000)):
-                with pytest.raises(ValueError, match=f"the {detector.upper()} detector would "
-                                                     f"hold [0-9]+ slot-cost differences"):
+                with pytest.raises(ValueError, match="one trial would hold [0-9]+ slot-cost "
+                                                     "differences .*; use a smaller layout or "
+                                                     "fewer SNR points$"):
                     make_config(detector=detector, **big)
         assert 2 * 7 * 2 * 4 * 8 * 100000 > TRIAL_MAX_VALUES > 2 * 7 * 2 * 64 * 8 * 4
 
@@ -666,9 +667,12 @@ class TestConfig:
         assert trial_values(cfg, 1)[0] == 2 * 1 * 2 * 2**22 * 2 * 1 == TRIAL_MAX_VALUES
         with pytest.raises(ValueError, match="would hold 67108864 slot-cost differences"):
             make_config(m_order=2**23, **edge)
-        # one point: 12,800,000 slot-cost differences, but 51,401,026 link normals
-        with pytest.raises(ValueError, match=re.escape("would hold 51401026 link normals (2 * (M_R"
-                                                       " * (N + 1) + 2 * N + 1) = 2 * 25700513)")):
+        # one point: 12,800,000 slot-cost differences, but 51,401,026 link normals, which
+        # fewer SNR points do not shrink
+        with pytest.raises(ValueError, match=re.escape("one trial would hold 51401026 link normals "
+                                                       "(2 * (M_R * (N + 1) + 2 * N + 1) = 2 * "
+                                                       "25700513), more than 33554432; use a "
+                                                       "smaller layout") + "$"):
             make_config(m_rx=100000, snr_db_grid=(10.0,))
         # the harvest sweep holds the draw alone: 2 * (4 * 257 + 513) normals
         assert trial_values(make_config(), 0) == (3082, "link normals (2 * (M_R * (N + 1) "

@@ -255,5 +255,11 @@ def test_table_holds_only_its_array(build, table):
     assert held <= getattr(built, table).nbytes + (64 << 10)
 
 
+def test_constellation_equals_only_itself():
+    # its points are not compared, so == gives a bool and does not raise
+    a = build_constellation(2)
+    assert (a == build_constellation(2)) is False and (a == a) is True
+
+
 def test_codeword_to_tau():
     np.testing.assert_array_equal(codeword_to_tau((2, 3), 4), [0, 1, 1, 0])
