@@ -3,9 +3,10 @@
 Five links are drawn per block: transmitter->receiver (direct),
 transmitter->surface, surface->receiver, transmitter->harvester, and
 surface->harvester. The surface is partitioned into three cell groups
-(assist / absorb / inform); a block's per-group cascaded channels are
-computed where they are read, for the partition the reader passes, so one
-draw serves every absorber count.
+(assist / absorb / inform). The absorbers feed the surface rectenna and never
+reflect, so a block's cascaded channels are those of the two reflecting
+groups, computed where they are read, for the cell split the reader passes,
+so one draw serves every absorber count.
 
 A block's links come from one draw of standard normals, link by link, real
 parts before imaginary parts. B such draws as rows give a batch of blocks:
@@ -85,7 +86,7 @@ class ChannelRealization:
     """The five links of one coherence block of K slots, or of a batch of
     blocks with a leading block axis on every array. The cell groups are
     not part of the draw: :func:`group_cascades` builds the cascades of
-    any partition of the cells where they are read."""
+    any cell split where they are read."""
 
     h_d: np.ndarray
     h_r: np.ndarray
@@ -94,17 +95,19 @@ class ChannelRealization:
     g_e: np.ndarray
 
 
-def group_cascades(dest, h_r, group_sizes) -> np.ndarray:
-    """Per-group cascaded channels (..., rows, 3) of surface->destination
-    blocks ``dest`` (..., rows, N) applied to transmitter->surface blocks
-    ``h_r`` (..., N): column l is ``dest`` times ``h_r`` over group l's
-    cells, one batched matrix-vector product per group, so each block's
-    cascade equals that of the block alone. An empty group gives zeros."""
-    if sum(group_sizes) != h_r.shape[-1]:
-        raise ValueError(f"group sizes {tuple(group_sizes)} do not sum to N={h_r.shape[-1]}")
-    edges = np.cumsum((0, *group_sizes))
-    return np.stack([(dest[..., a:b] @ h_r[..., a:b, None])[..., 0]
-                     for a, b in zip(edges[:-1], edges[1:])], axis=-1)
+def group_cascades(dest, h_r, split) -> np.ndarray:
+    """Cascaded channels (..., rows, 2) of the two reflecting groups under
+    the cell split ``(n1, n2)``: surface->destination blocks ``dest``
+    (..., rows, N) times transmitter->surface blocks ``h_r`` (..., N) over
+    the first n1 (assist) cells, then over the cells past the next n2
+    (absorbers), one batched matrix-vector product each, so each block's
+    cascade equals that of the block alone. The absorbers' cells are never
+    read; an empty group gives zeros."""
+    n1, n2 = split
+    if n1 < 0 or n2 < 0 or n1 + n2 > h_r.shape[-1]:
+        raise ValueError(f"cell split (n1, n2) = ({n1}, {n2}) does not fit in N={h_r.shape[-1]}")
+    return np.stack([(dest[..., :n1] @ h_r[..., :n1, None])[..., 0],
+                     (dest[..., n1 + n2:] @ h_r[..., n1 + n2:, None])[..., 0]], axis=-1)
 
 
 def link_shapes(m_rx: int, n_cells: int) -> dict:

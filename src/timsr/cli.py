@@ -4,6 +4,7 @@ report."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -11,20 +12,36 @@ from .config import DETECTORS, load_config, make_config
 from .sim import ber_sweep, harvest_sweep, power_budget_report
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, sweep: bool = True) -> None:
+    """The flags of every command; a sweep, which writes a CSV and names the
+    receiver in it, also takes the output path and the detector flags."""
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--seed", type=int, help="base seed for the trial streams")
     parser.add_argument("--trials", type=int, help="Monte Carlo blocks per sweep point")
+    parser.add_argument("--scheme", metavar="K,L", help="slots per block and information slots")
+    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    if not sweep:
+        parser.set_defaults(out=None, detector=None, paper_compat=False)
+        return
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
     parser.add_argument("--detector", choices=DETECTORS, help="receiver to simulate")
-    parser.add_argument("--scheme", metavar="K,L", help="slots per block and information slots")
     parser.add_argument(
         "--paper-compat",
         action="store_true",
         help="use the literal metric variants (unscaled power-slot LLR term, "
         "information-slots-only joint metric)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+
+
+def _check_writable(path) -> None:
+    """Raise ``OSError`` before any trial runs if ``path`` cannot be opened
+    for writing. An existing file is opened for appending, so it is kept; a
+    file that this check creates is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _parse_scheme(text: str):
@@ -79,7 +96,7 @@ def main(argv=None) -> int:
     )
 
     p_budget = sub.add_parser("power-budget", help="surface consumption and harvest margin")
-    _add_common(p_budget)
+    _add_common(p_budget, sweep=False)
 
     p_bench = sub.add_parser("benchmark", help="BER sweep of the fixed-slot reference scheme")
     _add_common(p_bench)
@@ -108,17 +125,14 @@ def _dispatch(args, cfg) -> int:
               f"(standalone in {report.standalone_frac_var:.1%} of blocks)")
         return 0
 
-    if args.command == "ber-sweep":
+    out = args.out or f"{args.command.replace('-', '_')}.csv"
+    _check_writable(out)
+    if args.command != "harvest-sweep":
         table = ber_sweep(cfg, workers=args.workers)
-        out = args.out or "ber_sweep.csv"
-    elif args.command == "benchmark":
-        table = ber_sweep(cfg, workers=args.workers)
-        out = args.out or "benchmark.csv"
     else:
         grid = None if args.n2_grid is None else _parse_grid(args.n2_grid)
         report = harvest_sweep(cfg, grid, workers=args.workers)
         table = report.table
-        out = args.out or "harvest_sweep.csv"
         print(f"consumption rf-switch : {report.p_ris_rf_w * 1e3:.3f} mW "
               f"(standalone from n2 = {report.min_n2_rf})")
         print(f"consumption varactor  : {report.p_ris_varactor_w * 1e3:.3f} mW "

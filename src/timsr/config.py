@@ -133,7 +133,7 @@ class SimConfig:
             fewer = " or fewer SNR points" if re.search(r"\bS\b", array) else ""
             raise ValueError(f"one trial would hold {values} {array}, more than "
                              f"{TRIAL_MAX_VALUES}; use a smaller layout{fewer}")
-        if self.n1 < 0 or self.n2 < 0 or self.n3 < 0:
+        if self.n1 < 0 or self.n2 < 0 or self.n1 + self.n2 > self.n_cells:
             raise ValueError(
                 f"cell split n1={self.n1}, n2={self.n2} incompatible with n_cells={self.n_cells}"
             )
@@ -159,14 +159,6 @@ class SimConfig:
                                  f"noise variance")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    @property
-    def n3(self) -> int:
-        return self.n_cells - self.n1 - self.n2
-
-    @property
-    def group_sizes(self) -> tuple:
-        return (self.n1, self.n2, self.n3)
 
     @property
     def p_low_w(self) -> float:

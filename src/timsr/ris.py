@@ -2,9 +2,10 @@
 block's reflection rows, the rectenna harvest curve, and the power budget
 that decides whether the surface can run off harvested energy alone.
 
-:func:`received` states the received-signal model once, for the receiver
-(:func:`timsr.rx.observe`) and the harvester (:func:`eh_received`, and
-:func:`harvest_inputs` for every absorber count at once) alike."""
+:func:`received` states the received-signal model once, over the cascades
+of the two reflecting groups (the absorbers feed the surface rectenna), for
+the receiver (:func:`timsr.rx.observe`) and the harvester
+(:func:`harvest_inputs`, every absorber count at once) alike."""
 
 from __future__ import annotations
 
@@ -59,13 +60,14 @@ def align_group1(channel: ChannelRealization, n1: int, phase_pair):
 @dataclass(frozen=True)
 class RisState:
     """Surface configuration for one block, seen by both the receiver and
-    the harvester: the surface bit and the reflection rows ``psi`` (J+1, 3)
-    of the groups [psi1, psi2, psi3], one row per information phase and a
-    last row for the power phase. The absorbing group never reflects
-    (psi2 = 0); the outer groups reflect at unit amplitude, with (aligned
-    assist phase, information phase) in information slots and the power
-    phase in power slots. All L information slots of the block use row
-    ``ris_bit``. A batch of blocks has bits (B,) and rows (B, J+1, 3)."""
+    the harvester: the surface bit and the reflection rows ``psi`` (J+1, 2)
+    of the two reflecting groups [assist, information], one row per
+    information phase and a last row for the power phase. Both groups
+    reflect at unit amplitude, with (aligned assist phase, information
+    phase) in information slots and the power phase in power slots; the
+    absorbing group never reflects and has no column. All L information
+    slots of the block use row ``ris_bit``. A batch of blocks has bits (B,)
+    and rows (B, J+1, 2)."""
 
     ris_bit: int | np.ndarray
     psi: np.ndarray
@@ -79,10 +81,10 @@ def make_ris_state(channel: ChannelRealization, n1: int, phase_set: PhaseSet,
     if not np.all((np.asarray(ris_bit) == 0) | (np.asarray(ris_bit) == 1)):
         raise ValueError(f"surface bit must be 0 or 1, got {ris_bit}")
     assist = np.exp(-1j * align_group1(channel, n1, phase_set.phi_info))
-    psi = np.zeros(assist.shape + (len(phase_set.phi_info) + 1, 3), dtype=complex)
+    psi = np.empty(assist.shape + (len(phase_set.phi_info) + 1, 2), dtype=complex)
     psi[..., :-1, 0] = assist[..., None]
-    psi[..., :-1, 2] = np.exp(-1j * np.asarray(phase_set.phi_info))
-    psi[..., -1, ::2] = np.exp(-1j * phase_set.phi_power)
+    psi[..., :-1, 1] = np.exp(-1j * np.asarray(phase_set.phi_info))
+    psi[..., -1, :] = np.exp(-1j * phase_set.phi_power)
     return RisState(ris_bit, psi)
 
 
@@ -155,12 +157,12 @@ def ris_power_consumption(budget: RisPowerBudget) -> float:
 def received(direct, casc, state: RisState, tau, samples):
     """What a destination of R antennas sees through the surface: the
     effective channels ``eff`` (..., J+1, R) direct + F psi, one per row of
-    ``state.psi``, F being the group cascades ``casc`` (..., R, 3) of its
-    links (:func:`timsr.channel.group_cascades`); and the noiseless samples
-    (..., K, R) under the block's information row where ``tau`` (..., K) is
-    1 and the power row elsewhere. ``direct`` is (..., R). Cascades may
-    carry leading axes that the blocks lack, such as one layout per
-    absorber count, and every result then carries them too."""
+    ``state.psi``, F being the reflecting groups' cascades ``casc``
+    (..., R, 2) of its links (:func:`timsr.channel.group_cascades`); and the
+    noiseless samples (..., K, R) under the block's information row where
+    ``tau`` (..., K) is 1 and the power row elsewhere. ``direct`` is
+    (..., R). Cascades may carry leading axes that the blocks lack, such as
+    one split per absorber count, and every result then carries them too."""
     eff = direct[..., None, :] + (casc[..., None, :, :] @ state.psi[..., None])[..., 0]
     bit = np.asarray(state.ris_bit)
     bit = np.reshape(bit, (1,) * (eff.ndim - 2 - bit.ndim) + bit.shape + (1, 1))
@@ -168,30 +170,17 @@ def received(direct, casc, state: RisState, tau, samples):
     return eff, np.where(tau[..., None] == 1, info, eff[..., -1:, :]) * samples[..., None]
 
 
-def eh_received(channel: ChannelRealization, group_sizes, state: RisState, tau, samples):
-    """Received samples and rectenna input powers at the harvester in each
-    slot, from :func:`received` on its single antenna. Thermal noise is
-    below the harvesting floor and is not modeled. A batch of blocks takes
-    ``tau`` and ``samples`` (B, K)."""
-    casc = group_cascades(channel.g_e[..., None, :], channel.h_r, group_sizes)
-    _, y = received(np.asarray(channel.h_e)[..., None], casc, state, tau, samples)
-    return y[..., 0], np.abs(y[..., 0]) ** 2
-
-
 def harvest_inputs(channel: ChannelRealization, n1: int, n2s, state: RisState, tau, samples):
     """Rectenna input powers (len(n2s), ..., K) at the surface and at the
     harvester for every absorber count in ``n2s`` beside ``n1`` assist
-    cells, each row equal to :func:`ris_rectenna_input` and
-    :func:`eh_received` at that count alone. The absorbers never reflect
-    (psi2 = 0), so the harvester's cascades of every count are stacked from
-    the assist column, built once, a zero column, and one sliced product
-    over the cells past the absorbers per count; one :func:`received` call
-    covers them all."""
-    h_r, g_e = channel.h_r, channel.g_e[..., None, :]
-    casc = np.zeros((len(n2s),) + g_e.shape[:-1] + (3,), dtype=complex)         # (n2s, ..., 1, 3)
-    casc[..., 0] = (g_e[..., :n1] @ h_r[..., :n1, None])[..., 0]
-    for row, n2 in enumerate(n2s):
-        casc[row, ..., 2] = (g_e[..., n1 + n2:] @ h_r[..., n1 + n2:, None])[..., 0]
+    cells. The surface rectenna's input is :func:`ris_rectenna_input` over
+    each count's absorbers. The harvester's cascades under each split
+    (:func:`timsr.channel.group_cascades`) are stacked on a leading count
+    axis, and one :func:`received` call on its single antenna covers them
+    all; each row equals that count harvested alone. Thermal noise is below
+    the harvesting floor and is not modeled."""
+    g_e = channel.g_e[..., None, :]
+    casc = np.stack([group_cascades(g_e, channel.h_r, (n1, n2)) for n2 in n2s])  # (n2s, ..., 1, 2)
     _, y = received(np.asarray(channel.h_e)[..., None], casc, state, tau, samples)
-    q_ris = np.stack([ris_rectenna_input(h_r[..., n1:n1 + n2], samples) for n2 in n2s])
+    q_ris = np.stack([ris_rectenna_input(channel.h_r[..., n1:n1 + n2], samples) for n2 in n2s])
     return q_ris, np.abs(y[..., 0]) ** 2

@@ -4,8 +4,9 @@ and the low-complexity per-slot LLR pipeline.
 The receiver knows the channel and the block's surface state. :func:`observe`
 takes the effective receive channels, one per reflection row ``psi`` of the
 surface state (each information phase, then the power phase), from
-:func:`timsr.ris.received`, where the received-signal model is stated once,
-and the :class:`Observation` carries them as ``eff``.
+:func:`timsr.ris.received`, where the received-signal model is stated once
+over the cascades of the two reflecting groups, and the :class:`Observation`
+carries them as ``eff``.
 :func:`slot_costs` scores the received samples against them; every detector
 stage is an array kernel over those slot costs.
 
@@ -87,12 +88,12 @@ def unit_noise(shape, normals) -> np.ndarray:
     return z[0] + 1j * z[1]
 
 
-def observe(channel: ChannelRealization, group_sizes, frame: TimFrame,
+def observe(channel: ChannelRealization, split, frame: TimFrame,
             ris: RisState) -> Observation:
-    """The noiseless samples of blocks at the receive antennas, with the
-    effective channels that :func:`timsr.ris.received` builds for them
-    carried on the observation."""
-    eff, y = received(channel.h_d, group_cascades(channel.G_d, channel.h_r, group_sizes), ris,
+    """The noiseless samples of blocks at the receive antennas under the
+    cell split ``(n1, n2)``, with the effective channels that
+    :func:`timsr.ris.received` builds for them carried on the observation."""
+    eff, y = received(channel.h_d, group_cascades(channel.G_d, channel.h_r, split), ris,
                       frame.tau, frame.samples)
     return Observation(y, 0.0, eff)
 

@@ -142,7 +142,7 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     if not sigma2s:
         return Tally(dc_ris, dc_eh, None, None, None)
 
-    clean = observe(drawn, cfg.group_sizes, frame, ris)
+    clean = observe(drawn, (cfg.n1, cfg.n2), frame, ris)
     del drawn                   # the links are done with: free them before detecting
     unit = None if noise is None else unit_noise(noise.shape[-2:], noise)
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
@@ -358,8 +358,8 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
         table=ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed),
         p_ris_rf_w=ctx.p_ris_rf_w,
         p_ris_varactor_w=ctx.p_ris_var_w,
-        min_n2_rf=next((r.n2 for r in rows if r.standalone_frac_rf >= 0.5), None),
-        min_n2_varactor=next((r.n2 for r in rows if r.standalone_frac_var >= 0.5), None),
+        min_n2_rf=min((r.n2 for r in rows if r.standalone_frac_rf >= 0.5), default=None),
+        min_n2_varactor=min((r.n2 for r in rows if r.standalone_frac_var >= 0.5), default=None),
     )
 
 

@@ -42,6 +42,6 @@ def build_observation(cfg, snr_db, trial=0, ris_bit=None, bits=None):
         np.asarray(bits), ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w
     )
     state = make_ris_state(channel, cfg.n1, ctx.phase_set, ris_bit)
-    clean = observe(channel, cfg.group_sizes, frame, state)
+    clean = observe(channel, (cfg.n1, cfg.n2), frame, state)
     obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
     return ctx, obs, frame, state, np.asarray(bits), ris_bit, channel

@@ -3,8 +3,10 @@
 These deliberately reimplement the metrics with explicit loops and
 numpy-level reductions so they share no code path with the implementations
 under test (beyond the fixed group-1 alignment rule, which is configuration,
-not a search, and the per-group cascades of ``channel.group_cascades``,
-which the golden digests pin). The scalar :func:`jacobian_log_sum` step
+not a search, and the two reflecting groups' cascades of
+``channel.group_cascades``, which the golden digests pin). A reflection is
+the 2-vector [assist, information] over those cascades: the absorbers never
+reflect. The scalar :func:`jacobian_log_sum` step
 defines the LLR recursion, :func:`closest_phase` the phase quantizer, and
 :func:`loop_trial` runs one trial alone, block by block, for comparison with
 trial batches, :func:`broadcast_slot_costs` forms every slot-cost difference
@@ -23,7 +25,7 @@ from timsr.channel import group_cascades
 from timsr.ris import (
     align_group1,
     clc_dc_power,
-    eh_received,
+    harvest_inputs,
     make_ris_state,
     ris_rectenna_input,
 )
@@ -92,18 +94,18 @@ def loop_trial(ctx, layouts, sigma2s, trial_index):
                          cfg.omega_phase_rad)
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
     records = []
-    for group_sizes in layouts:
-        n1, n2, _ = group_sizes
+    for split in layouts:
+        n1, n2 = split
         ris = make_ris_state(drawn, n1, ctx.phase_set, ris_bit)
         q_ris = ris_rectenna_input(drawn.h_r[n1:n1 + n2], frame.samples)
         dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
-        _, q_eh = eh_received(drawn, group_sizes, ris, frame.tau, frame.samples)
+        _, (q_eh,) = harvest_inputs(drawn, n1, (n2,), ris, frame.tau, frame.samples)
         dc_eh = float(np.mean(clc_dc_power(q_eh, ctx.eh_model)))
         harvest = (dc_ris, dc_eh, dc_ris >= ctx.p_ris_rf_w, dc_ris >= ctx.p_ris_var_w)
         if not sigma2s:
             records.append(harvest + (0,) * 6)
         for s2 in sigma2s:
-            obs = observe(drawn, group_sizes, frame, ris).with_noise(s2, noise)
+            obs = observe(drawn, split, frame, ris).with_noise(s2, noise)
             det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                          frame.omega, cfg.p_low_w, cfg.paper_compat)
             wrong = det.ptx_bits != bits
@@ -131,32 +133,32 @@ def direct_log_sum_exp(values) -> float:
 
 
 def info_reflection(group1_phase, info_phase):
-    """Per-group reflection [psi1, psi2, psi3] of an information slot: the
-    assist phase, the absorber off, the information phase."""
-    return np.array([np.exp(-1j * group1_phase), 0.0, np.exp(-1j * info_phase)], dtype=complex)
+    """Reflection [assist, information] of an information slot: the assist
+    phase, the information phase."""
+    return np.array([np.exp(-1j * group1_phase), np.exp(-1j * info_phase)], dtype=complex)
 
 
 def power_reflection(phase_set):
-    """Per-group reflection of a power slot: the power phase on both outer
-    groups, the absorber off."""
+    """Reflection [assist, information] of a power slot: the power phase on
+    both reflecting groups."""
     p = np.exp(-1j * phase_set.phi_power)
-    return np.array([p, 0.0, p], dtype=complex)
+    return np.array([p, p], dtype=complex)
 
 
-def _effective(ch, group_sizes, phase_pair, phase_set, group1_phase):
-    f_casc = group_cascades(ch.G_d, ch.h_r, group_sizes)
+def _effective(ch, split, phase_pair, phase_set, group1_phase):
+    f_casc = group_cascades(ch.G_d, ch.h_r, split)
     eff_info = [ch.h_d + f_casc @ info_reflection(group1_phase, th) for th in phase_pair]
     eff_power = ch.h_d + f_casc @ power_reflection(phase_set)
     return eff_info, eff_power
 
 
-def naive_joint_search(obs, channel, group_sizes, codebook, constellation, phase_pair, omega,
+def naive_joint_search(obs, channel, split, codebook, constellation, phase_pair, omega,
                        phase_set, p_info_w):
     """Exhaustive loop minimization in (codeword, phase, symbol-vector) order
     with a strict first-found minimum. Returns (codeword, phase index,
     symbol labels, metric)."""
-    g1 = align_group1(channel, group_sizes[0], phase_pair)
-    eff_info, eff_power = _effective(channel, group_sizes, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, split[0], phase_pair)
+    eff_info, eff_power = _effective(channel, split, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     m = constellation.m_order
     k_slots = codebook.k_slots
@@ -179,12 +181,12 @@ def naive_joint_search(obs, channel, group_sizes, codebook, constellation, phase
     return best[0], best[1], best[2], best_metric
 
 
-def naive_symbol_phase(obs, channel, group_sizes, slots, constellation, phase_pair, p_info_w,
+def naive_symbol_phase(obs, channel, split, slots, constellation, phase_pair, p_info_w,
                        phase_set):
     """Full product search over (phase, symbol vector) for fixed slots, in
     (phase, labels) order with a strict first-found minimum."""
-    g1 = align_group1(channel, group_sizes[0], phase_pair)
-    eff_info, _ = _effective(channel, group_sizes, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, split[0], phase_pair)
+    eff_info, _ = _effective(channel, split, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     m = constellation.m_order
 
@@ -202,12 +204,12 @@ def naive_symbol_phase(obs, channel, group_sizes, slots, constellation, phase_pa
     return best[0], best[1], best_metric
 
 
-def direct_llr(obs, channel, group_sizes, constellation, phase_pair, omega, phase_set, k_slots,
+def direct_llr(obs, channel, split, constellation, phase_pair, omega, phase_set, k_slots,
                l_slots, p_info_w):
     """Per-slot LLR recomputed from the raw definition with a vector
     log-sum-exp instead of the pairwise recursion."""
-    g1 = align_group1(channel, group_sizes[0], phase_pair)
-    eff_info, eff_power = _effective(channel, group_sizes, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, split[0], phase_pair)
+    eff_info, eff_power = _effective(channel, split, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
     prior = math.log(l_slots**2) - math.log((k_slots - l_slots) ** 2)
 
@@ -288,10 +290,10 @@ def slot_rectenna_input(h_r2, s_k):
     return float(np.abs(np.sum(np.asarray(h_r2) * s_k)) ** 2)
 
 
-def slot_eh_received(channel, group_sizes, psi, s_k):
+def slot_eh_received(channel, split, psi, s_k):
     """Harvester sample and rectenna input of one slot under reflection
-    ``psi`` of the cell groups ``group_sizes``: h_e * s_k + (v_casc . psi) * s_k."""
-    v_casc = group_cascades(channel.g_e[None, :], channel.h_r, group_sizes)[0]
+    ``psi`` of the cell split ``split``: h_e * s_k + (v_casc . psi) * s_k."""
+    v_casc = group_cascades(channel.g_e[None, :], channel.h_r, split)[0]
     eps = channel.h_e * s_k + (v_casc @ psi) * s_k
     return complex(eps), float(np.abs(eps) ** 2)
 

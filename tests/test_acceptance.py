@@ -62,7 +62,7 @@ def _paired_detect(cfg, snr_db, n_blocks, detectors=("ml", "llr")):
         frame = encode_block(bits, ctx.codebook, ctx.constellation,
                              cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad)
         state = make_ris_state(ch, cfg.n1, ctx.phase_set, rb)
-        clean = observe(ch, cfg.group_sizes, frame, state)
+        clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
         obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
         for d in detectors:
             fn = ml_joint_detect if d == "ml" else llr_detect
@@ -136,7 +136,7 @@ def test_criterion_4_noiseless_correctness():
                                  cfg.p_low_w, cfg.p_high_w)
             rb = v % 2
             state = make_ris_state(ch, cfg.n1, ctx.phase_set, rb)
-            clean = observe(ch, cfg.group_sizes, frame, state)
+            clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
             obs = clean.with_noise(sigma2, draw_noise(clean.y.shape, rng))
             for fn in (ml_joint_detect, llr_detect):
                 det = fn(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
@@ -159,7 +159,7 @@ def test_criterion_5_ml_oracle_equivalence():
         det = ml_joint_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                               frame.omega, cfg.p_low_w)
         cw, c, labels, _ = naive_joint_search(
-            obs, ch, cfg.group_sizes, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+            obs, ch, (cfg.n1, cfg.n2), ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
             frame.omega, ctx.phase_set, cfg.p_low_w,
         )
         mismatches += int((tuple(det.codeword), det.ris_bit, tuple(det.symbol_labels))
@@ -183,7 +183,7 @@ def test_criterion_6_llr_internal_exactness():
                                                     trial=trial)
         got = llr_per_slot(*slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega),
                            obs.sigma2, cfg.k_slots, cfg.l_slots)
-        want = direct_llr(obs, ch, cfg.group_sizes, ctx.constellation, ctx.phase_set.phi_info,
+        want = direct_llr(obs, ch, (cfg.n1, cfg.n2), ctx.constellation, ctx.phase_set.phi_info,
                           frame.omega, ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w)
         rel = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
         worst = max(worst, float(rel))

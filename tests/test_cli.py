@@ -1,14 +1,19 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from timsr import cli
 from timsr.cli import main
 from timsr.config import SimConfig
 from timsr.sim import CSV_COLUMNS
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 SMALL = "k_slots = 4\nl_slots = 2\ncodebook_strategy = table1\nsnr_db_grid = 0, 10\n"
 
@@ -107,6 +112,42 @@ def test_bad_sweep_input_fails_cleanly(tmp_path, cfg_file, capsys, argv):
     assert main([*argv, "--config", str(cfg_file), "--trials", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+@pytest.mark.parametrize("command", ["ber-sweep", "harvest-sweep", "benchmark"])
+def test_unwritable_out_fails_before_the_sweep(tmp_path, cfg_file, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "ber_sweep", _no_sweep)
+    monkeypatch.setattr(cli, "harvest_sweep", _no_sweep)
+    out = tmp_path / "missing" / "x.csv"
+    assert main([command, "--config", str(cfg_file), "--trials", "3000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+def test_existing_out_survives_a_failed_sweep(tmp_path, cfg_file, monkeypatch):
+    def failing_sweep(*args, **kwargs):
+        raise ValueError("the sweep failed")
+
+    monkeypatch.setattr(cli, "ber_sweep", failing_sweep)
+    out = tmp_path / "ber.csv"
+    out.write_text("an earlier run\n")
+    assert main(["ber-sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert out.read_text() == "an earlier run\n"
+
+
+@pytest.mark.parametrize("flag", [["--out", "pb.csv"], ["--detector", "ml"], ["--paper-compat"]])
+def test_power_budget_rejects_sweep_flags(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.setattr(cli, "power_budget_report", _no_sweep)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["power-budget", "--trials", "5", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_scheme_flag(tmp_path, cfg_file, capsys):
@@ -248,3 +289,16 @@ def test_unusable_snr_point_fails_cleanly(tmp_path, capsys):
     assert main(["ber-sweep", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: snr_db_grid value 4000.0 dB")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("script, n_csv", [("run_ber_sweep.py", 6), ("run_harvest_sweep.py", 3)])
+def test_campaign_script_writes_every_csv(tmp_path, script, n_csv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--trials", "2",
+                          "--outdir", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    written = sorted(tmp_path.glob("*.csv"))
+    assert len(written) == n_csv
+    for path in written:
+        assert path.read_text().splitlines()[1] == ",".join(CSV_COLUMNS)

@@ -23,14 +23,16 @@ from timsr.ris import (
     RisPowerBudget,
     align_group1,
     clc_dc_power,
-    eh_received,
     harvest_inputs,
     make_ris_state,
     phase_set_2bit,
+    received,
     ris_power_consumption,
     ris_rectenna_input,
 )
+from timsr.rx import observe
 from timsr.sim import make_context
+from timsr.txphy import encode_block
 
 RIS_MODEL = RectennaModel(0.75, 150e-6, 70e-3)
 RF_BUDGET = RisPowerBudget(256, 4, 50e-6, "rf-switch", 1e-6, 40e-6, 0.0)
@@ -142,26 +144,26 @@ class TestReflectionVector:
 
     def test_power_stage(self):
         vec = reflection_rows(0.3, 0.9)[-1]
-        assert vec[1] == 0.0
+        assert vec.shape == (2,)
         assert vec[0] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
-        assert vec[2] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
+        assert vec[1] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
 
     def test_info_stage(self):
         vec = reflection_rows(0.3, 0.0)[1]
-        assert vec[2] == pytest.approx(1.0)
+        assert vec[1] == pytest.approx(1.0)
         assert vec[0] == pytest.approx(np.exp(-1j * 0.3))
 
     @pytest.mark.parametrize("stage", ["info", "power", "info-bit0"])
     def test_amplitude_structure(self, stage):
         vec = reflection_rows(1.1, 2.2)[{"info": 1, "power": -1, "info-bit0": 0}[stage]]
-        assert vec[1] == 0.0
+        assert vec.shape == (2,)
         assert abs(vec[0]) == pytest.approx(1.0)
-        assert abs(vec[2]) == pytest.approx(1.0)
+        assert abs(vec[1]) == pytest.approx(1.0)
 
     def test_info_phase_constant_within_block(self):
         ch = tiny_realization(0.0)
         state = make_ris_state(ch, 2, self.PS, 1)
-        assert state.psi[state.ris_bit][2] == np.exp(-1j * self.PS.phi_info[1])
+        assert state.psi[state.ris_bit][1] == np.exp(-1j * self.PS.phi_info[1])
         first = state.psi[state.ris_bit]
         np.testing.assert_array_equal(first, make_ris_state(ch, 2, self.PS, 1).psi[1])
 
@@ -246,13 +248,24 @@ class TestPowerBudget:
             RisPowerBudget(4, 4, 50e-6, "pin-diode", 1e-6, 40e-6, 0.0)
 
 
+def harvester_view(ch, split, state, tau, samples):
+    """The harvester's samples in each slot, from ``received`` on its single
+    antenna over its cascades under ``split``, and its rectenna input powers
+    from ``harvest_inputs`` at that one absorber count."""
+    n1, n2 = split
+    casc = group_cascades(ch.g_e[..., None, :], ch.h_r, split)
+    _, y = received(np.asarray(ch.h_e)[..., None], casc, state, tau, samples)
+    (q,) = harvest_inputs(ch, n1, (n2,), state, tau, samples)[1]
+    return y[..., 0], q
+
+
 class TestEhReceived:
     TAU = np.array([0, 1, 0])   # power, information, power slot
 
     def test_zero_sample(self):
         ch = tiny_realization(0.0)
         state = make_ris_state(ch, 2, phase_set_2bit(), 0)
-        eps, q = eh_received(ch, (2, 1, 1), state, self.TAU, np.zeros(3))
+        eps, q = harvester_view(ch, (2, 1), state, self.TAU, np.zeros(3))
         assert np.all(eps == 0.0) and np.all(q == 0.0)
 
     def test_direct_path_only(self):
@@ -261,7 +274,7 @@ class TestEhReceived:
                                 np.zeros(3, complex))
         p_high = 2.51188643150958
         state = make_ris_state(ch, 1, phase_set_2bit(), 1)
-        eps, q = eh_received(ch, (1, 1, 1), state, self.TAU, np.full(3, math.sqrt(p_high)))
+        eps, q = harvester_view(ch, (1, 1), state, self.TAU, np.full(3, math.sqrt(p_high)))
         np.testing.assert_allclose(q, p_high, rtol=1e-12)
 
     def test_slots_equal_per_slot_formulas(self):
@@ -269,11 +282,11 @@ class TestEhReceived:
         rng = np.random.default_rng(5)
         cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ch = ChannelRealization(cn(2), cn(6), cn(2, 6), complex(cn(1)[0]), cn(6))
-        groups = (2, 3, 1)
+        groups = (2, 3)
         state = make_ris_state(ch, groups[0], phase_set_2bit(), 1)
         samples = cn(5)
         tau = np.array([1, 0, 0, 1, 0])
-        eps, q = eh_received(ch, groups, state, tau, samples)
+        eps, q = harvester_view(ch, groups, state, tau, samples)
         g2 = ch.h_r[2:5]
         q_ris = ris_rectenna_input(g2, samples)
         for k in range(5):
@@ -298,11 +311,11 @@ class TestEhReceived:
             ctx, _, frame, state, _, ris_bit, ch = build_observation(cfg, 10.0, trial=trial)
             ps = ctx.phase_set
             g1 = align_group1(ch, cfg.n1, ps.phi_info)
-            v_casc = group_cascades(ch.g_e[None, :], ch.h_r, cfg.group_sizes)[0]
+            v_casc = group_cascades(ch.g_e[None, :], ch.h_r, (cfg.n1, cfg.n2))[0]
             e_info = ch.h_e + v_casc @ info_reflection(g1, ps.phi_info[ris_bit])
             e_power = ch.h_e + v_casc @ power_reflection(ps)
             want = np.where(frame.tau == 1, e_info, e_power) * frame.samples
-            eps, q = eh_received(ch, cfg.group_sizes, state, frame.tau, frame.samples)
+            eps, q = harvester_view(ch, (cfg.n1, cfg.n2), state, frame.tau, frame.samples)
             np.testing.assert_array_equal(eps, want)
             np.testing.assert_array_equal(q, np.abs(want) ** 2)
 
@@ -331,7 +344,38 @@ class TestHarvestInputs:
             np.testing.assert_array_equal(
                 q_ris[row], ris_rectenna_input(ch.h_r[..., n1:n1 + n2], samples))
             np.testing.assert_array_equal(
-                q_eh[row], eh_received(ch, (n1, n2, n - n1 - n2), state, tau, samples)[1])
+                q_eh[row], harvest_inputs(ch, n1, (n2,), state, tau, samples)[1][0])
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one_block", "blocks"])
+def test_absorbers_are_invisible_to_reflection(lead):
+    """The absorbers' links reach the surface rectenna only: redrawing them
+    changes its input and leaves the surface state, the receiver's samples
+    and effective channels and the harvester's input bit for bit."""
+    cfg = make_config(k_slots=4, l_slots=2, codebook_strategy="table1", trials=1)
+    ctx = make_context(cfg, None)
+    rng = np.random.default_rng(11)
+    ch = ctx.channel_model.realize(rng.standard_normal(lead + (ctx.channel_model.n_normals,)))
+    eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
+    frame = encode_block(rng.integers(0, 2, lead + (eta,)), ctx.codebook, ctx.constellation,
+                         cfg.p_low_w, cfg.p_high_w)
+    ris_bit = rng.integers(0, 2, lead)
+    absorbers = slice(cfg.n1, cfg.n1 + cfg.n2)
+    moved = ChannelRealization(ch.h_d, ch.h_r.copy(), ch.G_d.copy(), ch.h_e, ch.g_e.copy())
+    for link in (moved.h_r, moved.G_d, moved.g_e):
+        shape = link[..., absorbers].shape
+        link[..., absorbers] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    views = []
+    for c in (ch, moved):
+        state = make_ris_state(c, cfg.n1, ctx.phase_set, ris_bit)
+        obs = observe(c, (cfg.n1, cfg.n2), frame, state)
+        q_ris, q_eh = harvest_inputs(c, cfg.n1, (cfg.n2,), state, frame.tau, frame.samples)
+        views.append((state.psi, obs.y, obs.eff, q_eh, q_ris))
+    (*same, q_ris), (*same_moved, q_ris_moved) = views
+    for want, got in zip(same, same_moved):
+        assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(q_ris_moved, q_ris)
 
 
 def test_wrap_angle_range():

@@ -50,8 +50,8 @@ class TestObserve:
     def test_noiseless_superposition(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         # rebuild with zero noise and check the exact per-slot composition
-        clean = observe(ch, small_cfg.group_sizes, frame, state)
-        f_casc = group_cascades(ch.G_d, ch.h_r, small_cfg.group_sizes)
+        clean = observe(ch, (small_cfg.n1, small_cfg.n2), frame, state)
+        f_casc = group_cascades(ch.G_d, ch.h_r, (small_cfg.n1, small_cfg.n2))
         for k in range(small_cfg.k_slots):
             eff = ch.h_d + f_casc @ state.psi[state.ris_bit if frame.tau[k] else -1]
             np.testing.assert_allclose(clean.y[k], eff * frame.samples[k], rtol=1e-12)
@@ -59,7 +59,7 @@ class TestObserve:
     def test_no_reflection_reduces_to_direct(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         ch.G_d = np.zeros_like(ch.G_d)
-        clean = observe(ch, small_cfg.group_sizes, frame, state)
+        clean = observe(ch, (small_cfg.n1, small_cfg.n2), frame, state)
         for k in range(small_cfg.k_slots):
             np.testing.assert_allclose(clean.y[k], ch.h_d * frame.samples[k], rtol=1e-12)
 
@@ -71,7 +71,7 @@ class TestObserve:
     def test_negative_variance_rejected(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         with pytest.raises(ValueError):
-            observe(ch, small_cfg.group_sizes, frame, state).with_noise(
+            observe(ch, (small_cfg.n1, small_cfg.n2), frame, state).with_noise(
                 -1.0, draw_noise(obs.y.shape, trial_rng(0, 0)))
 
     @pytest.mark.parametrize("bad", [-1.0, (-1.0, 0.5), (0.5, math.nan), math.nan])
@@ -94,9 +94,9 @@ class TestObserve:
         rng = trial_rng(0, 0)
         residuals = []
         for _ in range(2000):
-            noisy = observe(ch, small_cfg.group_sizes, frame, state).with_noise(
+            noisy = observe(ch, (small_cfg.n1, small_cfg.n2), frame, state).with_noise(
                 sigma2, draw_noise(obs.y.shape, rng))
-            clean = observe(ch, small_cfg.group_sizes, frame, state)
+            clean = observe(ch, (small_cfg.n1, small_cfg.n2), frame, state)
             residuals.append((noisy.y - clean.y).ravel())
         z = np.concatenate(residuals)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(sigma2, rel=0.02)
@@ -122,7 +122,7 @@ class TestObservationChannels:
         for trial in range(5):
             ctx, obs, *_, ch = build_observation(cfg, snr_db=10.0, trial=trial)
             ps = ctx.phase_set
-            eff_info, eff_power = _effective(ch, cfg.group_sizes, ps.phi_info, ps,
+            eff_info, eff_power = _effective(ch, (cfg.n1, cfg.n2), ps.phi_info, ps,
                                              align_group1(ch, cfg.n1, ps.phi_info))
             assert obs.eff.shape == (len(ps.phi_info) + 1, cfg.m_rx)
             np.testing.assert_array_equal(obs.eff, np.stack(eff_info + [eff_power]))
@@ -202,7 +202,7 @@ class TestMlJointDetect:
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
             for ris_bit in (0, 1):
                 state = make_ris_state(ch, cfg.n1, ctx.phase_set, ris_bit)
-                obs = observe(ch, cfg.group_sizes, frame, state)
+                obs = observe(ch, (cfg.n1, cfg.n2), frame, state)
                 det = self._detect(ctx, obs, frame, cfg)
                 assert np.array_equal(det.codeword, frame.codeword)
                 assert np.array_equal(det.ptx_bits, bits)
@@ -224,7 +224,7 @@ class TestMlJointDetect:
             ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
             det = self._detect(ctx, obs, frame, cfg)
             cw, c, labels, metric = naive_joint_search(
-                obs, ch, cfg.group_sizes, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
+                obs, ch, (cfg.n1, cfg.n2), ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                 frame.omega, ctx.phase_set, cfg.p_low_w,
             )
             assert tuple(det.codeword) == cw
@@ -278,14 +278,14 @@ class TestLlrPerSlot:
                 ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=snr, trial=trial)
                 got = self._llr(ctx, obs, frame, cfg)
                 want = direct_llr(
-                    obs, ch, cfg.group_sizes, ctx.constellation, ctx.phase_set.phi_info,
+                    obs, ch, (cfg.n1, cfg.n2), ctx.constellation, ctx.phase_set.phi_info,
                     frame.omega, ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w,
                 )
                 np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zero_variance_rejected(self, small_cfg):
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
-        clean = observe(ch, small_cfg.group_sizes, frame, state)
+        clean = observe(ch, (small_cfg.n1, small_cfg.n2), frame, state)
         with pytest.raises(ValueError):
             self._llr(ctx, clean, frame, small_cfg)
 
@@ -366,8 +366,8 @@ class TestMlSymbolPhase:
                 ctx.phase_set.phi_info,
             )
             want_c, want_labels, _ = naive_symbol_phase(
-                obs, ch, cfg.group_sizes, frame.codeword, ctx.constellation, ctx.phase_set.phi_info,
-                cfg.p_low_w, ctx.phase_set,
+                obs, ch, (cfg.n1, cfg.n2), frame.codeword, ctx.constellation,
+                ctx.phase_set.phi_info, cfg.p_low_w, ctx.phase_set,
             )
             assert (c, tuple(labels)) == (want_c, want_labels)
 
@@ -397,7 +397,7 @@ class TestLlrDetect:
             bits = int_to_bits(v, eta)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
             state = make_ris_state(ch, cfg.n1, ctx.phase_set, v % 2)
-            clean = observe(ch, cfg.group_sizes, frame, state)
+            clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
             obs = clean.with_noise(sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
             assert np.array_equal(det.ptx_bits, bits)
@@ -412,7 +412,7 @@ class TestLlrDetect:
             bits = rng.integers(0, 2, 8)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
             state = make_ris_state(ch, cfg.n1, ctx.phase_set, int(rng.integers(0, 2)))
-            clean = observe(ch, cfg.group_sizes, frame, state)
+            clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
             obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
             assert tuple(det.codeword) in codewords(ctx.codebook)
@@ -513,7 +513,7 @@ class TestArrayKernels:
         ctx, _, frame, state, bits, _, _ = build_observation(cfg, snr_db=0.0, trial=4, ris_bit=1)
         ch = draw_channel(ctx.channel_model, trial_rng(cfg.seed, 4))
         ch.G_d[:, cfg.n1 + cfg.n2:] = 0.0
-        obs = observe(ch, cfg.group_sizes, frame, state)
+        obs = observe(ch, (cfg.n1, cfg.n2), frame, state)
         obs.sigma2 = 1e-9
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
@@ -528,7 +528,7 @@ class TestArrayKernels:
         ch.h_d = np.zeros_like(ch.h_d)
         ch.G_d = np.zeros_like(ch.G_d)
         # the same samples, scored against the zeroed channel's effective channels
-        obs.eff = observe(ch, cfg.group_sizes, frame, state).eff
+        obs.eff = observe(ch, (cfg.n1, cfg.n2), frame, state).eff
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
         for detect in (ml_joint_detect, llr_detect):
@@ -605,7 +605,7 @@ def _block_at_points(cfg, trial):
     bits = rng.integers(0, 2, size=eta)
     frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
     state = make_ris_state(channel, cfg.n1, ctx.phase_set, int(rng.integers(0, 2)))
-    clean = observe(channel, cfg.group_sizes, frame, state)
+    clean = observe(channel, (cfg.n1, cfg.n2), frame, state)
     return ctx, frame, state, clean, draw_noise(clean.y.shape, rng), bits
 
 
@@ -734,7 +734,7 @@ class TestPointBatch:
         ch.G_d = np.zeros_like(ch.G_d)
         args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
                 cfg.p_low_w)
-        zeroed = observe(ch, cfg.group_sizes, frame, state)
+        zeroed = observe(ch, (cfg.n1, cfg.n2), frame, state)
         stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]),
                               zeroed.eff)
         for detect in (ml_joint_detect, llr_detect):

@@ -130,7 +130,7 @@ class TestBlockTrial:
         ])
         dc_eh = np.mean([
             clc_dc_power(
-                slot_eh_received(channel, cfg.group_sizes, state.psi[ris_bit if t else -1], s)[1],
+                slot_eh_received(channel, (cfg.n1, cfg.n2), state.psi[ris_bit if t else -1], s)[1],
                 ctx.eh_model,
             )
             for t, s in zip(frame.tau, frame.samples)
@@ -220,6 +220,13 @@ class TestHarvestSweep:
         assert rep.min_n2_varactor > rep.min_n2_rf
         assert rep.table.rows[0].snr_db is None
         assert rep.table.rows[0].ber_ptx is None
+
+    def test_minimums_on_an_unsorted_grid(self):
+        # the smallest qualifying count, not the first one in grid order
+        grid, cfg = (196, 16, 64, 0), make_config(trials=50)
+        rep, ordered = (harvest_sweep(cfg, n2_grid=g) for g in (grid, sorted(grid)))
+        assert (rep.min_n2_rf, rep.min_n2_varactor) == (64, 64)
+        assert (ordered.min_n2_rf, ordered.min_n2_varactor) == (64, 64)
 
     def test_grid_validation(self):
         cfg = make_config(trials=10)
@@ -344,11 +351,11 @@ def _grid(cfg, kind, sigma2s=None):
     from no absorbers to every cell outside the assist group; the sweep
     maps the layouts' absorber counts."""
     if kind == "harvest":
-        layouts = tuple(replace(cfg, n2=n2).group_sizes for n2 in (0, 35, cfg.n_cells - cfg.n1))
+        layouts = tuple((cfg.n1, n2) for n2 in (0, 35, cfg.n_cells - cfg.n1))
         return make_context(replace(cfg, n2=0), None), layouts, ()
     if sigma2s is None:
         sigma2s = tuple(direct_snr_sigma2(cfg, snr_db) for snr_db in cfg.snr_db_grid)
-    return make_context(cfg, None), (cfg.group_sizes,), sigma2s
+    return make_context(cfg, None), ((cfg.n1, cfg.n2),), sigma2s
 
 
 # The per-trial loop's record fields, in order.
@@ -357,7 +364,7 @@ LOOP_FIELDS = ("dc_ris_w", "dc_eh_w", "ok_rf", "ok_var", "ptx_errors", "ptx_bits
 
 
 def _n2s(layouts):
-    return tuple(n2 for _, n2, _ in layouts)
+    return tuple(n2 for _, n2 in layouts)
 
 
 def _assert_equals_loop(tally, ctx, layouts, sigma2s):
@@ -428,7 +435,7 @@ class TestTrialBatches:
         cfg = make_config(trials=23, detector=detector, k_slots=4, l_slots=2,
                           codebook_strategy="table1", **split)
         ctx, layouts, sigma2s = _grid(cfg, "ber")
-        assert 0 in ctx.cfg.group_sizes
+        assert 0 in (ctx.cfg.n1, ctx.cfg.n2, ctx.cfg.n_cells - ctx.cfg.n1 - ctx.cfg.n2)
         _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, 1), ctx, layouts, sigma2s)
 
     def test_ml_batch_with_zero_variance(self):
@@ -512,7 +519,7 @@ class TestConfig:
     def test_defaults_mirror_baseline(self):
         cfg = make_config()
         assert (cfg.n_cells, cfg.n_cb) == (256, 4)
-        assert (cfg.n1, cfg.n2, cfg.n3) == (60, 35, 161)
+        assert (cfg.n1, cfg.n2, cfg.n_cells - cfg.n1 - cfg.n2) == (60, 35, 161)
         assert (cfg.p_low_dbm, cfg.p_high_dbm) == (30.0, 34.0)
         assert cfg.p_low_w == pytest.approx(1.0)
         assert cfg.p_high_w == pytest.approx(dbm_to_watts(34.0))
