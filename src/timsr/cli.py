@@ -19,7 +19,9 @@ def _add_common(parser: argparse.ArgumentParser, sweep: bool = True) -> None:
     parser.add_argument("--seed", type=int, help="base seed for the trial streams")
     parser.add_argument("--trials", type=int, help="Monte Carlo blocks per sweep point")
     parser.add_argument("--scheme", metavar="K,L", help="slots per block and information slots")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="processes to split the trials over, one shard each, each "
+                             "on its own CPU when there are CPUs enough")
     if not sweep:
         parser.set_defaults(out=None, detector=None, paper_compat=False)
         return

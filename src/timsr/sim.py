@@ -8,8 +8,12 @@ count reads the same link draws in one stacked harvest pass
 (``ris.harvest_inputs``), and an SNR point scales the same unit noise.
 Trials run in batches sized from a byte budget: each trial's stream makes its
 own draws, then every step is one kernel call on the whole batch and grid,
-and each worker runs one contiguous shard of batches. Each point's counters are
-reduced once, in trial order, so results are bit-stable.
+and each worker runs one contiguous shard of batches. When the caller's CPU
+mask holds at least one CPU per shard, each shard runs on a CPU of its own:
+the caller's shard on the CPU it was on when the sweep started, each worker's
+on the next CPU of the mask, and every process gets its mask back after its
+shard. Each point's counters are reduced once, in trial order, so results
+are bit-stable.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -179,18 +184,49 @@ def _joined(tallies) -> Tally:
     return Tally(*(None if f[0] is None else np.concatenate(f, axis=1) for f in zip(*tallies)))
 
 
-def _run_shard(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: int) -> Tally:
-    """Trials ``start`` to ``stop - 1`` as one tally, run in batches."""
-    size = _batch_size(ctx, len(sigma2s))
-    return _joined([run_trials(ctx, n2s, sigma2s, a, min(a + size, stop))
-                    for a in range(start, stop, size)])
+def _run_shard(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: int,
+               cpu: int | None = None) -> Tally:
+    """Trials ``start`` to ``stop - 1`` as one tally, run in batches, on CPU
+    ``cpu`` alone when one is given; the mask it found is restored after."""
+    found = None
+    if cpu is not None:
+        found = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+    try:
+        size = _batch_size(ctx, len(sigma2s))
+        return _joined([run_trials(ctx, n2s, sigma2s, a, min(a + size, stop))
+                        for a in range(start, stop, size)])
+    finally:
+        if found is not None:
+            os.sched_setaffinity(0, found)
+
+
+def _shard_cpus(shards: int) -> list | None:
+    """A CPU for each of ``shards`` shards, or None to pin none: the CPU this
+    thread is on for the first, then the next CPUs of its mask in order,
+    wrapping round. None for more shards than CPUs, and where the platform
+    cannot set the mask or tell the current CPU."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    mask = sorted(os.sched_getaffinity(0))
+    if shards > len(mask):
+        return None
+    try:
+        with open("/proc/thread-self/stat") as stat:
+            # field 39, the CPU last run on, counted from field 3 after the name's ")"
+            first = mask.index(int(stat.read().rpartition(")")[2].split()[36]))
+    except (OSError, ValueError, IndexError):
+        return None
+    return [mask[(first + i) % len(mask)] for i in range(shards)]
 
 
 def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Tally:
     """The counters of every trial as one tally, columns in trial order. Each
     trial runs once for the whole grid, in one of at most ``workers`` shards.
     This process runs the first shard while a process pool of its own runs
-    the rest, so a lone shard starts no pool."""
+    the rest, so a lone shard starts no pool. When there are CPUs enough
+    (``_shard_cpus``), each shard runs pinned to its own CPU, this process's
+    on the one it was on, and this process's mask is restored after."""
     if not (_fits(workers, int) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n = ctx.cfg.trials
@@ -198,10 +234,12 @@ def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Ta
     rest = range(size, n, size)
     if not rest:
         return _run_shard(ctx, n2s, sigma2s, 0, n)
-    args = (repeat(ctx), repeat(n2s), repeat(sigma2s), rest, (min(a + size, n) for a in rest))
+    cpus = _shard_cpus(1 + len(rest)) or [None] * (1 + len(rest))
+    args = (repeat(ctx), repeat(n2s), repeat(sigma2s), rest, (min(a + size, n) for a in rest),
+            cpus[1:])
     with ProcessPoolExecutor(max_workers=len(rest)) as pool:
         shards = pool.map(_run_shard, *args)
-        return _joined([_run_shard(ctx, n2s, sigma2s, 0, size), *shards])
+        return _joined([_run_shard(ctx, n2s, sigma2s, 0, size, cpus[0]), *shards])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 import re
 from dataclasses import replace
 
@@ -277,6 +278,22 @@ def pointwise_row(point_cfg, snr_db):
                       n2=point_cfg.n2)
 
 
+class InlinePool:
+    """Runs a sweep's worker shards in this process, after its own shard."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestFusedSweeps:
     """A sweep draws each trial once for its whole grid; every row must equal
     the row computed point by point."""
@@ -301,24 +318,15 @@ class TestFusedSweeps:
     def test_pool_never_larger_than_its_batches(self, monkeypatch):
         sizes = []
 
-        class InlinePool:
+        class SizedPool(InlinePool):
             """Records its size and runs the tasks in this process."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         cfg = make_config(trials=1)
         want = power_budget_report(cfg)
-        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", SizedPool)
         assert power_budget_report(cfg, workers=64) == want
         assert sizes == []          # one shard runs in this process
         cfg = make_config(snr_db_grid=(0.0, 10.0), trials=5)
@@ -344,6 +352,82 @@ class TestFusedSweeps:
         cfg = make_config(trials=6)
         harvest_sweep(cfg, n2_grid=(0, 16, 35), workers=3)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs settable CPU affinity and at least 2 CPUs")
+class TestShardCpus:
+    """A multi-worker sweep pins each shard to a CPU of its own when the mask
+    has enough, and leaves every mask as it found it."""
+
+    def _masks(self, monkeypatch):
+        """Pools run inline, and each batch records (its first trial, the mask
+        it ran under)."""
+        seen = []
+        run_trials = timsr.sim.run_trials
+
+        def recording(ctx, n2s, sigma2s, start, stop):
+            seen.append((start, os.sched_getaffinity(0)))
+            return run_trials(ctx, n2s, sigma2s, start, stop)
+
+        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(timsr.sim, "run_trials", recording)
+        return seen
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_each_shard_on_its_own_cpu(self, monkeypatch, workers):
+        mask = os.sched_getaffinity(0)
+        if workers > len(mask):
+            pytest.skip(f"{workers} shards need {workers} CPUs")
+        seen = self._masks(monkeypatch)
+        cfg = make_config(trials=6 * workers)
+        rows = harvest_sweep(cfg, n2_grid=(0, 35), workers=workers).table.rows
+        assert os.sched_getaffinity(0) == mask
+        shard_cpus = {}
+        for start, ran_on in seen:
+            assert len(ran_on) == 1
+            shard_cpus.setdefault(start // 6, set()).update(ran_on)
+        assert sorted(shard_cpus) == list(range(workers))
+        assert all(len(cpus) == 1 for cpus in shard_cpus.values())
+        assert len(set.union(*shard_cpus.values())) == workers
+        monkeypatch.undo()
+        assert rows == harvest_sweep(cfg, n2_grid=(0, 35)).table.rows
+
+    def test_more_shards_than_cpus_pin_nothing(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        seen = self._masks(monkeypatch)
+        workers = len(mask) + 1
+        harvest_sweep(make_config(trials=workers), n2_grid=(0, 35), workers=workers)
+        assert len(seen) == workers
+        assert all(ran_on == mask for _, ran_on in seen)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_mask_restored_when_the_callers_shard_raises(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        pinned = []
+
+        def failing(*args):
+            pinned.append(os.sched_getaffinity(0))
+            raise RuntimeError("shard failed")
+
+        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(timsr.sim, "run_trials", failing)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            harvest_sweep(make_config(trials=4), n2_grid=(0, 35), workers=2)
+        assert len(pinned) == 1 and len(pinned[0]) == 1
+        assert os.sched_getaffinity(0) == mask
+
+    def test_caller_on_one_cpu_pins_nothing(self):
+        mask = os.sched_getaffinity(0)
+        one = {min(mask)}
+        cfg = make_config(trials=8)
+        want = harvest_sweep(cfg, n2_grid=(0, 16, 35)).table.rows
+        os.sched_setaffinity(0, one)
+        try:
+            assert harvest_sweep(cfg, n2_grid=(0, 16, 35), workers=2).table.rows == want
+            assert os.sched_getaffinity(0) == one
+        finally:
+            os.sched_setaffinity(0, mask)
 
 
 def _grid(cfg, kind, sigma2s=None):
