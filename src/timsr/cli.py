@@ -12,27 +12,27 @@ from .config import DETECTORS, load_config, make_config
 from .sim import ber_sweep, harvest_sweep, power_budget_report
 
 
-def _add_common(parser: argparse.ArgumentParser, sweep: bool = True) -> None:
-    """The flags of every command; a sweep, which writes a CSV and names the
-    receiver in it, also takes the output path and the detector flags."""
-    parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="base seed for the trial streams")
-    parser.add_argument("--trials", type=int, help="Monte Carlo blocks per sweep point")
-    parser.add_argument("--scheme", metavar="K,L", help="slots per block and information slots")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes to split the trials over, one shard each, each "
-                             "on its own CPU when there are CPUs enough")
-    if not sweep:
-        parser.set_defaults(out=None, detector=None, paper_compat=False)
-        return
-    parser.add_argument("--out", metavar="PATH", help="output CSV path")
-    parser.add_argument("--detector", choices=DETECTORS, help="receiver to simulate")
-    parser.add_argument(
+def _flag_groups():
+    """Parent parsers of the subcommands: the flags of every run, the output
+    path of a command that writes a CSV, and the receiver flags of one that
+    detects."""
+    run, out, receiver = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    run.add_argument("--config", metavar="PATH", help="key = value config file")
+    run.add_argument("--seed", type=int, help="base seed for the trial streams")
+    run.add_argument("--trials", type=int, help="Monte Carlo blocks per sweep point")
+    run.add_argument("--scheme", metavar="K,L", help="slots per block and information slots")
+    run.add_argument("--workers", type=int, default=1,
+                     help="processes to split the trials over, one shard each, each "
+                          "on its own CPU when there are CPUs enough")
+    out.add_argument("--out", metavar="PATH", help="output CSV path")
+    receiver.add_argument("--detector", choices=DETECTORS, help="receiver to simulate")
+    receiver.add_argument(
         "--paper-compat",
         action="store_true",
         help="use the literal metric variants (unscaled power-slot LLR term, "
         "information-slots-only joint metric)",
     )
+    return run, out, receiver
 
 
 def _check_writable(path) -> None:
@@ -69,13 +69,13 @@ def _build_config(args):
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config) if args.config else make_config()
-    overrides = {key: getattr(args, key) for key in ("seed", "trials", "detector")
-                 if getattr(args, key) is not None}
+    overrides = {key: getattr(args, key, None) for key in ("seed", "trials", "detector")
+                 if getattr(args, key, None) is not None}
     if args.command == "benchmark":
         overrides["scheme"] = "benchmark"
     if args.scheme:
         overrides["k_slots"], overrides["l_slots"] = _parse_scheme(args.scheme)
-    if args.paper_compat:
+    if getattr(args, "paper_compat", False):
         overrides["paper_compat"] = True
     return replace(cfg, **overrides)
 
@@ -87,21 +87,16 @@ def main(argv=None) -> int:
         "transmission assisted by an energy-harvesting reconfigurable surface.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ber = sub.add_parser("ber-sweep", help="BER versus direct-link SNR")
-    _add_common(p_ber)
-
-    p_harv = sub.add_parser("harvest-sweep", help="harvested DC power versus absorber count")
-    _add_common(p_harv)
+    run, out, receiver = _flag_groups()
+    sub.add_parser("ber-sweep", parents=[run, out, receiver], help="BER versus direct-link SNR")
+    p_harv = sub.add_parser("harvest-sweep", parents=[run, out],
+                            help="harvested DC power versus absorber count")
     p_harv.add_argument(
         "--n2-grid", metavar="LIST|START:STOP:STEP", help="absorber counts to sweep"
     )
-
-    p_budget = sub.add_parser("power-budget", help="surface consumption and harvest margin")
-    _add_common(p_budget, sweep=False)
-
-    p_bench = sub.add_parser("benchmark", help="BER sweep of the fixed-slot reference scheme")
-    _add_common(p_bench)
+    sub.add_parser("power-budget", parents=[run], help="surface consumption and harvest margin")
+    sub.add_parser("benchmark", parents=[run, out, receiver],
+                   help="BER sweep of the fixed-slot reference scheme")
 
     args = parser.parse_args(argv)
 

@@ -160,14 +160,14 @@ def received(direct, casc, state: RisState, tau, samples):
     ``state.psi``, F being the reflecting groups' cascades ``casc``
     (..., R, 2) of its links (:func:`timsr.channel.group_cascades`); and the
     noiseless samples (..., K, R) under the block's information row where
-    ``tau`` (..., K) is 1 and the power row elsewhere. ``direct`` is
+    the slot mask ``tau`` (..., K) is true and the power row elsewhere. ``direct`` is
     (..., R). Cascades may carry leading axes that the blocks lack, such as
     one split per absorber count, and every result then carries them too."""
     eff = direct[..., None, :] + (casc[..., None, :, :] @ state.psi[..., None])[..., 0]
     bit = np.asarray(state.ris_bit)
     bit = np.reshape(bit, (1,) * (eff.ndim - 2 - bit.ndim) + bit.shape + (1, 1))
     info = np.take_along_axis(eff, bit, -2)
-    return eff, np.where(tau[..., None] == 1, info, eff[..., -1:, :]) * samples[..., None]
+    return eff, np.where(tau[..., None], info, eff[..., -1:, :]) * samples[..., None]
 
 
 def harvest_inputs(channel: ChannelRealization, n1: int, n2s, state: RisState, tau, samples):

@@ -22,9 +22,13 @@ The joint detector finds the least metric over every (codeword, surface
 phase, symbol vector) hypothesis without enumerating them
 (:func:`joint_search`). The LLR pipeline classifies each slot as
 information-like or power-like, projects that onto the legitimate codeword
-set, then runs a small symbol/phase search on the selected slots.
+set, then runs a small symbol/phase search on the selected slots. Both
+decide indices only (:class:`DetectionResult`): the codeword's row in the
+codebook, the symbol labels and the information phase, whose index is the
+surface bit. The number J of information phases is that of the
+observation's ``eff`` rows, less the power row.
 Enumeration orders are fixed: codewords in codebook order, then the
-information-phase pair in order, then symbol vectors in lexicographic label
+information phases in order, then symbol vectors in lexicographic label
 order with the earliest slot most significant; the first-found minimum wins
 ties everywhere. Every kernel adds its terms in the order of a loop over
 the hypotheses, so each metric equals that loop's value bit for bit, and
@@ -159,25 +163,17 @@ def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, 
 @dataclass
 class DetectionResult:
     """The decision of each row of an observation, with its leading axes on
-    every per-row field: ``codeword`` (..., L) slots, labels and symbols
-    (..., L), phase and bit (...), ``ptx_bits`` (..., eta); ``visited``
-    sums over the rows."""
+    every per-row field: the codeword index ``alpha`` (...), the symbol
+    labels (..., L) in ascending slot order, the index of the information
+    phase, which is the surface bit (...), and the data bits ``ptx_bits``
+    (..., eta) that the codeword and labels carry; ``visited`` sums the
+    hypotheses over the rows."""
 
-    codeword: np.ndarray
+    alpha: np.ndarray
     symbol_labels: np.ndarray
-    symbols: np.ndarray
-    info_phase: np.ndarray
     ris_bit: np.ndarray
     ptx_bits: np.ndarray
-    detector: str
     visited: int
-
-
-def _result(codebook, constellation, alpha, labels, phase_pair, c, detector, visited):
-    """Each row's detection from its codeword index, labels and phase index."""
-    return DetectionResult(codebook.slot_index[alpha] + 1, labels, constellation.points[labels],
-                           np.asarray(phase_pair)[c], c,
-                           block_bits(alpha, labels, codebook, constellation), detector, visited)
 
 
 def joint_search(info_cost, pow_cost, slot_index, paper_compat: bool = False):
@@ -218,8 +214,7 @@ def joint_search(info_cost, pow_cost, slot_index, paper_compat: bool = False):
 
 
 def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Constellation,
-                    phase_pair, omega: complex, p_info_w: float,
-                    paper_compat: bool = False) -> DetectionResult:
+                    omega: complex, p_info_w: float, paper_compat: bool = False) -> DetectionResult:
     """Jointly minimize the block metric over every codeword, surface phase,
     and symbol vector; hypothesized power slots are scored against the known
     power sample. Every row is searched at once by :func:`joint_search`;
@@ -230,9 +225,10 @@ def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Co
     """
     info_cost, pow_cost = slot_costs(obs, constellation, p_info_w, omega)
     alpha, c, labels = joint_search(info_cost, pow_cost, codebook.slot_index, paper_compat)
-    visited = (alpha.size * len(codebook.slot_index) * len(phase_pair)
+    visited = (alpha.size * len(codebook.slot_index) * info_cost.shape[-3]
                * constellation.m_order**codebook.l_slots)
-    return _result(codebook, constellation, alpha, labels, phase_pair, c, "ml", visited)
+    return DetectionResult(alpha, labels, c, block_bits(alpha, labels, codebook, constellation),
+                           visited)
 
 
 def llr_per_slot(info_cost, pow_cost, sigma2, k_slots: int, l_slots: int,
@@ -271,27 +267,24 @@ def select_info_slots(llr: np.ndarray, codebook: IndexCodebook):
     return np.argmax(llr[..., codebook.slot_index].sum(axis=-1), axis=-1)
 
 
-def ml_symbol_phase(info_cost, slots, phase_pair):
+def ml_symbol_phase(info_cost, slots):
     """Joint symbol/phase decision on the already-selected information slots
     from the information-slot costs (..., J, M, K).
 
     For each candidate surface phase the per-slot symbol search factorizes,
     so only J*M*L metrics are evaluated per row; the result equals a full
-    search over all symbol vectors and phases. Slots (..., L) and costs
-    (..., J, M, K) give labels (..., L), phases and phase indices (...),
-    and the count of metrics evaluated.
+    search over all symbol vectors and phases. 0-based slots (..., L) and
+    costs (..., J, M, K) give labels (..., L) and phase indices (...).
     """
-    slots0 = np.asarray(slots, dtype=np.int64) - 1
-    costs = np.take_along_axis(info_cost, slots0[..., None, None, :], axis=-1)   # (..., J, M, L)
+    costs = np.take_along_axis(info_cost, np.asarray(slots)[..., None, None, :], axis=-1)
     labels = np.argmin(costs, axis=-2)                           # first minimum per slot
     c = np.argmin(costs.min(axis=-2).sum(axis=-1), axis=-1)      # first minimum over phases
     labels = np.take_along_axis(labels, c[..., None, None], axis=-2)[..., 0, :]
-    return labels, np.asarray(phase_pair)[c], c, costs.size
+    return labels, c
 
 
 def llr_detect(obs: Observation, codebook: IndexCodebook, constellation: Constellation,
-               phase_pair, omega: complex, p_info_w: float,
-               paper_compat: bool = False) -> DetectionResult:
+               omega: complex, p_info_w: float, paper_compat: bool = False) -> DetectionResult:
     """Low-complexity pipeline: per-slot LLRs, legitimate-set slot selection,
     then the factorized symbol/phase search and bit recovery, all from one
     set of slot costs for every point at once. The reported hypothesis count
@@ -300,6 +293,7 @@ def llr_detect(obs: Observation, codebook: IndexCodebook, constellation: Constel
     llr = llr_per_slot(info_cost, pow_cost, obs.sigma2, codebook.k_slots, codebook.l_slots,
                        paper_compat)
     alpha = select_info_slots(llr, codebook)
-    labels, _, c, _ = ml_symbol_phase(info_cost, codebook.slot_index[alpha] + 1, phase_pair)
-    visited = alpha.size * codebook.k_slots * (len(phase_pair) * constellation.m_order + 1)
-    return _result(codebook, constellation, alpha, labels, phase_pair, c, "llr", visited)
+    labels, c = ml_symbol_phase(info_cost, codebook.slot_index[alpha])
+    visited = alpha.size * codebook.k_slots * (info_cost.shape[-3] * constellation.m_order + 1)
+    return DetectionResult(alpha, labels, c, block_bits(alpha, labels, codebook, constellation),
+                           visited)

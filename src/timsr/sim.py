@@ -152,7 +152,7 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     unit = None if noise is None else unit_noise(noise.shape[-2:], noise)
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
     det = detect(clean.with_noise(sigma2s, unit), ctx.codebook, ctx.constellation,
-                 ctx.phase_set.phi_info, frame.omega, cfg.p_low_w, cfg.paper_compat)
+                 frame.omega, cfg.p_low_w, cfg.paper_compat)
     wrong = np.swapaxes(det.ptx_bits != bits[:, None], 0, 1)                    # (S, B, eta)
     return Tally(dc_ris, dc_eh, np.count_nonzero(wrong, axis=-1),
                  np.count_nonzero(wrong[..., :eta_r], axis=-1),

@@ -3,7 +3,10 @@ codebooks, and block encode/decode.
 
 A block of K slots carries L information symbols at the slots named by an
 index codeword (conveying the index bits) and a deterministic power sample
-omega in the remaining K - L slots.
+omega in the remaining K - L slots. A codeword is its index ``alpha``, the
+integer value of the index bits, and ``codebook.slot_index[alpha]`` holds
+its 0-based slots; a symbol is its label. An encoded frame holds only what
+goes on air: the slot mask, the samples and omega.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class Constellation:
     constellation equals only itself: its array is not compared."""
 
     m_order: int
-    kind: str
     points: np.ndarray
 
     @property
@@ -86,7 +88,7 @@ def build_constellation(m_order: int, kind: str = "qam") -> Constellation:
         points[labels] = levels[:, None] + 1j * levels
         points /= np.sqrt(np.mean(np.abs(points) ** 2))
     points.setflags(write=False)
-    return Constellation(m_order, kind, points)
+    return Constellation(m_order, points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,23 +144,14 @@ def build_benchmark_codebook(k_slots: int, l_slots: int) -> IndexCodebook:
     return _make_codebook(k_slots, l_slots, 0, np.arange(l_slots))
 
 
-def codeword_to_tau(codeword, k_slots: int) -> np.ndarray:
-    """0/1 slot-activity vector of length K with ones at the codeword slots;
-    codewords (..., L) give vectors (..., K)."""
-    slots = np.asarray(codeword, dtype=np.int64) - 1
-    tau = np.zeros(slots.shape[:-1] + (k_slots,), dtype=np.int64)
-    np.put_along_axis(tau, slots, 1, -1)
-    return tau
-
-
 @dataclass(frozen=True)
 class TimFrame:
-    """Encoded blocks: slot-activity vectors and the K transmit samples
-    (..., K), and the codeword's slots (..., L)."""
+    """Encoded blocks as they go on air: the slot mask ``tau`` (..., K), true
+    at the slots that carry information, the K transmit samples (..., K) and
+    the power sample ``omega`` in every other slot."""
 
     tau: np.ndarray
     samples: np.ndarray
-    codeword: np.ndarray
     omega: complex
 
 
@@ -175,8 +168,9 @@ def encode_block(
     The leading index bits select the codeword; the remaining bits fill the
     selected slots in ascending slot order, log2(M) bits per symbol, scaled
     to power ``p_info_w``. All other slots carry the deterministic power
-    sample omega with |omega|^2 = ``p_power_w``. Bits (..., eta) give tau
-    and samples (..., K) and the codeword's slots (..., L).
+    sample omega with |omega|^2 = ``p_power_w``. Bits (..., eta) give the
+    slot mask, true at the codeword's slots ``codebook.slot_index[alpha]``,
+    and the samples, both (..., K).
     """
     if p_power_w < p_info_w:
         raise ValueError("power-stage level must satisfy p_power_w >= p_info_w")
@@ -194,9 +188,9 @@ def encode_block(
     samples = np.full(bits.shape[:-1] + (codebook.k_slots,), omega, dtype=complex)
     np.put_along_axis(samples, slots, math.sqrt(p_info_w) * constellation.points[labels], -1)
     samples.setflags(write=False)
-
-    codeword = slots + 1
-    return TimFrame(codeword_to_tau(codeword, codebook.k_slots), samples, codeword, complex(omega))
+    tau = np.zeros(samples.shape, dtype=bool)
+    np.put_along_axis(tau, slots, True, -1)
+    return TimFrame(tau, samples, complex(omega))
 
 
 def block_bits(alpha, labels, codebook: IndexCodebook, constellation: Constellation):
@@ -210,8 +204,8 @@ def block_bits(alpha, labels, codebook: IndexCodebook, constellation: Constellat
 
 
 def decode_frame(tau, symbols, codebook: IndexCodebook, constellation: Constellation) -> np.ndarray:
-    """Invert :func:`encode_block` from a slot-activity vector and the L
-    recovered unit-power symbols (in ascending slot order).
+    """Invert :func:`encode_block` from a slot mask (K,) and the L recovered
+    unit-power symbols (in ascending slot order).
 
     Raises ``ValueError`` if ``tau`` does not match a codeword; detectors are
     expected never to produce one.

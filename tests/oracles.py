@@ -106,8 +106,8 @@ def loop_trial(ctx, layouts, sigma2s, trial_index):
             records.append(harvest + (0,) * 6)
         for s2 in sigma2s:
             obs = observe(drawn, split, frame, ris).with_noise(s2, noise)
-            det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                         frame.omega, cfg.p_low_w, cfg.paper_compat)
+            det = detect(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w,
+                         cfg.paper_compat)
             wrong = det.ptx_bits != bits
             records.append(harvest + (int(np.count_nonzero(wrong)), eta,
                                       int(np.count_nonzero(wrong[:eta_r])), eta_r,
@@ -183,8 +183,8 @@ def naive_joint_search(obs, channel, split, codebook, constellation, phase_pair,
 
 def naive_symbol_phase(obs, channel, split, slots, constellation, phase_pair, p_info_w,
                        phase_set):
-    """Full product search over (phase, symbol vector) for fixed slots, in
-    (phase, labels) order with a strict first-found minimum."""
+    """Full product search over (phase, symbol vector) for fixed 0-based
+    slots, in (phase, labels) order with a strict first-found minimum."""
     g1 = align_group1(channel, split[0], phase_pair)
     eff_info, _ = _effective(channel, split, phase_pair, phase_set, g1)
     amp = math.sqrt(p_info_w)
@@ -197,7 +197,7 @@ def naive_symbol_phase(obs, channel, split, slots, constellation, phase_pair, p_
             metric = 0.0
             for pos, slot in enumerate(slots):
                 s = amp * constellation.points[labels[pos]]
-                metric += float(np.linalg.norm(obs.y[slot - 1] - eff_info[c] * s) ** 2)
+                metric += float(np.linalg.norm(obs.y[slot] - eff_info[c] * s) ** 2)
             if metric < best_metric:
                 best = (c, labels)
                 best_metric = metric

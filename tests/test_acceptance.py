@@ -30,7 +30,6 @@ from timsr.sim import (
 from timsr.txphy import (
     build_codebook,
     build_constellation,
-    codeword_to_tau,
     decode_frame,
     encode_block,
     int_to_bits,
@@ -66,8 +65,7 @@ def _paired_detect(cfg, snr_db, n_blocks, detectors=("ml", "llr")):
         obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
         for d in detectors:
             fn = ml_joint_detect if d == "ml" else llr_detect
-            det = fn(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                     frame.omega, cfg.p_low_w)
+            det = fn(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
             fracs[d][i] = np.sum(det.ptx_bits != bits) / eta
             idx_err[d][i] = (
                 np.sum(det.ptx_bits[: ctx.codebook.bits_index] != bits[: ctx.codebook.bits_index])
@@ -93,10 +91,8 @@ def test_criterion_2_complexity_counts():
     t0 = time.perf_counter()
     cfg = make_config(k_slots=8, l_slots=2, m_order=4, trials=1)
     ctx, obs, frame, *_ = build_observation(cfg, snr_db=10.0)
-    ml = ml_joint_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                         frame.omega, cfg.p_low_w)
-    llr = llr_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                     frame.omega, cfg.p_low_w)
+    ml = ml_joint_detect(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
+    llr = llr_detect(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
     elapsed = time.perf_counter() - t0
     assert ml.visited == 512
     assert llr.visited == 72
@@ -113,7 +109,7 @@ def test_criterion_3_codebook_preset():
     assert codewords(cb) == ((1, 3), (1, 4), (2, 4), (2, 3))
     for excluded in ((1, 2), (3, 4)):
         with pytest.raises(ValueError):
-            decode_frame(codeword_to_tau(excluded, 4), const.points[[0, 0]], cb, const)
+            decode_frame(np.isin(np.arange(1, 5), excluded), const.points[[0, 0]], cb, const)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(3, "codebook preset", f"codewords {codewords(cb)}, exclusions rejected")
@@ -139,8 +135,7 @@ def test_criterion_4_noiseless_correctness():
             clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
             obs = clean.with_noise(sigma2, draw_noise(clean.y.shape, rng))
             for fn in (ml_joint_detect, llr_detect):
-                det = fn(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                         frame.omega, cfg.p_low_w)
+                det = fn(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
                 errors += int(not np.array_equal(det.ptx_bits, bits)) + int(det.ris_bit != rb)
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -156,14 +151,13 @@ def test_criterion_5_ml_oracle_equivalence():
     mismatches = 0
     for trial in range(1000):
         ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
-        det = ml_joint_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                              frame.omega, cfg.p_low_w)
+        det = ml_joint_detect(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
         cw, c, labels, _ = naive_joint_search(
             obs, ch, (cfg.n1, cfg.n2), ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
             frame.omega, ctx.phase_set, cfg.p_low_w,
         )
-        mismatches += int((tuple(det.codeword), det.ris_bit, tuple(det.symbol_labels))
-                          != (cw, c, labels))
+        mismatches += int((codewords(ctx.codebook)[det.alpha], det.ris_bit,
+                           tuple(det.symbol_labels)) != (cw, c, labels))
     elapsed = time.perf_counter() - t0
     assert mismatches == 0
     assert elapsed < 30.0

@@ -139,12 +139,20 @@ def test_existing_out_survives_a_failed_sweep(tmp_path, cfg_file, monkeypatch):
     assert out.read_text() == "an earlier run\n"
 
 
-@pytest.mark.parametrize("flag", [["--out", "pb.csv"], ["--detector", "ml"], ["--paper-compat"]])
-def test_power_budget_rejects_sweep_flags(tmp_path, monkeypatch, capsys, flag):
+# power-budget writes no CSV and runs no detector; harvest-sweep runs none either
+@pytest.mark.parametrize("command, flag", [
+    ("power-budget", ["--out", "pb.csv"]),
+    ("power-budget", ["--detector", "ml"]),
+    ("power-budget", ["--paper-compat"]),
+    ("harvest-sweep", ["--detector", "ml"]),
+    ("harvest-sweep", ["--paper-compat"]),
+], ids=["flag0", "flag1", "flag2", "harvest-detector", "harvest-paper-compat"])
+def test_power_budget_rejects_sweep_flags(tmp_path, monkeypatch, capsys, command, flag):
     monkeypatch.setattr(cli, "power_budget_report", _no_sweep)
+    monkeypatch.setattr(cli, "harvest_sweep", _no_sweep)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["power-budget", "--trials", "5", *flag])
+        main([command, "--trials", "5", *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

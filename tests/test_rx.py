@@ -9,7 +9,6 @@ from conftest import build_observation, draw_channel, draw_noise
 from oracles import (
     _effective,
     broadcast_slot_costs,
-    codeword_index,
     codewords,
     direct_llr,
     direct_log_sum_exp,
@@ -185,7 +184,6 @@ class TestMlJointDetect:
             obs,
             ctx.codebook,
             ctx.constellation,
-            ctx.phase_set.phi_info,
             frame.omega,
             cfg.p_low_w,
             **kw,
@@ -204,7 +202,7 @@ class TestMlJointDetect:
                 state = make_ris_state(ch, cfg.n1, ctx.phase_set, ris_bit)
                 obs = observe(ch, (cfg.n1, cfg.n2), frame, state)
                 det = self._detect(ctx, obs, frame, cfg)
-                assert np.array_equal(det.codeword, frame.codeword)
+                assert np.array_equal(ctx.codebook.slot_index[det.alpha], np.flatnonzero(frame.tau))
                 assert np.array_equal(det.ptx_bits, bits)
                 assert det.ris_bit == ris_bit
 
@@ -217,6 +215,15 @@ class TestMlJointDetect:
             ctx, obs, frame, *_ = build_observation(cfg, snr_db=10.0)
             det = self._detect(ctx, obs, frame, cfg)
             assert det.visited == expected
+            # J is read off the observation: a third information row gives |A| * 3 * M^L
+            obs = _three_phase(obs)
+            det = self._detect(ctx, obs, frame, cfg)
+            assert det.visited == expected // 2 * 3
+            info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
+            _assert_search_equals_loop(info_cost, pow_cost, ctx.codebook)
+            np.testing.assert_array_equal(
+                [det.alpha, det.ris_bit, *det.symbol_labels],
+                np.hstack(joint_search(info_cost, pow_cost, ctx.codebook.slot_index)))
 
     def test_matches_naive_oracle(self, small_cfg):
         cfg = small_cfg
@@ -227,7 +234,7 @@ class TestMlJointDetect:
                 obs, ch, (cfg.n1, cfg.n2), ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
                 frame.omega, ctx.phase_set, cfg.p_low_w,
             )
-            assert tuple(det.codeword) == cw
+            assert codewords(ctx.codebook)[det.alpha] == cw
             assert det.ris_bit == c
             assert tuple(det.symbol_labels) == labels
 
@@ -240,8 +247,7 @@ class TestMlJointDetect:
         # at zero noise both variants still recover the transmitted block
         ctx2, obs2, frame2, state2, bits2, rb2, _ = build_observation(cfg, snr_db=200.0, trial=5)
         det = ml_joint_detect(
-            obs2, ctx2.codebook, ctx2.constellation, ctx2.phase_set.phi_info,
-            frame2.omega, cfg.p_low_w, paper_compat=True,
+            obs2, ctx2.codebook, ctx2.constellation, frame2.omega, cfg.p_low_w, paper_compat=True,
         )
         assert np.array_equal(det.ptx_bits, bits2)
 
@@ -339,34 +345,22 @@ class TestMlSymbolPhase:
     def test_noiseless_exact(self, small_cfg):
         cfg = small_cfg
         ctx, obs, frame, state, bits, ris_bit, _ = build_observation(cfg, snr_db=200.0, trial=2)
-        labels, phase, c, visited = ml_symbol_phase(
-            slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], frame.codeword,
-            ctx.phase_set.phi_info,
-        )
+        labels, c = ml_symbol_phase(slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0],
+                                    np.flatnonzero(frame.tau))
         assert c == ris_bit
         sent = [int(np.argmin(np.abs(ctx.constellation.points - s / math.sqrt(cfg.p_low_w))))
                 for s in frame.samples[frame.tau == 1]]
         assert list(labels) == sent
 
-    def test_hypothesis_count_l1_bpsk(self):
-        cfg = make_config(k_slots=4, l_slots=1, m_order=2, constellation="psk", trials=1)
-        ctx, obs, frame, *_ = build_observation(cfg, snr_db=10.0)
-        *_, visited = ml_symbol_phase(
-            slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], frame.codeword,
-            ctx.phase_set.phi_info,
-        )
-        assert visited == 4  # J * M * L = 2 * 2 * 1
-
     def test_matches_full_product_search(self, small_cfg):
         cfg = small_cfg
         for trial in range(60):
             ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
-            labels, phase, c, _ = ml_symbol_phase(
-                slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], frame.codeword,
-                ctx.phase_set.phi_info,
-            )
+            slots = np.flatnonzero(frame.tau)
+            labels, c = ml_symbol_phase(
+                slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], slots)
             want_c, want_labels, _ = naive_symbol_phase(
-                obs, ch, (cfg.n1, cfg.n2), frame.codeword, ctx.constellation,
+                obs, ch, (cfg.n1, cfg.n2), slots, ctx.constellation,
                 ctx.phase_set.phi_info, cfg.p_low_w, ctx.phase_set,
             )
             assert (c, tuple(labels)) == (want_c, want_labels)
@@ -375,8 +369,7 @@ class TestMlSymbolPhase:
 class TestLlrDetect:
     def _detect(self, ctx, obs, frame, cfg):
         return llr_detect(
-            obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-            frame.omega, cfg.p_low_w, cfg.paper_compat,
+            obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w, cfg.paper_compat,
         )
 
     def test_visited_count_eight_two(self):
@@ -415,7 +408,7 @@ class TestLlrDetect:
             clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
             obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
-            assert tuple(det.codeword) in codewords(ctx.codebook)
+            assert 0 <= det.alpha < len(ctx.codebook.slot_index)
 
     def test_agrees_with_ml_at_high_snr(self):
         cfg = make_config(k_slots=8, l_slots=2, trials=1)
@@ -424,11 +417,10 @@ class TestLlrDetect:
             ctx, obs, frame, *_ = build_observation(cfg, snr_db=25.0, trial=trial)
             d_llr = self._detect(ctx, obs, frame, cfg)
             d_ml = ml_joint_detect(
-                obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                frame.omega, cfg.p_low_w,
+                obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w,
             )
             agree += int(
-                np.array_equal(d_llr.codeword, d_ml.codeword)
+                d_llr.alpha == d_ml.alpha
                 and np.array_equal(d_llr.symbol_labels, d_ml.symbol_labels)
                 and d_llr.ris_bit == d_ml.ris_bit
             )
@@ -440,6 +432,13 @@ def _costs(ctx, obs, frame, cfg):
     """The observation's slot costs, computed the way both detectors compute
     them."""
     return slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega)
+
+
+def _three_phase(obs):
+    """The observation with a third information row of ``eff``, the mean of
+    the other two, before the power row: the detectors read J = 3 from it."""
+    eff = np.concatenate([obs.eff[:-1], obs.eff[:-1].mean(axis=0, keepdims=True), obs.eff[-1:]])
+    return Observation(obs.y, obs.sigma2, eff)
 
 
 def _assert_search_equals_loop(info_cost, pow_cost, codebook, paper_compat=False):
@@ -515,8 +514,7 @@ class TestArrayKernels:
         ch.G_d[:, cfg.n1 + cfg.n2:] = 0.0
         obs = observe(ch, (cfg.n1, cfg.n2), frame, state)
         obs.sigma2 = 1e-9
-        args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                cfg.p_low_w)
+        args = (ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(obs, *args)
             assert det.ris_bit == 0
@@ -529,11 +527,10 @@ class TestArrayKernels:
         ch.G_d = np.zeros_like(ch.G_d)
         # the same samples, scored against the zeroed channel's effective channels
         obs.eff = observe(ch, (cfg.n1, cfg.n2), frame, state).eff
-        args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                cfg.p_low_w)
+        args = (ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(obs, *args)
-            assert tuple(det.codeword) == codewords(ctx.codebook)[0]
+            assert det.alpha == 0
             assert det.ris_bit == 0
             assert tuple(det.symbol_labels) == (0, 0)
 
@@ -565,18 +562,20 @@ class TestArrayKernels:
             assert got[0] == -math.inf
 
     def test_llr_detect_equals_its_stages(self):
-        # one set of slot costs feeds the LLR stage and the symbol search
+        # one set of slot costs feeds the LLR stage and the symbol search; a
+        # third information row of eff makes J = 3
         cfg = make_config(trials=1)
         for trial in range(20):
-            ctx, obs, frame, *_ = build_observation(cfg, snr_db=0.0, trial=trial)
-            info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
-            llr = llr_per_slot(info_cost, pow_cost, obs.sigma2, 8, 2)
-            codeword = codewords(ctx.codebook)[select_info_slots(llr, ctx.codebook)]
-            labels, _, c, _ = ml_symbol_phase(info_cost, codeword, ctx.phase_set.phi_info)
-            det = llr_detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                             frame.omega, cfg.p_low_w)
-            assert ((tuple(det.codeword), tuple(det.symbol_labels), det.ris_bit)
-                    == (codeword, tuple(labels), c))
+            ctx, block, frame, *_ = build_observation(cfg, snr_db=0.0, trial=trial)
+            for obs, j in ((block, 2), (_three_phase(block), 3)):
+                info_cost, pow_cost = _costs(ctx, obs, frame, cfg)
+                llr = llr_per_slot(info_cost, pow_cost, obs.sigma2, 8, 2)
+                alpha = select_info_slots(llr, ctx.codebook)
+                labels, c = ml_symbol_phase(info_cost, ctx.codebook.slot_index[alpha])
+                det = llr_detect(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
+                assert ((det.alpha, tuple(det.symbol_labels), det.ris_bit)
+                        == (alpha, tuple(labels), c))
+                assert det.visited == 8 * (j * 4 + 1)
 
     def test_bit_tables(self):
         for cb in (build_codebook(8, 4), build_codebook(4, 2, "table1"),
@@ -609,20 +608,15 @@ def _block_at_points(cfg, trial):
     return ctx, frame, state, clean, draw_noise(clean.y.shape, rng), bits
 
 
-def _assert_rows_equal(batched, singles, codebook):
+def _assert_rows_equal(batched, singles):
     """Each point of a batched detection equals the detection of that point
-    on its own: codeword index, labels, symbols, phase, surface and data
-    bits."""
+    on its own: codeword index, labels, surface and data bits."""
     assert len(batched.ris_bit) == len(singles)
     for s, det in enumerate(singles):
-        codeword = tuple(int(x) for x in batched.codeword[s])
-        assert codeword_index(codebook, codeword) == codeword_index(codebook, det.codeword)
+        assert batched.alpha[s] == det.alpha
         assert tuple(int(x) for x in batched.symbol_labels[s]) == tuple(det.symbol_labels)
-        np.testing.assert_array_equal(batched.symbols[s], det.symbols)
-        assert batched.info_phase[s] == det.info_phase
         assert batched.ris_bit[s] == det.ris_bit
         np.testing.assert_array_equal(batched.ptx_bits[s], det.ptx_bits)
-        assert batched.detector == det.detector
 
 
 class TestPointBatch:
@@ -647,8 +641,7 @@ class TestPointBatch:
         sigma2s = self.GRID if grid == "sweep" else self.REPEATED
         for trial in range(4):
             ctx, frame, _, clean, unit, _ = _block_at_points(cfg, trial)
-            args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                    cfg.p_low_w, cfg.paper_compat)
+            args = (ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w, cfg.paper_compat)
             stacked = clean.with_noise(sigma2s, unit)
             points = [clean.with_noise(s2, unit) for s2 in sigma2s]
             np.testing.assert_array_equal(stacked.sigma2, sigma2s)
@@ -659,7 +652,7 @@ class TestPointBatch:
                                                               cfg.p_low_w, frame.omega)):
                     np.testing.assert_array_equal(batch_cost[s], cost)
             singles = [detect(obs, *args) for obs in points]
-            _assert_rows_equal(detect(stacked, *args), singles, ctx.codebook)
+            _assert_rows_equal(detect(stacked, *args), singles)
 
     def test_llr_stages_equal_points(self):
         cfg = make_config(trials=1)
@@ -670,17 +663,14 @@ class TestPointBatch:
             info_cost, pow_cost = slot_costs(stacked, *args)
             llr = llr_per_slot(info_cost, pow_cost, stacked.sigma2, 8, 2)
             alpha = select_info_slots(llr, ctx.codebook)
-            slots = ctx.codebook.slot_index[alpha] + 1
-            labels, phases, c, visited = ml_symbol_phase(info_cost, slots, ctx.phase_set.phi_info)
-            assert visited == len(self.REPEATED) * 2 * 4 * 2
+            labels, c = ml_symbol_phase(info_cost, ctx.codebook.slot_index[alpha])
             for s, s2 in enumerate(self.REPEATED):
                 obs = clean.with_noise(s2, unit)
                 point_info, point_pow = slot_costs(obs, *args)
                 np.testing.assert_array_equal(llr[s], llr_per_slot(point_info, point_pow, s2, 8, 2))
-                codeword = codewords(ctx.codebook)[select_info_slots(llr[s], ctx.codebook)]
-                assert codeword_index(ctx.codebook, codeword) == alpha[s]
-                want = ml_symbol_phase(point_info, codeword, ctx.phase_set.phi_info)
-                assert (tuple(labels[s]), phases[s], c[s]) == (tuple(want[0]), *want[1:3])
+                assert select_info_slots(llr[s], ctx.codebook) == alpha[s]
+                want = ml_symbol_phase(point_info, ctx.codebook.slot_index[alpha[s]])
+                assert (tuple(labels[s]), c[s]) == (tuple(want[0]), want[1])
 
     def test_ml_batch_with_zero_variance(self):
         cfg = make_config(trials=1, k_slots=4, l_slots=2, codebook_strategy="table1",
@@ -688,12 +678,11 @@ class TestPointBatch:
         sigma2s = (self.GRID[1], 0.0, self.GRID[4], 0.0)
         for trial in range(6):
             ctx, frame, _, clean, unit, bits = _block_at_points(cfg, trial)
-            args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                    cfg.p_low_w)
+            args = (ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
             stacked = clean.with_noise(sigma2s, unit)
             assert stacked.y[1].tobytes() == clean.y.tobytes()   # no 0 * unit added
             singles = [ml_joint_detect(clean.with_noise(s2, unit), *args) for s2 in sigma2s]
-            _assert_rows_equal(ml_joint_detect(stacked, *args), singles, ctx.codebook)
+            _assert_rows_equal(ml_joint_detect(stacked, *args), singles)
             np.testing.assert_array_equal(singles[1].ptx_bits, bits)
 
     def test_noise_free_stack_needs_no_unit_noise(self, small_cfg):
@@ -718,13 +707,13 @@ class TestPointBatch:
         info_cost[1, :, 2, 0] = info_cost[1, :, 3, 0] = 0.0   # symbols 2 and 3 tie, both phases
         info_cost[2, 1, :, :] = 0.0                        # phase 1 better
         info_cost[2, 0, 1, :] = 0.0                        # ... until phase 0 ties it
-        slots = np.array([(1, 3), (1, 4), (2, 3)])
-        labels, phases, c, _ = ml_symbol_phase(info_cost, slots, (0.1, 0.2))
+        slots = np.array([(0, 2), (0, 3), (1, 2)])
+        labels, c = ml_symbol_phase(info_cost, slots)
         assert c.tolist() == [0, 0, 0]
         assert labels.tolist() == [[0, 0], [2, 0], [1, 1]]
         for s in range(3):
-            want = ml_symbol_phase(info_cost[s], tuple(slots[s]), (0.1, 0.2))
-            assert (tuple(labels[s]), phases[s], c[s]) == (tuple(want[0]), *want[1:3])
+            want = ml_symbol_phase(info_cost[s], tuple(slots[s]))
+            assert (tuple(labels[s]), c[s]) == (tuple(want[0]), want[1])
 
     def test_tied_blocks_take_first_hypothesis(self, small_cfg):
         cfg = small_cfg
@@ -732,14 +721,13 @@ class TestPointBatch:
         ch = draw_channel(ctx.channel_model, trial_rng(cfg.seed, 2))
         ch.h_d = np.zeros_like(ch.h_d)
         ch.G_d = np.zeros_like(ch.G_d)
-        args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                cfg.p_low_w)
+        args = (ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
         zeroed = observe(ch, (cfg.n1, cfg.n2), frame, state)
         stacked = Observation(np.zeros((3,) + clean.y.shape, complex), np.array(self.GRID[:3]),
                               zeroed.eff)
         for detect in (ml_joint_detect, llr_detect):
             det = detect(stacked, *args)
-            assert det.codeword.tolist() == [list(codewords(ctx.codebook)[0])] * 3
+            assert det.alpha.tolist() == [0, 0, 0]
             assert det.ris_bit.tolist() == [0, 0, 0]
             assert det.symbol_labels.tolist() == [[0, 0]] * 3
 
@@ -751,8 +739,7 @@ class TestPointBatch:
         cfg = make_config(trials=1, detector=detector, **overrides)
         detect = ml_joint_detect if detector == "ml" else llr_detect
         ctx, frame, _, clean, unit, _ = _block_at_points(cfg, 0)
-        args = (ctx.codebook, ctx.constellation, ctx.phase_set.phi_info, frame.omega,
-                cfg.p_low_w, False)
+        args = (ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w, False)
         assert detect(clean.with_noise(self.GRID, unit), *args).visited == 7 * per_point
         assert detect(clean.with_noise(self.GRID[0], unit), *args).visited == per_point
 
@@ -763,8 +750,7 @@ class TestPointBatch:
         stacked = clean.with_noise(self.GRID[:3], unit)
         stacked.sigma2 = np.array([self.GRID[0], bad, self.GRID[2]])
         with pytest.raises(ValueError, match="positive noise variance"):
-            llr_detect(stacked, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                       frame.omega, cfg.p_low_w, False)
+            llr_detect(stacked, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w, False)
 
 
 def test_unit_noise_any_shape_and_stacked_draws():

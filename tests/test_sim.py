@@ -149,8 +149,7 @@ class TestBlockTrial:
         ptx_errors = 0
         for i in range(20):
             ctx, obs, frame, _, bits, ris_bit, _ = build_observation(cfg, 0.0, trial=i)
-            det = detect(obs, ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                         frame.omega, cfg.p_low_w)
+            det = detect(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
             rec = run_block_trial(ctx, i)
             assert rec.ptx_errors == int(np.sum(det.ptx_bits != bits))
             assert rec.ris_errors == int(det.ris_bit != ris_bit)

@@ -14,7 +14,6 @@ from timsr.txphy import (
     build_benchmark_codebook,
     build_codebook,
     build_constellation,
-    codeword_to_tau,
     decode_frame,
     encode_block,
     int_to_bits,
@@ -91,7 +90,7 @@ class TestCodebook:
                 codeword_index(cb, excluded)
             message = re.escape(f"selection {excluded} is not a legitimate")
             with pytest.raises(ValueError, match=message):
-                decode_frame(codeword_to_tau(excluded, 4), const.points[[0, 0]], cb, const)
+                decode_frame(np.isin(np.arange(1, 5), excluded), const.points[[0, 0]], cb, const)
 
     def test_four_two_count_any_strategy(self):
         # C(4,2) = 6 combinations, floor(log2 6) = 2 index bits
@@ -224,7 +223,7 @@ class TestDecode:
         bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=eta, max_size=eta)))
         frame = encode_block(bits, cb, const, 1.0, 4.0)
         assert frame.tau.sum() == l
-        assert tuple(frame.codeword) in codewords(cb)
+        assert tuple(np.flatnonzero(frame.tau) + 1) in codewords(cb)
         symbols = frame.samples[frame.tau == 1]
         np.testing.assert_array_equal(decode_frame(frame.tau, symbols, cb, const), bits)
 
@@ -260,6 +259,3 @@ def test_constellation_equals_only_itself():
     a = build_constellation(2)
     assert (a == build_constellation(2)) is False and (a == a) is True
 
-
-def test_codeword_to_tau():
-    np.testing.assert_array_equal(codeword_to_tau((2, 3), 4), [0, 1, 1, 0])
