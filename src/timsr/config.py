@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass, fields
 
 from .channel import LOS_PHASE_POLICIES, link_shapes, path_gain
@@ -121,6 +120,14 @@ class SimConfig:
                                  f"got {p_on} W and {p_sat} W")
         if self.carrier_ghz <= 0:
             raise ValueError(f"carrier_ghz must be positive, got {self.carrier_ghz}")
+        for name in ("d_tx_ris_m", "d_ris_rx_m", "d_direct_m"):    # link power gains
+            try:
+                gain = path_gain(getattr(self, name), self.carrier_ghz)
+            except OverflowError:
+                gain = math.inf
+            if not 0.0 < gain <= 1.0:
+                raise ValueError(f"{name} = {getattr(self, name)} m at carrier_ghz = "
+                                 f"{self.carrier_ghz} gives path gain {gain}, outside (0, 1]")
         max_l = self.k_slots if self.scheme == "benchmark" else self.k_slots - 1
         if not 1 <= self.l_slots <= max_l:
             raise ValueError(f"need 1 <= l_slots <= {max_l} for scheme {self.scheme!r}")
@@ -128,11 +135,7 @@ class SimConfig:
                 and (self.k_slots, self.l_slots) != (4, 2)):
             raise ValueError(f"the table1 preset is defined only for K=4, L=2, "
                              f"got K={self.k_slots}, L={self.l_slots}")
-        values, array = trial_values(self, len(self.snr_db_grid))
-        if values > TRIAL_MAX_VALUES:
-            fewer = " or fewer SNR points" if re.search(r"\bS\b", array) else ""
-            raise ValueError(f"one trial would hold {values} {array}, more than "
-                             f"{TRIAL_MAX_VALUES}; use a smaller layout{fewer}")
+        trial_values(self, len(self.snr_db_grid))          # the size guard
         if self.n1 < 0 or self.n2 < 0 or self.n1 + self.n2 > self.n_cells:
             raise ValueError(
                 f"cell split n1={self.n1}, n2={self.n2} incompatible with n_cells={self.n_cells}"
@@ -169,25 +172,37 @@ class SimConfig:
         return dbm_to_watts(self.p_high_dbm)
 
 
-def trial_values(cfg: SimConfig, n_points: int) -> tuple:
-    """The largest array one trial holds at ``n_points`` noise variances:
-    its count of float64 values, and its name with its product. A trial
-    draws its links' normals; both detectors form the slot-cost differences
-    of ``rx.slot_costs``, counted here as if all were held at once, though
-    the kernel holds them one antenna at a time, so the count is an upper
-    bound; LLR gathers a codeword's slot LLRs, joint ML its slot minima per
-    phase. No per-run table is larger: the codebook holds |A| * L slots and
-    the constellation M points."""
-    s, j, l = n_points, len(phase_set_2bit().phi_info), cfg.l_slots
+def trial_values(cfg: SimConfig, n_points: int, n_counts: int = 1) -> tuple:
+    """The largest array one trial holds at ``n_points`` noise variances and
+    ``n_counts`` absorber counts: its count of float64 values, and its name
+    with its product. A ValueError, advising fewer points of the grid the
+    array grows with, if it holds more than TRIAL_MAX_VALUES. A trial draws
+    its links' normals; both detectors form the slot-cost differences of
+    ``rx.slot_costs``, counted here as if all were held at once, though the
+    kernel holds them one antenna at a time, so the count is an upper bound;
+    LLR gathers a codeword's slot LLRs, joint ML its slot minima per phase;
+    the harvester stacks its samples and effective channels over the counts.
+    No per-run table is larger: the codebook holds |A| * L slots and the
+    constellation M points."""
+    s, c, j, l = n_points, n_counts, len(phase_set_2bit().phi_info), cfg.l_slots
     n_cw = 1 if cfg.scheme == "benchmark" else 1 << index_bit_count(cfg.k_slots, l)
     link_entries = sum(map(math.prod, link_shapes(cfg.m_rx, cfg.n_cells).values()))
-    arrays = [("link normals", "2 * (M_R * (N + 1) + 2 * N + 1)", (2, link_entries)),
+    snr, n2 = "SNR points", "absorber counts"
+    arrays = [("link normals", "2 * (M_R * (N + 1) + 2 * N + 1)", (2, link_entries), ""),
               ("slot-cost differences", "2 * S * J * M * K * M_R",
-               (2, s, j, cfg.m_order, cfg.k_slots, cfg.m_rx)),
-              ("codeword slot LLRs", "S * |A| * L", (s, n_cw, l)) if cfg.detector == "llr"
-              else ("codeword slot minima", "S * J * |A| * L", (s, j, n_cw, l))]
-    return max((math.prod(factors), f"{name} ({product} = {' * '.join(map(str, factors))})")
-               for name, product, factors in arrays)
+               (2, s, j, cfg.m_order, cfg.k_slots, cfg.m_rx), snr),
+              ("codeword slot LLRs", "S * |A| * L", (s, n_cw, l), snr) if cfg.detector == "llr"
+              else ("codeword slot minima", "S * J * |A| * L", (s, j, n_cw, l), snr),
+              ("harvester samples", "2 * C * K", (2, c, cfg.k_slots), n2),
+              ("harvester effective channels", "2 * C * (J + 1)", (2, c, j + 1), n2)]
+    values, array, grid = max((math.prod(factors), f"{name} ({product} = "
+                               f"{' * '.join(map(str, factors))})", grid)
+                              for name, product, factors, grid in arrays)
+    if values > TRIAL_MAX_VALUES:
+        fewer = f" or fewer {grid}" if grid else ""
+        raise ValueError(f"one trial would hold {values} {array}, more than "
+                         f"{TRIAL_MAX_VALUES}; use a smaller layout{fewer}")
+    return values, array
 
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",

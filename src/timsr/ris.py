@@ -1,6 +1,7 @@
 """Surface-side models: the 2-bit phase set, group-1 co-phasing, each
 block's reflection rows, the rectenna harvest curve, and the power budget
-that decides whether the surface can run off harvested energy alone.
+that decides whether the surface can run off harvested energy alone. One
+call, :func:`ris_power_consumption`, gives the draw of both cell technologies.
 
 :func:`received` states the received-signal model once, over the cascades
 of the two reflecting groups (the absorbers feed the surface rectenna), for
@@ -123,35 +124,15 @@ def clc_dc_power(q_w, model: RectennaModel):
     return model.efficiency * np.clip(q - model.p_on_w, 0.0, model.p_sat_w - model.p_on_w)
 
 
-@dataclass(frozen=True)
-class RisPowerBudget:
-    """Consumption model of the integrated controller architecture: one
-    controller drives ``n_per_controller`` cells; the per-cell dynamic term
-    depends on the cell technology."""
-
-    n_cells: int
-    n_per_controller: int
-    p_controller_w: float
-    technology: str
-    p_switch_w: float
-    p_drive_w: float
-    p_varactor_w: float
-
-    def __post_init__(self):
-        if self.n_cells < 1 or self.n_per_controller < 1:
-            raise ValueError("cell and controller counts must be >= 1")
-        if self.technology not in TECHNOLOGIES:
-            raise ValueError(f"unknown cell technology {self.technology!r}")
-
-
-def ris_power_consumption(budget: RisPowerBudget) -> float:
-    """Total surface power draw in watts (static controllers + per-cell)."""
-    static = math.ceil(budget.n_cells / budget.n_per_controller) * budget.p_controller_w
-    if budget.technology == TECH_RF_SWITCH:
-        dynamic = budget.n_cells * budget.p_switch_w
-    else:
-        dynamic = budget.n_cells * (2.0 * budget.p_drive_w + budget.p_varactor_w)
-    return static + dynamic
+def ris_power_consumption(n_cells: int, n_per_controller: int, p_controller_w: float,
+                          p_switch_w: float, p_drive_w: float, p_varactor_w: float) -> tuple:
+    """Surface power draw in watts ``(rf_switch_w, varactor_w)`` of the
+    integrated controller architecture: one controller per ``n_per_controller``
+    cells, plus each cell's switch, or its two drive circuits and varactor."""
+    if n_cells < 1 or n_per_controller < 1:
+        raise ValueError("cell and controller counts must be >= 1")
+    static = math.ceil(n_cells / n_per_controller) * p_controller_w
+    return static + n_cells * p_switch_w, static + n_cells * (2.0 * p_drive_w + p_varactor_w)
 
 
 def received(direct, casc, state: RisState, tau, samples):

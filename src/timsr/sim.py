@@ -33,9 +33,7 @@ from .channel import ChannelModel
 from .config import SimConfig, _fits, config_hash, direct_snr_sigma2, trial_values
 from .ris import (
     RectennaModel,
-    RisPowerBudget,
     TECH_RF_SWITCH,
-    TECH_VARACTOR,
     clc_dc_power,
     harvest_inputs,
     make_ris_state,
@@ -86,10 +84,9 @@ def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
     else:
         codebook = build_codebook(cfg.k_slots, cfg.l_slots, cfg.codebook_strategy)
     constellation = build_constellation(cfg.m_order, cfg.constellation)
-    p_rf, p_var = (ris_power_consumption(RisPowerBudget(
-        cfg.n_cells, cfg.n_cb, cfg.p_cb_uw * 1e-6, technology, cfg.p_switch_uw * 1e-6,
-        cfg.p_drive_uw * 1e-6, cfg.p_varactor_uw * 1e-6))
-        for technology in (TECH_RF_SWITCH, TECH_VARACTOR))
+    p_rf, p_var = ris_power_consumption(cfg.n_cells, cfg.n_cb, cfg.p_cb_uw * 1e-6,
+                                        cfg.p_switch_uw * 1e-6, cfg.p_drive_uw * 1e-6,
+                                        cfg.p_varactor_uw * 1e-6)
     eta_r = codebook.bits_index
     return RunContext(
         cfg=cfg,
@@ -173,11 +170,11 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
 _BATCH_BYTES = 1 << 20
 
 
-def _batch_size(ctx: RunContext, n_points: int) -> int:
+def _batch_size(ctx: RunContext, n_points: int, n_counts: int = 1) -> int:
     """Trials per batch: as many as keep the largest array within _BATCH_BYTES,
-    counted in float64 values per trial by ``config.trial_values``, the
-    count the config guard bounds."""
-    return max(1, _BATCH_BYTES // (8 * trial_values(ctx.cfg, n_points)[0]))
+    counted in float64 values per trial by ``config.trial_values`` at those
+    noise variances and absorber counts, the count the config guard bounds."""
+    return max(1, _BATCH_BYTES // (8 * trial_values(ctx.cfg, n_points, n_counts)[0]))
 
 
 def _joined(tallies) -> Tally:
@@ -193,7 +190,7 @@ def _run_shard(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
         found = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {cpu})
     try:
-        size = _batch_size(ctx, len(sigma2s))
+        size = _batch_size(ctx, len(sigma2s), len(n2s))
         return _joined([run_trials(ctx, n2s, sigma2s, a, min(a + size, stop))
                         for a in range(start, stop, size)])
     finally:
@@ -389,6 +386,7 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
             raise ValueError(f"absorber count {n2!r} is not a whole number from 0 to {top}")
 
     n2_grid = tuple(int(v) for v in n2_grid)
+    trial_values(cfg, 0, len(n2_grid))        # the size guard, at every count at once
     ctx = make_context(cfg, None)
     tally = _map_points(ctx, n2_grid, (), workers)
     rows = [_aggregate(ctx, tally, h, None, snr_db=None, n2=n2) for h, n2 in enumerate(n2_grid)]
@@ -417,12 +415,13 @@ class PowerBudgetReport:
 
 def power_budget_report(cfg: SimConfig, workers: int = 1) -> PowerBudgetReport:
     """Deterministic consumption figures for both cell technologies and the
-    harvest margin at the configured absorber count (fixed-seed blocks,
-    mapped over ``workers`` processes like a sweep's)."""
+    harvest margin at the configured absorber count, read from the harvest
+    sweep's row for it (fixed-seed blocks, mapped over ``workers`` processes)."""
     ctx = make_context(cfg, None)
     p_rf, p_var = ctx.p_ris_rf_w, ctx.p_ris_var_w
-    (dc_ris,) = _map_points(ctx, (cfg.n2,), (), workers).dc_ris_w
-    avg_dc = float(np.mean(dc_ris))
+    tally = _map_points(ctx, (cfg.n2,), (), workers)
+    row = _aggregate(ctx, tally, 0, None, snr_db=None, n2=cfg.n2)
+    avg_dc = float(np.mean(tally.dc_ris_w[0]))
     return PowerBudgetReport(
         p_ris_rf_w=p_rf,
         p_ris_varactor_w=p_var,
@@ -430,10 +429,10 @@ def power_budget_report(cfg: SimConfig, workers: int = 1) -> PowerBudgetReport:
         ratio_db=(10.0 * math.log10(p_var / p_rf) if p_var > 0 and p_rf > 0 else
                   math.nan if p_var == p_rf else math.copysign(math.inf, p_var - p_rf)),
         n2=cfg.n2,
-        blocks=len(dc_ris),
-        avg_dc_ris_uw=avg_dc * 1e6,
+        blocks=row.trials,
+        avg_dc_ris_uw=row.avg_dc_ris_uw,
         margin_rf_w=avg_dc - p_rf,
         margin_varactor_w=avg_dc - p_var,
-        standalone_frac_rf=float(np.mean(dc_ris >= p_rf)),
-        standalone_frac_var=float(np.mean(dc_ris >= p_var)),
+        standalone_frac_rf=row.standalone_frac_rf,
+        standalone_frac_var=row.standalone_frac_var,
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import timsr.sim
 from timsr import cli
 from timsr.cli import main
 from timsr.config import SimConfig
@@ -249,6 +250,21 @@ def test_overflowing_absorber_count_fails_cleanly(tmp_path, capsys):
     grid = "1" + "0" * 400
     assert main(["harvest-sweep", "--trials", "1", "--n2-grid", grid, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: absorber count {grid} is not a whole")
+    assert not out.exists()
+
+
+def test_oversized_absorber_grid_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # 4,097 counts of K = 4096 slots: the harvester would stack 2 * 4097 * 4096 samples
+    monkeypatch.setattr(timsr.sim, "_map_points", _no_sweep)
+    path = tmp_path / "long.cfg"
+    path.write_text("k_slots = 4096\nl_slots = 1\nm_rx = 1\nm_order = 2\nsnr_db_grid = 10\n")
+    out = tmp_path / "out.csv"
+    grid = ",".join(["0"] * 4097)
+    assert main(["harvest-sweep", "--config", str(path), "--trials", "1", "--n2-grid", grid,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: one trial would hold 33562624 harvester samples (2 * C * K = 2 * 4097 * 4096), "
+        "more than 33554432; use a smaller layout or fewer absorber counts\n")
     assert not out.exists()
 
 

@@ -20,7 +20,6 @@ from timsr.channel import ChannelModel, ChannelRealization, group_cascades
 from timsr.ris import (
     PhaseSet,
     RectennaModel,
-    RisPowerBudget,
     align_group1,
     clc_dc_power,
     harvest_inputs,
@@ -35,8 +34,8 @@ from timsr.sim import make_context
 from timsr.txphy import encode_block
 
 RIS_MODEL = RectennaModel(0.75, 150e-6, 70e-3)
-RF_BUDGET = RisPowerBudget(256, 4, 50e-6, "rf-switch", 1e-6, 40e-6, 0.0)
-VAR_BUDGET = RisPowerBudget(256, 4, 50e-6, "varactor", 1e-6, 40e-6, 0.0)
+# controller, switch, drive-circuit and varactor powers in watts
+BUDGET = (50e-6, 1e-6, 40e-6, 0.0)
 
 
 def tiny_realization(mu=0.0, n=4, n1=2):
@@ -219,33 +218,36 @@ class TestClc:
 class TestPowerBudget:
     def test_rf_switch_value(self):
         # ceil(256/4)*50uW + 256*1uW
-        assert ris_power_consumption(RF_BUDGET) == pytest.approx(3.456e-3, rel=1e-12)
+        assert ris_power_consumption(256, 4, *BUDGET)[0] == pytest.approx(3.456e-3, rel=1e-12)
 
     def test_varactor_value(self):
         # ceil(256/4)*50uW + 256*(2*40uW + 0)
-        assert ris_power_consumption(VAR_BUDGET) == pytest.approx(23.680e-3, rel=1e-12)
+        assert ris_power_consumption(256, 4, *BUDGET)[1] == pytest.approx(23.680e-3, rel=1e-12)
+
+    def test_static_term_then_per_cell_term(self):
+        # the controllers' draw first, then each technology's per-cell draw
+        assert ris_power_consumption(256, 4, 50e-6, 1e-6, 40e-6, 3e-6) == (
+            64 * 50e-6 + 256 * 1e-6, 64 * 50e-6 + 256 * (2.0 * 40e-6 + 3e-6))
 
     def test_ratio_db(self):
-        ratio = 10 * math.log10(ris_power_consumption(VAR_BUDGET) / ris_power_consumption(RF_BUDGET))
-        assert ratio == pytest.approx(8.36, abs=0.01)
+        rf, var = ris_power_consumption(256, 4, *BUDGET)
+        assert 10 * math.log10(var / rf) == pytest.approx(8.36, abs=0.01)
 
     def test_ceiling_matters(self):
-        odd = RisPowerBudget(257, 4, 50e-6, "rf-switch", 1e-6, 40e-6, 0.0)
-        assert ris_power_consumption(odd) == pytest.approx(65 * 50e-6 + 257 * 1e-6, rel=1e-12)
+        rf, _ = ris_power_consumption(257, 4, *BUDGET)
+        assert rf == pytest.approx(65 * 50e-6 + 257 * 1e-6, rel=1e-12)
 
     @settings(max_examples=60)
     @given(n=st.integers(1, 4096))
     def test_varactor_always_costlier_here(self, n):
         # holds whenever 2*p_drive + p_varactor > p_switch
-        rf = RisPowerBudget(n, 4, 50e-6, "rf-switch", 1e-6, 40e-6, 0.0)
-        var = RisPowerBudget(n, 4, 50e-6, "varactor", 1e-6, 40e-6, 0.0)
-        assert ris_power_consumption(var) > ris_power_consumption(rf)
+        rf, var = ris_power_consumption(n, 4, *BUDGET)
+        assert var > rf
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            RisPowerBudget(0, 4, 50e-6, "rf-switch", 1e-6, 40e-6, 0.0)
-        with pytest.raises(ValueError):
-            RisPowerBudget(4, 4, 50e-6, "pin-diode", 1e-6, 40e-6, 0.0)
+        for n_cells, n_per_controller in ((0, 4), (4, 0)):
+            with pytest.raises(ValueError, match="cell and controller counts must be >= 1"):
+                ris_power_consumption(n_cells, n_per_controller, *BUDGET)
 
 
 def harvester_view(ch, split, state, tau, samples):

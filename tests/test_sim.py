@@ -497,6 +497,17 @@ class TestTrialBatches:
     def test_benchmark_workload_batch_sizes(self, overrides, n_points, size):
         assert _batch_size(make_context(make_config(**overrides), None), n_points) == size
 
+    def test_absorber_grid_sizes_the_harvest_batch(self, monkeypatch):
+        # with no assist cells and every count 0..256, the harvester's samples
+        # stacked over 257 counts outgrow the 3,082 link normals
+        cfg = make_config(n1=0, trials=50)
+        batches, run = [], timsr.sim.run_trials
+        monkeypatch.setattr(timsr.sim, "run_trials", lambda ctx, n2s, sigma2s, a, b: (
+            batches.append(b - a) or run(ctx, n2s, sigma2s, a, b)))
+        harvest_sweep(cfg, range(257))
+        assert batches == [31, 19]
+        assert trial_values(cfg, 0, 257) == (4112, "harvester samples (2 * C * K = 2 * 257 * 8)")
+
     @pytest.mark.parametrize("kind", ["llr", "ml", "harvest"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_default_batch_size(self, kind, workers):
@@ -557,6 +568,18 @@ class TestPowerBudgetReport:
         cfg = make_config(n2=n2, trials=40, seed=3)
         assert power_budget_report(cfg, workers=1) == want
         assert power_budget_report(cfg, workers=2) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_the_harvest_row(self, workers):
+        # the report and a harvest sweep at its one absorber count agree
+        cfg = make_config(n2=46, trials=40, seed=3)
+        rep = power_budget_report(cfg, workers)
+        harvest = harvest_sweep(cfg, (cfg.n2,), workers)
+        (row,) = harvest.table.rows
+        assert (rep.blocks, rep.avg_dc_ris_uw, rep.standalone_frac_rf, rep.standalone_frac_var) == (
+            row.trials, row.avg_dc_ris_uw, row.standalone_frac_rf, row.standalone_frac_var)
+        assert (rep.p_ris_rf_w, rep.p_ris_varactor_w) == (harvest.p_ris_rf_w,
+                                                          harvest.p_ris_varactor_w)
 
     def test_scaling_with_cells(self):
         small = power_budget_report(make_config(trials=10))
@@ -655,6 +678,15 @@ class TestConfig:
         (dict(d_direct_m=0.99), "d_direct_m must be >= 1.0"),
         (dict(carrier_ghz=0.0), "carrier_ghz must be positive"),
         (dict(carrier_ghz=-2.0), "carrier_ghz must be positive"),
+        (dict(carrier_ghz=0.001), "d_tx_ris_m = 5.0 m at carrier_ghz = 0.001 gives path gain 34.5"),
+        (dict(carrier_ghz=0.02, d_tx_ris_m=1.0), r"d_tx_ris_m = 1.0 m at carrier_ghz = 0.02 "
+                                                 r"gives path gain 1.31[0-9]*, outside \(0, 1\]"),
+        (dict(d_ris_rx_m=1e300), r"d_ris_rx_m = 1e\+300 m at carrier_ghz = 2.0 "
+                                 r"gives path gain 0.0,"),
+        (dict(carrier_ghz=1e300), r"d_tx_ris_m = 5.0 m at carrier_ghz = 1e\+300 "
+                                  r"gives path gain 0.0,"),
+        (dict(carrier_ghz=1e-300), "d_tx_ris_m = 5.0 m at carrier_ghz = 1e-300 "
+                                   "gives path gain inf,"),
         (dict(n_cb=0), "n_cb must be >= 1"),
         (dict(m_order=6), "m_order must be a power of two"),
         (dict(m_order=1, constellation="psk"), "m_order must be a power of two"),
@@ -694,6 +726,8 @@ class TestConfig:
         (dict(snr_db_grid=[0.0, 10.0]), "snr_db_grid must be a tuple of numbers"),
         (dict(snr_db_grid=(0.0, "10")), "snr_db_grid must be a tuple of numbers"),
     ], ids=["kappa", "d_tx_ris", "d_ris_rx", "d_direct", "carrier_zero", "carrier_negative",
+            "gain_above_one", "gain_above_one_near", "gain_zero_far", "gain_zero_carrier",
+            "gain_overflow",
             "n_cb", "m_order_not_pow2", "m_order_below_2", "qam_8", "qam_32", "constellation",
             "los_phase_policy", "technology", "snr_overflow", "snr_underflow", "snr_inf",
             "snr_nan", "codebook_strategy", "table1_layout", "m_rx_zero", "n_cells_zero",
