@@ -8,8 +8,10 @@ count reads the same link draws in one stacked harvest pass
 (``ris.harvest_inputs``), and an SNR point scales the same unit noise.
 Trials run in batches sized from a byte budget: each trial's stream makes its
 own draws, then every step is one kernel call on the whole batch and grid,
-and each worker runs one contiguous shard of batches. When the caller's CPU
-mask holds at least one CPU per shard, each shard runs on a CPU of its own:
+and each worker runs one contiguous shard of batches. The caller runs the
+first shard; the rest run in one process pool that lives as long as this
+process and serves every later sweep with as many shards. When the caller's
+CPU mask holds at least one CPU per shard, each shard runs on a CPU of its own:
 the caller's shard on the CPU it was on when the sweep started, each worker's
 on the next CPU of the mask, and every process gets its mask back after its
 shard. Each point's counters are reduced once, in trial order, so results
@@ -23,9 +25,9 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -182,17 +184,17 @@ def _joined(tallies) -> Tally:
 
 
 def _run_shard(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: int,
-               cpu: int | None = None) -> Tally:
-    """Trials ``start`` to ``stop - 1`` as one tally, run in batches, on CPU
-    ``cpu`` alone when one is given; the mask it found is restored after."""
+               batch: int, cpu: int | None = None) -> Tally:
+    """Trials ``start`` to ``stop - 1`` as one tally, run in batches of
+    ``batch`` trials, on CPU ``cpu`` alone when one is given; the mask it
+    found is restored after."""
     found = None
     if cpu is not None:
         found = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {cpu})
     try:
-        size = _batch_size(ctx, len(sigma2s), len(n2s))
-        return _joined([run_trials(ctx, n2s, sigma2s, a, min(a + size, stop))
-                        for a in range(start, stop, size)])
+        return _joined([run_trials(ctx, n2s, sigma2s, a, min(a + batch, stop))
+                        for a in range(start, stop, batch)])
     finally:
         if found is not None:
             os.sched_setaffinity(0, found)
@@ -217,26 +219,62 @@ def _shard_cpus(shards: int) -> list | None:
     return [mask[(first + i) % len(mask)] for i in range(shards)]
 
 
+# The worker pool that this process's multi-worker sweeps share, as
+# (workers, pool): the first such sweep makes it, a sweep that needs another
+# number of workers replaces it, and concurrent.futures closes it at exit.
+# Sharing it, sweeps run from one thread at a time.
+_shared = None
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The shared pool of ``workers`` processes, made when there is none of
+    that size; one of another size is shut down first."""
+    global _shared
+    if _shared is None or _shared[0] != workers:
+        _drop_pool()
+        _shared = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _shared[1]
+
+
+def _drop_pool() -> None:
+    """Shut the shared pool down, if there is one: cancel what it has not
+    started and join its workers."""
+    global _shared
+    if _shared is not None:
+        pool, _shared = _shared[1], None
+        pool.shutdown(cancel_futures=True)
+
+
 def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Tally:
     """The counters of every trial as one tally, columns in trial order. Each
-    trial runs once for the whole grid, in one of at most ``workers`` shards.
-    This process runs the first shard while a process pool of its own runs
-    the rest, so a lone shard starts no pool. When there are CPUs enough
-    (``_shard_cpus``), each shard runs pinned to its own CPU, this process's
-    on the one it was on, and this process's mask is restored after."""
+    trial runs once for the whole grid, in one of at most ``workers`` shards,
+    all in batches of the size computed here. This process runs the first
+    shard while the shared pool (``_pool``) runs the rest, so a lone shard
+    uses no pool. A pool found broken is replaced once; when a shard raises,
+    the pool is dropped before the error propagates. When there are CPUs
+    enough (``_shard_cpus``), each shard runs pinned to its own CPU, this
+    process's on the one it was on, and this process's mask is restored after."""
     if not (_fits(workers, int) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n = ctx.cfg.trials
     size = -(-n // workers)
-    rest = range(size, n, size)
-    if not rest:
-        return _run_shard(ctx, n2s, sigma2s, 0, n)
-    cpus = _shard_cpus(1 + len(rest)) or [None] * (1 + len(rest))
-    args = (repeat(ctx), repeat(n2s), repeat(sigma2s), rest, (min(a + size, n) for a in rest),
-            cpus[1:])
-    with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-        shards = pool.map(_run_shard, *args)
-        return _joined([_run_shard(ctx, n2s, sigma2s, 0, size, cpus[0]), *shards])
+    starts = range(0, n, size)
+    batch = _batch_size(ctx, len(sigma2s), len(n2s))
+    if len(starts) == 1:
+        return _run_shard(ctx, n2s, sigma2s, 0, n, batch)
+    cpus = _shard_cpus(len(starts)) or [None] * len(starts)
+    first, *rest = [(ctx, n2s, sigma2s, a, min(a + size, n), batch, cpu)
+                    for a, cpu in zip(starts, cpus)]
+    try:
+        try:
+            shards = _pool(len(rest)).map(_run_shard, *zip(*rest))
+        except BrokenProcessPool:           # a worker died after the last sweep
+            _drop_pool()
+            shards = _pool(len(rest)).map(_run_shard, *zip(*rest))
+        return _joined([_run_shard(*first), *shards])
+    except BaseException:
+        _drop_pool()
+        raise
 
 
 # ---------------------------------------------------------------------------

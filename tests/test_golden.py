@@ -107,8 +107,9 @@ def test_sweep_bytes_on_three_workers(name, digests, tmp_path):
 @pytest.mark.parametrize("name", ["llr_8_2", "ml_8_2", "harvest_unsorted_repeated_w1"])
 def test_sweep_bytes_on_uneven_shards_and_batches(name, digests, tmp_path, monkeypatch):
     # 4 workers split the trials into shards of 12, 12, 12 and 9, and 7-trial
-    # batches divide none of them. Each sweep forks its pool after the batch
-    # size is forced, so the workers run the forced size too.
+    # batches divide none of them. The caller computes the forced batch size
+    # and sends it with every shard, so the workers run it too, though they
+    # may have been forked before the patch.
     monkeypatch.setattr(timsr.sim, "_batch_size", lambda *args: 7)
     assert [len(range(a, min(a + 12, TRIALS))) % 7 for a in range(0, TRIALS, 12)] == [5, 5, 5, 2]
     assert sha256(case_bytes(name, tmp_path, 4)) == digests[name]

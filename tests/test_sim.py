@@ -2,7 +2,13 @@ import math
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +44,8 @@ from timsr.sim import (
     trial_rng,
 )
 from timsr.txphy import encode_block
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestTrialRng:
@@ -278,19 +286,37 @@ def pointwise_row(point_cfg, snr_db):
 
 
 class InlinePool:
-    """Runs a sweep's worker shards in this process, after its own shard."""
+    """Stands in for ``timsr.sim._pool``: runs a sweep's worker shards in this
+    process, after its own shard, and never enters the shared cache."""
 
-    def __init__(self, max_workers):
+    def __init__(self, workers):
         pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+
+@pytest.fixture
+def fresh_pool():
+    """No shared worker pool when the test starts, and none of its making
+    left when it ends."""
+    timsr.sim._drop_pool()
+    yield
+    timsr.sim._drop_pool()
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Every worker pool that ``timsr.sim`` builds from here on, in order."""
+    pools = []
+
+    class CountingPool(timsr.sim.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", CountingPool)
+    return pools
 
 
 class TestFusedSweeps:
@@ -320,37 +346,122 @@ class TestFusedSweeps:
         class SizedPool(InlinePool):
             """Records its size and runs the tasks in this process."""
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, workers):
+                sizes.append(workers)
 
         cfg = make_config(trials=1)
         want = power_budget_report(cfg)
-        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", SizedPool)
+        monkeypatch.setattr(timsr.sim, "_pool", SizedPool)
         assert power_budget_report(cfg, workers=64) == want
         assert sizes == []          # one shard runs in this process
         cfg = make_config(snr_db_grid=(0.0, 10.0), trials=5)
         assert ber_sweep(cfg, workers=64).rows == ber_sweep(cfg).rows
         assert sizes == [4]         # this process runs the first of 5 shards
 
-    def test_one_pool_per_sweep(self, monkeypatch):
-        pools = []
+    def test_workers_run_the_callers_batch_size(self, monkeypatch):
+        # the worker shards run under the unpatched _batch_size, as in a
+        # worker forked before the patch, and still take 7-trial batches
+        unpatched, run_trials = timsr.sim._batch_size, timsr.sim.run_trials
+        batches = []
 
-        class CountingPool(timsr.sim.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
+        class StalePool(InlinePool):
+            def map(self, fn, *iterables):
+                with monkeypatch.context() as m:
+                    m.setattr(timsr.sim, "_batch_size", unpatched)
+                    return list(map(fn, *iterables))
 
-        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", CountingPool)
+        cfg = make_config(trials=30)
+        want = harvest_sweep(cfg, n2_grid=(0, 35)).table.rows
+        monkeypatch.setattr(timsr.sim, "_batch_size", lambda *args: 7)
+        monkeypatch.setattr(timsr.sim, "_pool", StalePool)
+        monkeypatch.setattr(timsr.sim, "run_trials", lambda ctx, n2s, sigma2s, a, b: (
+            batches.append((a, b)) or run_trials(ctx, n2s, sigma2s, a, b)))
+        assert harvest_sweep(cfg, n2_grid=(0, 35), workers=2).table.rows == want
+        assert sorted(batches) == [(0, 7), (7, 14), (14, 15), (15, 22), (22, 29), (29, 30)]
+
+
+class TestWorkerPool:
+    """Multi-worker sweeps share one pool per process and worker count; a
+    sweep that fails, or finds a worker dead, leaves no broken pool behind."""
+
+    GRID = (0, 16, 35)
+
+    def _rows(self, workers):
+        return harvest_sweep(make_config(trials=8), n2_grid=self.GRID,
+                             workers=workers).table.rows
+
+    def test_one_pool_per_worker_count(self, fresh_pool, counted_pools):
         cfg = make_config(snr_db_grid=(0.0, 10.0, 20.0), trials=8)
         ber_sweep(cfg, workers=2)
-        assert len(pools) == 1
         harvest_sweep(cfg, n2_grid=(0, 16, 32), workers=2)
-        assert len(pools) == 2
+        assert len(counted_pools) == 1
+        first = multiprocessing.active_children()
+        assert len(first) == 1
+        harvest_sweep(cfg, n2_grid=(0, 16, 32), workers=3)
+        assert len(counted_pools) == 2
+        assert not any(worker.is_alive() for worker in first)
 
-    def test_no_worker_outlives_its_sweep(self):
-        cfg = make_config(trials=6)
-        harvest_sweep(cfg, n2_grid=(0, 16, 35), workers=3)
+    def test_one_pool_serves_every_kind(self, fresh_pool, counted_pools):
+        llr = make_config(snr_db_grid=(0.0, 10.0), trials=8)
+        ml = make_config(detector="ml", k_slots=4, l_slots=2, codebook_strategy="table1",
+                         snr_db_grid=(0.0, 10.0), trials=8)
+        sweeps = [lambda w: ber_sweep(llr, workers=w).rows,
+                  lambda w: harvest_sweep(llr, n2_grid=self.GRID, workers=w).table.rows,
+                  lambda w: power_budget_report(llr, workers=w),
+                  lambda w: ber_sweep(ml, workers=w).rows]
+        want = [sweep(1) for sweep in sweeps]
+        assert [sweep(2) for sweep in sweeps] == want
+        assert len(counted_pools) == 1
+        assert sweeps[0](3) == want[0]
+        assert len(counted_pools) == 2
+
+    def test_no_worker_outlives_the_process(self):
+        script = ("import multiprocessing\n"
+                  "from timsr import make_config\n"
+                  "from timsr.sim import harvest_sweep\n"
+                  "harvest_sweep(make_config(trials=8), n2_grid=(0, 16, 35), workers=2)\n"
+                  "print(*(worker.pid for worker in multiprocessing.active_children()))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        [pid] = [int(pid) for pid in run.stdout.split()]
+        with pytest.raises(ProcessLookupError):      # the worker is gone
+            os.kill(pid, 0)
+
+    def test_worker_killed_in_a_sweep(self, fresh_pool, monkeypatch):
+        # the worker, forked after the patch, waits; the caller's first batch
+        # kills it, so the worker's shard fails whatever the timing
+        want, run_trials, caller = self._rows(1), timsr.sim.run_trials, os.getpid()
+
+        def killing(*args):
+            if os.getpid() != caller:
+                time.sleep(60)
+            for worker in multiprocessing.active_children():
+                os.kill(worker.pid, signal.SIGKILL)
+            return run_trials(*args)
+
+        monkeypatch.setattr(timsr.sim, "run_trials", killing)
+        with pytest.raises(BrokenProcessPool):
+            self._rows(2)
+        assert timsr.sim._shared is None
         assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        assert self._rows(2) == want
+
+    def test_worker_killed_between_sweeps(self, fresh_pool):
+        want = self._rows(1)
+        assert self._rows(2) == want
+        pool = timsr.sim._pool(1)
+        [worker] = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        # the pool's own thread notices the death and marks the pool broken
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken
+        assert self._rows(2) == want
+        assert timsr.sim._pool(1) is not pool
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -369,7 +480,7 @@ class TestShardCpus:
             seen.append((start, os.sched_getaffinity(0)))
             return run_trials(ctx, n2s, sigma2s, start, stop)
 
-        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(timsr.sim, "_pool", InlinePool)
         monkeypatch.setattr(timsr.sim, "run_trials", recording)
         return seen
 
@@ -409,7 +520,7 @@ class TestShardCpus:
             pinned.append(os.sched_getaffinity(0))
             raise RuntimeError("shard failed")
 
-        monkeypatch.setattr(timsr.sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(timsr.sim, "_pool", InlinePool)
         monkeypatch.setattr(timsr.sim, "run_trials", failing)
         with pytest.raises(RuntimeError, match="shard failed"):
             harvest_sweep(make_config(trials=4), n2_grid=(0, 35), workers=2)
