@@ -8,14 +8,13 @@ count reads the same link draws in one stacked harvest pass
 (``ris.harvest_inputs``), and an SNR point scales the same unit noise.
 Trials run in batches sized from a byte budget: each trial's stream makes its
 own draws, then every step is one kernel call on the whole batch and grid,
-and each worker runs one contiguous shard of batches. The caller runs the
-first shard; the rest run in one process pool that lives as long as this
-process and serves every later sweep with as many shards. When the caller's
-CPU mask holds at least one CPU per shard, each shard runs on a CPU of its own:
-the caller's shard on the CPU it was on when the sweep started, each worker's
-on the next CPU of the mask, and every process gets its mask back after its
-shard. Each point's counters are reduced once, in trial order, so results
-are bit-stable.
+and each worker runs one contiguous shard of batches. A lone shard runs in
+the caller; more run in one process pool, a process per shard, that lives as
+long as this process and serves every later sweep with as many shards, while
+the caller only waits. Each shard carries the CPUs it runs on: one of its own
+when the caller's CPU mask holds one per shard, from the CPU the caller is on
+onwards, else the caller's whole mask. Each point's counters are reduced
+once, in trial order, so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -184,39 +183,38 @@ def _joined(tallies) -> Tally:
 
 
 def _run_shard(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: int,
-               batch: int, cpu: int | None = None) -> Tally:
+               batch: int, cpus: set | None = None) -> Tally:
     """Trials ``start`` to ``stop - 1`` as one tally, run in batches of
-    ``batch`` trials, on CPU ``cpu`` alone when one is given; the mask it
-    found is restored after."""
-    found = None
-    if cpu is not None:
-        found = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu})
-    try:
-        return _joined([run_trials(ctx, n2s, sigma2s, a, min(a + batch, stop))
-                        for a in range(start, stop, batch)])
-    finally:
-        if found is not None:
-            os.sched_setaffinity(0, found)
+    ``batch`` trials, on the CPU set ``cpus`` when one is given."""
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
+    return _joined([run_trials(ctx, n2s, sigma2s, a, min(a + batch, stop))
+                    for a in range(start, stop, batch)])
 
 
-def _shard_cpus(shards: int) -> list | None:
-    """A CPU for each of ``shards`` shards, or None to pin none: the CPU this
-    thread is on for the first, then the next CPUs of its mask in order,
-    wrapping round. None for more shards than CPUs, and where the platform
-    cannot set the mask or tell the current CPU."""
+def _shard_cpus(shards: int) -> list:
+    """The CPU set each of ``shards`` shards runs on. When this thread's mask
+    holds a CPU per shard, each gets one: the CPU this thread is on and the
+    next CPUs of the mask in order, wrapping round, with this thread's own
+    going to the last shard. The worker that reads the pool's task queue last
+    takes the last shard and, likely finishing last too, waits there for the
+    next sweep's task, on the CPU that this thread keeps awake while handing
+    that sweep out. Otherwise, or when this thread's CPU is unknown, each gets
+    the whole mask; where the platform cannot set a mask, each gets None."""
     if not hasattr(os, "sched_setaffinity"):
-        return None
+        return [None] * shards
     mask = sorted(os.sched_getaffinity(0))
-    if shards > len(mask):
-        return None
-    try:
-        with open("/proc/thread-self/stat") as stat:
-            # field 39, the CPU last run on, counted from field 3 after the name's ")"
-            first = mask.index(int(stat.read().rpartition(")")[2].split()[36]))
-    except (OSError, ValueError, IndexError):
-        return None
-    return [mask[(first + i) % len(mask)] for i in range(shards)]
+    if shards <= len(mask):
+        try:
+            with open("/proc/thread-self/stat") as stat:
+                # field 39, the CPU last run on, counted from field 3 after the name's ")"
+                first = mask.index(int(stat.read().rpartition(")")[2].split()[36]))
+        except (OSError, ValueError, IndexError):
+            pass
+        else:
+            cpus = [{mask[(first + i) % len(mask)]} for i in range(shards)]
+            return cpus[1:] + cpus[:1]
+    return [set(mask)] * shards
 
 
 # The worker pool that this process's multi-worker sweeps share, as
@@ -248,12 +246,11 @@ def _drop_pool() -> None:
 def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Tally:
     """The counters of every trial as one tally, columns in trial order. Each
     trial runs once for the whole grid, in one of at most ``workers`` shards,
-    all in batches of the size computed here. This process runs the first
-    shard while the shared pool (``_pool``) runs the rest, so a lone shard
-    uses no pool. A pool found broken is replaced once; when a shard raises,
-    the pool is dropped before the error propagates. When there are CPUs
-    enough (``_shard_cpus``), each shard runs pinned to its own CPU, this
-    process's on the one it was on, and this process's mask is restored after."""
+    all in batches of the size computed here. A lone shard runs in this
+    process; more run in the shared pool (``_pool``), one process each, on
+    the CPUs ``_shard_cpus`` gives them, while this process only waits. A pool
+    found broken is replaced once; when a shard raises, the pool is dropped
+    before the error propagates."""
     if not (_fits(workers, int) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n = ctx.cfg.trials
@@ -262,16 +259,15 @@ def _map_points(ctx: RunContext, n2s: tuple, sigma2s: tuple, workers: int) -> Ta
     batch = _batch_size(ctx, len(sigma2s), len(n2s))
     if len(starts) == 1:
         return _run_shard(ctx, n2s, sigma2s, 0, n, batch)
-    cpus = _shard_cpus(len(starts)) or [None] * len(starts)
-    first, *rest = [(ctx, n2s, sigma2s, a, min(a + size, n), batch, cpu)
-                    for a, cpu in zip(starts, cpus)]
+    shards = [(ctx, n2s, sigma2s, a, min(a + size, n), batch, cpus)
+              for a, cpus in zip(starts, _shard_cpus(len(starts)))]
     try:
         try:
-            shards = _pool(len(rest)).map(_run_shard, *zip(*rest))
+            tallies = _pool(len(shards)).map(_run_shard, *zip(*shards))
         except BrokenProcessPool:           # a worker died after the last sweep
             _drop_pool()
-            shards = _pool(len(rest)).map(_run_shard, *zip(*rest))
-        return _joined([_run_shard(*first), *shards])
+            tallies = _pool(len(shards)).map(_run_shard, *zip(*shards))
+        return _joined(tallies)
     except BaseException:
         _drop_pool()
         raise

@@ -1,9 +1,26 @@
+import os
+
 import numpy as np
 import pytest
 
 from timsr import make_config
 from timsr.rx import unit_noise
 from timsr.sim import direct_snr_sigma2, make_context, trial_rng
+
+
+@pytest.fixture(autouse=True)
+def cpu_mask_kept():
+    """Fails a test that leaves this process's CPU mask changed, once the mask
+    is back, so no later test runs narrowed."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    yield
+    left = os.sched_getaffinity(0)
+    if left != mask:
+        os.sched_setaffinity(0, mask)
+        pytest.fail(f"the test left the CPU mask {sorted(left)}, not {sorted(mask)}")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import io
 import math
 import multiprocessing
 import os
@@ -286,14 +287,23 @@ def pointwise_row(point_cfg, snr_db):
 
 
 class InlinePool:
-    """Stands in for ``timsr.sim._pool``: runs a sweep's worker shards in this
-    process, after its own shard, and never enters the shared cache."""
+    """Stands in for ``timsr.sim._pool``: runs a sweep's shards one by one in
+    this process, giving it back its CPU mask after each as a worker of its
+    own would, and never enters the shared cache."""
 
     def __init__(self, workers):
         pass
 
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        return [self._run(fn, *args) for args in zip(*iterables)]
+
+    @staticmethod
+    def _run(fn, *args):
+        mask = os.sched_getaffinity(0)
+        try:
+            return fn(*args)
+        finally:
+            os.sched_setaffinity(0, mask)
 
 
 @pytest.fixture
@@ -356,7 +366,7 @@ class TestFusedSweeps:
         assert sizes == []          # one shard runs in this process
         cfg = make_config(snr_db_grid=(0.0, 10.0), trials=5)
         assert ber_sweep(cfg, workers=64).rows == ber_sweep(cfg).rows
-        assert sizes == [4]         # this process runs the first of 5 shards
+        assert sizes == [5]         # a worker for each of 5 shards
 
     def test_workers_run_the_callers_batch_size(self, monkeypatch):
         # the worker shards run under the unpatched _batch_size, as in a
@@ -368,7 +378,7 @@ class TestFusedSweeps:
             def map(self, fn, *iterables):
                 with monkeypatch.context() as m:
                     m.setattr(timsr.sim, "_batch_size", unpatched)
-                    return list(map(fn, *iterables))
+                    return super().map(fn, *iterables)
 
         cfg = make_config(trials=30)
         want = harvest_sweep(cfg, n2_grid=(0, 35)).table.rows
@@ -396,7 +406,7 @@ class TestWorkerPool:
         harvest_sweep(cfg, n2_grid=(0, 16, 32), workers=2)
         assert len(counted_pools) == 1
         first = multiprocessing.active_children()
-        assert len(first) == 1
+        assert len(first) == 2
         harvest_sweep(cfg, n2_grid=(0, 16, 32), workers=3)
         assert len(counted_pools) == 2
         assert not any(worker.is_alive() for worker in first)
@@ -425,21 +435,21 @@ class TestWorkerPool:
             filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=60, check=True)
-        [pid] = [int(pid) for pid in run.stdout.split()]
-        with pytest.raises(ProcessLookupError):      # the worker is gone
-            os.kill(pid, 0)
+        pids = [int(pid) for pid in run.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):      # the worker is gone
+                os.kill(pid, 0)
 
     def test_worker_killed_in_a_sweep(self, fresh_pool, monkeypatch):
-        # the worker, forked after the patch, waits; the caller's first batch
-        # kills it, so the worker's shard fails whatever the timing
+        # the workers, forked after the patch, run the second shard's first
+        # batch only to kill their own process
         want, run_trials, caller = self._rows(1), timsr.sim.run_trials, os.getpid()
 
-        def killing(*args):
-            if os.getpid() != caller:
-                time.sleep(60)
-            for worker in multiprocessing.active_children():
-                os.kill(worker.pid, signal.SIGKILL)
-            return run_trials(*args)
+        def killing(ctx, n2s, sigma2s, start, stop):
+            if os.getpid() != caller and start > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_trials(ctx, n2s, sigma2s, start, stop)
 
         monkeypatch.setattr(timsr.sim, "run_trials", killing)
         with pytest.raises(BrokenProcessPool):
@@ -452,8 +462,8 @@ class TestWorkerPool:
     def test_worker_killed_between_sweeps(self, fresh_pool):
         want = self._rows(1)
         assert self._rows(2) == want
-        pool = timsr.sim._pool(1)
-        [worker] = multiprocessing.active_children()
+        pool = timsr.sim._pool(2)
+        worker, _ = multiprocessing.active_children()
         os.kill(worker.pid, signal.SIGKILL)
         # the pool's own thread notices the death and marks the pool broken
         deadline = time.monotonic() + 30
@@ -461,14 +471,17 @@ class TestWorkerPool:
             time.sleep(0.01)
         assert pool._broken
         assert self._rows(2) == want
-        assert timsr.sim._pool(1) is not pool
+        assert timsr.sim._pool(2) is not pool
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs settable CPU affinity and at least 2 CPUs")
 class TestShardCpus:
-    """A multi-worker sweep pins each shard to a CPU of its own when the mask
-    has enough, and leaves every mask as it found it."""
+    """Every shard of a multi-worker sweep runs on the CPUs it is sent: a CPU
+    of its own when the caller's mask has enough, else the caller's whole
+    mask. The caller never sets its own mask."""
+
+    GRID = (0, 16, 35)
 
     def _masks(self, monkeypatch):
         """Pools run inline, and each batch records (its first trial, the mask
@@ -483,6 +496,10 @@ class TestShardCpus:
         monkeypatch.setattr(timsr.sim, "_pool", InlinePool)
         monkeypatch.setattr(timsr.sim, "run_trials", recording)
         return seen
+
+    def _rows(self, workers, trials=40):
+        return harvest_sweep(make_config(trials=trials), n2_grid=self.GRID,
+                             workers=workers).table.rows
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_each_shard_on_its_own_cpu(self, monkeypatch, workers):
@@ -503,6 +520,16 @@ class TestShardCpus:
         monkeypatch.undo()
         assert rows == harvest_sweep(cfg, n2_grid=(0, 35)).table.rows
 
+    @pytest.mark.parametrize("shards, want", [(2, [{3}, {2}]), (3, [{3}, {0}, {2}]),
+                                              (4, [{3}, {0}, {1}, {2}])])
+    def test_last_shard_on_the_callers_cpu(self, monkeypatch, shards, want):
+        # a 4-CPU mask with the caller on CPU 2: the CPUs after it in order,
+        # wrapping round, then its own
+        stat = "1 (python) " + " ".join(["0"] * 36 + ["2"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(timsr.sim, "open", lambda *args: io.StringIO(stat), raising=False)
+        assert timsr.sim._shard_cpus(shards) == want
+
     def test_more_shards_than_cpus_pin_nothing(self, monkeypatch):
         mask = os.sched_getaffinity(0)
         seen = self._masks(monkeypatch)
@@ -512,32 +539,61 @@ class TestShardCpus:
         assert all(ran_on == mask for _, ran_on in seen)
         assert os.sched_getaffinity(0) == mask
 
-    def test_mask_restored_when_the_callers_shard_raises(self, monkeypatch):
-        mask = os.sched_getaffinity(0)
-        pinned = []
+    def test_caller_never_sets_its_mask(self, fresh_pool, monkeypatch):
+        # the workers, forked after the patches, pin themselves and raise
+        calls, caller, setaffinity = [], os.getpid(), os.sched_setaffinity
+
+        def recording(pid, cpus):
+            if os.getpid() == caller:
+                calls.append(cpus)
+            setaffinity(pid, cpus)
 
         def failing(*args):
-            pinned.append(os.sched_getaffinity(0))
             raise RuntimeError("shard failed")
 
-        monkeypatch.setattr(timsr.sim, "_pool", InlinePool)
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
         monkeypatch.setattr(timsr.sim, "run_trials", failing)
         with pytest.raises(RuntimeError, match="shard failed"):
-            harvest_sweep(make_config(trials=4), n2_grid=(0, 35), workers=2)
-        assert len(pinned) == 1 and len(pinned[0]) == 1
-        assert os.sched_getaffinity(0) == mask
+            self._rows(2, trials=4)
+        assert calls == []
+        assert timsr.sim._shared is None
 
-    def test_caller_on_one_cpu_pins_nothing(self):
+    def test_workers_follow_a_narrowed_mask(self, fresh_pool):
+        # the pool outlives the first sweep, so its workers were forked on
+        # the wider mask; each must still run on the CPU it is sent
         mask = os.sched_getaffinity(0)
         one = {min(mask)}
-        cfg = make_config(trials=8)
-        want = harvest_sweep(cfg, n2_grid=(0, 16, 35)).table.rows
+        want = self._rows(1)
+        assert self._rows(2) == want
         os.sched_setaffinity(0, one)
         try:
-            assert harvest_sweep(cfg, n2_grid=(0, 16, 35), workers=2).table.rows == want
+            assert self._rows(2) == want
             assert os.sched_getaffinity(0) == one
+            workers = multiprocessing.active_children()
+            assert [os.sched_getaffinity(worker.pid) for worker in workers] == [one, one]
         finally:
             os.sched_setaffinity(0, mask)
+
+    def test_unknown_cpu_sends_every_shard_the_mask(self, fresh_pool, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        want = self._rows(1)
+        assert self._rows(2) == want       # the workers now run on one CPU each
+
+        def unreadable(*args, **kwargs):
+            raise OSError("no stat line")
+
+        monkeypatch.setattr(timsr.sim, "open", unreadable, raising=False)
+        assert timsr.sim._shard_cpus(2) == [mask, mask]
+        assert self._rows(2) == want
+        workers = multiprocessing.active_children()
+        assert [os.sched_getaffinity(worker.pid) for worker in workers] == [mask, mask]
+
+    def test_no_affinity_call_sends_no_cpus(self, fresh_pool, monkeypatch):
+        # a pool forked here lacks the call too, so none may outlive the test
+        want = self._rows(1)
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert timsr.sim._shard_cpus(2) == [None, None]
+        assert self._rows(2) == want
 
 
 def _grid(cfg, kind, sigma2s=None):
