@@ -5,6 +5,8 @@ batched, detected or aggregated that moves a single output byte fails here.
 Record the digests again (only for a deliberate, declared output change) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which names on stderr each key it adds, changes or drops.
 """
 
 import contextlib
@@ -54,6 +56,10 @@ CASES = {
     "llr_8_2_n1_0": ("ber", dict(detector="llr", n1=0), 1),
     "ml_8_2_n2_0": ("ber", dict(detector="ml", n2=0), 1),
     "harvest_n1_0": ("harvest_n1_0", dict(n1=0), 1),
+    "llr_8_2_m_rx_9": ("ber", dict(detector="llr", m_rx=9), 1),
+    "ml_8_2_m_rx_9": ("ber", dict(detector="ml", m_rx=9), 1),
+    "llr_8_2_m_rx_136": ("ber", dict(detector="llr", m_rx=136), 1),
+    "ml_8_2_m_rx_136": ("ber", dict(detector="ml", m_rx=136), 1),
 }
 
 # absorber counts from none to every cell outside the assist group, in order
@@ -129,5 +135,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         recorded = {name: sha256(case_bytes(name, Path(tmp))) for name in sorted(CASES)}
     recorded["power_budget"] = sha256(power_budget_text())
+    old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+    for name in sorted(set(old) | set(recorded)):
+        change = ("added" if name not in old else "dropped" if name not in recorded
+                  else "changed" if old[name] != recorded[name] else None)
+        if change:
+            print(f"{change}: {name}", file=sys.stderr)
     DIGESTS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(recorded)} digests to {DIGESTS}", file=sys.stderr)
