@@ -177,9 +177,8 @@ def trial_values(cfg: SimConfig, n_points: int, n_counts: int = 1) -> tuple:
     ``n_counts`` absorber counts: its count of float64 values, and its name
     with its product. A ValueError, advising fewer points of the grid the
     array grows with, if it holds more than TRIAL_MAX_VALUES. A trial draws
-    its links' normals; both detectors form the slot-cost differences of
-    ``rx.slot_costs``, counted here as if all were held at once, though the
-    kernel holds them one antenna at a time, so the count is an upper bound;
+    its links' normals; both detectors hold every slot-cost difference of
+    ``rx.slot_costs`` at once, as complex values, and their squared parts;
     LLR gathers a codeword's slot LLRs, joint ML its slot minima per phase;
     the harvester stacks its samples and effective channels over the counts.
     No per-run table is larger: the codebook holds |A| * L slots and the

@@ -102,62 +102,19 @@ def observe(channel: ChannelRealization, split, frame: TimFrame,
     return Observation(y, 0.0, eff)
 
 
-def _pairwise_sum(term, lo: int, n: int):
-    """term(lo) + ... + term(lo + n - 1), added in the order of numpy's
-    pairwise sum, which ``np.sum`` takes along a contiguous axis: one after
-    another below 8 terms, in 8 running sums up to 128, in halves beyond.
-    ``term(r, out)`` returns term r, written into ``out`` when one is given."""
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(term, lo, half)
-        total += _pairwise_sum(term, lo + half, n - half)
-        return total
-    buf = None
-    if n < 8:
-        total, whole = term(lo), 1
-    else:
-        sums, whole = [term(lo + r) for r in range(8)], n - n % 8
-        for r in range(8, whole):
-            buf = term(lo + r, buf)
-            sums[r % 8] += buf
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            sums[a] += sums[b]
-        total = sums[0]
-    for r in range(whole, n):
-        buf = term(lo + r, buf)
-        total += buf
-    return total
-
-
 def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, omega: complex):
     """Squared distances of the received vectors ``obs.y`` (..., K, M_R) to
     every single-slot hypothesis: ``info_cost`` (..., J, M, K) for each
     (phase, symbol) pair at power ``p_info_w`` and ``pow_cost`` (..., K)
-    for the power sample ``omega``. The samples and candidates are copied
-    antenna first, and each antenna's squared distances (..., J, M, K) are
-    added into the total in the order of ``np.sum`` over the antenna axis
-    (:func:`_pairwise_sum`): below 8 antennas one after another, holding 3
-    arrays of (..., J, M, K) at a time, and never more than the
-    2 * M_R of them that ``config.trial_values`` counts."""
+    for the power sample ``omega``. Every complex difference
+    (..., J, M, K, M_R) is formed at once, the count that
+    ``config.trial_values`` bounds, and ``np.sum`` adds the squared
+    magnitudes over the contiguous antenna axis in numpy's own order."""
     eff = obs.eff[..., None, :, :] if obs.y.ndim > obs.eff.ndim else obs.eff    # point axis
-    scaled = math.sqrt(p_info_w) * constellation.points
-    cand = eff[..., :-1, None, :] * scaled[:, None]                           # (..., J, M, M_R)
-    yr, yi = (np.ascontiguousarray(np.moveaxis(part, -1, 0))[..., None, None, :]
-              for part in (obs.y.real, obs.y.imag))                        # (M_R, ..., 1, 1, K)
-    cr, ci = (np.ascontiguousarray(np.moveaxis(part, -1, 0))[..., None]
-              for part in (cand.real, cand.imag))                          # (M_R, ..., J, M, 1)
-    im = np.empty(np.broadcast_shapes(yr.shape[1:], cr.shape[1:]))
-
-    def distance(r, out=None):
-        out = np.subtract(yr[r], cr[r], out=out)
-        out *= out
-        np.subtract(yi[r], ci[r], out=im)
-        np.multiply(im, im, out=im)
-        out += im
-        return out
-
+    cand = eff[..., :-1, None, :] * (math.sqrt(p_info_w) * constellation.points)[:, None]
+    d = obs.y[..., None, None, :, :] - cand[..., None, :]                  # (..., J, M, K, M_R)
     dp = obs.y - eff[..., -1:, :] * omega
-    return _pairwise_sum(distance, 0, obs.y.shape[-1]), np.sum(dp.real**2 + dp.imag**2, axis=-1)
+    return np.sum(d.real**2 + d.imag**2, axis=-1), np.sum(dp.real**2 + dp.imag**2, axis=-1)
 
 
 @dataclass

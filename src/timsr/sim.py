@@ -166,8 +166,11 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
     return Tally(*(None if field is None else field[0, 0].item() for field in tally))
 
 
-# Bytes that the largest array of one batch of trials may take. A batch's
-# peak is about twice that (the normal draw and the links it gives coexist).
+# Bytes that the largest array of one batch of trials may take. Under
+# tracemalloc a batch peaked at 2.1-2.3 times that on the default LLR, (8,4)
+# ML, 16-antenna LLR and default harvest configs (the complex slot-cost
+# differences beside their two squares), and at 3.5 times on a harvest over
+# absorber counts 0-256 with no assist cells (arrays stacked over the counts).
 _BATCH_BYTES = 1 << 20
 
 

@@ -134,11 +134,13 @@ class TestObservationChannels:
 
 
 class TestSlotCosts:
-    """The antenna-major kernel equals the broadcast expression bit for bit:
-    one antenna after another below 8 antennas, and numpy's pairwise order
-    of ``np.sum`` from 8 on (8 running sums, then halves beyond 128)."""
+    """The kernel and the oracle are two expressions of the slot costs that
+    must agree bit for bit: the kernel squares the real and imaginary parts
+    of complex differences, the oracle real-part differences taken from
+    strided views. Both sum over the antennas with ``np.sum``, whose order
+    changes at 8 antennas (8 running sums) and beyond 128 (halves)."""
 
-    @pytest.mark.parametrize("m_rx", [1, 2, 4, 8, 9, 20, 136])
+    @pytest.mark.parametrize("m_rx", [1, 2, 4, 7, 8, 9, 20, 128, 129, 136])
     @pytest.mark.parametrize("lead, points", [((), ()), ((3,), ()), ((3,), (2,))],
                              ids=["one_block", "blocks", "points"])
     @pytest.mark.parametrize("k_slots, m_order", [(1, 2), (5, 4)])

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -33,10 +34,12 @@ from timsr.sim import (
     CSV_COLUMNS,
     PowerBudgetReport,
     Tally,
+    _BATCH_BYTES,
     _aggregate,
     _batch_size,
     _map_points,
     ber_sweep,
+    default_n2_grid,
     direct_snr_sigma2,
     harvest_sweep,
     make_context,
@@ -663,6 +666,31 @@ class TestTrialBatches:
     ], ids=["ber_llr_8_2", "ber_ml_8_4", "harvest_n2_w2"])
     def test_benchmark_workload_batch_sizes(self, overrides, n_points, size):
         assert _batch_size(make_context(make_config(**overrides), None), n_points) == size
+
+    @pytest.mark.parametrize("overrides, counts", [
+        (dict(detector="llr"), None),
+        (dict(l_slots=4, detector="ml"), None),
+        (dict(m_rx=16, detector="llr"), None),
+        (dict(), "default"),
+        (dict(n1=0), range(257)),
+    ], ids=["llr", "ml_8_4", "llr_m_rx_16", "harvest", "harvest_n1_0_every_count"])
+    def test_batch_peak_within_four_budgets(self, overrides, counts):
+        # measured peaks: 2.1-2.3 budgets, 3.5 for every count with no assist cells
+        cfg = make_config(**overrides)
+        if counts is None:
+            n2s = (cfg.n2,)
+            sigma2s = tuple(direct_snr_sigma2(cfg, snr_db) for snr_db in cfg.snr_db_grid)
+        else:
+            n2s, sigma2s = tuple(default_n2_grid(cfg) if counts == "default" else counts), ()
+        ctx = make_context(cfg, None)
+        batch = _batch_size(ctx, len(sigma2s), len(n2s))
+        tracemalloc.start()
+        try:
+            timsr.sim.run_trials(ctx, n2s, sigma2s, 0, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * _BATCH_BYTES
 
     def test_absorber_grid_sizes_the_harvest_batch(self, monkeypatch):
         # with no assist cells and every count 0..256, the harvester's samples
