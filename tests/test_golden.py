@@ -60,6 +60,10 @@ CASES = {
     "ml_8_2_m_rx_9": ("ber", dict(detector="ml", m_rx=9), 1),
     "llr_8_2_m_rx_136": ("ber", dict(detector="llr", m_rx=136), 1),
     "ml_8_2_m_rx_136": ("ber", dict(detector="ml", m_rx=136), 1),
+    "harvest_per_entry": ("harvest", dict(los_phase_policy="per-entry"), 1),
+    "harvest_zero_los": ("harvest", dict(los_phase_policy="zero"), 1),
+    "harvest_m_rx_1": ("harvest", dict(m_rx=1), 1),
+    "harvest_m_rx_9_per_entry": ("harvest", dict(m_rx=9, los_phase_policy="per-entry"), 1),
 }
 
 # absorber counts from none to every cell outside the assist group, in order
@@ -84,10 +88,20 @@ def case_bytes(name, tmp_path, workers=None) -> bytes:
     return path.read_bytes()
 
 
-def power_budget_text() -> bytes:
+# name -> the config file of a power-budget case (none for the defaults)
+BUDGETS = {"power_budget": None, "power_budget_per_entry": "los_phase_policy = per-entry\n"}
+
+
+def power_budget_text(name, tmp_path) -> bytes:
+    """The ``power-budget`` output of case ``name``."""
+    argv = ["power-budget", "--trials", str(TRIALS)]
+    if BUDGETS[name] is not None:
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(BUDGETS[name], encoding="utf-8")
+        argv += ["--config", str(path)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli_main(["power-budget", "--trials", str(TRIALS)]) == 0
+        assert cli_main(argv) == 0
     return out.getvalue().encode("utf-8")
 
 
@@ -121,12 +135,17 @@ def test_sweep_bytes_on_uneven_shards_and_batches(name, digests, tmp_path, monke
     assert sha256(case_bytes(name, tmp_path, 4)) == digests[name]
 
 
-def test_power_budget_text(digests):
-    assert sha256(power_budget_text()) == digests["power_budget"]
+def test_power_budget_text(digests, tmp_path):
+    assert sha256(power_budget_text("power_budget", tmp_path)) == digests["power_budget"]
+
+
+def test_power_budget_text_per_entry(digests, tmp_path):
+    name = "power_budget_per_entry"
+    assert sha256(power_budget_text(name, tmp_path)) == digests[name]
 
 
 def test_every_digest_is_checked(digests):
-    assert set(digests) == set(CASES) | {"power_budget"}
+    assert set(digests) == set(CASES) | set(BUDGETS)
 
 
 if __name__ == "__main__":
@@ -134,7 +153,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         recorded = {name: sha256(case_bytes(name, Path(tmp))) for name in sorted(CASES)}
-    recorded["power_budget"] = sha256(power_budget_text())
+        recorded.update((name, sha256(power_budget_text(name, Path(tmp)))) for name in BUDGETS)
     old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     for name in sorted(set(old) | set(recorded)):
         change = ("added" if name not in old else "dropped" if name not in recorded
