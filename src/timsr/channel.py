@@ -11,6 +11,11 @@ so one draw serves every absorber count.
 A block's links come from one draw of standard normals, link by link, real
 parts before imaginary parts. B such draws as rows give a batch of blocks:
 every link, and every cascade built from them, gains a leading block axis.
+A realization may keep fewer receive antennas than the model has: the
+receive links then hold their first rows only, which equal those rows of
+the full realization, since every normal is still drawn and only the
+mixing of the dropped rows is skipped. A trial that detects nothing keeps
+one: co-phasing the assist group reads receive antenna 0 alone.
 """
 
 from __future__ import annotations
@@ -62,21 +67,23 @@ class RicianSpec:
         object.__setattr__(self, "los", los)
 
 
-def sample_rician(spec: RicianSpec, rows: int, cols: int, normals) -> np.ndarray:
+def sample_rician(spec: RicianSpec, rows: int, cols: int, normals,
+                  keep: int | None = None) -> np.ndarray:
     """Rows x cols matrices of independent Rician fades from standard
     normals (..., 2*rows*cols), real parts then imaginary parts; the fades
-    are (..., rows, cols).
+    are (..., keep, cols), the first ``keep`` rows (all by default), each
+    equal to that row of the whole matrix.
 
     Each entry is sqrt(gain) * (sqrt(k/(k+1)) * exp(j*theta_los)
     + sqrt(1/(k+1)) * w) with w standard circularly symmetric complex
     Gaussian, so the per-entry mean power equals the path gain.
     """
-    z = np.reshape(normals, np.shape(normals)[:-1] + (2, rows, cols))
+    z = np.reshape(normals, np.shape(normals)[:-1] + (2, rows, cols))[..., :keep, :]
     fade = 1j * z[..., 1, :, :]           # in place from here: one array per link
     fade += z[..., 0, :, :]
     fade /= math.sqrt(2.0)
     fade *= math.sqrt(1.0 / (spec.kappa + 1.0))
-    fade += spec.los
+    fade += spec.los if np.ndim(spec.los) < 2 else spec.los[..., :keep, :]
     fade *= math.sqrt(spec.path_gain)
     return fade
 
@@ -84,9 +91,11 @@ def sample_rician(spec: RicianSpec, rows: int, cols: int, normals) -> np.ndarray
 @dataclass
 class ChannelRealization:
     """The five links of one coherence block of K slots, or of a batch of
-    blocks with a leading block axis on every array. The cell groups are
-    not part of the draw: :func:`group_cascades` builds the cascades of
-    any cell split where they are read."""
+    blocks with a leading block axis on every array. ``h_d`` (..., R) and
+    ``G_d`` (..., R, N) hold the R receive antennas the realization kept,
+    the first R of the model's. The cell groups are not part of the draw:
+    :func:`group_cascades` builds the cascades of any cell split where they
+    are read."""
 
     h_d: np.ndarray
     h_r: np.ndarray
@@ -165,14 +174,21 @@ class ChannelModel:
                 phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
             self.specs[name] = RicianSpec(kappa=kappa, path_gain=gain, los_phase=phase)
 
-    def realize(self, normals) -> ChannelRealization:
+    def realize(self, normals, m_rx: int | None = None) -> ChannelRealization:
         """The channels of the blocks whose streams drew ``normals``
         (..., n_normals), each fixed for the K slots of its block; one
-        stream's ``standard_normal(n_normals)`` gives one block."""
+        stream's ``standard_normal(n_normals)`` gives one block. The
+        receive links keep the first ``m_rx`` antennas (all by default),
+        bit for bit those of the full realization; the other links are
+        whole either way."""
+        m_rx = self.m_rx if m_rx is None else m_rx
+        if not 1 <= m_rx <= self.m_rx:
+            raise ValueError(f"cannot keep {m_rx} of {self.m_rx} receive antennas")
         links, start = [], 0
         for name, (shape, _) in self.links.items():
             stop = start + 2 * math.prod(shape)
-            links.append(sample_rician(self.specs[name], *shape, normals[..., start:stop]))
+            keep = m_rx if name in ("h_d", "G_d") else None
+            links.append(sample_rician(self.specs[name], *shape, normals[..., start:stop], keep))
             start = stop
         h_d, h_r, G_d, h_e, g_e = links
         return ChannelRealization(h_d[..., 0], h_r[..., 0], G_d, h_e[..., 0, 0], g_e[..., 0])

@@ -117,7 +117,9 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     in ``n2s`` (beside ``cfg.n1`` assist cells), the detection at every noise
     variance in ``sigma2s``. Each trial's stream draws its channels, bits,
     surface bit and (when some variance is positive) unit noise; every later
-    step is one call for the batch. The links are freed before detection."""
+    step is one call for the batch. With no variance to detect at, only
+    receive antenna 0 is realized, the one that co-phasing reads. The links
+    are freed before detection."""
     cfg, n = ctx.cfg, stop - start
     eta, eta_r, _ = ctx.bit_widths
     normals = np.empty((n, ctx.channel_model.n_normals))
@@ -132,7 +134,7 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
         if noise is not None:
             rng.standard_normal(out=noise[b])
     bits, ris_bit = bits[:, :-1], bits[:, -1]
-    drawn = ctx.channel_model.realize(normals)
+    drawn = ctx.channel_model.realize(normals, cfg.m_rx if sigma2s else 1)
     del normals
 
     frame = encode_block(
@@ -167,10 +169,11 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
 
 
 # Bytes that the largest array of one batch of trials may take. Under
-# tracemalloc a batch peaked at 2.1-2.3 times that on the default LLR, (8,4)
-# ML, 16-antenna LLR and default harvest configs (the complex slot-cost
-# differences beside their two squares), and at 3.5 times on a harvest over
-# absorber counts 0-256 with no assist cells (arrays stacked over the counts).
+# tracemalloc a batch peaked at 2.3 times that on the default LLR, (8,4) ML
+# and 16-antenna LLR configs (the complex slot-cost differences beside their
+# two squares), at 1.6 times on the default harvest grid and at 3.2 times on
+# a harvest over absorber counts 0-256 with no assist cells (arrays stacked
+# over the counts; a harvest realizes one receive antenna).
 _BATCH_BYTES = 1 << 20
 
 

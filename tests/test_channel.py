@@ -175,6 +175,29 @@ class TestRealization:
                 want = want.reshape(np.shape(got[name]))
                 assert np.asarray(got[name]).tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("policy", ["per-link", "per-entry", "zero"])
+    @pytest.mark.parametrize("kappa", [0.0, 5.0])
+    @pytest.mark.parametrize("m_rx", [1, 4, 9])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["block", "batch"])
+    def test_one_antenna_is_row_0_of_the_full_realization(self, policy, kappa, m_rx, lead):
+        # the receive links keep row 0 bit for bit, a per-entry LoS array
+        # sliced with them; the other links are whole
+        model = default_model(policy, kappa=kappa, m_rx=m_rx)
+        normals = np.random.default_rng(5).standard_normal(lead + (model.n_normals,))
+        full, one = model.realize(normals), model.realize(normals, 1)
+        assert one.h_d.shape == lead + (1,) and one.G_d.shape == lead + (1, 256)
+        assert one.h_d.tobytes() == full.h_d[..., :1].tobytes()
+        assert one.G_d.tobytes() == full.G_d[..., :1, :].tobytes()
+        for name in ("h_r", "h_e", "g_e"):
+            assert np.asarray(getattr(one, name)).tobytes() == \
+                np.asarray(getattr(full, name)).tobytes(), name
+
+    @pytest.mark.parametrize("m_rx", [0, 5])
+    def test_kept_antennas_out_of_range_rejected(self, m_rx):
+        model = default_model()
+        with pytest.raises(ValueError, match="receive antennas"):
+            model.realize(np.zeros(model.n_normals), m_rx)
+
     def test_los_phases_fixed_across_blocks(self):
         model = default_model()
         a = draw(model, 1)

@@ -18,6 +18,7 @@ import pytest
 import timsr.sim
 from conftest import build_observation, draw_channel
 from timsr import make_config
+from timsr.channel import ChannelModel
 from timsr.config import (
     TRIAL_MAX_VALUES,
     SimConfig,
@@ -675,7 +676,8 @@ class TestTrialBatches:
         (dict(n1=0), range(257)),
     ], ids=["llr", "ml_8_4", "llr_m_rx_16", "harvest", "harvest_n1_0_every_count"])
     def test_batch_peak_within_four_budgets(self, overrides, counts):
-        # measured peaks: 2.1-2.3 budgets, 3.5 for every count with no assist cells
+        # measured peaks: 2.3 budgets detecting, 1.6 on the default harvest grid,
+        # 3.2 for every count with no assist cells
         cfg = make_config(**overrides)
         if counts is None:
             n2s = (cfg.n2,)
@@ -691,6 +693,24 @@ class TestTrialBatches:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * _BATCH_BYTES
+
+    @pytest.mark.parametrize("m_rx", [4, 9])
+    def test_harvest_realizes_one_receive_antenna(self, monkeypatch, m_rx):
+        # co-phasing reads receive antenna 0 alone, so a batch that detects
+        # nothing realizes just that one; a detecting batch realizes them all
+        kept, realize = [], ChannelModel.realize
+
+        def spy(model, normals, *args):
+            drawn = realize(model, normals, *args)
+            kept.append((drawn.h_d.shape[-1], drawn.G_d.shape[-2]))
+            return drawn
+
+        monkeypatch.setattr(ChannelModel, "realize", spy)
+        cfg = make_config(m_rx=m_rx)
+        ctx = make_context(cfg, None)
+        timsr.sim.run_trials(ctx, (cfg.n2,), (), 0, 3)
+        timsr.sim.run_trials(ctx, (cfg.n2,), (direct_snr_sigma2(cfg, 10.0),), 0, 3)
+        assert kept == [(1, 1), (m_rx, m_rx)]
 
     def test_absorber_grid_sizes_the_harvest_batch(self, monkeypatch):
         # with no assist cells and every count 0..256, the harvester's samples
