@@ -1,6 +1,9 @@
-"""Golden bytes: the SHA-256 of short sweeps' CSVs and of the power-budget
-text, pinned in ``golden_digests.json``. Any change to how trials are drawn,
-batched, detected or aggregated that moves a single output byte fails here.
+"""Golden bytes: the SHA-256 of short sweeps' CSVs, of the power-budget
+text and of the slot costs two wide-array sweeps score, pinned in
+``golden_digests.json``. Any change to how trials are drawn, batched,
+detected or aggregated that moves a single output byte fails here, and so
+does one that moves a last bit of the slot costs at M_R >= 8, which the
+CSVs of those sweeps are too short to show.
 
 Record the digests again (only for a deliberate, declared output change) with
 
@@ -15,9 +18,11 @@ import io
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import timsr.rx
 import timsr.sim
 from timsr import make_config
 from timsr.cli import main as cli_main
@@ -105,6 +110,29 @@ def power_budget_text(name, tmp_path) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+# name -> the one-worker BER case whose slot costs it hashes
+SLOT_COSTS = {"slot_costs_llr_8_2_m_rx_9": "llr_8_2_m_rx_9",
+              "slot_costs_ml_8_2_m_rx_136": "ml_8_2_m_rx_136"}
+
+
+def slot_cost_bytes(name, tmp_path) -> bytes:
+    """The bytes of every ``(info_cost, pow_cost)`` that ``rx.slot_costs``
+    returns, in call order, during the sweep of case ``SLOT_COSTS[name]``,
+    which runs in this process."""
+    case = SLOT_COSTS[name]
+    assert CASES[case][0] == "ber" and CASES[case][2] == 1
+    real, chunks = timsr.rx.slot_costs, []
+
+    def spy(*args):
+        costs = real(*args)
+        chunks.extend(cost.tobytes() for cost in costs)
+        return costs
+
+    with mock.patch.object(timsr.rx, "slot_costs", spy):
+        case_bytes(case, tmp_path)
+    return b"".join(chunks)
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -144,8 +172,13 @@ def test_power_budget_text_per_entry(digests, tmp_path):
     assert sha256(power_budget_text(name, tmp_path)) == digests[name]
 
 
+@pytest.mark.parametrize("name", sorted(SLOT_COSTS))
+def test_slot_cost_bytes(name, digests, tmp_path):
+    assert sha256(slot_cost_bytes(name, tmp_path)) == digests[name]
+
+
 def test_every_digest_is_checked(digests):
-    assert set(digests) == set(CASES) | set(BUDGETS)
+    assert set(digests) == set(CASES) | set(BUDGETS) | set(SLOT_COSTS)
 
 
 if __name__ == "__main__":
@@ -154,6 +187,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         recorded = {name: sha256(case_bytes(name, Path(tmp))) for name in sorted(CASES)}
         recorded.update((name, sha256(power_budget_text(name, Path(tmp)))) for name in BUDGETS)
+        recorded.update((name, sha256(slot_cost_bytes(name, Path(tmp)))) for name in SLOT_COSTS)
     old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     for name in sorted(set(old) | set(recorded)):
         change = ("added" if name not in old else "dropped" if name not in recorded
