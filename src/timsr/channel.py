@@ -160,19 +160,18 @@ class ChannelModel:
         gain_ris_rx = path_gain(d_ris_rx_m, carrier_ghz)
         gains = {"h_d": gain_direct, "h_r": path_gain(d_tx_ris_m, carrier_ghz),
                  "G_d": gain_ris_rx, "h_e": gain_direct, "g_e": gain_ris_rx}
-        # (shape, path gain) of each link, drawn in the order of link_shapes.
-        self.links = {name: (shape, gains[name])
-                      for name, shape in link_shapes(m_rx, n_cells).items()}
-        self.n_normals = 2 * sum(math.prod(shape) for shape, _ in self.links.values())
+        # the shape of each link, drawn in the order of link_shapes
+        self.links = link_shapes(m_rx, n_cells)
+        self.n_normals = 2 * sum(map(math.prod, self.links.values()))
         self.specs = {}
-        for name, (shape, gain) in self.links.items():
+        for name, shape in self.links.items():
             if los_phase_policy == "zero":
                 phase = 0.0
             elif los_phase_policy == "per-link":
                 phase = float(rng.uniform(0.0, 2.0 * np.pi))
             else:
                 phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-            self.specs[name] = RicianSpec(kappa=kappa, path_gain=gain, los_phase=phase)
+            self.specs[name] = RicianSpec(kappa=kappa, path_gain=gains[name], los_phase=phase)
 
     def realize(self, normals, m_rx: int | None = None) -> ChannelRealization:
         """The channels of the blocks whose streams drew ``normals``
@@ -185,7 +184,7 @@ class ChannelModel:
         if not 1 <= m_rx <= self.m_rx:
             raise ValueError(f"cannot keep {m_rx} of {self.m_rx} receive antennas")
         links, start = [], 0
-        for name, (shape, _) in self.links.items():
+        for name, shape in self.links.items():
             stop = start + 2 * math.prod(shape)
             keep = m_rx if name in ("h_d", "G_d") else None
             links.append(sample_rician(self.specs[name], *shape, normals[..., start:stop], keep))

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .channel import LOS_PHASE_POLICIES, link_shapes, path_gain
-from .ris import TECHNOLOGIES, phase_set_2bit
+from .ris import PHI_INFO, TECHNOLOGIES
 from .txphy import CODEBOOK_STRATEGIES, CONSTELLATION_KINDS, index_bit_count
 
 SCHEMES = ("tim", "benchmark")
@@ -183,7 +183,7 @@ def trial_values(cfg: SimConfig, n_points: int, n_counts: int = 1) -> tuple:
     the harvester stacks its samples and effective channels over the counts.
     No per-run table is larger: the codebook holds |A| * L slots and the
     constellation M points."""
-    s, c, j, l = n_points, n_counts, len(phase_set_2bit().phi_info), cfg.l_slots
+    s, c, j, l = n_points, n_counts, len(PHI_INFO), cfg.l_slots
     n_cw = 1 if cfg.scheme == "benchmark" else 1 << index_bit_count(cfg.k_slots, l)
     link_entries = sum(map(math.prod, link_shapes(cfg.m_rx, cfg.n_cells).values()))
     snr, n2 = "SNR points", "absorber counts"

@@ -1,7 +1,8 @@
-"""Surface-side models: the 2-bit phase set, group-1 co-phasing, each
-block's reflection rows, the rectenna harvest curve, and the power budget
-that decides whether the surface can run off harvested energy alone. One
-call, :func:`ris_power_consumption`, gives the draw of both cell technologies.
+"""Surface-side models: the 2-bit cell's phase levels, group-1 co-phasing,
+each block's reflection rows, the rectenna harvest curve, and the power
+budget that decides whether the surface can run off harvested energy alone.
+One call, :func:`ris_power_consumption`, gives the draw of both cell
+technologies.
 
 :func:`received` states the received-signal model once, over the cascades
 of the two reflecting groups (the absorbers feed the surface rectenna), for
@@ -23,22 +24,11 @@ TECH_RF_SWITCH = "rf-switch"
 TECH_VARACTOR = "varactor"
 TECHNOLOGIES = (TECH_RF_SWITCH, TECH_VARACTOR)
 
-
-@dataclass(frozen=True)
-class PhaseSet:
-    """The designated information pair and power phase of a cell. Fixed at
-    design time, invariant across channel realizations."""
-
-    phi_info: tuple
-    phi_power: float
-
-
-def phase_set_2bit() -> PhaseSet:
-    """The three levels 2*pi*m/3 of a 2-bit cell (one switch port is lost to
-    the absorber): (phi1, phi2) = (0, 2*pi/3) carry the surface bit and
-    phi_power = 4*pi/3 is the power phase."""
-    levels = tuple(TWO_PI * m / 3 for m in range(3))
-    return PhaseSet(phi_info=levels[:2], phi_power=levels[2])
+# The three levels 2*pi*m/3 of a 2-bit cell, one switch port being lost to
+# the absorber, fixed at design time: the information pair (0, 2*pi/3)
+# carries the surface bit and 4*pi/3 is the power phase.
+PHI_INFO = tuple(TWO_PI * m / 3 for m in range(2))
+PHI_POWER = TWO_PI * 2 / 3
 
 
 def align_group1(channel: ChannelRealization, n1: int, phase_pair):
@@ -63,29 +53,29 @@ class RisState:
     """Surface configuration for one block, seen by both the receiver and
     the harvester: the surface bit and the reflection rows ``psi`` (J+1, 2)
     of the two reflecting groups [assist, information], one row per
-    information phase and a last row for the power phase. Both groups
-    reflect at unit amplitude, with (aligned assist phase, information
-    phase) in information slots and the power phase in power slots; the
-    absorbing group never reflects and has no column. All L information
-    slots of the block use row ``ris_bit``. A batch of blocks has bits (B,)
+    information phase of ``PHI_INFO`` and a last row for ``PHI_POWER``.
+    Both groups reflect at unit amplitude, with (aligned assist phase,
+    information phase) in information slots and the power phase in power
+    slots; the absorbing group never reflects and has no column. All L
+    information slots of the block use row ``ris_bit``. A batch of blocks has bits (B,)
     and rows (B, J+1, 2)."""
 
     ris_bit: int | np.ndarray
     psi: np.ndarray
 
 
-def make_ris_state(channel: ChannelRealization, n1: int, phase_set: PhaseSet,
-                   ris_bit) -> RisState:
+def make_ris_state(channel: ChannelRealization, n1: int, ris_bit) -> RisState:
     """Configure the surface for a block: bit 0/1 selects the first/second
-    information phase; the assist group of ``n1`` cells is co-phased against
-    the channel. A batch of realizations takes one bit per block."""
+    information phase of ``PHI_INFO``; the assist group of ``n1`` cells is
+    co-phased against the channel onto that pair. A batch of realizations
+    takes one bit per block."""
     if not np.all((np.asarray(ris_bit) == 0) | (np.asarray(ris_bit) == 1)):
         raise ValueError(f"surface bit must be 0 or 1, got {ris_bit}")
-    assist = np.exp(-1j * align_group1(channel, n1, phase_set.phi_info))
-    psi = np.empty(assist.shape + (len(phase_set.phi_info) + 1, 2), dtype=complex)
+    assist = np.exp(-1j * align_group1(channel, n1, PHI_INFO))
+    psi = np.empty(assist.shape + (len(PHI_INFO) + 1, 2), dtype=complex)
     psi[..., :-1, 0] = assist[..., None]
-    psi[..., :-1, 1] = np.exp(-1j * np.asarray(phase_set.phi_info))
-    psi[..., -1, :] = np.exp(-1j * phase_set.phi_power)
+    psi[..., :-1, 1] = np.exp(-1j * np.asarray(PHI_INFO))
+    psi[..., -1, :] = np.exp(-1j * PHI_POWER)
     return RisState(ris_bit, psi)
 
 

@@ -5,7 +5,10 @@ Every trial owns a counter-based random stream keyed by (seed, trial index),
 so results are independent of worker count, scheduling and batching. A sweep
 draws each trial once and evaluates it at every grid point: every absorber
 count reads the same link draws in one stacked harvest pass
-(``ris.harvest_inputs``), and an SNR point scales the same unit noise.
+(``ris.harvest_inputs``), and an SNR point scales the same unit noise, which
+every trial that detects draws last. A run's context holds what its config
+sets; the surface's phase levels are the constants ``ris.PHI_INFO`` and
+``ris.PHI_POWER``.
 Trials run in batches sized from a byte budget: each trial's stream makes its
 own draws, then every step is one kernel call on the whole batch and grid,
 and each worker runs one contiguous shard of batches. A lone shard runs in
@@ -38,7 +41,6 @@ from .ris import (
     clc_dc_power,
     harvest_inputs,
     make_ris_state,
-    phase_set_2bit,
     ris_power_consumption,
 )
 from .rx import llr_detect, ml_joint_detect, observe, unit_noise
@@ -71,7 +73,6 @@ class RunContext:
     channel_model: ChannelModel
     codebook: object
     constellation: object
-    phase_set: object
     ris_model: RectennaModel
     eh_model: RectennaModel
     p_ris_rf_w: float
@@ -97,7 +98,6 @@ def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
                                    cfg.los_phase_policy, trial_rng(cfg.seed, LOS_STREAM)),
         codebook=codebook,
         constellation=constellation,
-        phase_set=phase_set_2bit(),
         ris_model=RectennaModel(cfg.ris_rho, cfg.ris_p_on_uw * 1e-6, cfg.ris_p_sat_mw * 1e-3),
         eh_model=RectennaModel(cfg.eh_rho, cfg.eh_p_on_uw * 1e-6, cfg.eh_p_sat_mw * 1e-3),
         p_ris_rf_w=p_rf,
@@ -116,14 +116,14 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     """Trials ``start`` to ``stop - 1``: the harvest at every absorber count
     in ``n2s`` (beside ``cfg.n1`` assist cells), the detection at every noise
     variance in ``sigma2s``. Each trial's stream draws its channels, bits,
-    surface bit and (when some variance is positive) unit noise; every later
-    step is one call for the batch. With no variance to detect at, only
-    receive antenna 0 is realized, the one that co-phasing reads. The links
-    are freed before detection."""
+    surface bit and, when it detects, unit noise; every later step is one
+    call for the batch. With no variance to detect at, only receive antenna
+    0 is realized, the one that co-phasing reads. The links are freed before
+    detection."""
     cfg, n = ctx.cfg, stop - start
     eta, eta_r, _ = ctx.bit_widths
     normals = np.empty((n, ctx.channel_model.n_normals))
-    noise = np.empty((n, 2, cfg.k_slots, cfg.m_rx)) if any(s > 0 for s in sigma2s) else None
+    noise = np.empty((n, 2, cfg.k_slots, cfg.m_rx)) if sigma2s else None
     bits = np.empty((n, eta + 1), dtype=np.int64)
     rng = None
     for b in range(n):
@@ -140,7 +140,7 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     frame = encode_block(
         bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad
     )
-    ris = make_ris_state(drawn, cfg.n1, ctx.phase_set, ris_bit)   # one state for every count
+    ris = make_ris_state(drawn, cfg.n1, ris_bit)   # one state for every count
     q_ris, q_eh = harvest_inputs(drawn, cfg.n1, n2s, ris, frame.tau, frame.samples)
     dc_ris = np.mean(clc_dc_power(q_ris, ctx.ris_model), axis=-1)     # (n2s, B)
     dc_eh = np.mean(clc_dc_power(q_eh, ctx.eh_model), axis=-1)
@@ -149,10 +149,9 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
 
     clean = observe(drawn, (cfg.n1, cfg.n2), frame, ris)
     del drawn                   # the links are done with: free them before detecting
-    unit = None if noise is None else unit_noise(noise.shape[-2:], noise)
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
-    det = detect(clean.with_noise(sigma2s, unit), ctx.codebook, ctx.constellation,
-                 frame.omega, cfg.p_low_w, cfg.paper_compat)
+    det = detect(clean.with_noise(sigma2s, unit_noise(noise.shape[-2:], noise)),
+                 ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w, cfg.paper_compat)
     wrong = np.swapaxes(det.ptx_bits != bits[:, None], 0, 1)                    # (S, B, eta)
     return Tally(dc_ris, dc_eh, np.count_nonzero(wrong, axis=-1),
                  np.count_nonzero(wrong[..., :eta_r], axis=-1),

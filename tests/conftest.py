@@ -58,7 +58,7 @@ def build_observation(cfg, snr_db, trial=0, ris_bit=None, bits=None):
     frame = encode_block(
         np.asarray(bits), ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w
     )
-    state = make_ris_state(channel, cfg.n1, ctx.phase_set, ris_bit)
+    state = make_ris_state(channel, cfg.n1, ris_bit)
     clean = observe(channel, (cfg.n1, cfg.n2), frame, state)
     obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
     return ctx, obs, frame, state, np.asarray(bits), ris_bit, channel

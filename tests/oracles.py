@@ -3,7 +3,8 @@
 These deliberately reimplement the metrics with explicit loops and
 numpy-level reductions so they share no code path with the implementations
 under test (beyond the fixed group-1 alignment rule, which is configuration,
-not a search, and the two reflecting groups' cascades of
+not a search, the 2-bit cell's phase levels ``ris.PHI_INFO`` and
+``ris.PHI_POWER``, and the two reflecting groups' cascades of
 ``channel.group_cascades``, which the golden digests pin). A reflection is
 the 2-vector [assist, information] over those cascades: the absorbers never
 reflect. The scalar :func:`jacobian_log_sum` step
@@ -23,6 +24,8 @@ import numpy as np
 
 from timsr.channel import group_cascades
 from timsr.ris import (
+    PHI_INFO,
+    PHI_POWER,
     align_group1,
     clc_dc_power,
     harvest_inputs,
@@ -88,15 +91,14 @@ def loop_trial(ctx, layouts, sigma2s, trial_index):
     bits = rng.integers(0, 2, size=eta)
     ris_bit = int(rng.integers(0, 2))
     shape = (cfg.k_slots, cfg.m_rx)
-    noise = (unit_noise(shape, rng.standard_normal((2,) + shape)) if any(s > 0 for s in sigma2s)
-             else None)
+    noise = unit_noise(shape, rng.standard_normal((2,) + shape)) if sigma2s else None
     frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w,
                          cfg.omega_phase_rad)
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
     records = []
     for split in layouts:
         n1, n2 = split
-        ris = make_ris_state(drawn, n1, ctx.phase_set, ris_bit)
+        ris = make_ris_state(drawn, n1, ris_bit)
         q_ris = ris_rectenna_input(drawn.h_r[n1:n1 + n2], frame.samples)
         dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
         _, (q_eh,) = harvest_inputs(drawn, n1, (n2,), ris, frame.tau, frame.samples)
@@ -138,27 +140,26 @@ def info_reflection(group1_phase, info_phase):
     return np.array([np.exp(-1j * group1_phase), np.exp(-1j * info_phase)], dtype=complex)
 
 
-def power_reflection(phase_set):
+def power_reflection():
     """Reflection [assist, information] of a power slot: the power phase on
     both reflecting groups."""
-    p = np.exp(-1j * phase_set.phi_power)
+    p = np.exp(-1j * PHI_POWER)
     return np.array([p, p], dtype=complex)
 
 
-def _effective(ch, split, phase_pair, phase_set, group1_phase):
+def _effective(ch, split, group1_phase):
     f_casc = group_cascades(ch.G_d, ch.h_r, split)
-    eff_info = [ch.h_d + f_casc @ info_reflection(group1_phase, th) for th in phase_pair]
-    eff_power = ch.h_d + f_casc @ power_reflection(phase_set)
+    eff_info = [ch.h_d + f_casc @ info_reflection(group1_phase, th) for th in PHI_INFO]
+    eff_power = ch.h_d + f_casc @ power_reflection()
     return eff_info, eff_power
 
 
-def naive_joint_search(obs, channel, split, codebook, constellation, phase_pair, omega,
-                       phase_set, p_info_w):
+def naive_joint_search(obs, channel, split, codebook, constellation, omega, p_info_w):
     """Exhaustive loop minimization in (codeword, phase, symbol-vector) order
     with a strict first-found minimum. Returns (codeword, phase index,
     symbol labels, metric)."""
-    g1 = align_group1(channel, split[0], phase_pair)
-    eff_info, eff_power = _effective(channel, split, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, split[0], PHI_INFO)
+    eff_info, eff_power = _effective(channel, split, g1)
     amp = math.sqrt(p_info_w)
     m = constellation.m_order
     k_slots = codebook.k_slots
@@ -166,7 +167,7 @@ def naive_joint_search(obs, channel, split, codebook, constellation, phase_pair,
     best = None
     best_metric = math.inf
     for cw in codewords(codebook):
-        for c in range(len(phase_pair)):
+        for c in range(len(PHI_INFO)):
             for labels in itertools.product(range(m), repeat=codebook.l_slots):
                 metric = 0.0
                 for k in range(k_slots):
@@ -181,18 +182,17 @@ def naive_joint_search(obs, channel, split, codebook, constellation, phase_pair,
     return best[0], best[1], best[2], best_metric
 
 
-def naive_symbol_phase(obs, channel, split, slots, constellation, phase_pair, p_info_w,
-                       phase_set):
+def naive_symbol_phase(obs, channel, split, slots, constellation, p_info_w):
     """Full product search over (phase, symbol vector) for fixed 0-based
     slots, in (phase, labels) order with a strict first-found minimum."""
-    g1 = align_group1(channel, split[0], phase_pair)
-    eff_info, _ = _effective(channel, split, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, split[0], PHI_INFO)
+    eff_info, _ = _effective(channel, split, g1)
     amp = math.sqrt(p_info_w)
     m = constellation.m_order
 
     best = None
     best_metric = math.inf
-    for c in range(len(phase_pair)):
+    for c in range(len(PHI_INFO)):
         for labels in itertools.product(range(m), repeat=len(slots)):
             metric = 0.0
             for pos, slot in enumerate(slots):
@@ -204,19 +204,18 @@ def naive_symbol_phase(obs, channel, split, slots, constellation, phase_pair, p_
     return best[0], best[1], best_metric
 
 
-def direct_llr(obs, channel, split, constellation, phase_pair, omega, phase_set, k_slots,
-               l_slots, p_info_w):
+def direct_llr(obs, channel, split, constellation, omega, k_slots, l_slots, p_info_w):
     """Per-slot LLR recomputed from the raw definition with a vector
     log-sum-exp instead of the pairwise recursion."""
-    g1 = align_group1(channel, split[0], phase_pair)
-    eff_info, eff_power = _effective(channel, split, phase_pair, phase_set, g1)
+    g1 = align_group1(channel, split[0], PHI_INFO)
+    eff_info, eff_power = _effective(channel, split, g1)
     amp = math.sqrt(p_info_w)
     prior = math.log(l_slots**2) - math.log((k_slots - l_slots) ** 2)
 
     llr = np.empty(k_slots)
     for k in range(k_slots):
         xi = []
-        for c in range(len(phase_pair)):
+        for c in range(len(PHI_INFO)):
             for i in range(constellation.m_order):
                 s = amp * constellation.points[i]
                 xi.append(-float(np.linalg.norm(obs.y[k] - eff_info[c] * s) ** 2) / obs.sigma2)

@@ -60,7 +60,7 @@ def _paired_detect(cfg, snr_db, n_blocks, detectors=("ml", "llr")):
         rb = int(rng.integers(0, 2))
         frame = encode_block(bits, ctx.codebook, ctx.constellation,
                              cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad)
-        state = make_ris_state(ch, cfg.n1, ctx.phase_set, rb)
+        state = make_ris_state(ch, cfg.n1, rb)
         clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
         obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
         for d in detectors:
@@ -131,7 +131,7 @@ def test_criterion_4_noiseless_correctness():
             frame = encode_block(bits, ctx.codebook, ctx.constellation,
                                  cfg.p_low_w, cfg.p_high_w)
             rb = v % 2
-            state = make_ris_state(ch, cfg.n1, ctx.phase_set, rb)
+            state = make_ris_state(ch, cfg.n1, rb)
             clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
             obs = clean.with_noise(sigma2, draw_noise(clean.y.shape, rng))
             for fn in (ml_joint_detect, llr_detect):
@@ -153,8 +153,7 @@ def test_criterion_5_ml_oracle_equivalence():
         ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
         det = ml_joint_detect(obs, ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
         cw, c, labels, _ = naive_joint_search(
-            obs, ch, (cfg.n1, cfg.n2), ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-            frame.omega, ctx.phase_set, cfg.p_low_w,
+            obs, ch, (cfg.n1, cfg.n2), ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w,
         )
         mismatches += int((codewords(ctx.codebook)[det.alpha], det.ris_bit,
                            tuple(det.symbol_labels)) != (cw, c, labels))
@@ -177,8 +176,8 @@ def test_criterion_6_llr_internal_exactness():
                                                     trial=trial)
         got = llr_per_slot(*slot_costs(obs, ctx.constellation, cfg.p_low_w, frame.omega),
                            obs.sigma2, cfg.k_slots, cfg.l_slots)
-        want = direct_llr(obs, ch, (cfg.n1, cfg.n2), ctx.constellation, ctx.phase_set.phi_info,
-                          frame.omega, ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w)
+        want = direct_llr(obs, ch, (cfg.n1, cfg.n2), ctx.constellation, frame.omega,
+                          cfg.k_slots, cfg.l_slots, cfg.p_low_w)
         rel = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
         worst = max(worst, float(rel))
         slots_checked += cfg.k_slots

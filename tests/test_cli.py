@@ -1,3 +1,5 @@
+import functools
+import importlib
 import os
 import re
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import timsr
 import timsr.sim
 from timsr import cli
 from timsr.cli import main
@@ -15,6 +18,7 @@ from timsr.sim import CSV_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "timsr"
 
 SMALL = "k_slots = 4\nl_slots = 2\ncodebook_strategy = table1\nsnr_db_grid = 0, 10\n"
 
@@ -304,6 +308,43 @@ def test_readme_config_keys_match_fields():
     rows = [ln for ln in _readme_section("Configuration").splitlines() if ln.startswith("| `")]
     keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(keys) == sorted(f.name for f in fields(SimConfig))
+
+
+def _resolves(name, namespace) -> bool:
+    """Whether the dotted ``name`` is a chain of attributes of ``namespace``."""
+    try:
+        functools.reduce(getattr, name.split("."), namespace)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_docstring_cross_references_resolve():
+    # a bare :func:, :class: or :meth: target lives in its own module, a
+    # timsr.-prefixed one is looked up from the package
+    seen, stale = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"timsr.{path.stem}".removesuffix(".__init__"))
+        targets = re.findall(r":(?:func|class|meth):`([\w.]+)`", path.read_text(encoding="utf-8"))
+        seen += len(targets)
+        stale += [f"{path.name}: {name}" for name in targets
+                  if not _resolves(name.removeprefix("timsr."),
+                                   timsr if name.startswith("timsr.") else module)]
+    assert seen and stale == []
+
+
+# class members the README names without their module, and that module
+README_MEMBERS = {"ChannelModel.realize": "channel", "Observation.with_noise": "rx"}
+
+
+def test_readme_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    names = re.findall(r"`(channel|cli|config|ris|rx|sim|txphy)\.([\w.]*\w)", text)
+    assert names and all(member in text for member in README_MEMBERS)
+    names += [(module, member) for member, module in README_MEMBERS.items()]
+    stale = [f"{module}.{name}" for module, name in names
+             if not _resolves(name, importlib.import_module(f"timsr.{module}"))]
+    assert stale == []
 
 
 def test_unusable_snr_point_fails_cleanly(tmp_path, capsys):

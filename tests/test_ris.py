@@ -18,13 +18,13 @@ from oracles import (
 from timsr import make_config
 from timsr.channel import ChannelModel, ChannelRealization, group_cascades
 from timsr.ris import (
-    PhaseSet,
+    PHI_INFO,
+    PHI_POWER,
     RectennaModel,
     align_group1,
     clc_dc_power,
     harvest_inputs,
     make_ris_state,
-    phase_set_2bit,
     received,
     ris_power_consumption,
     ris_rectenna_input,
@@ -49,13 +49,18 @@ def tiny_realization(mu=0.0, n=4, n1=2):
     return ChannelRealization(h_d, h_r, G_d, 1.0, g_e)
 
 
-class TestPhaseSet:
-    def test_default_two_bit(self):
-        ps = phase_set_2bit()
-        np.testing.assert_allclose((*ps.phi_info, ps.phi_power), (0.0, 2 * np.pi / 3, 4 * np.pi / 3))
-        np.testing.assert_allclose(ps.phi_info, (0.0, 2 * np.pi / 3))
-        assert ps.phi_power == pytest.approx(4 * np.pi / 3)
-        assert ps.phi_power not in ps.phi_info
+class TestPhaseLevels:
+    def test_two_bit_levels(self):
+        # the levels 2*pi*m/3 of a 2-bit cell: m = 0, 1 carry the surface
+        # bit and m = 2 is the power phase
+        assert PHI_INFO + (PHI_POWER,) == tuple(2 * math.pi * m / 3 for m in range(3))
+        assert PHI_POWER not in PHI_INFO
+
+    @pytest.mark.parametrize("n1", [0, 2])
+    def test_state_reflects_the_levels(self, n1):
+        psi = make_ris_state(tiny_realization(0.3), n1, 1).psi
+        np.testing.assert_array_equal(psi[:-1, 1], np.exp(-1j * np.asarray(PHI_INFO)))
+        np.testing.assert_array_equal(psi[-1], np.exp(-1j * PHI_POWER))
 
 
 class TestClosestPhase:
@@ -111,7 +116,7 @@ class TestAlignGroup1:
         model = make_context(cfg, None).channel_model
         normals = np.random.default_rng(5).standard_normal((40, model.n_normals))
         batch = model.realize(normals)
-        for pair in (phase_set_2bit().phi_info, (2.5, -1.0)):
+        for pair in (PHI_INFO, (2.5, -1.0)):
             want = [loop_align_group1(model.realize(row), cfg.n1, pair) for row in normals]
             np.testing.assert_array_equal(align_group1(batch, cfg.n1, pair), want)
 
@@ -131,40 +136,45 @@ class TestAlignGroup1:
         np.testing.assert_array_equal(align_group1(batch, 0, (0.5, 1.5)), [0.5, 0.5, 0.5])
 
 
-def reflection_rows(group1_phase, info_phase):
+def reflection_rows(group1_phase, ris_bit=1):
     """Reflection rows of a block whose assist group aligns to
-    ``group1_phase`` and whose surface bit (1) selects ``info_phase``."""
-    ps = PhaseSet((group1_phase, info_phase), phase_set_2bit().phi_power)
-    return make_ris_state(tiny_realization(group1_phase), 2, ps, 1).psi
+    ``group1_phase``, a level of ``PHI_INFO``, and its surface bit; row
+    ``ris_bit`` is the one its information slots use."""
+    state = make_ris_state(tiny_realization(group1_phase), 2, ris_bit)
+    return state.psi, state.ris_bit
 
 
 class TestReflectionVector:
-    PS = phase_set_2bit()
-
     def test_power_stage(self):
-        vec = reflection_rows(0.3, 0.9)[-1]
-        assert vec.shape == (2,)
-        assert vec[0] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
-        assert vec[1] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
+        # both groups at the power phase, whatever the assist level and bit
+        for group1_phase in PHI_INFO:
+            for bit in (0, 1):
+                vec = reflection_rows(group1_phase, bit)[0][-1]
+                assert vec.shape == (2,)
+                assert vec[0] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
+                assert vec[1] == pytest.approx(np.exp(-1j * 4 * np.pi / 3))
 
     def test_info_stage(self):
-        vec = reflection_rows(0.3, 0.0)[1]
-        assert vec[1] == pytest.approx(1.0)
-        assert vec[0] == pytest.approx(np.exp(-1j * 0.3))
+        # the bit picks the information row: the aligned assist phase
+        # beside the bit's information phase
+        for bit, info in enumerate((1.0, np.exp(-1j * 2 * np.pi / 3))):
+            psi, ris_bit = reflection_rows(2 * np.pi / 3, bit)
+            vec = psi[ris_bit]
+            assert vec[1] == pytest.approx(info)
+            assert vec[0] == pytest.approx(np.exp(-1j * 2 * np.pi / 3))
 
     @pytest.mark.parametrize("stage", ["info", "power", "info-bit0"])
     def test_amplitude_structure(self, stage):
-        vec = reflection_rows(1.1, 2.2)[{"info": 1, "power": -1, "info-bit0": 0}[stage]]
+        psi, _ = reflection_rows(PHI_INFO[1])
+        vec = psi[{"info": 1, "power": -1, "info-bit0": 0}[stage]]
         assert vec.shape == (2,)
         assert abs(vec[0]) == pytest.approx(1.0)
         assert abs(vec[1]) == pytest.approx(1.0)
 
     def test_info_phase_constant_within_block(self):
-        ch = tiny_realization(0.0)
-        state = make_ris_state(ch, 2, self.PS, 1)
-        assert state.psi[state.ris_bit][1] == np.exp(-1j * self.PS.phi_info[1])
-        first = state.psi[state.ris_bit]
-        np.testing.assert_array_equal(first, make_ris_state(ch, 2, self.PS, 1).psi[1])
+        psi, ris_bit = reflection_rows(PHI_INFO[0])
+        assert psi[ris_bit][1] == np.exp(-1j * PHI_INFO[1])
+        np.testing.assert_array_equal(psi[ris_bit], reflection_rows(PHI_INFO[0])[0][1])
 
 
 class TestRectennaInput:
@@ -266,7 +276,7 @@ class TestEhReceived:
 
     def test_zero_sample(self):
         ch = tiny_realization(0.0)
-        state = make_ris_state(ch, 2, phase_set_2bit(), 0)
+        state = make_ris_state(ch, 2, 0)
         eps, q = harvester_view(ch, (2, 1), state, self.TAU, np.zeros(3))
         assert np.all(eps == 0.0) and np.all(q == 0.0)
 
@@ -275,7 +285,7 @@ class TestEhReceived:
         ch = ChannelRealization(h_d, np.zeros(3, complex), np.zeros((1, 3), complex), 1.0,
                                 np.zeros(3, complex))
         p_high = 2.51188643150958
-        state = make_ris_state(ch, 1, phase_set_2bit(), 1)
+        state = make_ris_state(ch, 1, 1)
         eps, q = harvester_view(ch, (1, 1), state, self.TAU, np.full(3, math.sqrt(p_high)))
         np.testing.assert_allclose(q, p_high, rtol=1e-12)
 
@@ -285,7 +295,7 @@ class TestEhReceived:
         cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ch = ChannelRealization(cn(2), cn(6), cn(2, 6), complex(cn(1)[0]), cn(6))
         groups = (2, 3)
-        state = make_ris_state(ch, groups[0], phase_set_2bit(), 1)
+        state = make_ris_state(ch, groups[0], 1)
         samples = cn(5)
         tau = np.array([1, 0, 0, 1, 0])
         eps, q = harvester_view(ch, groups, state, tau, samples)
@@ -310,12 +320,11 @@ class TestEhReceived:
         # per-group reflection formula at the aligned assist phase
         cfg = make_config(trials=1, **overrides)
         for trial in range(5):
-            ctx, _, frame, state, _, ris_bit, ch = build_observation(cfg, 10.0, trial=trial)
-            ps = ctx.phase_set
-            g1 = align_group1(ch, cfg.n1, ps.phi_info)
+            _, _, frame, state, _, ris_bit, ch = build_observation(cfg, 10.0, trial=trial)
+            g1 = align_group1(ch, cfg.n1, PHI_INFO)
             v_casc = group_cascades(ch.g_e[None, :], ch.h_r, (cfg.n1, cfg.n2))[0]
-            e_info = ch.h_e + v_casc @ info_reflection(g1, ps.phi_info[ris_bit])
-            e_power = ch.h_e + v_casc @ power_reflection(ps)
+            e_info = ch.h_e + v_casc @ info_reflection(g1, PHI_INFO[ris_bit])
+            e_power = ch.h_e + v_casc @ power_reflection()
             want = np.where(frame.tau == 1, e_info, e_power) * frame.samples
             eps, q = harvester_view(ch, (cfg.n1, cfg.n2), state, frame.tau, frame.samples)
             np.testing.assert_array_equal(eps, want)
@@ -337,7 +346,7 @@ class TestHarvestInputs:
         rng = np.random.default_rng(n1)
         model = ChannelModel(2, n, rng=rng)
         ch = model.realize(rng.standard_normal(lead + (model.n_normals,)))
-        state = make_ris_state(ch, n1, phase_set_2bit(), rng.integers(0, 2, lead))
+        state = make_ris_state(ch, n1, rng.integers(0, 2, lead))
         tau = rng.integers(0, 2, lead + (5,))
         samples = rng.standard_normal(lead + (5,)) + 1j * rng.standard_normal(lead + (5,))
         q_ris, q_eh = harvest_inputs(ch, n1, n2s, state, tau, samples)
@@ -370,7 +379,7 @@ def test_absorbers_are_invisible_to_reflection(lead):
 
     views = []
     for c in (ch, moved):
-        state = make_ris_state(c, cfg.n1, ctx.phase_set, ris_bit)
+        state = make_ris_state(c, cfg.n1, ris_bit)
         obs = observe(c, (cfg.n1, cfg.n2), frame, state)
         q_ris, q_eh = harvest_inputs(c, cfg.n1, (cfg.n2,), state, frame.tau, frame.samples)
         views.append((state.psi, obs.y, obs.eff, q_eh, q_ris))
@@ -391,4 +400,4 @@ def test_wrap_angle_range():
 
 def test_ris_state_requires_binary_bit():
     with pytest.raises(ValueError):
-        make_ris_state(tiny_realization(0.0), 2, phase_set_2bit(), 2)
+        make_ris_state(tiny_realization(0.0), 2, 2)

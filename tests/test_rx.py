@@ -21,7 +21,7 @@ from oracles import (
 
 from timsr import make_config
 from timsr.channel import group_cascades
-from timsr.ris import align_group1, make_ris_state
+from timsr.ris import PHI_INFO, align_group1, make_ris_state
 from timsr.rx import (
     Observation,
     joint_search,
@@ -119,11 +119,10 @@ class TestObservationChannels:
     def test_eff_equals_oracle_at_aligned_phase(self, overrides):
         cfg = make_config(trials=1, **overrides)
         for trial in range(5):
-            ctx, obs, *_, ch = build_observation(cfg, snr_db=10.0, trial=trial)
-            ps = ctx.phase_set
-            eff_info, eff_power = _effective(ch, (cfg.n1, cfg.n2), ps.phi_info, ps,
-                                             align_group1(ch, cfg.n1, ps.phi_info))
-            assert obs.eff.shape == (len(ps.phi_info) + 1, cfg.m_rx)
+            _, obs, *_, ch = build_observation(cfg, snr_db=10.0, trial=trial)
+            eff_info, eff_power = _effective(ch, (cfg.n1, cfg.n2),
+                                             align_group1(ch, cfg.n1, PHI_INFO))
+            assert obs.eff.shape == (len(PHI_INFO) + 1, cfg.m_rx)
             np.testing.assert_array_equal(obs.eff, np.stack(eff_info + [eff_power]))
 
     def test_noise_and_stacking_keep_eff(self, small_cfg):
@@ -201,7 +200,7 @@ class TestMlJointDetect:
             bits = int_to_bits(v, eta)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
             for ris_bit in (0, 1):
-                state = make_ris_state(ch, cfg.n1, ctx.phase_set, ris_bit)
+                state = make_ris_state(ch, cfg.n1, ris_bit)
                 obs = observe(ch, (cfg.n1, cfg.n2), frame, state)
                 det = self._detect(ctx, obs, frame, cfg)
                 assert np.array_equal(ctx.codebook.slot_index[det.alpha], np.flatnonzero(frame.tau))
@@ -233,8 +232,8 @@ class TestMlJointDetect:
             ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
             det = self._detect(ctx, obs, frame, cfg)
             cw, c, labels, metric = naive_joint_search(
-                obs, ch, (cfg.n1, cfg.n2), ctx.codebook, ctx.constellation, ctx.phase_set.phi_info,
-                frame.omega, ctx.phase_set, cfg.p_low_w,
+                obs, ch, (cfg.n1, cfg.n2), ctx.codebook, ctx.constellation, frame.omega,
+                cfg.p_low_w,
             )
             assert codewords(ctx.codebook)[det.alpha] == cw
             assert det.ris_bit == c
@@ -286,8 +285,8 @@ class TestLlrPerSlot:
                 ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=snr, trial=trial)
                 got = self._llr(ctx, obs, frame, cfg)
                 want = direct_llr(
-                    obs, ch, (cfg.n1, cfg.n2), ctx.constellation, ctx.phase_set.phi_info,
-                    frame.omega, ctx.phase_set, cfg.k_slots, cfg.l_slots, cfg.p_low_w,
+                    obs, ch, (cfg.n1, cfg.n2), ctx.constellation, frame.omega, cfg.k_slots,
+                    cfg.l_slots, cfg.p_low_w,
                 )
                 np.testing.assert_allclose(got, want, rtol=1e-9)
 
@@ -362,8 +361,7 @@ class TestMlSymbolPhase:
             labels, c = ml_symbol_phase(
                 slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], slots)
             want_c, want_labels, _ = naive_symbol_phase(
-                obs, ch, (cfg.n1, cfg.n2), slots, ctx.constellation,
-                ctx.phase_set.phi_info, cfg.p_low_w, ctx.phase_set,
+                obs, ch, (cfg.n1, cfg.n2), slots, ctx.constellation, cfg.p_low_w,
             )
             assert (c, tuple(labels)) == (want_c, want_labels)
 
@@ -391,7 +389,7 @@ class TestLlrDetect:
         for v in range(1 << eta):
             bits = int_to_bits(v, eta)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
-            state = make_ris_state(ch, cfg.n1, ctx.phase_set, v % 2)
+            state = make_ris_state(ch, cfg.n1, v % 2)
             clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
             obs = clean.with_noise(sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
@@ -406,7 +404,7 @@ class TestLlrDetect:
             ch = draw_channel(ctx.channel_model, rng)
             bits = rng.integers(0, 2, 8)
             frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
-            state = make_ris_state(ch, cfg.n1, ctx.phase_set, int(rng.integers(0, 2)))
+            state = make_ris_state(ch, cfg.n1, int(rng.integers(0, 2)))
             clean = observe(ch, (cfg.n1, cfg.n2), frame, state)
             obs = clean.with_noise(ctx.sigma2, draw_noise(clean.y.shape, rng))
             det = self._detect(ctx, obs, frame, cfg)
@@ -605,7 +603,7 @@ def _block_at_points(cfg, trial):
     eta = ctx.codebook.bits_index + cfg.l_slots * ctx.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=eta)
     frame = encode_block(bits, ctx.codebook, ctx.constellation, cfg.p_low_w, cfg.p_high_w)
-    state = make_ris_state(channel, cfg.n1, ctx.phase_set, int(rng.integers(0, 2)))
+    state = make_ris_state(channel, cfg.n1, int(rng.integers(0, 2)))
     clean = observe(channel, (cfg.n1, cfg.n2), frame, state)
     return ctx, frame, state, clean, draw_noise(clean.y.shape, rng), bits
 

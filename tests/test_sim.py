@@ -137,7 +137,7 @@ class TestBlockTrial:
                              cfg.p_low_w, cfg.p_high_w, cfg.omega_phase_rad)
         from timsr.ris import make_ris_state
 
-        state = make_ris_state(channel, cfg.n1, ctx.phase_set, ris_bit)
+        state = make_ris_state(channel, cfg.n1, ris_bit)
         g2 = channel.h_r[cfg.n1:cfg.n1 + cfg.n2]
         dc_ris = np.mean([
             clc_dc_power(slot_rectenna_input(g2, s), ctx.ris_model) for s in frame.samples
@@ -754,6 +754,15 @@ class TestTrialBatches:
         tally = _map_points(ctx, _n2s(layouts), sigma2s, 1)
         _assert_equals_loop(tally, ctx, layouts, sigma2s)
         assert not tally.ptx_errors[1].any() and not tally.ris_errors[3].any()
+
+    def test_ml_batch_with_all_zero_variance(self):
+        # a detecting trial draws its noise though no variance is positive,
+        # as the loop does, and every row detects the clean samples
+        cfg = make_config(trials=23, **self.KINDS["ml"])
+        ctx, layouts, sigma2s = _grid(cfg, "ber", (0.0, 0.0))
+        tally = _map_points(ctx, _n2s(layouts), sigma2s, 1)
+        _assert_equals_loop(tally, ctx, layouts, sigma2s)
+        assert not tally.ptx_errors.any() and not tally.ris_errors.any()
 
 
 class TestPowerBudgetReport:
