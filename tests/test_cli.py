@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import timsr
 import timsr.sim
 from timsr import cli
 from timsr.cli import main
