@@ -69,7 +69,8 @@ class RunContext:
     """Everything one trial needs; immutable and shareable across workers."""
 
     cfg: SimConfig
-    sigma2: float | None      # read by run_block_trial only, which the benchmark still calls
+    sigma2: float | None      # read by run_block_trial, which the benchmark still calls,
+                              # and by the tests' build_observation
     channel_model: ChannelModel
     codebook: object
     constellation: object

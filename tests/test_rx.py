@@ -79,13 +79,6 @@ class TestObserve:
         with pytest.raises(ValueError, match="noise variance must be >= 0"):
             obs.with_noise(bad, draw_noise(obs.y.shape, trial_rng(0, 0)))
 
-    @pytest.mark.parametrize("sigma2", [0.5, (0.0, 0.5)])
-    def test_with_noise_needs_unit_noise_for_positive_variance(self, small_cfg, sigma2):
-        _, obs, *_ = build_observation(small_cfg, snr_db=0.0)
-        with pytest.raises(ValueError, match="unit noise is required"):
-            obs.with_noise(sigma2, None)
-        np.testing.assert_array_equal(obs.with_noise((0.0, 0.0), None).y[1], obs.y)
-
     def test_noise_statistics(self, small_cfg):
         # every slot carries circularly symmetric noise of the set variance
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
@@ -684,12 +677,6 @@ class TestPointBatch:
             singles = [ml_joint_detect(clean.with_noise(s2, unit), *args) for s2 in sigma2s]
             _assert_rows_equal(ml_joint_detect(stacked, *args), singles)
             np.testing.assert_array_equal(singles[1].ptx_bits, bits)
-
-    def test_noise_free_stack_needs_no_unit_noise(self, small_cfg):
-        ctx, frame, _, clean, _, _ = _block_at_points(small_cfg, 0)
-        stacked = clean.with_noise((0.0, 0.0), None)
-        assert stacked.y.shape == (2,) + clean.y.shape
-        assert stacked.y.tobytes() == np.stack([clean.y, clean.y]).tobytes()
 
     def test_tied_rows_take_first_minimum(self):
         cb = build_codebook(4, 2, "table1")               # (1,3) (1,4) (2,4) (2,3)

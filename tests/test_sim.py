@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -201,6 +202,35 @@ class TestBerSweep:
         assert big.se_ber_ptx < small.se_ber_ptx
         # roughly 1/sqrt(n): quadrupling trials halves the error
         assert 0.3 <= big.se_ber_ptx / small.se_ber_ptx <= 0.8
+
+    @pytest.mark.parametrize("overrides", [
+        dict(detector="llr"),
+        dict(detector="ml", k_slots=4, l_slots=2, codebook_strategy="table1"),
+        dict(scheme="benchmark"),
+    ], ids=["llr_8_2", "ml_4_2_table1", "benchmark"])
+    def test_ber_columns_from_loop_counts(self, overrides):
+        # each BER column is the pooled error fraction of the loop's per-block
+        # counts, and its SE the ddof=1 spread of the per-block fractions over
+        # sqrt(n); a column with no bits per block is empty
+        cfg = make_config(snr_db_grid=(0.0,), trials=60, **overrides)
+        ctx = make_context(cfg, None)
+        sigma2s = (direct_snr_sigma2(cfg, 0.0),)
+        counts = [loop_trial(ctx, ((cfg.n1, cfg.n2),), sigma2s, i)[0][4:]
+                  for i in range(cfg.trials)]
+        row = ber_sweep(cfg).rows[0]
+        for k, name in enumerate(("ptx", "index", "ris")):
+            errors = [c[2 * k] for c in counts]
+            widths = [c[2 * k + 1] for c in counts]
+            ber, se = getattr(row, f"ber_{name}"), getattr(row, f"se_ber_{name}")
+            if widths[0] == 0:
+                assert name == "index" and cfg.scheme == "benchmark"
+                assert ber is None and se is None
+                continue
+            assert sum(errors) > 0                  # 0 dB decides some bits wrong
+            fractions = [e / w for e, w in zip(errors, widths)]
+            assert ber == pytest.approx(sum(errors) / sum(widths), rel=1e-12)
+            assert se == pytest.approx(statistics.stdev(fractions) / math.sqrt(len(fractions)),
+                                       rel=1e-12)
 
     def test_csv_roundtrip_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
