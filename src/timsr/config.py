@@ -72,19 +72,19 @@ class SimConfig:
     paper_compat: bool = False
 
     def __post_init__(self):
-        # Every field has its default's type; an exact int in a float field
-        # or in the SNR grid is stored as that float, so configs of equal
-        # content compare and hash equal.
+        # Every field has its default's type; a float field or an SNR-grid
+        # value is stored as a float, an exact int as that float and -0.0 as
+        # 0.0, so configs of equal content compare and hash equal.
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if not _fits(value, kind):
                 wanted = "a tuple of numbers" if kind is tuple else _KIND_NAMES[kind]
                 raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
             try:
-                if kind is float and type(value) is int:
-                    object.__setattr__(self, f.name, float(value))
+                if kind is float:
+                    object.__setattr__(self, f.name, float(value) + 0.0)
                 elif kind is tuple:
-                    object.__setattr__(self, f.name, tuple(map(float, value)))
+                    object.__setattr__(self, f.name, tuple(float(v) + 0.0 for v in value))
             except OverflowError as exc:
                 raise ValueError(f"{f.name} must be finite: {exc}") from None
             if kind is float and not math.isfinite(value):

@@ -15,8 +15,9 @@ and returns arrays with those axes. B blocks received at S noise variances
 are one :class:`Observation` with samples (B, S, K, M_R), detected in one
 call with one decision per (block, point) row; one block at one variance
 has samples (K, M_R) and decisions with no leading axis. :func:`observe` is
-noiseless: noise enters only through :meth:`Observation.with_noise`, as
-unit noise drawn by the trials' streams.
+noiseless (its observation carries sigma2 = 0, which only the joint detector
+accepts): noise enters only through :meth:`Observation.with_noise`, at
+positive variances, as unit noise drawn by the trials' streams.
 
 The joint detector finds the least metric over every (codeword, surface
 phase, symbol vector) hypothesis without enumerating them
@@ -65,19 +66,17 @@ class Observation:
     eff: np.ndarray
 
     def with_noise(self, sigma2, unit) -> "Observation":
-        """The same blocks received at noise variance ``sigma2``: ``unit``
+        """The same blocks received at noise variance ``sigma2`` > 0: ``unit``
         (from :func:`unit_noise`, shaped like the samples) scaled by
         sqrt(sigma2 / 2) is added to the samples. A sequence of S variances
-        adds a point axis, one row per variance. Rows at ``sigma2 = 0``
-        keep the samples as they are."""
+        adds a point axis, one row per variance."""
         s2 = np.asarray(sigma2, dtype=float)
-        if not np.all(s2 >= 0):
-            raise ValueError(f"noise variance must be >= 0, got {sigma2}")
+        if not np.all(s2 > 0):
+            raise ValueError(f"noise variance must be > 0, got {sigma2}")
         point = (Ellipsis, None, slice(None), slice(None)) if s2.ndim else Ellipsis
-        y = self.y[point]
-        scale = np.sqrt(s2 / 2.0)[..., None, None]
-        noisy = y + scale * unit[point] if np.any(s2 > 0) else y
-        return Observation(np.where(scale > 0, noisy, y), s2, self.eff)
+        noisy = np.sqrt(s2 / 2.0)[..., None, None] * unit[point]
+        noisy += self.y[point]          # in place: one array per call, not two
+        return Observation(noisy, s2, self.eff)
 
 
 def unit_noise(shape, normals) -> np.ndarray:

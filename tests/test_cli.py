@@ -355,14 +355,29 @@ def test_unusable_snr_point_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("script, n_csv", [("run_ber_sweep.py", 6), ("run_harvest_sweep.py", 3)])
-def test_campaign_script_writes_every_csv(tmp_path, script, n_csv):
+def _run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--trials", "2",
-                          "--outdir", str(tmp_path)], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("script, n_csv", [("run_ber_sweep.py", 6), ("run_harvest_sweep.py", 3)])
+def test_campaign_script_writes_every_csv(tmp_path, script, n_csv):
+    run = _run_script(script, "--trials", "2", "--outdir", str(tmp_path))
     assert run.returncode == 0, run.stderr
     written = sorted(tmp_path.glob("*.csv"))
     assert len(written) == n_csv
     for path in written:
         assert path.read_text().splitlines()[1] == ",".join(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("script, flag, message", [
+    ("run_ber_sweep.py", "--workers", "workers must be an integer >= 1"),
+    ("run_harvest_sweep.py", "--step", "--step must be >= 1"),
+])
+def test_campaign_script_fails_cleanly(tmp_path, script, flag, message):
+    run = _run_script(script, "--trials", "2", flag, "0", "--outdir", str(tmp_path))
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"error: {message}") and "Traceback" not in run.stderr
+    assert list(tmp_path.glob("*.csv")) == []

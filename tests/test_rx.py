@@ -73,10 +73,11 @@ class TestObserve:
             observe(ch, (small_cfg.n1, small_cfg.n2), frame, state).with_noise(
                 -1.0, draw_noise(obs.y.shape, trial_rng(0, 0)))
 
-    @pytest.mark.parametrize("bad", [-1.0, (-1.0, 0.5), (0.5, math.nan), math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, (-1.0, 0.5), (0.5, math.nan), math.nan, 0.0,
+                                     (0.5, 0.0)])
     def test_with_noise_rejects_negative_or_nan_variance(self, small_cfg, bad):
         _, obs, *_ = build_observation(small_cfg, snr_db=0.0)
-        with pytest.raises(ValueError, match="noise variance must be >= 0"):
+        with pytest.raises(ValueError, match="noise variance must be > 0"):
             obs.with_noise(bad, draw_noise(obs.y.shape, trial_rng(0, 0)))
 
     def test_noise_statistics(self, small_cfg):
@@ -121,7 +122,7 @@ class TestObservationChannels:
     def test_noise_and_stacking_keep_eff(self, small_cfg):
         _, obs, *_ = build_observation(small_cfg, snr_db=5.0)
         unit = draw_noise(obs.y.shape, trial_rng(0, 0))
-        for derived in (obs.with_noise(0.5, unit), obs.with_noise((0.5, 0.0), unit)):
+        for derived in (obs.with_noise(0.5, unit), obs.with_noise((0.5, 0.25), unit)):
             np.testing.assert_array_equal(derived.eff, obs.eff)
 
 
@@ -664,19 +665,6 @@ class TestPointBatch:
                 assert select_info_slots(llr[s], ctx.codebook) == alpha[s]
                 want = ml_symbol_phase(point_info, ctx.codebook.slot_index[alpha[s]])
                 assert (tuple(labels[s]), c[s]) == (tuple(want[0]), want[1])
-
-    def test_ml_batch_with_zero_variance(self):
-        cfg = make_config(trials=1, k_slots=4, l_slots=2, codebook_strategy="table1",
-                          detector="ml")
-        sigma2s = (self.GRID[1], 0.0, self.GRID[4], 0.0)
-        for trial in range(6):
-            ctx, frame, _, clean, unit, bits = _block_at_points(cfg, trial)
-            args = (ctx.codebook, ctx.constellation, frame.omega, cfg.p_low_w)
-            stacked = clean.with_noise(sigma2s, unit)
-            assert stacked.y[1].tobytes() == clean.y.tobytes()   # no 0 * unit added
-            singles = [ml_joint_detect(clean.with_noise(s2, unit), *args) for s2 in sigma2s]
-            _assert_rows_equal(ml_joint_detect(stacked, *args), singles)
-            np.testing.assert_array_equal(singles[1].ptx_bits, bits)
 
     def test_tied_rows_take_first_minimum(self):
         cb = build_codebook(4, 2, "table1")               # (1,3) (1,4) (2,4) (2,3)
