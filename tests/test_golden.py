@@ -69,6 +69,12 @@ CASES = {
     "harvest_zero_los": ("harvest", dict(los_phase_policy="zero"), 1),
     "harvest_m_rx_1": ("harvest", dict(m_rx=1), 1),
     "harvest_m_rx_9_per_entry": ("harvest", dict(m_rx=9, los_phase_policy="per-entry"), 1),
+    "llr_8_2_16qam": ("ber", dict(detector="llr", m_order=16), 1),
+    "ml_8_2_16qam": ("ber", dict(detector="ml", m_order=16), 1),
+    "llr_8_2_8psk": ("ber", dict(detector="llr", constellation="psk", m_order=8), 1),
+    "ml_8_2_8psk": ("ber", dict(detector="ml", constellation="psk", m_order=8), 1),
+    "llr_8_2_omega_1": ("ber", dict(detector="llr", omega_phase_rad=1.0), 1),
+    "ml_8_2_omega_1": ("ber", dict(detector="ml", omega_phase_rad=1.0), 1),
 }
 
 # absorber counts from none to every cell outside the assist group, in order
@@ -93,8 +99,15 @@ def case_bytes(name, tmp_path, workers=None) -> bytes:
     return path.read_bytes()
 
 
-# name -> the config file of a power-budget case (none for the defaults)
-BUDGETS = {"power_budget": None, "power_budget_per_entry": "los_phase_policy = per-entry\n"}
+# name -> the config file of a power-budget case (none for the defaults): every
+# absorber cell outside the assist group, where each block saturates the
+# rectenna; the seed-3 counts on either side of the rf-switch budget; and the
+# varactor cell as the configured technology
+BUDGETS = {"power_budget": None, "power_budget_per_entry": "los_phase_policy = per-entry\n",
+           "power_budget_n2_196": "n2 = 196\n",
+           "power_budget_seed_3_n2_17": "seed = 3\nn2 = 17\n",
+           "power_budget_seed_3_n2_46": "seed = 3\nn2 = 46\n",
+           "power_budget_varactor": "technology = varactor\n"}
 
 
 def power_budget_text(name, tmp_path) -> bytes:
@@ -169,6 +182,12 @@ def test_power_budget_text(digests, tmp_path):
 
 def test_power_budget_text_per_entry(digests, tmp_path):
     name = "power_budget_per_entry"
+    assert sha256(power_budget_text(name, tmp_path)) == digests[name]
+
+
+@pytest.mark.parametrize("name", ["power_budget_n2_196", "power_budget_seed_3_n2_17",
+                                  "power_budget_seed_3_n2_46", "power_budget_varactor"])
+def test_power_budget_text_cases(name, digests, tmp_path):
     assert sha256(power_budget_text(name, tmp_path)) == digests[name]
 
 
