@@ -10,6 +10,7 @@ import pathlib
 import sys
 
 from timsr import make_config
+from timsr.cli import check_workers
 from timsr.sim import ber_sweep
 
 
@@ -22,6 +23,7 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
+        check_workers(args.workers)
         outdir = pathlib.Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         for l_slots in (1, 2, 4):

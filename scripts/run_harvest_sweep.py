@@ -9,6 +9,7 @@ import pathlib
 import sys
 
 from timsr import make_config
+from timsr.cli import check_workers
 from timsr.sim import harvest_sweep
 
 
@@ -22,6 +23,7 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
+        check_workers(args.workers)
         if args.step < 1:
             raise ValueError(f"--step must be >= 1, got {args.step}")
         outdir = pathlib.Path(args.outdir)

@@ -1,15 +1,18 @@
-"""Command-line front end: sweep commands writing CSV and the power-budget
-report."""
+"""Command-line front end: sweep commands writing CSV, and the power budget
+read from a harvest sweep at the configured absorber count."""
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import DETECTORS, load_config, make_config
-from .sim import ber_sweep, harvest_sweep, power_budget_report
+from .sim import ber_sweep, harvest_sweep
 
 
 def _flag_groups():
@@ -65,9 +68,20 @@ def _parse_grid(text: str):
                          f"nonzero step, got {text!r}") from None
 
 
+def check_workers(workers: int) -> None:
+    """Raise ``ValueError`` when ``workers`` exceeds the CPUs this process may
+    run on, before any trial runs or any worker process starts."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if workers > cpus:
+        raise ValueError(f"--workers must be at most {cpus}, the CPUs this process may run on, "
+                         f"got {workers}")
+
+
 def _build_config(args):
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    check_workers(args.workers)
     cfg = load_config(args.config) if args.config else make_config()
     overrides = {key: getattr(args, key, None) for key in ("seed", "trials", "detector")
                  if getattr(args, key, None) is not None}
@@ -110,16 +124,22 @@ def main(argv=None) -> int:
 
 def _dispatch(args, cfg) -> int:
     if args.command == "power-budget":
-        report = power_budget_report(cfg, workers=args.workers)
-        print(f"consumption rf-switch : {report.p_ris_rf_w * 1e3:.3f} mW")
-        print(f"consumption varactor  : {report.p_ris_varactor_w * 1e3:.3f} mW")
-        print(f"varactor/rf ratio     : {report.ratio_db:.2f} dB")
-        print(f"absorber cells (n2)   : {report.n2}")
-        print(f"avg harvested DC      : {report.avg_dc_ris_uw:.1f} uW over {report.blocks} blocks")
-        print(f"margin rf-switch      : {report.margin_rf_w * 1e3:+.3f} mW "
-              f"(standalone in {report.standalone_frac_rf:.1%} of blocks)")
-        print(f"margin varactor       : {report.margin_varactor_w * 1e3:+.3f} mW "
-              f"(standalone in {report.standalone_frac_var:.1%} of blocks)")
+        report = harvest_sweep(cfg, (cfg.n2,), workers=args.workers)
+        (row,) = report.table.rows
+        p_rf, p_var = report.p_ris_rf_w, report.p_ris_varactor_w
+        # +-inf when only one consumption is zero, nan when both are
+        ratio_db = (10.0 * math.log10(p_var / p_rf) if p_var > 0 and p_rf > 0 else
+                    math.nan if p_var == p_rf else math.copysign(math.inf, p_var - p_rf))
+        avg_dc = float(np.mean(report.dc_ris_w[0]))    # in watts: the row's uW would round
+        print(f"consumption rf-switch : {p_rf * 1e3:.3f} mW")
+        print(f"consumption varactor  : {p_var * 1e3:.3f} mW")
+        print(f"varactor/rf ratio     : {ratio_db:.2f} dB")
+        print(f"absorber cells (n2)   : {row.n2}")
+        print(f"avg harvested DC      : {row.avg_dc_ris_uw:.1f} uW over {row.trials} blocks")
+        print(f"margin rf-switch      : {(avg_dc - p_rf) * 1e3:+.3f} mW "
+              f"(standalone in {row.standalone_frac_rf:.1%} of blocks)")
+        print(f"margin varactor       : {(avg_dc - p_var) * 1e3:+.3f} mW "
+              f"(standalone in {row.standalone_frac_var:.1%} of blocks)")
         return 0
 
     out = args.out or f"{args.command.replace('-', '_')}.csv"

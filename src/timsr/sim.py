@@ -1,5 +1,5 @@
 """Monte Carlo harness: batches of block trials, BER-vs-SNR and
-harvest-vs-N2 sweeps, the power-budget report, and CSV output.
+harvest-vs-N2 sweeps, and CSV output.
 
 Every trial owns a counter-based random stream keyed by (seed, trial index),
 so results are independent of worker count, scheduling and batching. A sweep
@@ -404,6 +404,7 @@ class HarvestReport:
     p_ris_varactor_w: float
     min_n2_rf: int | None
     min_n2_varactor: int | None
+    dc_ris_w: np.ndarray      # the surface DC in watts, one row of blocks per grid point
 
 
 def default_n2_grid(cfg: SimConfig) -> tuple:
@@ -437,43 +438,5 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
         p_ris_varactor_w=ctx.p_ris_var_w,
         min_n2_rf=min((r.n2 for r in rows if r.standalone_frac_rf >= 0.5), default=None),
         min_n2_varactor=min((r.n2 for r in rows if r.standalone_frac_var >= 0.5), default=None),
-    )
-
-
-@dataclass
-class PowerBudgetReport:
-    p_ris_rf_w: float
-    p_ris_varactor_w: float
-    ratio_db: float
-    n2: int
-    blocks: int
-    avg_dc_ris_uw: float
-    margin_rf_w: float
-    margin_varactor_w: float
-    standalone_frac_rf: float
-    standalone_frac_var: float
-
-
-def power_budget_report(cfg: SimConfig, workers: int = 1) -> PowerBudgetReport:
-    """Deterministic consumption figures for both cell technologies and the
-    harvest margin at the configured absorber count, read from the harvest
-    sweep's row for it (fixed-seed blocks, mapped over ``workers`` processes)."""
-    ctx = make_context(cfg, None)
-    p_rf, p_var = ctx.p_ris_rf_w, ctx.p_ris_var_w
-    tally = _map_points(ctx, (cfg.n2,), (), workers)
-    row = _aggregate(ctx, tally, 0, None, snr_db=None, n2=cfg.n2)
-    avg_dc = float(np.mean(tally.dc_ris_w[0]))
-    return PowerBudgetReport(
-        p_ris_rf_w=p_rf,
-        p_ris_varactor_w=p_var,
-        # +-inf when only one consumption is zero, nan when both are
-        ratio_db=(10.0 * math.log10(p_var / p_rf) if p_var > 0 and p_rf > 0 else
-                  math.nan if p_var == p_rf else math.copysign(math.inf, p_var - p_rf)),
-        n2=cfg.n2,
-        blocks=row.trials,
-        avg_dc_ris_uw=row.avg_dc_ris_uw,
-        margin_rf_w=avg_dc - p_rf,
-        margin_varactor_w=avg_dc - p_var,
-        standalone_frac_rf=row.standalone_frac_rf,
-        standalone_frac_var=row.standalone_frac_var,
+        dc_ris_w=tally.dc_ris_w,
     )

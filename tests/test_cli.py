@@ -2,6 +2,7 @@ import functools
 import importlib
 import os
 import re
+import runpy
 import subprocess
 import sys
 from dataclasses import fields
@@ -152,7 +153,6 @@ def test_existing_out_survives_a_failed_sweep(tmp_path, cfg_file, monkeypatch):
     ("harvest-sweep", ["--paper-compat"]),
 ], ids=["flag0", "flag1", "flag2", "harvest-detector", "harvest-paper-compat"])
 def test_power_budget_rejects_sweep_flags(tmp_path, monkeypatch, capsys, command, flag):
-    monkeypatch.setattr(cli, "power_budget_report", _no_sweep)
     monkeypatch.setattr(cli, "harvest_sweep", _no_sweep)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -236,6 +236,24 @@ def test_power_budget_rejects_workers_below_one(capsys, workers):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --workers must be >= 1")
     assert captured.out == ""
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize("command", ["ber-sweep", "harvest-sweep", "power-budget", "benchmark"])
+def test_workers_above_the_cpus_fail_before_the_sweep(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "ber_sweep", _no_sweep)
+    monkeypatch.setattr(cli, "harvest_sweep", _no_sweep)
+    monkeypatch.chdir(tmp_path)
+    cpus = _cpus()
+    cli.check_workers(cpus)                 # as many workers as CPUs pass
+    assert main([command, "--trials", "5", "--workers", str(cpus + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --workers must be at most {cpus}, the CPUs this process "
+                            f"may run on, got {cpus + 1}\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_oversized_ml_config_fails_cleanly(tmp_path, capsys):
@@ -381,3 +399,18 @@ def test_campaign_script_fails_cleanly(tmp_path, script, flag, message):
     assert run.returncode == 2
     assert run.stderr.startswith(f"error: {message}") and "Traceback" not in run.stderr
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("script", ["run_ber_sweep.py", "run_harvest_sweep.py"])
+def test_campaign_script_rejects_workers_above_the_cpus(tmp_path, monkeypatch, capsys, script):
+    # run in this process with the sweeps' trial mapping patched out, so that
+    # neither a trial nor a worker process can start
+    monkeypatch.setattr(timsr.sim, "_map_points", _no_sweep)
+    outdir = tmp_path / "results"
+    monkeypatch.setattr(sys, "argv", [script, "--workers", "5000", "--outdir", str(outdir)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"error: --workers must be at most {_cpus()}, the CPUs "
+                                       f"this process may run on, got 5000\n")
+    assert not outdir.exists()

@@ -34,7 +34,6 @@ from timsr.ris import clc_dc_power
 from timsr.rx import llr_detect, ml_joint_detect
 from timsr.sim import (
     CSV_COLUMNS,
-    PowerBudgetReport,
     Tally,
     _BATCH_BYTES,
     _aggregate,
@@ -45,7 +44,6 @@ from timsr.sim import (
     direct_snr_sigma2,
     harvest_sweep,
     make_context,
-    power_budget_report,
     run_block_trial,
     trial_rng,
 )
@@ -394,9 +392,9 @@ class TestFusedSweeps:
                 sizes.append(workers)
 
         cfg = make_config(trials=1)
-        want = power_budget_report(cfg)
+        want = harvest_sweep(cfg, (cfg.n2,)).table.rows
         monkeypatch.setattr(timsr.sim, "_pool", SizedPool)
-        assert power_budget_report(cfg, workers=64) == want
+        assert harvest_sweep(cfg, (cfg.n2,), workers=64).table.rows == want
         assert sizes == []          # one shard runs in this process
         cfg = make_config(snr_db_grid=(0.0, 10.0), trials=5)
         assert ber_sweep(cfg, workers=64).rows == ber_sweep(cfg).rows
@@ -451,7 +449,7 @@ class TestWorkerPool:
                          snr_db_grid=(0.0, 10.0), trials=8)
         sweeps = [lambda w: ber_sweep(llr, workers=w).rows,
                   lambda w: harvest_sweep(llr, n2_grid=self.GRID, workers=w).table.rows,
-                  lambda w: power_budget_report(llr, workers=w),
+                  lambda w: harvest_sweep(llr, (llr.n2,), workers=w).dc_ris_w.tolist(),
                   lambda w: ber_sweep(ml, workers=w).rows]
         want = [sweep(1) for sweep in sweeps]
         assert [sweep(2) for sweep in sweeps] == want
@@ -777,49 +775,49 @@ class TestTrialBatches:
         _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, 1), ctx, layouts, sigma2s)
 
 
-class TestPowerBudgetReport:
+class TestPowerBudgetRow:
+    """The power budget is the harvest sweep at the configured absorber count:
+    its one row and the per-block surface DC behind it."""
+
     def test_values(self):
-        rep = power_budget_report(make_config(trials=200))
+        rep = harvest_sweep(make_config(trials=200), (35,))
         assert rep.p_ris_rf_w == pytest.approx(3.456e-3, rel=1e-12)
         assert rep.p_ris_varactor_w == pytest.approx(23.680e-3, rel=1e-12)
-        assert rep.ratio_db == pytest.approx(8.36, abs=0.01)
-        assert rep.margin_rf_w > 0  # harvested DC covers the rf-switch budget
-        assert rep.margin_varactor_w < 0
+        avg_dc = np.mean(rep.dc_ris_w[0])
+        assert avg_dc > rep.p_ris_rf_w  # harvested DC covers the rf-switch budget
+        assert avg_dc < rep.p_ris_varactor_w
 
     @pytest.mark.parametrize("n2, want", [
-        (17, PowerBudgetReport(
-            p_ris_rf_w=0.003456, p_ris_varactor_w=0.02368, ratio_db=8.358079642440265, n2=17,
-            blocks=40, avg_dc_ris_uw=3313.2390615589106, margin_rf_w=-0.00014276093844108918,
-            margin_varactor_w=-0.02036676093844109, standalone_frac_rf=0.35,
-            standalone_frac_var=0.0)),
-        (46, PowerBudgetReport(
-            p_ris_rf_w=0.003456, p_ris_varactor_w=0.02368, ratio_db=8.358079642440265, n2=46,
-            blocks=40, avg_dc_ris_uw=23948.426385622985, margin_rf_w=0.020492426385622983,
-            margin_varactor_w=0.0002684263856229836, standalone_frac_rf=1.0,
-            standalone_frac_var=0.55)),
+        (17, (40, 3313.2390615589106, -0.00014276093844108918, -0.02036676093844109, 0.35, 0.0)),
+        (46, (40, 23948.426385622985, 0.020492426385622983, 0.0002684263856229836, 1.0, 0.55)),
     ])
     def test_workers_keep_fixed_seed_values(self, n2, want):
-        # the report maps its blocks like a sweep; the values at seed 3 are
-        # those of the one-block-at-a-time loop it replaced
+        # blocks, average DC, both margins and both standalone fractions; the
+        # values at seed 3 are those of the one-block-at-a-time loop that
+        # the sweep replaced
         cfg = make_config(n2=n2, trials=40, seed=3)
-        assert power_budget_report(cfg, workers=1) == want
-        assert power_budget_report(cfg, workers=2) == want
+        for workers in (1, 2):
+            rep = harvest_sweep(cfg, (n2,), workers)
+            (row,) = rep.table.rows
+            avg_dc = float(np.mean(rep.dc_ris_w[0]))
+            assert (row.trials, row.avg_dc_ris_uw, avg_dc - rep.p_ris_rf_w,
+                    avg_dc - rep.p_ris_varactor_w, row.standalone_frac_rf,
+                    row.standalone_frac_var) == want
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_the_harvest_row(self, workers):
-        # the report and a harvest sweep at its one absorber count agree
-        cfg = make_config(n2=46, trials=40, seed=3)
-        rep = power_budget_report(cfg, workers)
-        harvest = harvest_sweep(cfg, (cfg.n2,), workers)
-        (row,) = harvest.table.rows
-        assert (rep.blocks, rep.avg_dc_ris_uw, rep.standalone_frac_rf, rep.standalone_frac_var) == (
-            row.trials, row.avg_dc_ris_uw, row.standalone_frac_rf, row.standalone_frac_var)
-        assert (rep.p_ris_rf_w, rep.p_ris_varactor_w) == (harvest.p_ris_rf_w,
-                                                          harvest.p_ris_varactor_w)
+    def test_rows_average_the_block_dc(self, workers):
+        # one row of blocks, in trial order, per grid point, repeats included
+        cfg, grid = make_config(trials=30, seed=3), (46, 0, 196, 46)
+        rep = harvest_sweep(cfg, grid, workers)
+        assert rep.dc_ris_w.shape == (len(grid), cfg.trials)
+        assert [float(np.mean(dc) * 1e6) for dc in rep.dc_ris_w] == [
+            row.avg_dc_ris_uw for row in rep.table.rows]
+        assert np.array_equal(rep.dc_ris_w[0], rep.dc_ris_w[3])
+        assert np.array_equal(rep.dc_ris_w[1:3], harvest_sweep(cfg, (0, 196)).dc_ris_w)
 
     def test_scaling_with_cells(self):
-        small = power_budget_report(make_config(trials=10))
-        big = power_budget_report(make_config(n_cells=512, n1=60, n2=35, trials=10))
+        small = harvest_sweep(make_config(trials=10), (35,))
+        big = harvest_sweep(make_config(n_cells=512, n1=60, n2=35, trials=10), (35,))
         assert big.p_ris_rf_w > small.p_ris_rf_w
         assert big.p_ris_varactor_w > small.p_ris_varactor_w
 
