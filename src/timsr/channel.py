@@ -127,51 +127,33 @@ def link_shapes(m_rx: int, n_cells: int) -> dict:
 
 
 class ChannelModel:
-    """Per-run channel generator.
+    """Per-run channel generator, built from a checked ``SimConfig`` and the
+    run's line-of-sight stream ``rng``. The LoS phases are drawn from ``rng``
+    once, link by link under the config's policy, and held fixed for every
+    block of the run; only the diffuse components are redrawn per block.
+    ``realize`` is pure in the normals it is passed, so independent streams
+    may drive concurrent workers. The model knows no cell groups: a
+    realization holds the links only."""
 
-    Line-of-sight phases are drawn once at construction (per the configured
-    policy) and held fixed for every block of the run; only the diffuse
-    components are redrawn per block. ``realize`` is pure in the normals
-    it is passed, so independent streams may drive concurrent workers. The
-    model knows no cell groups: a realization holds the links only.
-    """
-
-    def __init__(
-        self,
-        m_rx: int,
-        n_cells: int,
-        kappa: float = 5.0,
-        carrier_ghz: float = 2.0,
-        d_tx_ris_m: float = 5.0,
-        d_ris_rx_m: float = 10.0,
-        d_direct_m: float = 14.0,
-        los_phase_policy: str = "per-link",
-        rng: np.random.Generator | None = None,
-    ):
-        if los_phase_policy not in LOS_PHASE_POLICIES:
-            raise ValueError(f"unknown LoS phase policy {los_phase_policy!r}")
-        if los_phase_policy != "zero" and rng is None:
-            raise ValueError(f"policy {los_phase_policy!r} needs a random stream for the phases")
-
-        self.m_rx = m_rx
-        self.n_cells = n_cells
-
-        gain_direct = path_gain(d_direct_m, carrier_ghz)
-        gain_ris_rx = path_gain(d_ris_rx_m, carrier_ghz)
-        gains = {"h_d": gain_direct, "h_r": path_gain(d_tx_ris_m, carrier_ghz),
+    def __init__(self, cfg, rng: np.random.Generator):
+        self.m_rx = cfg.m_rx
+        self.n_cells = cfg.n_cells
+        gain_direct = path_gain(cfg.d_direct_m, cfg.carrier_ghz)
+        gain_ris_rx = path_gain(cfg.d_ris_rx_m, cfg.carrier_ghz)
+        gains = {"h_d": gain_direct, "h_r": path_gain(cfg.d_tx_ris_m, cfg.carrier_ghz),
                  "G_d": gain_ris_rx, "h_e": gain_direct, "g_e": gain_ris_rx}
         # the shape of each link, drawn in the order of link_shapes
-        self.links = link_shapes(m_rx, n_cells)
+        self.links = link_shapes(cfg.m_rx, cfg.n_cells)
         self.n_normals = 2 * sum(map(math.prod, self.links.values()))
         self.specs = {}
         for name, shape in self.links.items():
-            if los_phase_policy == "zero":
+            if cfg.los_phase_policy == "zero":
                 phase = 0.0
-            elif los_phase_policy == "per-link":
+            elif cfg.los_phase_policy == "per-link":
                 phase = float(rng.uniform(0.0, 2.0 * np.pi))
             else:
                 phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-            self.specs[name] = RicianSpec(kappa=kappa, path_gain=gains[name], los_phase=phase)
+            self.specs[name] = RicianSpec(kappa=cfg.kappa, path_gain=gains[name], los_phase=phase)
 
     def realize(self, normals, m_rx: int | None = None) -> ChannelRealization:
         """The channels of the blocks whose streams drew ``normals``

@@ -69,8 +69,10 @@ def _parse_grid(text: str):
 
 
 def check_workers(workers: int) -> None:
-    """Raise ``ValueError`` when ``workers`` exceeds the CPUs this process may
-    run on, before any trial runs or any worker process starts."""
+    """Raise ``ValueError`` when ``workers`` is below 1 or above the CPUs this
+    process may run on, before any trial runs or any worker process starts."""
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     if workers > cpus:
@@ -79,8 +81,6 @@ def check_workers(workers: int) -> None:
 
 
 def _build_config(args):
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     check_workers(args.workers)
     cfg = load_config(args.config) if args.config else make_config()
     overrides = {key: getattr(args, key, None) for key in ("seed", "trials", "detector")

@@ -94,9 +94,7 @@ def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
     return RunContext(
         cfg=cfg,
         sigma2=sigma2,
-        channel_model=ChannelModel(cfg.m_rx, cfg.n_cells, cfg.kappa, cfg.carrier_ghz,
-                                   cfg.d_tx_ris_m, cfg.d_ris_rx_m, cfg.d_direct_m,
-                                   cfg.los_phase_policy, trial_rng(cfg.seed, LOS_STREAM)),
+        channel_model=ChannelModel(cfg, trial_rng(cfg.seed, LOS_STREAM)),
         codebook=codebook,
         constellation=constellation,
         ris_model=RectennaModel(cfg.ris_rho, cfg.ris_p_on_uw * 1e-6, cfg.ris_p_sat_mw * 1e-3),

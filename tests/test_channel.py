@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import per_call_links
+from timsr import make_config
 from timsr.channel import (
     ChannelModel,
     RicianSpec,
@@ -12,6 +13,7 @@ from timsr.channel import (
     path_loss_db,
     sample_rician,
 )
+from timsr.sim import LOS_STREAM, make_context, trial_rng
 
 
 class TestPathLoss:
@@ -84,16 +86,9 @@ class TestRician:
 
 
 def default_model(policy="per-link", **kw):
-    args = dict(
-        m_rx=4,
-        n_cells=256,
-        kappa=5.0,
-        carrier_ghz=2.0,
-        los_phase_policy=policy,
-        rng=np.random.default_rng(99),
-    )
-    args.update(kw)
-    return ChannelModel(**args)
+    """The model of the default config under ``policy`` and the overrides
+    ``kw``, its LoS phases drawn from a fresh stream seeded 99."""
+    return ChannelModel(make_config(los_phase_policy=policy, **kw), np.random.default_rng(99))
 
 
 def draw(model, seed):
@@ -153,13 +148,11 @@ class TestRealization:
                 group_cascades(np.ones((2, 4)), np.ones(4), split)
 
     def test_los_policies(self):
-        zero = default_model(policy="zero", rng=None)
+        zero = default_model(policy="zero")
         assert all(spec.los_phase == 0.0 for spec in zero.specs.values())
         entry = default_model(policy="per-entry")
         assert np.shape(entry.specs["G_d"].los_phase) == (4, 256)
-        with pytest.raises(ValueError):
-            default_model(policy="per-link", rng=None)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="los_phase_policy must be one of"):
             default_model(policy="bogus")
 
     @pytest.mark.parametrize("policy", ["per-link", "per-entry", "zero"])
@@ -206,6 +199,23 @@ class TestRealization:
         # averaging many blocks converges to the shared LoS mean
         assert not np.array_equal(a.h_d, b.h_d)
         assert model.specs["h_d"].los_phase == model.specs["h_d"].los_phase
+
+
+def test_context_wires_the_channel_config():
+    # every channel field away from its default, so a swapped or dropped one shows
+    cfg = make_config(m_rx=3, n_cells=40, n1=10, n2=5, kappa=2.5, carrier_ghz=3.5,
+                      d_tx_ris_m=7, d_ris_rx_m=12, d_direct_m=20)
+    model = make_context(cfg, None).channel_model
+    assert model.links == {"h_d": (3, 1), "h_r": (40, 1), "G_d": (3, 40), "h_e": (1, 1),
+                           "g_e": (40, 1)}
+    assert model.n_normals == 2 * (3 * 41 + 2 * 40 + 1)
+    distances = {"h_d": 20.0, "h_r": 7.0, "G_d": 12.0, "h_e": 20.0, "g_e": 12.0}
+    los = trial_rng(cfg.seed, LOS_STREAM)
+    for name in distances:                  # in the order the LoS phases are drawn
+        spec = model.specs[name]
+        assert spec.path_gain == path_gain(distances[name], 3.5), name
+        assert spec.kappa == 2.5
+        assert spec.los_phase == los.uniform(0.0, 2.0 * np.pi), name
 
 
 @settings(max_examples=20, deadline=None)

@@ -391,14 +391,18 @@ def test_campaign_script_writes_every_csv(tmp_path, script, n_csv):
 
 
 @pytest.mark.parametrize("script, flag, message", [
-    ("run_ber_sweep.py", "--workers", "workers must be an integer >= 1"),
+    pytest.param("run_ber_sweep.py", "--workers", "--workers must be >= 1",
+                 id="run_ber_sweep.py-workers-0"),
+    pytest.param("run_harvest_sweep.py", "--workers", "--workers must be >= 1",
+                 id="run_harvest_sweep.py-workers-0"),
     ("run_harvest_sweep.py", "--step", "--step must be >= 1"),
 ])
 def test_campaign_script_fails_cleanly(tmp_path, script, flag, message):
-    run = _run_script(script, "--trials", "2", flag, "0", "--outdir", str(tmp_path))
+    outdir = tmp_path / "results"
+    run = _run_script(script, "--trials", "2", flag, "0", "--outdir", str(outdir))
     assert run.returncode == 2
     assert run.stderr.startswith(f"error: {message}") and "Traceback" not in run.stderr
-    assert list(tmp_path.glob("*.csv")) == []
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("script", ["run_ber_sweep.py", "run_harvest_sweep.py"])

@@ -344,7 +344,7 @@ class TestHarvestInputs:
     def test_equals_each_count_alone(self, n1, n2s, lead):
         n = 37                      # group edges off multiples of 4, where a masked product differs
         rng = np.random.default_rng(n1)
-        model = ChannelModel(2, n, rng=rng)
+        model = ChannelModel(make_config(m_rx=2, n_cells=n, n1=0, n2=0), rng)
         ch = model.realize(rng.standard_normal(lead + (model.n_normals,)))
         state = make_ris_state(ch, n1, rng.integers(0, 2, lead))
         tau = rng.integers(0, 2, lead + (5,))
