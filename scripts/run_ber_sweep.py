@@ -24,23 +24,18 @@ def main() -> int:
 
     try:
         check_workers(args.workers)
+        configs = [make_config(k_slots=8, l_slots=l_slots, detector=detector,
+                               trials=args.trials, seed=args.seed)
+                   for l_slots in (1, 2, 4) for detector in ("ml", "llr")]
         outdir = pathlib.Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for l_slots in (1, 2, 4):
-            for detector in ("ml", "llr"):
-                cfg = make_config(
-                    k_slots=8,
-                    l_slots=l_slots,
-                    detector=detector,
-                    trials=args.trials,
-                    seed=args.seed,
-                )
-                table = ber_sweep(cfg, workers=args.workers)
-                path = outdir / f"ber_tim_8_{l_slots}_{detector}.csv"
-                table.to_csv(path)
-                last = table.rows[-1]
-                print(f"(8,{l_slots}) {detector:>3}: wrote {path} "
-                      f"(ptx BER at {last.snr_db:g} dB = {last.ber_ptx:.2e})")
+        for cfg in configs:
+            table = ber_sweep(cfg, workers=args.workers)
+            path = outdir / f"ber_tim_8_{cfg.l_slots}_{cfg.detector}.csv"
+            table.to_csv(path)
+            last = table.rows[-1]
+            print(f"(8,{cfg.l_slots}) {cfg.detector:>3}: wrote {path} "
+                  f"(ptx BER at {last.snr_db:g} dB = {last.ber_ptx:.2e})")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

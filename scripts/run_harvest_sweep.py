@@ -26,15 +26,16 @@ def main() -> int:
         check_workers(args.workers)
         if args.step < 1:
             raise ValueError(f"--step must be >= 1, got {args.step}")
+        configs = [make_config(k_slots=8, l_slots=l_slots, trials=args.trials, seed=args.seed)
+                   for l_slots in (1, 2, 4)]
         outdir = pathlib.Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for l_slots in (1, 2, 4):
-            cfg = make_config(k_slots=8, l_slots=l_slots, trials=args.trials, seed=args.seed)
+        for cfg in configs:
             grid = tuple(range(0, cfg.n_cells - cfg.n1 + 1, args.step))
             report = harvest_sweep(cfg, n2_grid=grid, workers=args.workers)
-            path = outdir / f"harvest_tim_8_{l_slots}.csv"
+            path = outdir / f"harvest_tim_8_{cfg.l_slots}.csv"
             report.table.to_csv(path)
-            print(f"(8,{l_slots}): wrote {path}")
+            print(f"(8,{cfg.l_slots}): wrote {path}")
             print(f"  rf-switch needs {report.p_ris_rf_w * 1e3:.3f} mW, "
                   f"standalone from n2 = {report.min_n2_rf}")
             print(f"  varactor  needs {report.p_ris_varactor_w * 1e3:.3f} mW, "

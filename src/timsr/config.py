@@ -1,5 +1,11 @@
 """Run configuration with simulation-campaign defaults, plus the flat
-``key = value`` config-file format used by the command line."""
+``key = value`` config-file format used by the command line.
+
+Every rule on a run's input is checked here, when a :class:`SimConfig` is
+built. The builders that a run context is made from (the channel model,
+the rectenna models, the surface consumption, the constellation, the
+codebook and the block encoder) take these checked values and do not check
+them again."""
 
 from __future__ import annotations
 

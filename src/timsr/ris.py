@@ -69,8 +69,6 @@ def make_ris_state(channel: ChannelRealization, n1: int, ris_bit) -> RisState:
     information phase of ``PHI_INFO``; the assist group of ``n1`` cells is
     co-phased against the channel onto that pair. A batch of realizations
     takes one bit per block."""
-    if not np.all((np.asarray(ris_bit) == 0) | (np.asarray(ris_bit) == 1)):
-        raise ValueError(f"surface bit must be 0 or 1, got {ris_bit}")
     assist = np.exp(-1j * align_group1(channel, n1, PHI_INFO))
     psi = np.empty(assist.shape + (len(PHI_INFO) + 1, 2), dtype=complex)
     psi[..., :-1, 0] = assist[..., None]
@@ -95,12 +93,6 @@ class RectennaModel:
     p_on_w: float
     p_sat_w: float
 
-    def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if not 0.0 < self.p_on_w < self.p_sat_w:
-            raise ValueError(f"need 0 < p_on < p_sat, got {self.p_on_w}, {self.p_sat_w}")
-
     @property
     def p_max_w(self) -> float:
         return self.efficiency * (self.p_sat_w - self.p_on_w)
@@ -108,10 +100,7 @@ class RectennaModel:
 
 def clc_dc_power(q_w, model: RectennaModel):
     """Harvested DC power for rectenna input powers ``q_w`` (...)."""
-    q = np.asarray(q_w, dtype=float)
-    if np.any(q < 0):
-        raise ValueError("rectenna input power cannot be negative")
-    return model.efficiency * np.clip(q - model.p_on_w, 0.0, model.p_sat_w - model.p_on_w)
+    return model.efficiency * np.clip(q_w - model.p_on_w, 0.0, model.p_sat_w - model.p_on_w)
 
 
 def ris_power_consumption(n_cells: int, n_per_controller: int, p_controller_w: float,
@@ -119,8 +108,6 @@ def ris_power_consumption(n_cells: int, n_per_controller: int, p_controller_w: f
     """Surface power draw in watts ``(rf_switch_w, varactor_w)`` of the
     integrated controller architecture: one controller per ``n_per_controller``
     cells, plus each cell's switch, or its two drive circuits and varactor."""
-    if n_cells < 1 or n_per_controller < 1:
-        raise ValueError("cell and controller counts must be >= 1")
     static = math.ceil(n_cells / n_per_controller) * p_controller_w
     return static + n_cells * p_switch_w, static + n_cells * (2.0 * p_drive_w + p_varactor_w)
 

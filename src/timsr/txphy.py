@@ -43,10 +43,6 @@ def index_bit_count(k_slots: int, l_slots: int) -> int:
     return math.comb(k_slots, l_slots).bit_length() - 1
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True, eq=False)
 class Constellation:
     """Unit-average-power symbol set; ``points[label]`` is the symbol whose
@@ -68,19 +64,12 @@ def build_constellation(m_order: int, kind: str = "qam") -> Constellation:
     exactly 1. QAM is supported for M = 2 (degenerates to BPSK) and square
     orders (4, 16, 64, ...); PSK for any power of two.
     """
-    if not _is_power_of_two(m_order) or m_order < 2:
-        raise ValueError(f"constellation order must be a power of two >= 2, got {m_order}")
-    if kind not in CONSTELLATION_KINDS:
-        raise ValueError(f"unknown constellation kind {kind!r}")
-
     points = np.zeros(m_order, dtype=complex)
     if kind == "psk" or m_order == 2:
         k = np.arange(m_order)
         points[k ^ (k >> 1)] = np.exp(2j * np.pi * k / m_order)
     else:
         side = math.isqrt(m_order)
-        if side * side != m_order or not _is_power_of_two(side):
-            raise ValueError(f"square QAM needs M in (4, 16, 64, ...), got {m_order}")
         levels = np.arange(-(side - 1), side, 2, dtype=float)
         k = np.arange(side)
         gray = k ^ (k >> 1)
@@ -120,27 +109,19 @@ def build_codebook(k_slots: int, l_slots: int, strategy: str = "lexicographic") 
     {1..K} in lexicographic order; ``table1`` is the hand-fixed preset for
     (K, L) = (4, 2).
     """
-    if not 1 <= l_slots < k_slots:
-        raise ValueError(f"need 1 <= L < K, got L={l_slots}, K={k_slots}")
     bits_index = index_bit_count(k_slots, l_slots)
     if strategy == "table1":
-        if (k_slots, l_slots) != (4, 2):
-            raise ValueError("the table1 preset is defined only for K=4, L=2")
         slot_index = np.array(TABLE1_CODEWORDS) - 1
-    elif strategy == "lexicographic":
+    else:
         n_cw = 1 << bits_index
         stream = chain.from_iterable(islice(combinations(range(k_slots), l_slots), n_cw))
         slot_index = np.fromiter(stream, dtype=np.int64, count=n_cw * l_slots)
-    else:
-        raise ValueError(f"unknown codebook strategy {strategy!r}")
     return _make_codebook(k_slots, l_slots, bits_index, slot_index)
 
 
 def build_benchmark_codebook(k_slots: int, l_slots: int) -> IndexCodebook:
     """Degenerate codebook for the no-index-modulation reference scheme: the
     first L slots always carry information, so no index bits are conveyed."""
-    if not 1 <= l_slots <= k_slots:
-        raise ValueError(f"need 1 <= L <= K, got L={l_slots}, K={k_slots}")
     return _make_codebook(k_slots, l_slots, 0, np.arange(l_slots))
 
 
@@ -172,13 +153,8 @@ def encode_block(
     slot mask, true at the codeword's slots ``codebook.slot_index[alpha]``,
     and the samples, both (..., K).
     """
-    if p_power_w < p_info_w:
-        raise ValueError("power-stage level must satisfy p_power_w >= p_info_w")
     bits = np.asarray(bits, dtype=np.int64)
     bps = constellation.bits_per_symbol
-    eta = codebook.bits_index + codebook.l_slots * bps
-    if bits.shape[-1:] != (eta,):
-        raise ValueError(f"expected {eta} bits, got shape {bits.shape}")
 
     alpha = bits_to_int(bits[..., : codebook.bits_index])
     labels = bits_to_int(bits[..., codebook.bits_index :].reshape(bits.shape[:-1] + (-1, bps)))

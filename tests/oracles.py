@@ -14,7 +14,8 @@ trial batches, :func:`broadcast_slot_costs` forms every slot-cost difference
 at once and sums over the antennas with ``np.sum``, and
 :func:`loop_constellation_points` labels the symbol points one at a time.
 :func:`codewords` and :func:`codeword_index` read a codebook as the paper's
-1-based slot tuples.
+1-based slot tuples. :func:`expected_dc_ris` computes the surface's mean
+harvest from the channel statistics, with no draw.
 """
 
 import itertools
@@ -280,6 +281,33 @@ def per_call_links(model, rng):
     shapes = {"h_d": (m, 1), "h_r": (n, 1), "G_d": (m, n), "h_e": (1, 1), "g_e": (n, 1)}
     return {name: per_call_sample_rician(model.specs[name], *shape, rng)
             for name, shape in shapes.items()}
+
+
+def expected_dc_ris(ctx, n2):
+    """The mean over blocks of the surface's per-block DC power in watts at
+    ``n2`` absorbers beside ``cfg.n1`` assist cells, computed rather than
+    sampled. The absorber sum of the transmitter->surface link is complex
+    Gaussian: mean sqrt(g) * (sum of its LoS terms ``los`` over the
+    absorbers' cells) and variance g * n2 / (kappa + 1). Its expectation of
+    ``clc_dc_power`` at each slot's power, a 2-D Gauss-Hermite integral over
+    the sum's real and imaginary parts, is weighted over the K - L power
+    slots at ``p_high_w`` and the L information slots at ``p_low_w * |x|^2``,
+    every constellation point x equally likely."""
+    cfg, spec = ctx.cfg, ctx.channel_model.specs["h_r"]
+    los = np.broadcast_to(spec.los, (cfg.n_cells, 1))[cfg.n1:cfg.n1 + n2, 0]
+    mean = math.sqrt(spec.path_gain) * np.sum(los)
+    x, w = np.polynomial.hermite.hermgauss(64)
+    # S = mean + sqrt(var) * (x_i + j x_j) with weight w_i w_j / pi
+    scale = math.sqrt(spec.path_gain * n2 / (spec.kappa + 1.0))
+    gain = np.abs(mean + scale * (x[:, None] + 1j * x[None, :])) ** 2
+    weight = w[:, None] * w[None, :] / math.pi
+
+    def level(power_w):
+        return float(np.sum(weight * clc_dc_power(gain * power_w, ctx.ris_model)))
+
+    k, l_slots = cfg.k_slots, cfg.l_slots
+    info = np.mean([level(cfg.p_low_w * abs(p) ** 2) for p in ctx.constellation.points])
+    return ((k - l_slots) * level(cfg.p_high_w) + l_slots * info) / k
 
 
 def slot_rectenna_input(h_r2, s_k):

@@ -40,14 +40,6 @@ class TestPathLoss:
     def test_monotone_in_frequency(self, d, f1, scale):
         assert path_loss_db(d, f1 * scale) > path_loss_db(d, f1)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            path_loss_db(0.5, 2.0)
-        with pytest.raises(ValueError):
-            path_loss_db(10.0, 0.0)
-        with pytest.raises(ValueError):
-            path_loss_db(10.0, -1.0)
-
 
 class TestRician:
     @pytest.mark.parametrize("kappa,gain", [(0.0, 1.0), (5.0, 1.0), (5.0, 1e-5), (2.0, 0.3)])
@@ -75,14 +67,6 @@ class TestRician:
         normals = np.random.default_rng(0).standard_normal(6)
         draws = sample_rician(RicianSpec(1e9, 1.0, phases), 3, 1, normals)
         assert np.allclose(np.angle(draws), phases, atol=1e-3)
-
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            RicianSpec(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            RicianSpec(1.0, 0.0)
-        with pytest.raises(ValueError):
-            RicianSpec(1.0, 1.5)
 
 
 def default_model(policy="per-link", **kw):
@@ -138,15 +122,6 @@ class TestRealization:
         np.testing.assert_array_equal(a.G_d, b.G_d)
         np.testing.assert_array_equal(cascades(a)[0], cascades(b)[0])
 
-    def test_group_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cascades(draw(default_model(), 1), (60, 197))
-        with pytest.raises(ValueError):
-            group_cascades(np.ones((2, 4)), np.ones(4), (3, 2))
-        for split in ((-1, 1), (1, -1)):
-            with pytest.raises(ValueError):
-                group_cascades(np.ones((2, 4)), np.ones(4), split)
-
     def test_los_policies(self):
         zero = default_model(policy="zero")
         assert all(spec.los_phase == 0.0 for spec in zero.specs.values())
@@ -184,12 +159,6 @@ class TestRealization:
         for name in ("h_r", "h_e", "g_e"):
             assert np.asarray(getattr(one, name)).tobytes() == \
                 np.asarray(getattr(full, name)).tobytes(), name
-
-    @pytest.mark.parametrize("m_rx", [0, 5])
-    def test_kept_antennas_out_of_range_rejected(self, m_rx):
-        model = default_model()
-        with pytest.raises(ValueError, match="receive antennas"):
-            model.realize(np.zeros(model.n_normals), m_rx)
 
     def test_los_phases_fixed_across_blocks(self):
         model = default_model()

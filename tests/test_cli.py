@@ -396,6 +396,10 @@ def test_campaign_script_writes_every_csv(tmp_path, script, n_csv):
     pytest.param("run_harvest_sweep.py", "--workers", "--workers must be >= 1",
                  id="run_harvest_sweep.py-workers-0"),
     ("run_harvest_sweep.py", "--step", "--step must be >= 1"),
+    pytest.param("run_ber_sweep.py", "--trials", "trials must be >= 1",
+                 id="run_ber_sweep.py-trials-0"),
+    pytest.param("run_harvest_sweep.py", "--trials", "trials must be >= 1",
+                 id="run_harvest_sweep.py-trials-0"),
 ])
 def test_campaign_script_fails_cleanly(tmp_path, script, flag, message):
     outdir = tmp_path / "results"

@@ -200,10 +200,6 @@ class TestClc:
         assert clc_dc_power(100e-3, RIS_MODEL) == pytest.approx(52.3875e-3, rel=1e-12)
         assert RIS_MODEL.p_max_w == pytest.approx(52.3875e-3, rel=1e-12)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            clc_dc_power(-1e-6, RIS_MODEL)
-
     def test_dense_grid_contract(self):
         grid = np.linspace(0, 0.1, 100_001)
         out = clc_dc_power(grid, RIS_MODEL)
@@ -217,12 +213,6 @@ class TestClc:
     def test_monotone(self, q1, q2):
         lo, hi = sorted((q1, q2))
         assert clc_dc_power(lo, RIS_MODEL) <= clc_dc_power(hi, RIS_MODEL)
-
-    def test_invalid_model(self):
-        with pytest.raises(ValueError):
-            RectennaModel(0.0, 1e-6, 1e-3)
-        with pytest.raises(ValueError):
-            RectennaModel(0.5, 1e-3, 1e-6)
 
 
 class TestPowerBudget:
@@ -253,11 +243,6 @@ class TestPowerBudget:
         # holds whenever 2*p_drive + p_varactor > p_switch
         rf, var = ris_power_consumption(n, 4, *BUDGET)
         assert var > rf
-
-    def test_invalid(self):
-        for n_cells, n_per_controller in ((0, 4), (4, 0)):
-            with pytest.raises(ValueError, match="cell and controller counts must be >= 1"):
-                ris_power_consumption(n_cells, n_per_controller, *BUDGET)
 
 
 def harvester_view(ch, split, state, tau, samples):
@@ -396,8 +381,3 @@ def test_wrap_angle_range():
         # same angle modulo 2*pi
         assert math.isclose(math.cos(w), math.cos(x), abs_tol=1e-12)
         assert math.isclose(math.sin(w), math.sin(x), abs_tol=1e-12)
-
-
-def test_ris_state_requires_binary_bit():
-    with pytest.raises(ValueError):
-        make_ris_state(tiny_realization(0.0), 2, 2)

@@ -29,7 +29,7 @@ from timsr.config import (
     parse_config_text,
     trial_values,
 )
-from oracles import loop_trial, slot_eh_received, slot_rectenna_input
+from oracles import expected_dc_ris, loop_trial, slot_eh_received, slot_rectenna_input
 from timsr.ris import clc_dc_power
 from timsr.rx import llr_detect, ml_joint_detect
 from timsr.sim import (
@@ -273,6 +273,17 @@ class TestHarvestSweep:
         cfg = make_config(trials=10)
         with pytest.raises(ValueError):
             harvest_sweep(cfg, n2_grid=(0, 500))
+
+    @pytest.mark.parametrize("overrides", [{}, dict(los_phase_policy="per-entry"),
+                                           dict(m_order=16), dict(kappa=0.0)],
+                             ids=["default", "per_entry", "qam16", "rayleigh"])
+    def test_surface_level_matches_the_channel_statistics(self, overrides):
+        # each row's mean surface DC within 3 standard errors of its expectation
+        cfg, grid = make_config(trials=4000, **overrides), (8, 16, 35, 64)
+        rep, ctx = harvest_sweep(cfg, grid), make_context(cfg, None)
+        for n2, dc in zip(grid, rep.dc_ris_w):
+            se = np.std(dc, ddof=1) / math.sqrt(len(dc))
+            assert abs(np.mean(dc) - expected_dc_ris(ctx, n2)) <= 3 * se, n2
 
 
 @pytest.fixture
@@ -959,6 +970,11 @@ class TestConfig:
         (dict(detector=2), "detector must be a string, got 2"),
         (dict(snr_db_grid=[0.0, 10.0]), "snr_db_grid must be a tuple of numbers"),
         (dict(snr_db_grid=(0.0, "10")), "snr_db_grid must be a tuple of numbers"),
+        (dict(l_slots=0), "need 1 <= l_slots <= 7 for scheme 'tim'"),
+        (dict(n1=-1), "cell split n1=-1, n2=35 incompatible"),
+        (dict(n2=-1), "cell split n1=60, n2=-1 incompatible"),
+        (dict(scheme="benchmark", k_slots=4, l_slots=5),
+         "need 1 <= l_slots <= 4 for scheme 'benchmark'"),
     ], ids=["kappa", "d_tx_ris", "d_ris_rx", "d_direct", "carrier_zero", "carrier_negative",
             "gain_above_one", "gain_above_one_near", "gain_zero_far", "gain_zero_carrier",
             "gain_overflow",
@@ -969,7 +985,8 @@ class TestConfig:
             "p_dbm_underflow", "p_cb_negative", "ris_rho_above_one", "ris_p_on_above_sat",
             "eh_rho_zero", "eh_p_on_zero", "llr_codebook", "paper_compat_str", "trials_float",
             "n2_float", "seed_float", "k_slots_float", "trials_bool", "kappa_bool",
-            "detector_int", "snr_grid_list", "snr_grid_str"])
+            "detector_int", "snr_grid_list", "snr_grid_str", "l_slots_zero", "n1_negative",
+            "n2_negative", "benchmark_l_above_k"])
     def test_config_time_guard(self, overrides, message):
         # bad input fails in make_config, before any context or channel model
         with pytest.raises(ValueError, match=message):

@@ -63,16 +63,6 @@ class TestConstellation:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
-    def test_rejected_orders(self):
-        with pytest.raises(ValueError):
-            build_constellation(3, "psk")
-        with pytest.raises(ValueError):
-            build_constellation(8, "qam")  # not square
-        with pytest.raises(ValueError):
-            build_constellation(1, "psk")
-        with pytest.raises(ValueError):
-            build_constellation(4, "apsk")
-
 
 class TestCodebook:
     def test_table1_exact(self):
@@ -106,16 +96,6 @@ class TestCodebook:
         assert cb.bits_index == 4
         assert len(cb.slot_index) == 16
         assert codewords(cb)[0] == (1, 2)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            build_codebook(4, 4)
-        with pytest.raises(ValueError):
-            build_codebook(4, 0)
-        with pytest.raises(ValueError):
-            build_codebook(8, 2, "table1")
-        with pytest.raises(ValueError):
-            build_codebook(8, 2, "bogus")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 10), st.data())
@@ -174,18 +154,6 @@ class TestEncode:
             frame = encode_block(int_to_bits(v, 6), cb, const, 3.0, 3.0)
             powers.extend(np.abs(frame.samples[frame.tau == 1]) ** 2)
         assert np.mean(powers) == pytest.approx(3.0, rel=1e-12)
-
-    def test_wrong_bit_count(self):
-        cb = build_codebook(4, 2, "table1")
-        const = build_constellation(4, "qam")
-        with pytest.raises(ValueError):
-            encode_block(np.zeros(5, dtype=np.int64), cb, const, 1.0, 2.0)
-
-    def test_power_ordering_enforced(self):
-        cb = build_codebook(4, 2, "table1")
-        const = build_constellation(4, "qam")
-        with pytest.raises(ValueError):
-            encode_block(np.zeros(6, dtype=np.int64), cb, const, 2.0, 1.0)
 
 
 class TestDecode:
