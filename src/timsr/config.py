@@ -184,9 +184,13 @@ def trial_values(cfg: SimConfig, n_points: int, n_counts: int = 1) -> tuple:
     with its product. A ValueError, advising fewer points of the grid the
     array grows with, if it holds more than TRIAL_MAX_VALUES. A trial draws
     its links' normals; both detectors hold every slot-cost difference of
-    ``rx.slot_costs`` at once, as complex values, and their squared parts;
-    LLR gathers a codeword's slot LLRs, joint ML its slot minima per phase;
-    the harvester stacks its samples and effective channels over the counts.
+    ``rx.slot_costs`` at once, as two real arrays of its real and imaginary
+    parts; LLR gathers a codeword's slot LLRs and joint ML its power-slot
+    costs (counted under ``paper_compat`` too, which gathers none); the
+    harvester stacks its samples and effective channels over the counts.
+    Joint ML's sums, one per (codeword, phase), are S * J * |A| values: no
+    more than the power-slot costs at L >= J = 2, and at L = 1, where
+    |A| <= K, fewer than the slot-cost differences.
     No per-run table is larger: the codebook holds |A| * L slots and the
     constellation M points."""
     s, c, j, l = n_points, n_counts, len(PHI_INFO), cfg.l_slots
@@ -196,8 +200,8 @@ def trial_values(cfg: SimConfig, n_points: int, n_counts: int = 1) -> tuple:
     arrays = [("link normals", "2 * (M_R * (N + 1) + 2 * N + 1)", (2, link_entries), ""),
               ("slot-cost differences", "2 * S * J * M * K * M_R",
                (2, s, j, cfg.m_order, cfg.k_slots, cfg.m_rx), snr),
-              ("codeword slot LLRs", "S * |A| * L", (s, n_cw, l), snr) if cfg.detector == "llr"
-              else ("codeword slot minima", "S * J * |A| * L", (s, j, n_cw, l), snr),
+              ("codeword slot LLRs" if cfg.detector == "llr" else "codeword power-slot costs",
+               "S * |A| * L", (s, n_cw, l), snr),
               ("harvester samples", "2 * C * K", (2, c, cfg.k_slots), n2),
               ("harvester effective channels", "2 * C * (J + 1)", (2, c, j + 1), n2)]
     values, array, grid = max((math.prod(factors), f"{name} ({product} = "

@@ -102,15 +102,26 @@ def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, 
     """Squared distances of the received vectors ``obs.y`` (..., K, M_R) to
     every single-slot hypothesis: ``info_cost`` (..., J, M, K) for each
     (phase, symbol) pair at power ``p_info_w`` and ``pow_cost`` (..., K)
-    for the power sample ``omega``. Every complex difference
-    (..., J, M, K, M_R) is formed at once, the count that
-    ``config.trial_values`` bounds, and ``np.sum`` adds the squared
-    magnitudes over the contiguous antenna axis in numpy's own order."""
+    for the power sample ``omega``. The real and the imaginary parts of
+    every difference (..., J, M, K, M_R) are formed at once as two real
+    arrays, the count that ``config.trial_values`` bounds, each part equal
+    to that of the complex difference; they are squared and added in place,
+    and ``np.sum`` adds over the contiguous antenna axis in numpy's own
+    order."""
     eff = obs.eff[..., None, :, :] if obs.y.ndim > obs.eff.ndim else obs.eff    # point axis
     cand = eff[..., :-1, None, :] * (math.sqrt(p_info_w) * constellation.points)[:, None]
-    d = obs.y[..., None, None, :, :] - cand[..., None, :]                  # (..., J, M, K, M_R)
-    dp = obs.y - eff[..., -1:, :] * omega
-    return np.sum(d.real**2 + d.imag**2, axis=-1), np.sum(dp.real**2 + dp.imag**2, axis=-1)
+    return (_summed_squares(obs.y[..., None, None, :, :], cand[..., None, :]),
+            _summed_squares(obs.y, eff[..., -1:, :] * omega))
+
+
+def _summed_squares(y, c):
+    """|y - c|^2 summed over the last axis: the real and the imaginary parts
+    of the differences as two fresh real arrays, squared and added in place."""
+    re, im = y.real - c.real, y.imag - c.imag
+    re *= re
+    im *= im
+    re += im
+    return np.sum(re, axis=-1)
 
 
 @dataclass
@@ -138,15 +149,17 @@ def joint_search(info_cost, pow_cost, slot_index, paper_compat: bool = False):
     monotone, so each (codeword, phase) has the least metric base + least
     cost of each slot, bit for bit; the first pair at the global least holds
     the first least hypothesis, whose labels are, slot by slot, the first
-    symbol whose least completion still reaches it. No (codeword, phase,
-    symbol vector) tensor is built."""
+    symbol whose least completion still reaches it. The slot minima are
+    added one slot at a time, so the largest array is the (..., A, J) sum;
+    no (codeword, phase, slot) or (codeword, phase, symbol vector) tensor is
+    built."""
     n_cw, l_slots = slot_index.shape
     base = (np.zeros(pow_cost.shape[:-1] + (n_cw,)) if paper_compat
             else pow_cost.sum(-1)[..., None] - pow_cost[..., slot_index].sum(-1))    # (..., A)
-    least = np.moveaxis(info_cost.min(axis=-2)[..., slot_index], -3, -2)          # (..., A, J, L)
+    least = info_cost.min(axis=-2)                                                # (..., J, K)
     total = base[..., None]
     for pos in range(l_slots):
-        total = total + least[..., pos]
+        total = total + np.swapaxes(least[..., slot_index[:, pos]], -1, -2)      # (..., A, J)
     flat = np.argmin(total.reshape(total.shape[:-2] + (-1,)), axis=-1)
     alpha, c = np.divmod(flat, least.shape[-2])
     target = np.take_along_axis(total.reshape(flat.shape + (-1,)), flat[..., None], -1)

@@ -14,9 +14,13 @@ own draws, then every step is one kernel call on the whole batch and grid,
 and each worker runs one contiguous shard of batches. A lone shard runs in
 the caller; more run in one process pool, a process per shard, that lives as
 long as this process and serves every later sweep with as many shards, while
-the caller only waits. Each shard carries the CPUs it runs on: one of its own
-when the caller's CPU mask holds one per shard, from the CPU the caller is on
-onwards, else the caller's whole mask. Each point's counters are reduced
+the caller only waits. The pool forks its workers where the platform can
+fork, whatever the interpreter's default start method; elsewhere it starts
+them the platform's way, which re-imports the caller's main module, so a
+script calling a multi-worker sweep there needs an
+``if __name__ == "__main__":`` guard. Each shard carries the CPUs it runs
+on: one of its own when the caller's CPU mask holds one per shard, from the
+CPU the caller is on onwards, else the caller's whole mask. Each point's counters are reduced
 once, in trial order, so results are bit-stable.
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -168,12 +173,14 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
 
 
 # Bytes that the largest array of one batch of trials may take. Under
-# tracemalloc a batch peaked at 2.3 times that on the default LLR, (8,4) ML
-# and 16-antenna LLR configs (the complex slot-cost differences beside their
-# two squares), at 1.6 times on the default harvest grid and at 3.2 times on
-# a harvest over absorber counts 0-256 with no assist cells (arrays stacked
-# over the counts; a harvest realizes one receive antenna).
-_BATCH_BYTES = 1 << 20
+# tracemalloc a batch peaked at 1.8 times that on the default LLR and (8,4)
+# ML configs (the real and imaginary slot-cost differences beside the noisy
+# samples and the draw), at 1.3 times on 16-antenna LLR, at 1.6 times on the
+# default harvest grid and at 3.2 times on a harvest over absorber counts
+# 0-256 with no assist cells (arrays stacked over the counts; a harvest
+# realizes one receive antenna). At 2 MiB an (8,4) ML sweep of 50 trials is
+# one batch.
+_BATCH_BYTES = 1 << 21
 
 
 def _batch_size(ctx: RunContext, n_points: int, n_counts: int = 1) -> int:
@@ -228,6 +235,12 @@ def _shard_cpus(shards: int) -> list:
 # Sharing it, sweeps run from one thread at a time.
 _shared = None
 
+# The pool's start method: fork where the platform has it, so a worker starts
+# in milliseconds, without importing numpy afresh or re-running the caller's
+# main module; the platform's default elsewhere (None).
+_START = (multiprocessing.get_context("fork")
+          if "fork" in multiprocessing.get_all_start_methods() else None)
+
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The shared pool of ``workers`` processes, made when there is none of
@@ -235,7 +248,7 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     global _shared
     if _shared is None or _shared[0] != workers:
         _drop_pool()
-        _shared = (workers, ProcessPoolExecutor(max_workers=workers))
+        _shared = (workers, ProcessPoolExecutor(max_workers=workers, mp_context=_START))
     return _shared[1]
 
 
@@ -309,31 +322,38 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _ber_and_se(errors, width: int):
-    """Pooled BER and its standard error from per-block error counts, each
-    out of ``width`` bits; None for both when a block carries no such bits."""
+    """Pooled BER and its standard error of each row of per-block error
+    counts (rows, blocks), each out of ``width`` bits, as two lists; None
+    for both when a block carries no such bits. A tally's error rows are
+    F-ordered, and a reduction along the rows of an F-ordered array adds in
+    another order than over each row alone, so they are made C-contiguous
+    first: each row's SE then equals that of the row as a 1-D array."""
+    rows, n = errors.shape
     if width == 0:
-        return None, None
-    fractions = np.asarray(errors, dtype=float) / width
-    n = len(fractions)
-    ber = float(np.sum(errors) / (width * n))
-    se = float(np.std(fractions, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return ber, se
+        return [None] * rows, [None] * rows
+    errors = np.ascontiguousarray(errors)
+    ber = np.sum(errors, axis=-1) / (width * n)
+    se = np.std(errors / width, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(rows)
+    return ber.tolist(), se.tolist()
 
 
-def _aggregate(ctx: RunContext, tally: Tally, n2_row: int, snr_row: int | None,
-               snr_db, n2) -> ResultRow:
-    """One grid point's row from harvest row ``n2_row`` of the counters and,
-    for a BER point, error row ``snr_row``; each row holds trials in order."""
-    cfg, dc_ris = ctx.cfg, tally.dc_ris_w[n2_row]
-    if snr_row is None:
-        bers = [(None, None)] * 3
+def _aggregate(ctx: RunContext, tally: Tally, n2s: tuple, snr_dbs: tuple = (None,)) -> list:
+    """The rows of the grid points (n2, SNR), absorber counts ``n2s`` outer,
+    from the counters: harvest row h holds count ``n2s[h]``, and for a BER
+    tally error row s holds SNR point ``snr_dbs[s]``. Each statistic is one
+    array call over the rows, each row holding trials in order."""
+    cfg = ctx.cfg
+    dc_ris, dc_eh = (np.ascontiguousarray(f) for f in tally[:2])
+    if tally.ptx_errors is None:
+        bers = [[None]] * 6
     else:
-        errors = (tally.ptx_errors, tally.index_errors, tally.ris_errors)
-        bers = [_ber_and_se(e[snr_row], width) for e, width in zip(errors, ctx.bit_widths)]
-    (ber_ptx, se_ptx), (ber_idx, se_idx), (ber_ris, se_ris) = bers
-    frac_rf = float(np.mean(dc_ris >= ctx.p_ris_rf_w))
-    frac_var = float(np.mean(dc_ris >= ctx.p_ris_var_w))
-    return ResultRow(
+        bers = [v for e, width in zip(tally[2:], ctx.bit_widths) for v in _ber_and_se(e, width)]
+    ber_ptx, se_ptx, ber_idx, se_idx, ber_ris, se_ris = bers
+    frac_rf = np.mean(dc_ris >= ctx.p_ris_rf_w, axis=-1).tolist()
+    frac_var = np.mean(dc_ris >= ctx.p_ris_var_w, axis=-1).tolist()
+    avg_ris = (np.mean(dc_ris, axis=-1) * 1e6).tolist()
+    avg_eh = (np.mean(dc_eh, axis=-1) * 1e6).tolist()
+    return [ResultRow(
         scheme=cfg.scheme,
         k_slots=cfg.k_slots,
         l_slots=cfg.l_slots,
@@ -341,20 +361,20 @@ def _aggregate(ctx: RunContext, tally: Tally, n2_row: int, snr_row: int | None,
         detector=cfg.detector,
         snr_db=snr_db,
         n2=n2,
-        ber_ptx=ber_ptx,
-        se_ber_ptx=se_ptx,
-        ber_index=ber_idx,
-        se_ber_index=se_idx,
-        ber_ris=ber_ris,
-        se_ber_ris=se_ris,
-        avg_dc_ris_uw=float(np.mean(dc_ris) * 1e6),
-        avg_dc_eh_uw=float(np.mean(tally.dc_eh_w[n2_row]) * 1e6),
-        standalone_frac=frac_rf if cfg.technology == TECH_RF_SWITCH else frac_var,
-        standalone_frac_rf=frac_rf,
-        standalone_frac_var=frac_var,
-        trials=len(dc_ris),
+        ber_ptx=ber_ptx[s],
+        se_ber_ptx=se_ptx[s],
+        ber_index=ber_idx[s],
+        se_ber_index=se_idx[s],
+        ber_ris=ber_ris[s],
+        se_ber_ris=se_ris[s],
+        avg_dc_ris_uw=avg_ris[h],
+        avg_dc_eh_uw=avg_eh[h],
+        standalone_frac=(frac_rf if cfg.technology == TECH_RF_SWITCH else frac_var)[h],
+        standalone_frac_rf=frac_rf[h],
+        standalone_frac_var=frac_var[h],
+        trials=dc_ris.shape[-1],
         seed=cfg.seed,
-    )
+    ) for h, n2 in enumerate(n2s) for s, snr_db in enumerate(snr_dbs)]
 
 
 @dataclass
@@ -390,8 +410,7 @@ def ber_sweep(cfg: SimConfig, workers: int = 1) -> ResultTable:
     ctx = make_context(cfg, None)
     sigma2s = tuple(direct_snr_sigma2(cfg, snr_db) for snr_db in cfg.snr_db_grid)
     tally = _map_points(ctx, (cfg.n2,), sigma2s, workers)
-    rows = [_aggregate(ctx, tally, 0, s, snr_db=float(snr_db), n2=cfg.n2)
-            for s, snr_db in enumerate(cfg.snr_db_grid)]
+    rows = _aggregate(ctx, tally, (cfg.n2,), tuple(map(float, cfg.snr_db_grid)))
     return ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed)
 
 
@@ -429,7 +448,7 @@ def harvest_sweep(cfg: SimConfig, n2_grid=None, workers: int = 1) -> HarvestRepo
     trial_values(cfg, 0, len(n2_grid))        # the size guard, at every count at once
     ctx = make_context(cfg, None)
     tally = _map_points(ctx, n2_grid, (), workers)
-    rows = [_aggregate(ctx, tally, h, None, snr_db=None, n2=n2) for h, n2 in enumerate(n2_grid)]
+    rows = _aggregate(ctx, tally, n2_grid)
     return HarvestReport(
         table=ResultTable(rows=rows, config_digest=config_hash(cfg), seed=cfg.seed),
         p_ris_rf_w=ctx.p_ris_rf_w,

@@ -325,8 +325,7 @@ def pointwise_row(point_cfg, snr_db):
     ctx = make_context(point_cfg, sigma2)
     records = [run_block_trial(ctx, i) for i in range(point_cfg.trials)]
     tally = Tally(*(None if f[0] is None else np.array([f]) for f in zip(*records)))
-    return _aggregate(ctx, tally, 0, None if sigma2 is None else 0, snr_db=snr_db,
-                      n2=point_cfg.n2)
+    return _aggregate(ctx, tally, (point_cfg.n2,), (snr_db,))[0]
 
 
 class InlinePool:
@@ -392,6 +391,34 @@ class TestFusedSweeps:
         grid = (0, 35, cfg.n_cells - cfg.n1, 16)
         rows = harvest_sweep(cfg, n2_grid=grid, workers=workers).table.rows
         assert rows == [pointwise_row(replace(cfg, n2=n2), None) for n2 in grid]
+
+    def test_rows_of_f_ordered_counters_equal_one_dimensional_statistics(self):
+        # a tally's error rows are F-ordered (count_nonzero over swapped axes,
+        # kept by np.concatenate); a reduction along the rows of such an array
+        # adds in another order than one over each row alone
+        ctx, n = make_context(make_config(), None), 120
+        rng = np.random.default_rng(1126)
+        dc = [np.asfortranarray(rng.exponential(2e-3, (4, n))) for _ in range(2)]
+        errors = [np.asfortranarray(rng.integers(0, w + 1, (7, n))) for w in ctx.bit_widths]
+        snr_dbs = tuple(map(float, range(7)))
+        for n2s, snrs, tally in (((35,), snr_dbs, Tally(dc[0][:1], dc[1][:1], *errors)),
+                                 ((0, 16, 35, 100), (None,), Tally(*dc, None, None, None))):
+            rows = iter(_aggregate(ctx, tally, n2s, snrs))
+            for h in range(len(n2s)):
+                ris = np.array(tally.dc_ris_w[h])           # a contiguous 1-D row
+                for s in range(len(snrs)):
+                    row = next(rows)
+                    assert row.avg_dc_ris_uw == float(np.mean(ris) * 1e6)
+                    assert row.avg_dc_eh_uw == float(np.mean(np.array(tally.dc_eh_w[h])) * 1e6)
+                    assert row.standalone_frac_var == float(np.mean(ris >= ctx.p_ris_var_w))
+                    if tally.ptx_errors is None:
+                        continue
+                    for e, w, ber, se in zip(tally[2:], ctx.bit_widths,
+                                             (row.ber_ptx, row.ber_index, row.ber_ris),
+                                             (row.se_ber_ptx, row.se_ber_index, row.se_ber_ris)):
+                        fractions = np.array(e[s], dtype=float) / w
+                        assert ber == float(np.sum(e[s]) / (w * n))
+                        assert se == float(np.std(fractions, ddof=1) / math.sqrt(n))
 
     def test_pool_never_larger_than_its_batches(self, monkeypatch):
         sizes = []
@@ -467,6 +494,17 @@ class TestWorkerPool:
         assert len(counted_pools) == 1
         assert sweeps[0](3) == want[0]
         assert len(counted_pools) == 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is a POSIX method")
+    def test_pool_forks_on_linux(self, fresh_pool):
+        # whatever the interpreter's default start method (forkserver from 3.14)
+        default = multiprocessing.get_start_method()
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            pool = timsr.sim._pool(2)
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert pool._mp_context.get_start_method() == "fork"
 
     def test_no_worker_outlives_the_process(self):
         script = ("import multiprocessing\n"
@@ -699,9 +737,9 @@ class TestTrialBatches:
         _assert_equals_loop(_map_points(ctx, _n2s(layouts), sigma2s, 1), ctx, layouts, sigma2s)
 
     @pytest.mark.parametrize("overrides, n_points, size", [
-        (dict(detector="llr"), 7, 36),                 # 3,584 slot-cost differences
-        (dict(l_slots=4, detector="ml"), 7, 36),       # 3,584 of them and 3,584 slot minima
-        (dict(), 0, 42),                               # a harvest sweep: 3,082 normals
+        (dict(detector="llr"), 7, 73),                 # 3,584 slot-cost differences
+        (dict(l_slots=4, detector="ml"), 7, 73),       # 3,584 of them, 1,792 power-slot costs
+        (dict(), 0, 85),                               # a harvest sweep: 3,082 normals
     ], ids=["ber_llr_8_2", "ber_ml_8_4", "harvest_n2_w2"])
     def test_benchmark_workload_batch_sizes(self, overrides, n_points, size):
         assert _batch_size(make_context(make_config(**overrides), None), n_points) == size
@@ -714,8 +752,8 @@ class TestTrialBatches:
         (dict(n1=0), range(257)),
     ], ids=["llr", "ml_8_4", "llr_m_rx_16", "harvest", "harvest_n1_0_every_count"])
     def test_batch_peak_within_four_budgets(self, overrides, counts):
-        # measured peaks: 2.3 budgets detecting, 1.6 on the default harvest grid,
-        # 3.2 for every count with no assist cells
+        # measured peaks: 1.8 budgets detecting at 4 antennas, 1.3 at 16, 1.6 on the
+        # default harvest grid, 3.2 for every count with no assist cells
         cfg = make_config(**overrides)
         if counts is None:
             n2s = (cfg.n2,)
@@ -753,12 +791,13 @@ class TestTrialBatches:
     def test_absorber_grid_sizes_the_harvest_batch(self, monkeypatch):
         # with no assist cells and every count 0..256, the harvester's samples
         # stacked over 257 counts outgrow the 3,082 link normals
-        cfg = make_config(n1=0, trials=50)
+        # (63-trial batches, where the normals alone would give 85)
+        cfg = make_config(n1=0, trials=100)
         batches, run = [], timsr.sim.run_trials
         monkeypatch.setattr(timsr.sim, "run_trials", lambda ctx, n2s, sigma2s, a, b: (
             batches.append(b - a) or run(ctx, n2s, sigma2s, a, b)))
         harvest_sweep(cfg, range(257))
-        assert batches == [31, 19]
+        assert batches == [63, 37]
         assert trial_values(cfg, 0, 257) == (4112, "harvester samples (2 * C * K = 2 * 257 * 8)")
 
     @pytest.mark.parametrize("kind", ["llr", "ml", "harvest"])
@@ -1018,6 +1057,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="codeword slot LLRs"):
             make_config(k_slots=24, l_slots=12)
         make_config(k_slots=24, l_slots=12, snr_db_grid=(10.0,))   # 2^21 * 12 fits
+
+    def test_ml_codebook_guard(self):
+        # joint ML gathers S * |A| * L power-slot costs, as LLR its slot LLRs
+        with pytest.raises(ValueError, match="codeword power-slot costs"):
+            make_config(k_slots=24, l_slots=12, detector="ml")
+        cfg = make_config(k_slots=24, l_slots=12, detector="ml", snr_db_grid=(10.0,))
+        assert trial_values(cfg, 1) == (2**21 * 12, "codeword power-slot costs "
+                                                    "(S * |A| * L = 1 * 2097152 * 12)")
 
     def test_trial_array_guard(self):
         # (8,4) 64-QAM ML searches 2^31 hypotheses but holds no array of them
