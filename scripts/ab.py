@@ -148,11 +148,11 @@ def main(argv=None) -> int:
 
     passes = {"back to back": 0.0, f"after {IDLE_S * 1e3:.0f} ms idle": IDLE_S}
     rounds = {name: [] for name in passes}
+    trees = (args.tree_a.resolve(), args.tree_b.resolve())
     for r in range(args.rounds):
-        trees = (args.tree_a, args.tree_b)
-        started = {i: Child(trees[i].resolve(), args.workload, args.seed)
-                   for i in ((0, 1) if r % 2 == 0 else (1, 0))}
-        children = [started[0], started[1]]
+        children = [None, None]
+        for i in ((0, 1) if r % 2 == 0 else (1, 0)):     # each tree's child starts first in turn
+            children[i] = Child(trees[i], args.workload, args.seed)
         try:
             for c in children:       # warm up: imports, caches and any worker pool
                 c.run(0.0, 2)
