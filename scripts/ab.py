@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Paired A/B timing of one benchmark workload on two checkouts.
 
-    python3 scripts/ab.py TREE_A TREE_B --workload W [--pairs N] [--rounds R]
-                          [--sweeps K] [--seed S]
+    python3 scripts/ab.py TREE_A TREE_B --workload W [--pairs N] [--seed S]
 
-In each of R rounds each tree gets one long-lived child process, which
+In each of six rounds each tree gets one long-lived child process, which
 imports that tree's ``perfbench/sweeps.py`` (read only, never modified) and
-so its ``src/``. Only one child runs at a time. A run is K sweeps of
+so its ``src/``. Only one child runs at a time. A run is five sweeps of
 workload W at config seed S in one child, and its time is their median host
 seconds. In each round N pairs run in ABBA order (A then B, then B then A,
-and so on) in each of two passes: one with the K sweeps back to back, and
+and so on) in each of two passes: one with the five sweeps back to back, and
 one with 100 ms of idle sleep before each sweep. Every sweep's CSV must
 have the same SHA-256 in both trees, or the script exits 1.
 
@@ -34,6 +33,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 IDLE_S = 0.1
+ROUNDS = 6
+SWEEPS = 5
 BOOTSTRAP_SEED = 1979
 RESAMPLES = 10_000
 
@@ -135,13 +136,10 @@ def main(argv=None) -> int:
     ap.add_argument("tree_b", type=pathlib.Path)
     ap.add_argument("--workload", required=True, choices=workloads)
     ap.add_argument("--pairs", type=int, default=10, help="pairs per pass and round (default 10)")
-    ap.add_argument("--rounds", type=int, default=4,
-                    help="child processes per tree, one after another (default 4)")
-    ap.add_argument("--sweeps", type=int, default=5, help="sweeps per run (default 5)")
     ap.add_argument("--seed", type=int, default=1, help="config seed (default 1)")
     args = ap.parse_args(argv)
-    if min(args.pairs, args.rounds, args.sweeps) < 1:
-        ap.error("--pairs, --rounds and --sweeps must be at least 1")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     for tree in (args.tree_a, args.tree_b):
         if not (tree / "perfbench" / "sweeps.py").is_file():
             ap.error(f"{tree} has no perfbench/sweeps.py")
@@ -149,7 +147,7 @@ def main(argv=None) -> int:
     passes = {"back to back": 0.0, f"after {IDLE_S * 1e3:.0f} ms idle": IDLE_S}
     rounds = {name: [] for name in passes}
     trees = (args.tree_a.resolve(), args.tree_b.resolve())
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         children = [None, None]
         for i in ((0, 1) if r % 2 == 0 else (1, 0)):     # each tree's child starts first in turn
             children[i] = Child(trees[i], args.workload, args.seed)
@@ -157,7 +155,7 @@ def main(argv=None) -> int:
             for c in children:       # warm up: imports, caches and any worker pool
                 c.run(0.0, 2)
             for name, idle in passes.items():
-                rounds[name].append(run_pass(children, idle, args.pairs, args.sweeps))
+                rounds[name].append(run_pass(children, idle, args.pairs, SWEEPS))
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

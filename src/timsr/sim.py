@@ -14,14 +14,15 @@ own draws, then every step is one kernel call on the whole batch and grid,
 and each worker runs one contiguous shard of batches. A lone shard runs in
 the caller; more run in one process pool, a process per shard, that lives as
 long as this process and serves every later sweep with as many shards, while
-the caller only waits. The pool forks its workers where the platform can
-fork, whatever the interpreter's default start method; elsewhere it starts
-them the platform's way, which re-imports the caller's main module, so a
-script calling a multi-worker sweep there needs an
-``if __name__ == "__main__":`` guard. Each shard carries the CPUs it runs
-on: one of its own when the caller's CPU mask holds one per shard, from the
-CPU the caller is on onwards, else the caller's whole mask. Each point's counters are reduced
-once, in trial order, so results are bit-stable.
+the caller only waits. On Linux the pool forks its workers, whatever the
+interpreter's default start method; elsewhere (macOS, where system libraries
+may crash in a forked child, and Windows) it starts them the platform's
+default way, which re-imports the caller's main module, so a script calling
+a multi-worker sweep there needs an ``if __name__ == "__main__":`` guard.
+Each shard carries the CPUs it runs on: one of its own when the caller's CPU
+mask holds one per shard, from the CPU the caller is on onwards, else the
+caller's whole mask. Each point's counters are reduced once, in trial order,
+so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 import multiprocessing
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections import namedtuple
@@ -235,11 +237,11 @@ def _shard_cpus(shards: int) -> list:
 # Sharing it, sweeps run from one thread at a time.
 _shared = None
 
-# The pool's start method: fork where the platform has it, so a worker starts
-# in milliseconds, without importing numpy afresh or re-running the caller's
-# main module; the platform's default elsewhere (None).
-_START = (multiprocessing.get_context("fork")
-          if "fork" in multiprocessing.get_all_start_methods() else None)
+# The pool's start method: fork on Linux, so a worker starts in milliseconds,
+# without importing numpy afresh or re-running the caller's main module; the
+# platform's default elsewhere (None), since macOS lists fork but its system
+# frameworks are unsafe in a forked child.
+_START = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:

@@ -4,8 +4,6 @@ checkout against itself, and a pair whose CSVs differ."""
 import importlib.util
 import re
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,10 +13,11 @@ ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
 
-def _run(tree_a, tree_b):
-    return subprocess.run([sys.executable, str(SCRIPT), str(tree_a), str(tree_b), "--workload",
-                           "ber_ml_8_4", "--pairs", "2", "--rounds", "2", "--sweeps", "1"],
-                          capture_output=True, text=True, timeout=120)
+def _run(tree_a, tree_b, monkeypatch):
+    # two rounds of one-sweep runs keep the smoke runs short
+    monkeypatch.setattr(ab, "ROUNDS", 2)
+    monkeypatch.setattr(ab, "SWEEPS", 1)
+    return ab.main([str(tree_a), str(tree_b), "--workload", "ber_ml_8_4", "--pairs", "2"])
 
 
 def test_median_interval_is_fixed_and_brackets_the_median():
@@ -36,10 +35,9 @@ def test_median_interval_counts_the_spread_between_rounds():
     assert ab.median_interval([[r for pairs in rounds for r in pairs]]) != (0.95, 1.05)
 
 
-def test_a_against_a():
-    run = _run(ROOT, ROOT)
-    assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+def test_a_against_a(monkeypatch, capsys):
+    assert _run(ROOT, ROOT, monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "ber_ml_8_4 back to back", "ber_ml_8_4 after 100 ms idle"]
     for line in lines:
@@ -47,7 +45,7 @@ def test_a_against_a():
                          r"B faster in [0-4]/4 pairs over 2 rounds", line)
 
 
-def test_differing_csvs_fail(tmp_path):
+def test_differing_csvs_fail(tmp_path, monkeypatch, capsys):
     # a copy whose CSVs print one significant digit fewer
     shutil.copytree(ROOT / "src" / "timsr", tmp_path / "src" / "timsr",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -55,6 +53,5 @@ def test_differing_csvs_fail(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__", "out"))
     sim = tmp_path / "src" / "timsr" / "sim.py"
     sim.write_text(sim.read_text().replace('".12g"', '".11g"'))
-    run = _run(ROOT, tmp_path)
-    assert run.returncode == 1
-    assert "the CSVs differ" in run.stderr
+    assert _run(ROOT, tmp_path, monkeypatch) == 1
+    assert "the CSVs differ" in capsys.readouterr().err

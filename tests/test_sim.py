@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import math
 import multiprocessing
@@ -495,7 +496,17 @@ class TestWorkerPool:
         assert sweeps[0](3) == want[0]
         assert len(counted_pools) == 2
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is a POSIX method")
+    @pytest.mark.parametrize("platform", ["darwin", "win32"])
+    def test_pool_keeps_the_default_start_method_off_linux(self, platform, monkeypatch):
+        # macOS lists fork, but its system frameworks can crash in a forked child
+        monkeypatch.setattr(sys, "platform", platform)
+        spec = importlib.util.spec_from_file_location("timsr._sim_off_linux", timsr.sim.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        assert module._START is None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the pool forks on Linux only")
     def test_pool_forks_on_linux(self, fresh_pool):
         # whatever the interpreter's default start method (forkserver from 3.14)
         default = multiprocessing.get_start_method()
