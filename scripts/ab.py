@@ -10,7 +10,9 @@ workload W at config seed S in one child, and its time is their median host
 seconds. In each round N pairs run in ABBA order (A then B, then B then A,
 and so on) in each of two passes: one with the five sweeps back to back, and
 one with 100 ms of idle sleep before each sweep. Every sweep's CSV must
-have the same SHA-256 in both trees, or the script exits 1.
+have the same SHA-256 in both trees, and when S is one of the benchmark's
+gate seeds (``sweeps.GATE_SEEDS``) the SHA-256 that each tree's
+``perfbench/digests.json`` stores (read only), or the script exits 1.
 
 For each pass it prints the median of the per-pair ratios A time / B time
 (above 1 when B is faster), the share of pairs that B wins, and a 95%
@@ -18,13 +20,18 @@ percentile bootstrap interval of that median (Efron 1979), resampled with
 the standard library's ``random`` at a fixed seed. A process's heap layout
 alone can move its sweeps by several percent for its whole life, so the
 bootstrap resamples the rounds, then the pairs within each round drawn.
-No reference scaling is applied. Standard library only.
+It also prints each tree's median minor page faults per sweep, counted in
+the child's own process (``ru_minflt``; a pool's workers are not counted):
+where one tree's processes fault and the other's do not, the system time
+of those faults shows in the ratio. No reference scaling is applied.
+Standard library only.
 """
 
 import argparse
 import json
 import pathlib
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -40,9 +47,11 @@ RESAMPLES = 10_000
 
 
 def child(tree: pathlib.Path, workload: str, seed: int) -> None:
-    """Serve runs of ``workload`` from ``tree`` until stdin closes: each line
-    is JSON ``[idle seconds, sweeps]``, and each reply line is JSON
-    ``[median seconds, sorted CSV SHA-256 digests]``."""
+    """Serve runs of ``workload`` from ``tree`` until stdin closes. The first
+    reply line is the CSV SHA-256 that the tree's ``perfbench/digests.json``
+    stores for the seed, or null off the gate seeds; then each line is JSON
+    ``[idle seconds, sweeps]``, and each reply line is JSON ``[median
+    seconds, sorted CSV SHA-256 digests, minor page faults per sweep]``."""
     sys.path.insert(0, str(tree / "perfbench"))
     import benchenv
     benchenv.prepare()
@@ -50,18 +59,23 @@ def child(tree: pathlib.Path, workload: str, seed: int) -> None:
 
     wl = sweeps.WORKLOADS[workload]
     cfg = wl.config(seed)
+    stored = sweeps.load_digests()[workload][str(seed)] if seed in sweeps.GATE_SEEDS else None
+    print(json.dumps(stored), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / f"{workload}.csv"
         for line in sys.stdin:
             idle, count = json.loads(line)
             seconds, digests = [], set()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(count):
                 if idle:
                     time.sleep(idle)
                 took, data = sweeps.timed_sweep(wl, cfg, wl.workers, path)
                 seconds.append(took)
                 digests.add(sweeps.sha256(data))
-            print(json.dumps([statistics.median(seconds), sorted(digests)]), flush=True)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            print(json.dumps([statistics.median(seconds), sorted(digests), faults / count]),
+                  flush=True)
 
 
 class Child:
@@ -71,14 +85,25 @@ class Child:
         self.proc = subprocess.Popen(
             [sys.executable, __file__, "--child", str(tree), workload, str(seed)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.tree = tree
+        self.stored = self._reply()
 
-    def run(self, idle: float, sweeps: int):
-        self.proc.stdin.write(json.dumps([idle, sweeps]) + "\n")
-        self.proc.stdin.flush()
+    def _reply(self):
         reply = self.proc.stdout.readline()
         if not reply:
             raise RuntimeError(f"child exited with status {self.proc.wait()}")
         return json.loads(reply)
+
+    def run(self, idle: float, sweeps: int):
+        """(median seconds, CSV digests, faults per sweep) of one run; a
+        RuntimeError when a CSV misses the tree's stored digest."""
+        self.proc.stdin.write(json.dumps([idle, sweeps]) + "\n")
+        self.proc.stdin.flush()
+        seconds, digests, faults = self._reply()
+        if self.stored is not None and digests != [self.stored]:
+            raise RuntimeError(f"{self.tree}: the CSV digests {digests} are not the one "
+                               f"perfbench/digests.json stores, {self.stored}")
+        return seconds, digests, faults
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -98,31 +123,32 @@ def median_interval(rounds, resamples: int = RESAMPLES, seed: int = BOOTSTRAP_SE
 
 
 def run_pass(children, idle: float, pairs: int, sweeps: int):
-    """Per-pair (A seconds, B seconds) of one pass in ABBA order; a
-    RuntimeError when the two trees' CSVs differ."""
-    times = []
+    """Per-pair (A seconds, B seconds, A faults, B faults) of one pass in ABBA
+    order, faults per sweep; a RuntimeError when the two trees' CSVs differ."""
+    runs = []
     for i in range(pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         got = {}
         for which in order:
             got[which] = children[which].run(idle, sweeps)
-        digests = {tuple(d) for _, d in got.values()}
+        digests = {tuple(d) for _, d, _ in got.values()}
         if len(digests) != 1 or len(next(iter(digests))) != 1:
             raise RuntimeError(f"pair {i}: the CSVs differ: {sorted(digests)}")
-        times.append((got[0][0], got[1][0]))
-    return times
+        runs.append((got[0][0], got[1][0], got[0][2], got[1][2]))
+    return runs
 
 
 def summary(name: str, rounds) -> str:
-    """One pass's line from its rounds, lists of (A seconds, B seconds)."""
-    times = [pair for pairs in rounds for pair in pairs]
-    low, high = median_interval([[a / b for a, b in pairs] for pairs in rounds])
-    wins = sum(b < a for a, b in times)
-    return (f"{name}: median A/B time ratio {statistics.median(a / b for a, b in times):.3f}, "
-            f"95% interval [{low:.3f}, {high:.3f}], B faster in {wins}/{len(times)} pairs "
-            f"over {len(rounds)} rounds; median seconds "
-            f"A {statistics.median(a for a, _ in times):.5f}, "
-            f"B {statistics.median(b for _, b in times):.5f}")
+    """One pass's line from its rounds, lists of (A seconds, B seconds,
+    A faults, B faults)."""
+    runs = [run for pairs in rounds for run in pairs]
+    low, high = median_interval([[a / b for a, b, *_ in pairs] for pairs in rounds])
+    wins = sum(b < a for a, b, *_ in runs)
+    a_s, b_s, a_f, b_f = (statistics.median(col) for col in zip(*runs))
+    return (f"{name}: median A/B time ratio {statistics.median(a / b for a, b, *_ in runs):.3f}, "
+            f"95% interval [{low:.3f}, {high:.3f}], B faster in {wins}/{len(runs)} pairs "
+            f"over {len(rounds)} rounds; median seconds A {a_s:.5f}, B {b_s:.5f}; "
+            f"median minor page faults per sweep A {a_f:.0f}, B {b_f:.0f}")
 
 
 def main(argv=None) -> int:
@@ -149,9 +175,9 @@ def main(argv=None) -> int:
     trees = (args.tree_a.resolve(), args.tree_b.resolve())
     for r in range(ROUNDS):
         children = [None, None]
-        for i in ((0, 1) if r % 2 == 0 else (1, 0)):     # each tree's child starts first in turn
-            children[i] = Child(trees[i], args.workload, args.seed)
         try:
+            for i in ((0, 1) if r % 2 == 0 else (1, 0)):     # each tree's child starts first in turn
+                children[i] = Child(trees[i], args.workload, args.seed)
             for c in children:       # warm up: imports, caches and any worker pool
                 c.run(0.0, 2)
             for name, idle in passes.items():
@@ -161,7 +187,8 @@ def main(argv=None) -> int:
             return 1
         finally:
             for c in children:
-                c.close()
+                if c is not None:
+                    c.close()
     for name in passes:
         print(f"{args.workload} {summary(name, rounds[name])}")
     return 0

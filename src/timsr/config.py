@@ -183,11 +183,13 @@ def trial_values(cfg: SimConfig, n_points: int, n_counts: int = 1) -> tuple:
     ``n_counts`` absorber counts: its count of float64 values, and its name
     with its product. A ValueError, advising fewer points of the grid the
     array grows with, if it holds more than TRIAL_MAX_VALUES. A trial draws
-    its links' normals; both detectors hold every slot-cost difference of
-    ``rx.slot_costs`` at once, as two real arrays of its real and imaginary
-    parts; LLR gathers a codeword's slot LLRs and joint ML its power-slot
-    costs (counted under ``paper_compat`` too, which gathers none); the
-    harvester stacks its samples and effective channels over the counts.
+    its links' normals; both detectors form every slot-cost difference of
+    ``rx.slot_costs`` as two real arrays of its real and imaginary parts
+    (one receive antenna, or one step of 8, at a time; the entry bounds
+    every difference formed); LLR gathers a codeword's slot LLRs and joint
+    ML its power-slot costs (counted under ``paper_compat`` too, which
+    gathers none); the harvester stacks its samples and effective channels
+    over the counts.
     Joint ML's sums, one per (codeword, phase), are S * J * |A| values: no
     more than the power-slot costs at L >= J = 2, and at L = 1, where
     |A| <= K, fewer than the slot-cost differences.

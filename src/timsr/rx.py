@@ -7,7 +7,8 @@ surface state (each information phase, then the power phase), from
 :func:`timsr.ris.received`, where the received-signal model is stated once
 over the cascades of the two reflecting groups, and the :class:`Observation`
 carries them as ``eff``.
-:func:`slot_costs` scores the received samples against them; every detector
+:func:`slot_costs` scores the received samples against them, one receive
+antenna at a time, in ``np.sum``'s order over the antennas; every detector
 stage is an array kernel over those slot costs.
 
 Every kernel takes arrays with any number of leading axes, none included,
@@ -102,26 +103,64 @@ def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, 
     """Squared distances of the received vectors ``obs.y`` (..., K, M_R) to
     every single-slot hypothesis: ``info_cost`` (..., J, M, K) for each
     (phase, symbol) pair at power ``p_info_w`` and ``pow_cost`` (..., K)
-    for the power sample ``omega``. The real and the imaginary parts of
-    every difference (..., J, M, K, M_R) are formed at once as two real
-    arrays, the count that ``config.trial_values`` bounds, each part equal
-    to that of the complex difference; they are squared and added in place,
-    and ``np.sum`` adds over the contiguous antenna axis in numpy's own
-    order."""
+    for the power sample ``omega``. The differences are formed one receive
+    antenna at a time (one step of 8 antennas from 8 antennas up), as two
+    real arrays (..., J, M, K) of their real and imaginary parts, each part
+    equal to that of the complex difference; they are squared and added in
+    place, and each antenna's squared distance is added into a running sum
+    in the order in which ``np.sum`` adds a contiguous antenna axis, so
+    every cost equals that sum bit for bit. No (..., J, M, K, M_R) array is
+    built."""
     eff = obs.eff[..., None, :, :] if obs.y.ndim > obs.eff.ndim else obs.eff    # point axis
     cand = eff[..., :-1, None, :] * (math.sqrt(p_info_w) * constellation.points)[:, None]
     return (_summed_squares(obs.y[..., None, None, :, :], cand[..., None, :]),
             _summed_squares(obs.y, eff[..., -1:, :] * omega))
 
 
-def _summed_squares(y, c):
-    """|y - c|^2 summed over the last axis: the real and the imaginary parts
-    of the differences as two fresh real arrays, squared and added in place."""
-    re, im = y.real - c.real, y.imag - c.imag
+_LANES, _BLOCK = 8, 128     # numpy's pairwise sum: its unroll width and its block
+
+
+def _summed_squares(y, c, start=0, n=None):
+    """|y - c|^2 summed over antennas ``start`` to ``start + n - 1`` of the
+    last axis (all by default) in the order of numpy's pairwise sum: a left
+    fold below 8 antennas; up to 128, 8 running lanes, fed one step of 8
+    antennas at a time, combined as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) +
+    (l6 + l7)), and then the antennas left over one by one; above 128, two
+    halves, the first a multiple of 8, each summed so and then added. Every
+    step after the first squares into one scratch array."""
+    n = y.shape[-1] if n is None else n
+    if n > _BLOCK:
+        half = n // 2 - n // 2 % _LANES
+        return _summed_squares(y, c, start, half) + _summed_squares(y, c, start + half, n - half)
+    stop, rest = start + n, start + n - n % _LANES
+    if n >= _LANES:
+        lanes = _squares(y, c, slice(start, start + _LANES))
+        scratch = np.empty((2,) + lanes.shape)
+        for at in range(start + _LANES, rest, _LANES):
+            lanes += _squares(y, c, slice(at, at + _LANES), *scratch)
+        lane = [lanes[..., i] for i in range(_LANES)]
+        total = (((lane[0] + lane[1]) + (lane[2] + lane[3]))
+                 + ((lane[4] + lane[5]) + (lane[6] + lane[7])))
+    else:
+        total, rest = _squares(y, c, start), start + 1
+    if rest < stop:
+        scratch = np.empty((2,) + total.shape)
+        for at in range(rest, stop):
+            total += _squares(y, c, at, *scratch)
+    return total
+
+
+def _squares(y, c, at, re=None, im=None):
+    """|y - c|^2 at the antennas ``at`` (an index or a slice of the last
+    axis): the real and the imaginary differences as two real arrays, fresh
+    or the given ``re`` and ``im``, squared and added in place into ``re``."""
+    yy, cc = y[..., at], c[..., at]
+    re = np.subtract(yy.real, cc.real, out=re)
+    im = np.subtract(yy.imag, cc.imag, out=im)
     re *= re
     im *= im
     re += im
-    return np.sum(re, axis=-1)
+    return re
 
 
 @dataclass

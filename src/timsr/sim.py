@@ -176,8 +176,9 @@ def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
 
 # Bytes that the largest array of one batch of trials may take. Under
 # tracemalloc a batch peaked at 1.8 times that on the default LLR and (8,4)
-# ML configs (the real and imaginary slot-cost differences beside the noisy
-# samples and the draw), at 1.3 times on 16-antenna LLR, at 1.6 times on the
+# ML configs and at 1.3 times on 16-antenna LLR (set by the trials' draw and
+# the channel realization: the slot costs, formed one antenna at a time,
+# peak lower), at 1.6 times on the
 # default harvest grid and at 3.2 times on a harvest over absorber counts
 # 0-256 with no assist cells (arrays stacked over the counts; a harvest
 # realizes one receive antenna). At 2 MiB an (8,4) ML sweep of 50 trials is

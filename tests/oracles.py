@@ -11,7 +11,8 @@ reflect. The scalar :func:`jacobian_log_sum` step
 defines the LLR recursion, :func:`closest_phase` the phase quantizer, and
 :func:`loop_trial` runs one trial alone, block by block, for comparison with
 trial batches, :func:`broadcast_slot_costs` forms every slot-cost difference
-at once and sums over the antennas with ``np.sum``, and
+at once and sums over the antennas with ``np.sum``, whose order the kernel,
+which forms them one antenna at a time, follows, and
 :func:`loop_constellation_points` labels the symbol points one at a time.
 :func:`codewords` and :func:`codeword_index` read a codebook as the paper's
 1-based slot tuples. :func:`expected_dc_ris` computes the surface's mean

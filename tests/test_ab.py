@@ -1,5 +1,6 @@
 """The paired A/B script: its bootstrap interval, an A/A run of this
-checkout against itself, and a pair whose CSVs differ."""
+checkout against itself, a pair whose CSVs differ, and a pair of equal
+copies whose CSVs both miss the stored digest."""
 
 import importlib.util
 import re
@@ -13,11 +14,23 @@ ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
 
-def _run(tree_a, tree_b, monkeypatch):
+def _run(tree_a, tree_b, monkeypatch, seed=1):
     # two rounds of one-sweep runs keep the smoke runs short
     monkeypatch.setattr(ab, "ROUNDS", 2)
     monkeypatch.setattr(ab, "SWEEPS", 1)
-    return ab.main([str(tree_a), str(tree_b), "--workload", "ber_ml_8_4", "--pairs", "2"])
+    return ab.main([str(tree_a), str(tree_b), "--workload", "ber_ml_8_4", "--pairs", "2",
+                    "--seed", str(seed)])
+
+
+def _coarser_copy(dest):
+    """A copy of this checkout whose CSVs print one significant digit fewer."""
+    shutil.copytree(ROOT / "src" / "timsr", dest / "src" / "timsr",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", dest / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__", "out"))
+    sim = dest / "src" / "timsr" / "sim.py"
+    sim.write_text(sim.read_text().replace('".12g"', '".11g"'))
+    return dest
 
 
 def test_median_interval_is_fixed_and_brackets_the_median():
@@ -42,16 +55,18 @@ def test_a_against_a(monkeypatch, capsys):
         "ber_ml_8_4 back to back", "ber_ml_8_4 after 100 ms idle"]
     for line in lines:
         assert re.search(r"median A/B time ratio [0-9.]+, 95% interval \[[0-9.]+, [0-9.]+\], "
-                         r"B faster in [0-4]/4 pairs over 2 rounds", line)
+                         r"B faster in [0-4]/4 pairs over 2 rounds; "
+                         r"median seconds A [0-9.]+, B [0-9.]+; "
+                         r"median minor page faults per sweep A [0-9]+, B [0-9]+$", line)
 
 
 def test_differing_csvs_fail(tmp_path, monkeypatch, capsys):
-    # a copy whose CSVs print one significant digit fewer
-    shutil.copytree(ROOT / "src" / "timsr", tmp_path / "src" / "timsr",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
-                    ignore=shutil.ignore_patterns("__pycache__", "out"))
-    sim = tmp_path / "src" / "timsr" / "sim.py"
-    sim.write_text(sim.read_text().replace('".12g"', '".11g"'))
-    assert _run(ROOT, tmp_path, monkeypatch) == 1
+    # seed 3 has no stored digest, so only the comparison of the two trees fails
+    assert _run(ROOT, _coarser_copy(tmp_path), monkeypatch, seed=3) == 1
     assert "the CSVs differ" in capsys.readouterr().err
+
+
+def test_equal_csvs_that_miss_the_stored_digest_fail(tmp_path, monkeypatch, capsys):
+    a, b = _coarser_copy(tmp_path / "a"), _coarser_copy(tmp_path / "b")
+    assert _run(a, b, monkeypatch) == 1
+    assert "not the one perfbench/digests.json stores" in capsys.readouterr().err

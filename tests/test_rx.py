@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,12 +129,14 @@ class TestObservationChannels:
 
 class TestSlotCosts:
     """The kernel and the oracle are two expressions of the slot costs that
-    must agree bit for bit: the kernel squares the real and imaginary parts
-    of complex differences, the oracle real-part differences taken from
-    strided views. Both sum over the antennas with ``np.sum``, whose order
-    changes at 8 antennas (8 running sums) and beyond 128 (halves)."""
+    must agree bit for bit: the kernel adds one antenna's (or one step of 8
+    antennas') squared distances at a time into running sums, in the order
+    of ``np.sum`` over a contiguous axis; the oracle forms every real-part
+    difference at once from strided views and sums over the antennas with
+    ``np.sum``, whose order changes at 8 antennas (8 running sums, then the
+    antennas left over) and beyond 128 (halves, halved again beyond 256)."""
 
-    @pytest.mark.parametrize("m_rx", [1, 2, 4, 7, 8, 9, 20, 128, 129, 136])
+    @pytest.mark.parametrize("m_rx", [1, 2, 4, 7, 8, 9, 15, 16, 17, 20, 128, 129, 136, 256, 257, 300])
     @pytest.mark.parametrize("lead, points", [((), ()), ((3,), ()), ((3,), (2,))],
                              ids=["one_block", "blocks", "points"])
     @pytest.mark.parametrize("k_slots, m_order", [(1, 2), (5, 4)])
@@ -149,6 +152,26 @@ class TestSlotCosts:
         for got, want in zip(slot_costs(obs, *args), broadcast_slot_costs(obs, *args)):
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
+
+    def test_no_antenna_axis_is_held(self):
+        # 20 blocks at 14 points, K = 16, M = 4, J = 2. The candidates
+        # (..., J, M, M_R) still grow with the antennas, but are K * S times
+        # fewer than the differences.
+        rng = np.random.default_rng(5)
+        constellation = build_constellation(4)
+
+        def peak(m_rx):
+            obs = Observation(rng.standard_normal((20, 14, 16, m_rx)) + 0j, 1.0,
+                              rng.standard_normal((20, 3, m_rx)) + 0j)
+            tracemalloc.start()
+            try:
+                slot_costs(obs, constellation, 1.7, 0.3 - 0.2j)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(128) <= 1.1 * peak(16)
+        assert peak(4) < 2 * 20 * 14 * 2 * 4 * 16 * 4 * 8    # 2 * S * J * M * K * M_R float64
 
 
 class TestJacobianLogSum:
