@@ -78,6 +78,10 @@ CASES = {
     # the benchmark's LLR sweep at a seed whose 5 dB index-bit SE shows a
     # reduction of the F-ordered error rows in another order than a 1-D one
     "llr_8_2_bench_seed_1126": ("ber", dict(detector="llr", trials=120, seed=1126), 1),
+    # both ends of the Rician mix: no line of sight, and all but none diffuse
+    "llr_8_2_rayleigh": ("ber", dict(detector="llr", kappa=0.0), 1),
+    "ml_8_2_kappa_1e9": ("ber", dict(detector="ml", kappa=1e9), 1),
+    "harvest_rayleigh": ("harvest", dict(kappa=0.0), 1),
 }
 
 # absorber counts from none to every cell outside the assist group, in order
