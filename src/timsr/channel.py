@@ -68,15 +68,20 @@ def sample_rician(spec: RicianSpec, rows: int, cols: int, normals,
 
     Each entry is sqrt(gain) * (sqrt(k/(k+1)) * exp(j*theta_los)
     + sqrt(1/(k+1)) * w) with w standard circularly symmetric complex
-    Gaussian, so the per-entry mean power equals the path gain.
+    Gaussian, so the per-entry mean power equals the path gain. The parts of
+    w are the normals times 1/sqrt(2), scaled as real numbers: the bytes of
+    the complex expression (x + 1j*y) / sqrt(2) for any normals but exact
+    zeros, and for those too once a k > 0 line of sight is added; at k = 0
+    a zero part may differ from it in sign alone, which no output reads.
     """
     z = np.reshape(normals, np.shape(normals)[:-1] + (2, rows, cols))[..., :keep, :]
-    fade = 1j * z[..., 1, :, :]           # in place from here: one array per link
-    fade += z[..., 0, :, :]
-    fade /= math.sqrt(2.0)
-    fade *= math.sqrt(1.0 / (spec.kappa + 1.0))
+    fade = np.empty(z.shape[:-3] + z.shape[-2:], dtype=complex)
+    np.multiply(z[..., 0, :, :], 1.0 / math.sqrt(2.0), out=fade.real)
+    np.multiply(z[..., 1, :, :], 1.0 / math.sqrt(2.0), out=fade.imag)
+    parts = fade.view(float)              # in place from here: one array per link
+    parts *= math.sqrt(1.0 / (spec.kappa + 1.0))
     fade += spec.los if np.ndim(spec.los) < 2 else spec.los[..., :keep, :]
-    fade *= math.sqrt(spec.path_gain)
+    parts *= math.sqrt(spec.path_gain)
     return fade
 
 
@@ -96,17 +101,18 @@ class ChannelRealization:
     g_e: np.ndarray
 
 
-def group_cascades(dest, h_r, split) -> np.ndarray:
-    """Cascaded channels (..., rows, 2) of the two reflecting groups under
-    the cell split ``(n1, n2)``: surface->destination blocks ``dest``
-    (..., rows, N) times transmitter->surface blocks ``h_r`` (..., N) over
-    the first n1 (assist) cells, then over the cells past the next n2
+def group_cascades(dest, h_r, n1: int, n2s) -> np.ndarray:
+    """Cascaded channels (len(n2s), ..., rows, 2) of the two reflecting
+    groups under the cell split ``(n1, n2)`` for each absorber count n2 in
+    ``n2s``: surface->destination blocks ``dest`` (..., rows, N) times
+    transmitter->surface blocks ``h_r`` (..., N) over the first n1 (assist)
+    cells, once for every count, then over the cells past the next n2
     (absorbers), one batched matrix-vector product each, so each block's
     cascade equals that of the block alone. The absorbers' cells are never
     read; an empty group gives zeros."""
-    n1, n2 = split
-    return np.stack([(dest[..., :n1] @ h_r[..., :n1, None])[..., 0],
-                     (dest[..., n1 + n2:] @ h_r[..., n1 + n2:, None])[..., 0]], axis=-1)
+    assist = (dest[..., :n1] @ h_r[..., :n1, None])[..., 0]
+    info = np.stack([(dest[..., n1 + n2:] @ h_r[..., n1 + n2:, None])[..., 0] for n2 in n2s])
+    return np.stack(np.broadcast_arrays(assist, info), axis=-1)
 
 
 def link_shapes(m_rx: int, n_cells: int) -> dict:

@@ -77,11 +77,11 @@ def make_ris_state(channel: ChannelRealization, n1: int, ris_bit) -> RisState:
     return RisState(ris_bit, psi)
 
 
-def ris_rectenna_input(h_r2: np.ndarray, samples):
+def ris_rectenna_input(h_r2: np.ndarray, slot_power):
     """RF power |sum h_r2|^2 |s_k|^2 entering the surface rectenna in each
     slot: the absorbed signals combine coherently before rectification.
-    Absorbers (..., n2) and samples (..., K) give powers (..., K)."""
-    return np.float_power(np.abs(np.sum(h_r2, axis=-1, keepdims=True)), 2) * np.abs(samples) ** 2
+    Absorbers (..., n2) and slot powers |s_k|^2 (..., K) give powers (..., K)."""
+    return np.float_power(np.abs(np.sum(h_r2, axis=-1, keepdims=True)), 2) * slot_power
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,14 @@ def harvest_inputs(channel: ChannelRealization, n1: int, n2s, state: RisState, t
     """Rectenna input powers (len(n2s), ..., K) at the surface and at the
     harvester for every absorber count in ``n2s`` beside ``n1`` assist
     cells. The surface rectenna's input is :func:`ris_rectenna_input` over
-    each count's absorbers. The harvester's cascades under each split
-    (:func:`timsr.channel.group_cascades`) are stacked on a leading count
-    axis, and one :func:`received` call on its single antenna covers them
-    all; each row equals that count harvested alone. Thermal noise is below
-    the harvesting floor and is not modeled."""
-    g_e = channel.g_e[..., None, :]
-    casc = np.stack([group_cascades(g_e, channel.h_r, (n1, n2)) for n2 in n2s])  # (n2s, ..., 1, 2)
+    each count's absorbers, at slot powers computed once. The harvester's
+    cascades under each split (:func:`timsr.channel.group_cascades`, the
+    assist group's computed once) carry a leading count axis, and one
+    :func:`received` call on its single antenna covers them all; each row
+    equals that count harvested alone. Thermal noise is below the
+    harvesting floor and is not modeled."""
+    casc = group_cascades(channel.g_e[..., None, :], channel.h_r, n1, n2s)   # (n2s, ..., 1, 2)
     _, y = received(np.asarray(channel.h_e)[..., None], casc, state, tau, samples)
-    q_ris = np.stack([ris_rectenna_input(channel.h_r[..., n1:n1 + n2], samples) for n2 in n2s])
+    power = np.abs(samples) ** 2
+    q_ris = np.stack([ris_rectenna_input(channel.h_r[..., n1:n1 + n2], power) for n2 in n2s])
     return q_ris, np.abs(y[..., 0]) ** 2

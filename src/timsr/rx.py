@@ -94,7 +94,8 @@ def observe(channel: ChannelRealization, split, frame: TimFrame,
     """The noiseless samples of blocks at the receive antennas under the
     cell split ``(n1, n2)``, with the effective channels that
     :func:`timsr.ris.received` builds for them carried on the observation."""
-    eff, y = received(channel.h_d, group_cascades(channel.G_d, channel.h_r, split), ris,
+    n1, n2 = split
+    eff, y = received(channel.h_d, group_cascades(channel.G_d, channel.h_r, n1, (n2,))[0], ris,
                       frame.tau, frame.samples)
     return Observation(y, 0.0, eff)
 

@@ -2,11 +2,13 @@
 harvest-vs-N2 sweeps, and CSV output.
 
 Every trial owns a counter-based random stream keyed by (seed, trial index),
-so results are independent of worker count, scheduling and batching. A sweep
-draws each trial once and evaluates it at every grid point: every absorber
-count reads the same link draws in one stacked harvest pass
-(``ris.harvest_inputs``), and an SNR point scales the same unit noise, which
-every trial that detects draws last. A run's context holds what its config
+so results are independent of worker count, scheduling and batching. The
+stream holds, in order, the trial's links' normals, the raw words that give
+its data bits and its surface bit, and, when it detects, its unit noise
+(:func:`draw_trials`). A sweep draws each trial once and evaluates it at
+every grid point: every absorber count reads the same link draws in one
+stacked harvest pass (``ris.harvest_inputs``), and an SNR point scales the
+same unit noise. A run's context holds what its config
 sets; the surface's phase levels are the constants ``ris.PHI_INFO`` and
 ``ris.PHI_POWER``.
 Trials run in batches sized from a byte budget: each trial's stream makes its
@@ -58,16 +60,27 @@ from .txphy import build_benchmark_codebook, build_codebook, build_constellation
 LOS_STREAM = 2**64 - 1
 
 
+# A new generator's counter and buffer, read-only: rekeying a stream builds no array.
+_ZERO = np.zeros(4, dtype=np.uint64)
+_ZERO.setflags(write=False)
+
+# The top bit of a raw 64-bit word's low 32-bit half and of its high half.
+_HALF_TOPS = np.array([31, 63])
+
+
 def trial_rng(seed: int, stream: int, reuse: np.random.Generator | None = None) -> np.random.Generator:
-    """Independent counter-based stream for one (seed, stream index) pair.
-    A Philox generator passed as ``reuse`` is rekeyed in place and returned:
-    the same stream as a new generator's, without building one."""
-    key = np.array([seed, stream], dtype=np.uint64)
+    """Independent counter-based stream for one (seed, stream index) pair;
+    a trial reads its links' normals from it, then the raw words that give
+    its data bits and its surface bit, then, when it detects, its unit noise
+    (:func:`draw_trials`). A Philox generator passed as ``reuse`` is rekeyed
+    in place and returned: the same stream as a new generator's, without
+    building one, whatever the generator drew before (its buffered 32-bit
+    half is dropped too)."""
     if reuse is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    zero = np.zeros(4, dtype=np.uint64)        # a new generator's counter and buffer
-    reuse.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-                                 "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    reuse.bit_generator.state = {"bit_generator": "Philox",
+                                 "state": {"counter": _ZERO, "key": (seed, stream)},
+                                 "buffer": _ZERO, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return reuse
 
 
@@ -118,28 +131,42 @@ def make_context(cfg: SimConfig, sigma2: float | None) -> RunContext:
 Tally = namedtuple("Tally", "dc_ris_w dc_eh_w ptx_errors index_errors ris_errors")
 
 
-def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: int) -> Tally:
-    """Trials ``start`` to ``stop - 1``: the harvest at every absorber count
-    in ``n2s`` (beside ``cfg.n1`` assist cells), the detection at every noise
-    variance in ``sigma2s``. Each trial's stream draws its channels, bits,
-    surface bit and, when it detects, unit noise; every later step is one
-    call for the batch. With no variance to detect at, only receive antenna
-    0 is realized, the one that co-phasing reads. The links are freed before
-    detection."""
-    cfg, n = ctx.cfg, stop - start
-    eta, eta_r, _ = ctx.bit_widths
+def draw_trials(ctx: RunContext, start: int, stop: int, noisy: bool) -> tuple:
+    """The draws of trials ``start`` to ``stop - 1`` as arrays with a leading
+    trial axis, each trial's from its own stream in this layout: its links'
+    normals, then ceil((eta + 1) / 2) raw 64-bit words that give its eta
+    data bits and then its surface bit, then, when ``noisy``, its unit
+    noise. A bit is the top bit of a word's low 32-bit half, then of its
+    high half: exactly what ``integers(0, 2, eta + 1)`` draws on numpy 2.x,
+    stated here so that it rests on no bounded-integer algorithm. Returns
+    the normals (B, n_normals), bits (B, eta), surface bits (B,) and noise
+    normals (B, 2, K, M_R), or None."""
+    cfg, n, eta = ctx.cfg, stop - start, ctx.bit_widths[0]
     normals = np.empty((n, ctx.channel_model.n_normals))
-    noise = np.empty((n, 2, cfg.k_slots, cfg.m_rx)) if sigma2s else None
-    bits = np.empty((n, eta + 1), dtype=np.int64)
+    noise = np.empty((n, 2, cfg.k_slots, cfg.m_rx)) if noisy else None
+    words = np.empty((n, -(-(eta + 1) // 2)), dtype=np.uint64)
     rng = None
     for b in range(n):
         rng = trial_rng(cfg.seed, start + b, rng)
         rng.standard_normal(out=normals[b])
-        # the data bits, then the surface bit: one draw, the same bits as two
-        bits[b] = rng.integers(0, 2, size=eta + 1)
-        if noise is not None:
+        words[b] = rng.bit_generator.random_raw(words.shape[1])
+        if noisy:
             rng.standard_normal(out=noise[b])
-    bits, ris_bit = bits[:, :-1], bits[:, -1]
+    bits = ((words.view(np.int64)[..., None] >> _HALF_TOPS) & 1).reshape(n, -1)
+    return normals, bits[:, :eta], bits[:, eta], noise
+
+
+def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: int) -> Tally:
+    """Trials ``start`` to ``stop - 1``: the harvest at every absorber count
+    in ``n2s`` (beside ``cfg.n1`` assist cells), the detection at every noise
+    variance in ``sigma2s``. Each trial's stream draws its links' normals,
+    the raw words that give its data bits and its surface bit and, when it
+    detects, its unit noise (:func:`draw_trials`); every later step is one
+    call for the batch. With no variance to detect at, only receive antenna
+    0 is realized, the one that co-phasing reads. The links are freed before
+    detection."""
+    cfg, eta_r = ctx.cfg, ctx.bit_widths[1]
+    normals, bits, ris_bit, noise = draw_trials(ctx, start, stop, bool(sigma2s))
     drawn = ctx.channel_model.realize(normals, cfg.m_rx if sigma2s else 1)
     del normals
 

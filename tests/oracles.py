@@ -101,7 +101,7 @@ def loop_trial(ctx, layouts, sigma2s, trial_index):
     for split in layouts:
         n1, n2 = split
         ris = make_ris_state(drawn, n1, ris_bit)
-        q_ris = ris_rectenna_input(drawn.h_r[n1:n1 + n2], frame.samples)
+        q_ris = ris_rectenna_input(drawn.h_r[n1:n1 + n2], np.abs(frame.samples) ** 2)
         dc_ris = float(np.mean(clc_dc_power(q_ris, ctx.ris_model)))
         _, (q_eh,) = harvest_inputs(drawn, n1, (n2,), ris, frame.tau, frame.samples)
         dc_eh = float(np.mean(clc_dc_power(q_eh, ctx.eh_model)))
@@ -150,7 +150,8 @@ def power_reflection():
 
 
 def _effective(ch, split, group1_phase):
-    f_casc = group_cascades(ch.G_d, ch.h_r, split)
+    n1, n2 = split
+    f_casc = group_cascades(ch.G_d, ch.h_r, n1, (n2,))[0]
     eff_info = [ch.h_d + f_casc @ info_reflection(group1_phase, th) for th in PHI_INFO]
     eff_power = ch.h_d + f_casc @ power_reflection()
     return eff_info, eff_power
@@ -321,7 +322,8 @@ def slot_rectenna_input(h_r2, s_k):
 def slot_eh_received(channel, split, psi, s_k):
     """Harvester sample and rectenna input of one slot under reflection
     ``psi`` of the cell split ``split``: h_e * s_k + (v_casc . psi) * s_k."""
-    v_casc = group_cascades(channel.g_e[None, :], channel.h_r, split)[0]
+    n1, n2 = split
+    v_casc = group_cascades(channel.g_e[None, :], channel.h_r, n1, (n2,))[0, 0]
     eps = channel.h_e * s_k + (v_casc @ psi) * s_k
     return complex(eps), float(np.abs(eps) ** 2)
 

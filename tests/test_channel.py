@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,32 @@ class TestRician:
         draws = sample_rician(RicianSpec(1e9, 1.0, phases), 3, 1, normals)
         assert np.allclose(np.angle(draws), phases, atol=1e-3)
 
+    @pytest.mark.parametrize("kappa", [0.0, 5.0, 1e9])
+    @pytest.mark.parametrize("phase", [0.0, np.pi, np.array([[0.0, np.pi / 2], [np.pi, 1.0],
+                                                             [4.0, 0.0]])],
+                             ids=["zero", "pi", "per_entry"])
+    def test_mix_equals_complex_expression_at_exact_zeros(self, kappa, phase):
+        # planted +-0.0 normals: the real-part mix equals (x + 1j*y) / sqrt(2)
+        # scaled and shifted in value at k = 0, where only a zero's sign may
+        # differ, and in bytes once a k > 0 line of sight is added
+        rng = np.random.default_rng(11)
+        normals = rng.standard_normal((50, 12))
+        zeros = rng.random(normals.shape) < 0.3
+        normals[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+        spec = RicianSpec(kappa, 0.3, phase)
+        z = normals.reshape(50, 2, 3, 2)
+        want = 1j * z[:, 1]
+        want += z[:, 0]
+        want /= math.sqrt(2.0)
+        want *= math.sqrt(1.0 / (kappa + 1.0))
+        want += spec.los
+        want *= math.sqrt(spec.path_gain)
+        got = sample_rician(spec, 3, 2, normals)
+        if kappa == 0.0:
+            assert np.array_equal(got, want)
+        else:
+            assert got.tobytes() == want.tobytes()
+
 
 def default_model(policy="per-link", **kw):
     """The model of the default config under ``policy`` and the overrides
@@ -85,8 +113,9 @@ GROUPS = (60, 35)
 
 def cascades(ch, groups=GROUPS):
     """The receive and harvester cascades of one block under ``groups``."""
-    return group_cascades(ch.G_d, ch.h_r, groups), group_cascades(ch.g_e[None, :], ch.h_r,
-                                                                   groups)[0]
+    n1, n2 = groups
+    return (group_cascades(ch.G_d, ch.h_r, n1, (n2,))[0],
+            group_cascades(ch.g_e[None, :], ch.h_r, n1, (n2,))[0, 0])
 
 
 class TestRealization:

@@ -185,7 +185,7 @@ class TestRectennaInput:
         assert ris_rectenna_input(np.array([1.0, 1.0]), 1.0) == pytest.approx(4.0)
 
     def test_destructive_pair(self):
-        assert ris_rectenna_input(np.array([1.0, -1.0]), 0.7 + 0.3j) == pytest.approx(0.0)
+        assert ris_rectenna_input(np.array([1.0, -1.0]), abs(0.7 + 0.3j) ** 2) == pytest.approx(0.0)
 
 
 class TestClc:
@@ -250,7 +250,7 @@ def harvester_view(ch, split, state, tau, samples):
     antenna over its cascades under ``split``, and its rectenna input powers
     from ``harvest_inputs`` at that one absorber count."""
     n1, n2 = split
-    casc = group_cascades(ch.g_e[..., None, :], ch.h_r, split)
+    casc = group_cascades(ch.g_e[..., None, :], ch.h_r, n1, (n2,))[0]
     _, y = received(np.asarray(ch.h_e)[..., None], casc, state, tau, samples)
     (q,) = harvest_inputs(ch, n1, (n2,), state, tau, samples)[1]
     return y[..., 0], q
@@ -285,7 +285,7 @@ class TestEhReceived:
         tau = np.array([1, 0, 0, 1, 0])
         eps, q = harvester_view(ch, groups, state, tau, samples)
         g2 = ch.h_r[2:5]
-        q_ris = ris_rectenna_input(g2, samples)
+        q_ris = ris_rectenna_input(g2, np.abs(samples) ** 2)
         for k in range(5):
             want_eps, want_q = slot_eh_received(ch, groups,
                                                 state.psi[state.ris_bit if tau[k] else -1],
@@ -307,7 +307,7 @@ class TestEhReceived:
         for trial in range(5):
             _, _, frame, state, _, ris_bit, ch = build_observation(cfg, 10.0, trial=trial)
             g1 = align_group1(ch, cfg.n1, PHI_INFO)
-            v_casc = group_cascades(ch.g_e[None, :], ch.h_r, (cfg.n1, cfg.n2))[0]
+            v_casc = group_cascades(ch.g_e[None, :], ch.h_r, cfg.n1, (cfg.n2,))[0, 0]
             e_info = ch.h_e + v_casc @ info_reflection(g1, PHI_INFO[ris_bit])
             e_power = ch.h_e + v_casc @ power_reflection()
             want = np.where(frame.tau == 1, e_info, e_power) * frame.samples
@@ -338,7 +338,7 @@ class TestHarvestInputs:
         assert q_ris.shape == q_eh.shape == (len(n2s),) + lead + (5,)
         for row, n2 in enumerate(n2s):
             np.testing.assert_array_equal(
-                q_ris[row], ris_rectenna_input(ch.h_r[..., n1:n1 + n2], samples))
+                q_ris[row], ris_rectenna_input(ch.h_r[..., n1:n1 + n2], np.abs(samples) ** 2))
             np.testing.assert_array_equal(
                 q_eh[row], harvest_inputs(ch, n1, (n2,), state, tau, samples)[1][0])
 

@@ -51,7 +51,7 @@ class TestObserve:
         ctx, obs, frame, state, _, _, ch = build_observation(small_cfg, snr_db=0.0)
         # rebuild with zero noise and check the exact per-slot composition
         clean = observe(ch, (small_cfg.n1, small_cfg.n2), frame, state)
-        f_casc = group_cascades(ch.G_d, ch.h_r, (small_cfg.n1, small_cfg.n2))
+        f_casc = group_cascades(ch.G_d, ch.h_r, small_cfg.n1, (small_cfg.n2,))[0]
         for k in range(small_cfg.k_slots):
             eff = ch.h_d + f_casc @ state.psi[state.ris_bit if frame.tau[k] else -1]
             np.testing.assert_allclose(clean.y[k], eff * frame.samples[k], rtol=1e-12)

@@ -43,6 +43,7 @@ from timsr.sim import (
     ber_sweep,
     default_n2_grid,
     direct_snr_sigma2,
+    draw_trials,
     harvest_sweep,
     make_context,
     run_block_trial,
@@ -68,15 +69,36 @@ class TestTrialRng:
 
     def test_rekeyed_generator_equals_new_one(self):
         # an odd count of bits leaves half a 64-bit word buffered; rekeying
-        # must drop it along with the counter
+        # must drop it along with the counter, at either end of both key words
         used = trial_rng(5, 7)
         used.integers(0, 2, size=3)
         used.standard_normal(5)
-        for stream in (7, 8, 2**40):
-            reused, new = trial_rng(5, stream, used), trial_rng(5, stream)
-            assert reused is used
-            np.testing.assert_array_equal(reused.integers(0, 2, size=9), new.integers(0, 2, size=9))
-            np.testing.assert_array_equal(reused.standard_normal(7), new.standard_normal(7))
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            for stream in (0, 1, 2**32, 2**64 - 1):
+                assert used.bit_generator.state["has_uint32"] == 1
+                reused, new = trial_rng(seed, stream, used), trial_rng(seed, stream)
+                assert reused is used
+                assert str(reused.bit_generator.state) == str(new.bit_generator.state)
+                np.testing.assert_array_equal(reused.integers(0, 2, size=9),
+                                              new.integers(0, 2, size=9))
+                np.testing.assert_array_equal(reused.standard_normal(7), new.standard_normal(7))
+
+    @pytest.mark.parametrize("n_bits", range(1, 25))
+    def test_batch_bits_equal_integers(self, n_bits):
+        # the bits that draw_trials reads off raw words, data bits then the
+        # surface bit, are integers(0, 2)'s, and the noise after them is too
+        ctx = make_context(make_config(n_cells=4, n1=2, n2=1, m_rx=1, k_slots=4, l_slots=1,
+                                       m_order=2), None)
+        ctx = replace(ctx, bit_widths=(n_bits - 1,) + ctx.bit_widths[1:])
+        normals, bits, ris_bit, noise = draw_trials(ctx, 3, 503, True)
+        assert bits.shape == (500, n_bits - 1) and ris_bit.shape == (500,)
+        for b in range(500):
+            rng = trial_rng(ctx.cfg.seed, 3 + b)
+            np.testing.assert_array_equal(normals[b], rng.standard_normal(normals.shape[1]))
+            want = rng.integers(0, 2, size=n_bits)
+            np.testing.assert_array_equal(bits[b], want[:-1])
+            assert ris_bit[b] == want[-1]
+            np.testing.assert_array_equal(noise[b], rng.standard_normal(noise.shape[1:]))
 
     @pytest.mark.parametrize("eta", [1, 4, 8, 13])
     def test_one_bit_draw_equals_two(self, eta):
