@@ -102,7 +102,8 @@ class TestTrialRng:
 
     @pytest.mark.parametrize("eta", [1, 4, 8, 13])
     def test_one_bit_draw_equals_two(self, eta):
-        # trial batches draw the data bits and the surface bit in one call
+        # trial batches read the data bits and the surface bit as one draw's
+        # (test above), the per-trial loop oracle draws them in two calls
         for stream in range(200):
             fused, split = trial_rng(3, stream), trial_rng(3, stream)
             fused.standard_normal(6)
