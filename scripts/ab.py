@@ -20,11 +20,12 @@ percentile bootstrap interval of that median (Efron 1979), resampled with
 the standard library's ``random`` at a fixed seed. A process's heap layout
 alone can move its sweeps by several percent for its whole life, so the
 bootstrap resamples the rounds, then the pairs within each round drawn.
-It also prints each tree's median minor page faults per sweep, counted in
-the child's own process (``ru_minflt``; a pool's workers are not counted):
-where one tree's processes fault and the other's do not, the system time
-of those faults shows in the ratio. No reference scaling is applied.
-Standard library only.
+It also prints each tree's median minor page faults per sweep, in the
+child's own process (``ru_minflt``) and summed over the workers of its
+``timsr.sim`` pool (field 10 of each worker's ``/proc/<pid>/stat``; 0 with
+no pool or no ``/proc``): where one tree's processes fault and the other's
+do not, the system time of those faults shows in the ratio. No reference
+scaling is applied. Standard library only.
 """
 
 import argparse
@@ -51,7 +52,8 @@ def child(tree: pathlib.Path, workload: str, seed: int) -> None:
     reply line is the CSV SHA-256 that the tree's ``perfbench/digests.json``
     stores for the seed, or null off the gate seeds; then each line is JSON
     ``[idle seconds, sweeps]``, and each reply line is JSON ``[median
-    seconds, sorted CSV SHA-256 digests, minor page faults per sweep]``."""
+    seconds, sorted CSV SHA-256 digests, [minor page faults per sweep of
+    the child, of its pool's workers]]``."""
     sys.path.insert(0, str(tree / "perfbench"))
     import benchenv
     benchenv.prepare()
@@ -66,7 +68,7 @@ def child(tree: pathlib.Path, workload: str, seed: int) -> None:
         for line in sys.stdin:
             idle, count = json.loads(line)
             seconds, digests = [], set()
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            faults, workers = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, worker_faults()
             for _ in range(count):
                 if idle:
                     time.sleep(idle)
@@ -74,8 +76,23 @@ def child(tree: pathlib.Path, workload: str, seed: int) -> None:
                 seconds.append(took)
                 digests.add(sweeps.sha256(data))
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            print(json.dumps([statistics.median(seconds), sorted(digests), faults / count]),
-                  flush=True)
+            workers = sum(n - workers[pid] for pid, n in worker_faults().items() if pid in workers)
+            print(json.dumps([statistics.median(seconds), sorted(digests),
+                              [faults / count, workers / count]]), flush=True)
+
+
+def worker_faults() -> dict:
+    """{pid: minor page faults so far} of each worker of the shared pool of
+    the ``timsr.sim`` this child imported; empty when it has none."""
+    shared = getattr(sys.modules.get("timsr.sim"), "_shared", None)
+    faults = {}
+    for pid in shared[1]._processes if shared else ():
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                faults[pid] = int(stat.read().rpartition(")")[2].split()[7])
+        except OSError:     # no /proc, or the worker is gone
+            pass
+    return faults
 
 
 class Child:
@@ -95,8 +112,9 @@ class Child:
         return json.loads(reply)
 
     def run(self, idle: float, sweeps: int):
-        """(median seconds, CSV digests, faults per sweep) of one run; a
-        RuntimeError when a CSV misses the tree's stored digest."""
+        """(median seconds, CSV digests, [faults per sweep of the child,
+        of its pool's workers]) of one run; a RuntimeError when a CSV misses
+        the tree's stored digest."""
         self.proc.stdin.write(json.dumps([idle, sweeps]) + "\n")
         self.proc.stdin.flush()
         seconds, digests, faults = self._reply()
@@ -123,8 +141,9 @@ def median_interval(rounds, resamples: int = RESAMPLES, seed: int = BOOTSTRAP_SE
 
 
 def run_pass(children, idle: float, pairs: int, sweeps: int):
-    """Per-pair (A seconds, B seconds, A faults, B faults) of one pass in ABBA
-    order, faults per sweep; a RuntimeError when the two trees' CSVs differ."""
+    """Per-pair (A seconds, B seconds, A faults, A workers' faults, B faults,
+    B workers' faults) of one pass in ABBA order, faults per sweep; a
+    RuntimeError when the two trees' CSVs differ."""
     runs = []
     for i in range(pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
@@ -134,21 +153,22 @@ def run_pass(children, idle: float, pairs: int, sweeps: int):
         digests = {tuple(d) for _, d, _ in got.values()}
         if len(digests) != 1 or len(next(iter(digests))) != 1:
             raise RuntimeError(f"pair {i}: the CSVs differ: {sorted(digests)}")
-        runs.append((got[0][0], got[1][0], got[0][2], got[1][2]))
+        runs.append((got[0][0], got[1][0], *got[0][2], *got[1][2]))
     return runs
 
 
 def summary(name: str, rounds) -> str:
-    """One pass's line from its rounds, lists of (A seconds, B seconds,
-    A faults, B faults)."""
+    """One pass's line from its rounds, lists of the tuples that
+    ``run_pass`` returns."""
     runs = [run for pairs in rounds for run in pairs]
     low, high = median_interval([[a / b for a, b, *_ in pairs] for pairs in rounds])
     wins = sum(b < a for a, b, *_ in runs)
-    a_s, b_s, a_f, b_f = (statistics.median(col) for col in zip(*runs))
+    a_s, b_s, a_f, a_w, b_f, b_w = (statistics.median(col) for col in zip(*runs))
     return (f"{name}: median A/B time ratio {statistics.median(a / b for a, b, *_ in runs):.3f}, "
             f"95% interval [{low:.3f}, {high:.3f}], B faster in {wins}/{len(runs)} pairs "
             f"over {len(rounds)} rounds; median seconds A {a_s:.5f}, B {b_s:.5f}; "
-            f"median minor page faults per sweep A {a_f:.0f}, B {b_f:.0f}")
+            f"median minor page faults per sweep A {a_f:.0f}, B {b_f:.0f}, "
+            f"in pool workers A {a_w:.0f}, B {b_w:.0f}")
 
 
 def main(argv=None) -> int:

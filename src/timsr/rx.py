@@ -192,7 +192,10 @@ def joint_search(info_cost, pow_cost, slot_index, paper_compat: bool = False):
     symbol whose least completion still reaches it. The slot minima are
     added one slot at a time, so the largest array is the (..., A, J) sum;
     no (codeword, phase, slot) or (codeword, phase, symbol vector) tensor is
-    built."""
+    built. That sum lies codeword-major in memory, so it is searched without
+    a flattening copy: its least over phases, the first codeword at the
+    least of those, then the first phase at that codeword. Like one argmin
+    over the flattened pairs, this takes the first NaN pair if any."""
     n_cw, l_slots = slot_index.shape
     base = (np.zeros(pow_cost.shape[:-1] + (n_cw,)) if paper_compat
             else pow_cost.sum(-1)[..., None] - pow_cost[..., slot_index].sum(-1))    # (..., A)
@@ -200,9 +203,12 @@ def joint_search(info_cost, pow_cost, slot_index, paper_compat: bool = False):
     total = base[..., None]
     for pos in range(l_slots):
         total = total + np.swapaxes(least[..., slot_index[:, pos]], -1, -2)      # (..., A, J)
-    flat = np.argmin(total.reshape(total.shape[:-2] + (-1,)), axis=-1)
-    alpha, c = np.divmod(flat, least.shape[-2])
-    target = np.take_along_axis(total.reshape(flat.shape + (-1,)), flat[..., None], -1)
+    low = total[..., 0]
+    for phase in range(1, total.shape[-1]):
+        low = np.minimum(low, total[..., phase])                                # (..., A)
+    alpha = np.argmin(low, axis=-1)
+    target = np.take_along_axis(low, alpha[..., None], -1)
+    c = np.argmin(np.take_along_axis(total, alpha[..., None, None], -2)[..., 0, :], axis=-1)
 
     costs = np.take_along_axis(info_cost, c[..., None, None, None], -3)[..., 0, :, :]
     costs = np.take_along_axis(costs, slot_index[alpha][..., None, :], -1)         # (..., M, L)

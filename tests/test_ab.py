@@ -1,11 +1,18 @@
 """The paired A/B script: its bootstrap interval, an A/A run of this
-checkout against itself, a pair whose CSVs differ, and a pair of equal
-copies whose CSVs both miss the stored digest."""
+checkout against itself, its count of the pool workers' page faults, a pair
+whose CSVs differ, and a pair of equal copies whose CSVs both miss the
+stored digest."""
 
 import importlib.util
 import re
 import shutil
 from pathlib import Path
+
+import pytest
+
+import timsr.sim
+from timsr import make_config
+from timsr.sim import harvest_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "ab.py"
@@ -57,7 +64,20 @@ def test_a_against_a(monkeypatch, capsys):
         assert re.search(r"median A/B time ratio [0-9.]+, 95% interval \[[0-9.]+, [0-9.]+\], "
                          r"B faster in [0-4]/4 pairs over 2 rounds; "
                          r"median seconds A [0-9.]+, B [0-9.]+; "
-                         r"median minor page faults per sweep A [0-9]+, B [0-9]+$", line)
+                         r"median minor page faults per sweep A [0-9]+, B [0-9]+, "
+                         r"in pool workers A [0-9]+, B [0-9]+$", line)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+def test_worker_faults_read_each_pool_worker():
+    try:
+        harvest_sweep(make_config(trials=8), n2_grid=(0, 16), workers=2)
+        faults = ab.worker_faults()
+        assert sorted(faults) == sorted(timsr.sim._shared[1]._processes)
+        assert all(isinstance(n, int) and n > 0 for n in faults.values())
+    finally:
+        timsr.sim._drop_pool()
+    assert ab.worker_faults() == {}
 
 
 def test_differing_csvs_fail(tmp_path, monkeypatch, capsys):

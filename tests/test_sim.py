@@ -1,3 +1,4 @@
+import ctypes
 import importlib.util
 import io
 import math
@@ -484,6 +485,17 @@ class TestFusedSweeps:
         assert sorted(batches) == [(0, 7), (7, 14), (14, 15), (15, 22), (22, 29), (29, 30)]
 
 
+def _sim_on(platform, monkeypatch):
+    """A fresh copy of ``timsr.sim`` loaded as if ``sys.platform`` were
+    ``platform``, which stays patched for the test."""
+    monkeypatch.setattr(sys, "platform", platform)
+    spec = importlib.util.spec_from_file_location("timsr._sim_off_linux", timsr.sim.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestWorkerPool:
     """Multi-worker sweeps share one pool per process and worker count; a
     sweep that fails, or finds a worker dead, leaves no broken pool behind."""
@@ -522,12 +534,7 @@ class TestWorkerPool:
     @pytest.mark.parametrize("platform", ["darwin", "win32"])
     def test_pool_keeps_the_default_start_method_off_linux(self, platform, monkeypatch):
         # macOS lists fork, but its system frameworks can crash in a forked child
-        monkeypatch.setattr(sys, "platform", platform)
-        spec = importlib.util.spec_from_file_location("timsr._sim_off_linux", timsr.sim.__file__)
-        module = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, module)
-        spec.loader.exec_module(module)
-        assert module._START is None
+        assert _sim_on(platform, monkeypatch)._START is None
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the pool forks on Linux only")
     def test_pool_forks_on_linux(self, fresh_pool):
@@ -587,6 +594,68 @@ class TestWorkerPool:
         assert pool._broken
         assert self._rows(2) == want
         assert timsr.sim._pool(2) is not pool
+
+
+# Runs the sweep given as argv[1] twice, then prints the minor page faults
+# of a third: this process's, then each pool worker's (field 10 of its stat).
+_FAULTS_SCRIPT = """
+import resource, sys
+from timsr import make_config
+from timsr import sim
+from timsr.sim import ber_sweep, harvest_sweep
+
+def worker_faults():
+    faults = []
+    for pid in sorted(sim._shared[1]._processes) if sim._shared else ():
+        with open(f"/proc/{pid}/stat") as stat:
+            faults.append(int(stat.read().rpartition(")")[2].split()[7]))
+    return faults
+
+sweep = lambda: eval(sys.argv[1])
+sweep(), sweep()
+before, workers = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, worker_faults()
+sweep()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+      *(b - a for a, b in zip(workers, worker_faults())))
+"""
+
+
+class TestHeldHeap:
+    """The first sweep of a process fixes glibc's malloc thresholds from the
+    batch budget, so later batches reuse the heap that earlier ones freed."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's heap is Linux's")
+    @pytest.mark.parametrize("sweep, processes", [
+        ("ber_sweep(make_config(detector='llr', trials=120), 1)", 1),
+        ("ber_sweep(make_config(l_slots=4, detector='ml', trials=50), 1)", 1),
+        ("harvest_sweep(make_config(trials=200), workers=2)", 3),
+    ])
+    def test_steady_sweeps_take_no_page_faults(self, sweep, processes):
+        # each batch used to hand its heap back and the next fault it in:
+        # about 850 faults per default LLR sweep, 565 per (8,4) ML sweep
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, sweep], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        faults = [int(n) for n in run.stdout.split()]
+        assert len(faults) == processes          # the caller's, then each worker's
+        assert max(faults) <= 50, faults
+
+    @pytest.mark.skipif(not (sys.platform.startswith("linux")
+                             and hasattr(ctypes.CDLL(None), "mallopt")),
+                        reason="glibc's mallopt")
+    def test_glibc_takes_both_thresholds(self):
+        assert timsr.sim._hold_heap.__wrapped__() == (1, 1)
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32"])
+    def test_heap_left_alone_off_linux(self, platform, monkeypatch):
+        module = _sim_on(platform, monkeypatch)
+
+        def no_libc(*args, **kwargs):
+            raise AssertionError("libc loaded off Linux")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert module._hold_heap() == ()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
