@@ -24,8 +24,10 @@ It also prints each tree's median minor page faults per sweep, in the
 child's own process (``ru_minflt``) and summed over the workers of its
 ``timsr.sim`` pool (field 10 of each worker's ``/proc/<pid>/stat``; 0 with
 no pool or no ``/proc``): where one tree's processes fault and the other's
-do not, the system time of those faults shows in the ratio. No reference
-scaling is applied. Standard library only.
+do not, the system time of those faults shows in the ratio. Beside them
+it prints each tree's line count of ``src/timsr``, so a change's cost in
+code reads next to its speed. No reference scaling is applied. Standard
+library only.
 """
 
 import argparse
@@ -128,6 +130,12 @@ class Child:
         self.proc.wait()
 
 
+def src_lines(tree: pathlib.Path) -> int:
+    """Lines in the Python modules of the tree's ``src/timsr``."""
+    return sum(len(path.read_text().splitlines())
+               for path in (tree / "src" / "timsr").glob("*.py"))
+
+
 def median_interval(rounds, resamples: int = RESAMPLES, seed: int = BOOTSTRAP_SEED):
     """The 2.5th and 97.5th percentiles of the median over ``resamples``
     two-stage bootstrap resamples of ``rounds``, lists of ratios: rounds
@@ -157,9 +165,9 @@ def run_pass(children, idle: float, pairs: int, sweeps: int):
     return runs
 
 
-def summary(name: str, rounds) -> str:
+def summary(name: str, rounds, lines) -> str:
     """One pass's line from its rounds, lists of the tuples that
-    ``run_pass`` returns."""
+    ``run_pass`` returns, and the two trees' ``src_lines``."""
     runs = [run for pairs in rounds for run in pairs]
     low, high = median_interval([[a / b for a, b, *_ in pairs] for pairs in rounds])
     wins = sum(b < a for a, b, *_ in runs)
@@ -168,7 +176,8 @@ def summary(name: str, rounds) -> str:
             f"95% interval [{low:.3f}, {high:.3f}], B faster in {wins}/{len(runs)} pairs "
             f"over {len(rounds)} rounds; median seconds A {a_s:.5f}, B {b_s:.5f}; "
             f"median minor page faults per sweep A {a_f:.0f}, B {b_f:.0f}, "
-            f"in pool workers A {a_w:.0f}, B {b_w:.0f}")
+            f"in pool workers A {a_w:.0f}, B {b_w:.0f}; "
+            f"src/timsr lines A {lines[0]}, B {lines[1]}")
 
 
 def main(argv=None) -> int:
@@ -209,8 +218,9 @@ def main(argv=None) -> int:
             for c in children:
                 if c is not None:
                     c.close()
+    lines = [src_lines(tree) for tree in trees]
     for name in passes:
-        print(f"{args.workload} {summary(name, rounds[name])}")
+        print(f"{args.workload} {summary(name, rounds[name], lines)}")
     return 0
 
 

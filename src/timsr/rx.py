@@ -24,7 +24,7 @@ The joint detector finds the least metric over every (codeword, surface
 phase, symbol vector) hypothesis without enumerating them
 (:func:`joint_search`). The LLR pipeline classifies each slot as
 information-like or power-like, projects that onto the legitimate codeword
-set, then runs a small symbol/phase search on the selected slots. Both
+set, then runs the joint search restricted to the codeword it selected. Both
 decide indices only (:class:`DetectionResult`): the codeword's row in the
 codebook, the symbol labels and the information phase, whose index is the
 surface bit. The number J of information phases is that of the
@@ -39,6 +39,7 @@ each row's decision equals that of detecting the row alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,49 +181,47 @@ class DetectionResult:
     visited: int
 
 
-def joint_search(info_cost, pow_cost, slot_index, paper_compat: bool = False):
+def joint_search(info_cost, base, slot_index):
     """Indices (codeword, phase, labels (L,)) of the first least-metric
-    hypothesis for each row of slot costs (..., J, M, K) and (..., K).
+    hypothesis for each row of slot costs (..., J, M, K) and codeword bases
+    (..., A), with the bases' leading axes (the costs' may be flattened).
 
-    A metric is the codeword's power-slot base (zero under ``paper_compat``)
-    plus its L slot costs, added earliest slot first. Rounded addition is
-    monotone, so each (codeword, phase) has the least metric base + least
-    cost of each slot, bit for bit; the first pair at the global least holds
-    the first least hypothesis, whose labels are, slot by slot, the first
-    symbol whose least completion still reaches it. The slot minima are
-    added one slot at a time, so the largest array is the (..., A, J) sum;
-    no (codeword, phase, slot) or (codeword, phase, symbol vector) tensor is
-    built. That sum lies codeword-major in memory, so it is searched without
-    a flattening copy: its least over phases, the first codeword at the
-    least of those, then the first phase at that codeword. Like one argmin
-    over the flattened pairs, this takes the first NaN pair if any."""
-    n_cw, l_slots = slot_index.shape
-    base = (np.zeros(pow_cost.shape[:-1] + (n_cw,)) if paper_compat
-            else pow_cost.sum(-1)[..., None] - pow_cost[..., slot_index].sum(-1))    # (..., A)
-    least = info_cost.min(axis=-2)                                                # (..., J, K)
+    A metric is the codeword's base plus its L slot costs, added earliest
+    slot first. Rounded addition is monotone, so each (codeword, phase) has
+    the least metric base + least cost of each slot, bit for bit; the first
+    pair at the global least holds the first least hypothesis, whose labels
+    are, slot by slot, the first symbol whose least completion still
+    reaches it. The slot minima are added one slot at a time, so the largest
+    array is the (rows, A, J) sum; no (codeword, phase, slot) or (codeword,
+    phase, symbol vector) tensor is built. The sum is searched as it lies,
+    codeword-major: its least over phases, the first codeword at the least
+    of those, then the first phase at that codeword; like one argmin over
+    the flattened pairs, this takes the first NaN pair if any. Each least
+    over the short symbol or phase axis folds ``np.minimum``: ``min`` bit
+    for bit, not one output at a time."""
+    lead, l_slots = np.shape(base)[:-1], slot_index.shape[1]
+    info_cost = info_cost.reshape((-1,) + info_cost.shape[-3:])                 # (rows, J, M, K)
+    base = base.reshape(-1, base.shape[-1])                                     # (rows, A)
+    least = functools.reduce(np.minimum, np.moveaxis(info_cost, -2, 0))          # (rows, J, K)
     total = base[..., None]
     for pos in range(l_slots):
-        total = total + np.swapaxes(least[..., slot_index[:, pos]], -1, -2)      # (..., A, J)
-    low = total[..., 0]
-    for phase in range(1, total.shape[-1]):
-        low = np.minimum(low, total[..., phase])                                # (..., A)
+        total = total + np.swapaxes(least[..., slot_index[:, pos]], -1, -2)      # (rows, A, J)
+    low = functools.reduce(np.minimum, np.moveaxis(total, -1, 0))                # (rows, A)
     alpha = np.argmin(low, axis=-1)
-    target = np.take_along_axis(low, alpha[..., None], -1)
-    c = np.argmin(np.take_along_axis(total, alpha[..., None, None], -2)[..., 0, :], axis=-1)
-
-    costs = np.take_along_axis(info_cost, c[..., None, None, None], -3)[..., 0, :, :]
-    costs = np.take_along_axis(costs, slot_index[alpha][..., None, :], -1)         # (..., M, L)
-    tail = costs.min(axis=-2)
-    partial = np.take_along_axis(base, alpha[..., None], -1)
+    row = np.arange(len(alpha))
+    c = np.argmin(total[row, alpha], axis=-1)
+    costs = info_cost[row[:, None], c[:, None], :, slot_index[alpha]]           # (rows, L, M)
+    tail = functools.reduce(np.minimum, np.moveaxis(costs, -1, 0))               # (rows, L)
+    partial, target = base[row, alpha], low[row, alpha]
     labels = []
     for pos in range(l_slots):
-        step = partial + costs[..., pos]                                             # (..., M)
+        step = partial[:, None] + costs[:, pos]                                  # (rows, M)
         reach = step
         for later in range(pos + 1, l_slots):
-            reach = reach + tail[..., later, None]
-        labels.append(np.argmax(reach == target, axis=-1))
-        partial = np.take_along_axis(step, labels[-1][..., None], -1)
-    return alpha, c, np.stack(labels, axis=-1)
+            reach = reach + tail[:, later, None]
+        labels.append(np.argmax(reach == target[:, None], axis=-1))
+        partial = step[row, labels[-1]]
+    return alpha.reshape(lead), c.reshape(lead), np.stack(labels, -1).reshape(lead + (l_slots,))
 
 
 def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Constellation,
@@ -233,10 +232,12 @@ def ml_joint_detect(obs: Observation, codebook: IndexCodebook, constellation: Co
     the reported count is the |A|*J*M^L hypotheses per row it covers.
 
     With ``paper_compat`` only the hypothesized information slots are scored,
-    dropping the power-slot terms from the metric.
+    dropping the power-slot terms (each codeword's base) from the metric.
     """
     info_cost, pow_cost = slot_costs(obs, constellation, p_info_w, omega)
-    alpha, c, labels = joint_search(info_cost, pow_cost, codebook.slot_index, paper_compat)
+    base = pow_cost.sum(-1)[..., None] - pow_cost[..., codebook.slot_index].sum(-1)  # (..., A)
+    alpha, c, labels = joint_search(info_cost, np.zeros_like(base) if paper_compat else base,
+                                    codebook.slot_index)
     visited = (alpha.size * len(codebook.slot_index) * info_cost.shape[-3]
                * constellation.m_order**codebook.l_slots)
     return DetectionResult(alpha, labels, c, block_bits(alpha, labels, codebook, constellation),
@@ -280,25 +281,22 @@ def select_info_slots(llr: np.ndarray, codebook: IndexCodebook):
 
 
 def ml_symbol_phase(info_cost, slots):
-    """Joint symbol/phase decision on the already-selected information slots
-    from the information-slot costs (..., J, M, K).
-
-    For each candidate surface phase the per-slot symbol search factorizes,
-    so only J*M*L metrics are evaluated per row; the result equals a full
-    search over all symbol vectors and phases. 0-based slots (..., L) and
-    costs (..., J, M, K) give labels (..., L) and phase indices (...).
-    """
-    costs = np.take_along_axis(info_cost, np.asarray(slots)[..., None, None, :], axis=-1)
-    labels = np.argmin(costs, axis=-2)                           # first minimum per slot
-    c = np.argmin(costs.min(axis=-2).sum(axis=-1), axis=-1)      # first minimum over phases
-    labels = np.take_along_axis(labels, c[..., None, None], axis=-2)[..., 0, :]
+    """Labels (..., L) and phase indices (...) on the selected 0-based slots
+    (..., L) from the information-slot costs (..., J, M, K): those of
+    :func:`joint_search` over that one codeword with a zero base, so bit for
+    bit those of a full search over every symbol vector and phase."""
+    flat = np.reshape(slots, (-1, np.shape(slots)[-1]))
+    rows = info_cost.reshape((-1,) + info_cost.shape[-3:])
+    costs = rows[np.arange(len(flat))[:, None], :, :, flat]                      # (rows, L, J, M)
+    _, c, labels = joint_search(np.moveaxis(costs, 1, -1), np.zeros(np.shape(slots)[:-1] + (1,)),
+                                np.arange(flat.shape[1])[None])
     return labels, c
 
 
 def llr_detect(obs: Observation, codebook: IndexCodebook, constellation: Constellation,
                omega: complex, p_info_w: float, paper_compat: bool = False) -> DetectionResult:
     """Low-complexity pipeline: per-slot LLRs, legitimate-set slot selection,
-    then the factorized symbol/phase search and bit recovery, all from one
+    then the joint search over the selected codeword and bit recovery, all from one
     set of slot costs for every point at once. The reported hypothesis count
     is the K*(J*M + 1) metric evaluations of the LLR stage per point."""
     info_cost, pow_cost = slot_costs(obs, constellation, p_info_w, omega)

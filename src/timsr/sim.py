@@ -272,11 +272,13 @@ def _shard_cpus(shards: int) -> list:
     """The CPU set each of ``shards`` shards runs on. When this thread's mask
     holds a CPU per shard, each gets one: the CPU this thread is on and the
     next CPUs of the mask in order, wrapping round, with this thread's own
-    going to the last shard. The worker that reads the pool's task queue last
-    takes the last shard and, likely finishing last too, waits there for the
-    next sweep's task, on the CPU that this thread keeps awake while handing
-    that sweep out. Otherwise, or when this thread's CPU is unknown, each gets
-    the whole mask; where the platform cannot set a mask, each gets None."""
+    going to the last shard, whose worker reads the task queue last and,
+    likely finishing last too, waits there for the next sweep's task on the
+    CPU this thread keeps awake. Otherwise, or when this thread's CPU is
+    unknown, each gets the whole mask; where the platform cannot set a mask,
+    None. Measured against None for every shard by ``scripts/ab.py`` on
+    ``harvest_n2_w2`` (2-core VM, A/B time, A this rule): 0.580 [0.552,
+    0.621] back to back, 0.969 [0.665, 1.007] after 100 ms idle."""
     if not hasattr(os, "sched_setaffinity"):
         return [None] * shards
     mask = sorted(os.sched_getaffinity(0))

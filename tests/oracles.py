@@ -227,18 +227,26 @@ def direct_llr(obs, channel, split, constellation, omega, k_slots, l_slots, p_in
     return llr
 
 
+def loop_bases(pow_cost, codebook, paper_compat=False):
+    """Each codeword's (A,) power-slot base, one codeword at a time: the
+    power costs of all K slots less those of its L slots, or 0.0 under
+    ``paper_compat``."""
+    total_pow = float(pow_cost.sum())
+    return np.array([0.0 if paper_compat else total_pow - float(pow_cost[np.asarray(cw) - 1].sum())
+                     for cw in codewords(codebook)])
+
+
 def loop_joint_metric(info_cost, pow_cost, codebook, paper_compat=False):
     """The (A, J, M^L) joint-ML metric built one codeword and one phase at a
-    time: the power-slot base, then each slot's (M,) costs outer-added in
-    slot order, earliest slot most significant."""
+    time: the power-slot base of :func:`loop_bases`, then each slot's (M,)
+    costs outer-added in slot order, earliest slot most significant."""
     j, m, _ = info_cost.shape
-    total_pow = float(pow_cost.sum())
     metric = np.empty((len(codebook.slot_index), j, m**codebook.l_slots))
+    bases = loop_bases(pow_cost, codebook, paper_compat)
     for a, cw in enumerate(codewords(codebook)):
         slots0 = np.asarray(cw, dtype=np.int64) - 1
-        base = 0.0 if paper_compat else total_pow - float(pow_cost[slots0].sum())
         for c in range(j):
-            t = np.array([base])
+            t = np.array([bases[a]])
             for s0 in slots0:
                 t = (t[:, None] + info_cost[c, :, s0][None, :]).ravel()
             metric[a, c, :] = t

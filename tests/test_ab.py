@@ -1,7 +1,7 @@
 """The paired A/B script: its bootstrap interval, an A/A run of this
-checkout against itself, its count of the pool workers' page faults, a pair
-whose CSVs differ, and a pair of equal copies whose CSVs both miss the
-stored digest."""
+checkout against itself, its count of the pool workers' page faults and of
+each tree's source lines, a pair whose CSVs differ, and a pair of equal
+copies whose CSVs both miss the stored digest."""
 
 import importlib.util
 import re
@@ -65,7 +65,19 @@ def test_a_against_a(monkeypatch, capsys):
                          r"B faster in [0-4]/4 pairs over 2 rounds; "
                          r"median seconds A [0-9.]+, B [0-9.]+; "
                          r"median minor page faults per sweep A [0-9]+, B [0-9]+, "
-                         r"in pool workers A [0-9]+, B [0-9]+$", line)
+                         r"in pool workers A [0-9]+, B [0-9]+; "
+                         r"src/timsr lines A [0-9]+, B [0-9]+$", line)
+        n = ab.src_lines(ROOT)
+        assert line.endswith(f"src/timsr lines A {n}, B {n}")
+
+
+def test_src_lines_counts_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "timsr"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not a module\n")
+    assert ab.src_lines(tmp_path) == 3
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")

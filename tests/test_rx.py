@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     direct_llr,
     direct_log_sum_exp,
     jacobian_log_sum,
+    loop_bases,
     loop_joint_metric,
     naive_joint_search,
     naive_symbol_phase,
@@ -241,7 +243,8 @@ class TestMlJointDetect:
             _assert_search_equals_loop(info_cost, pow_cost, ctx.codebook)
             np.testing.assert_array_equal(
                 [det.alpha, det.ris_bit, *det.symbol_labels],
-                np.hstack(joint_search(info_cost, pow_cost, ctx.codebook.slot_index)))
+                np.hstack(joint_search(info_cost, loop_bases(pow_cost, ctx.codebook),
+                                       ctx.codebook.slot_index)))
 
     def test_matches_naive_oracle(self, small_cfg):
         cfg = small_cfg
@@ -371,16 +374,38 @@ class TestMlSymbolPhase:
         assert list(labels) == sent
 
     def test_matches_full_product_search(self, small_cfg):
-        cfg = small_cfg
-        for trial in range(60):
-            ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
-            slots = np.flatnonzero(frame.tau)
-            labels, c = ml_symbol_phase(
-                slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], slots)
-            want_c, want_labels, _ = naive_symbol_phase(
-                obs, ch, (cfg.n1, cfg.n2), slots, ctx.constellation, cfg.p_low_w,
-            )
-            assert (c, tuple(labels)) == (want_c, want_labels)
+        # at L = 8 np.sum would add the phase sums pairwise, not slot by slot
+        for cfg in (small_cfg, make_config(k_slots=9, l_slots=8, m_order=2, constellation="psk",
+                                           trials=1)):
+            for trial in range(60):
+                ctx, obs, frame, *_, ch = build_observation(cfg, snr_db=-5.0, trial=trial)
+                slots = np.flatnonzero(frame.tau)
+                labels, c = ml_symbol_phase(
+                    slot_costs(obs, ctx.constellation, cfg.p_low_w, 0.0)[0], slots)
+                want_c, want_labels, _ = naive_symbol_phase(
+                    obs, ch, (cfg.n1, cfg.n2), slots, ctx.constellation, cfg.p_low_w,
+                )
+                assert (c, tuple(labels)) == (want_c, want_labels)
+
+    def test_rounding_tie_takes_first_labels(self):
+        # 2^53 plus any of slot 0's costs rounds to 2^53: every label vector
+        # ties, so labels (0, 0) come first, though label 1 is slot 0's least
+        info_cost = np.full((2, 4, 3), 2.0**53)
+        info_cost[:, :, 0] = (0.5, 0.25, 1.0, 1.0)
+        info_cost[:, :, 2] = 0.0                           # not a selected slot
+        labels, c = _assert_symbol_phase_equals_loop(info_cost, (0, 1))
+        assert (int(c), labels.tolist()) == (0, [0, 0])
+
+    def test_phase_sums_add_slot_by_slot(self):
+        # 2^-53 added to 1 rounds away, but eight of them add to 2^-50 first:
+        # slot by slot, phase 0 sums to 1 + 2^-50 and phase 1 to 1, where
+        # np.sum's pairwise order at L = 9 rounds both to 1 + 2^-50
+        tiny = 2.0**-53
+        info_cost = np.full((2, 2, 9), 4.0)
+        info_cost[0, 0] = [tiny] * 8 + [1.0]
+        info_cost[1, 0] = [1.0] + [tiny] * 8
+        labels, c = _assert_symbol_phase_equals_loop(info_cost, tuple(range(9)))
+        assert (int(c), labels.tolist()) == (1, [0] * 9)
 
 
 class TestLlrDetect:
@@ -465,9 +490,23 @@ def _assert_search_equals_loop(info_cost, pow_cost, codebook, paper_compat=False
     metric = loop_joint_metric(info_cost, pow_cost, codebook, paper_compat)
     a, c, flat = np.unravel_index(int(np.argmin(metric)), metric.shape)
     want_labels = np.unravel_index(flat, (info_cost.shape[1],) * codebook.l_slots)
-    alpha, phase, labels = joint_search(info_cost, pow_cost, codebook.slot_index, paper_compat)
+    base = loop_bases(pow_cost, codebook, paper_compat)
+    alpha, phase, labels = joint_search(info_cost, base, codebook.slot_index)
     np.testing.assert_array_equal([alpha, phase, *labels], [a, c, *want_labels])
     return metric
+
+
+def _assert_symbol_phase_equals_loop(info_cost, slots):
+    """The symbol/phase stage picks the first minimum of the loop-built
+    (J, M^L) metric of the one codeword ``slots`` with no power-slot base:
+    its phase and symbol labels. Returns them."""
+    one = SimpleNamespace(slot_index=np.array([slots]), l_slots=len(slots))
+    metric = loop_joint_metric(info_cost, np.zeros(info_cost.shape[-1]), one, paper_compat=True)
+    _, c, flat = np.unravel_index(int(np.argmin(metric)), metric.shape)
+    want_labels = np.unravel_index(flat, (info_cost.shape[1],) * len(slots))
+    labels, phase = ml_symbol_phase(info_cost, slots)
+    np.testing.assert_array_equal([phase, *labels], [c, *want_labels])
+    return labels, phase
 
 
 class TestArrayKernels:
@@ -515,11 +554,12 @@ class TestArrayKernels:
         info_cost[:, 2, 1] = 0.0                           # slot 2 fits symbol 2
         metric = _assert_search_equals_loop(info_cost, pow_cost, cb)
         assert np.count_nonzero(metric == 0.0) == 4
-        alpha, c, labels = joint_search(info_cost, pow_cost, cb.slot_index)
+        base = loop_bases(pow_cost, cb)
+        alpha, c, labels = joint_search(info_cost, base, cb.slot_index)
         assert (int(alpha), int(c), labels.tolist()) == (1, 0, [2, 1])
         # rows of a batch are searched independently
         rows = np.stack([info_cost, np.ones_like(info_cost)])
-        alpha, c, labels = joint_search(rows, np.stack([pow_cost, pow_cost]), cb.slot_index)
+        alpha, c, labels = joint_search(rows, np.stack([base, base]), cb.slot_index)
         assert (alpha.tolist(), c.tolist(), labels.tolist()) == ([1, 0], [0, 0], [[2, 1], [0, 0]])
 
     def test_detectors_break_phase_ties_to_first(self, small_cfg):
