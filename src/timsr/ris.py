@@ -93,10 +93,6 @@ class RectennaModel:
     p_on_w: float
     p_sat_w: float
 
-    @property
-    def p_max_w(self) -> float:
-        return self.efficiency * (self.p_sat_w - self.p_on_w)
-
 
 def clc_dc_power(q_w, model: RectennaModel):
     """Harvested DC power for rectenna input powers ``q_w`` (...)."""

@@ -12,10 +12,11 @@ antenna at a time, in ``np.sum``'s order over the antennas; every detector
 stage is an array kernel over those slot costs.
 
 Every kernel takes arrays with any number of leading axes, none included,
-and returns arrays with those axes. B blocks received at S noise variances
-are one :class:`Observation` with samples (B, S, K, M_R), detected in one
-call with one decision per (block, point) row; one block at one variance
-has samples (K, M_R) and decisions with no leading axis. :func:`observe` is
+and returns arrays with those axes, grid points first, then blocks: B blocks
+received at S noise variances are one :class:`Observation` with samples
+(S, B, K, M_R) against channels (B, J+1, M_R), detected in one call with
+one decision per (point, block) row; one block at one variance has samples
+(K, M_R) and decisions with no leading axis. :func:`observe` is
 noiseless (its observation carries sigma2 = 0, which only the joint detector
 accepts): noise enters only through :meth:`Observation.with_noise`, at
 positive variances, as unit noise drawn by the trials' streams.
@@ -60,8 +61,8 @@ class Observation:
     knows: the noise variance and the effective receive channels ``eff``
     (..., J+1, M_R) of :func:`timsr.ris.received`, one row per reflection
     row ``psi`` of the surface state: each information phase, then the
-    power phase. Variances (S,) give the samples a point axis ahead of the
-    K slots that ``eff`` lacks."""
+    power phase. Variances (S,) give the samples a leading point axis,
+    ahead of the blocks' axes, that ``eff`` lacks."""
 
     y: np.ndarray
     sigma2: float | np.ndarray
@@ -71,13 +72,12 @@ class Observation:
         """The same blocks received at noise variance ``sigma2`` > 0: ``unit``
         (from :func:`unit_noise`, shaped like the samples) scaled by
         sqrt(sigma2 / 2) is added to the samples. A sequence of S variances
-        adds a point axis, one row per variance."""
+        adds a leading point axis, one row per variance."""
         s2 = np.asarray(sigma2, dtype=float)
         if not np.all(s2 > 0):
             raise ValueError(f"noise variance must be > 0, got {sigma2}")
-        point = (Ellipsis, None, slice(None), slice(None)) if s2.ndim else Ellipsis
-        noisy = np.sqrt(s2 / 2.0)[..., None, None] * unit[point]
-        noisy += self.y[point]          # in place: one array per call, not two
+        noisy = np.sqrt(s2 / 2.0).reshape(s2.shape + (1,) * unit.ndim) * unit
+        noisy += self.y                 # in place: one array per call, not two
         return Observation(noisy, s2, self.eff)
 
 
@@ -102,8 +102,9 @@ def observe(channel: ChannelRealization, split, frame: TimFrame,
 
 
 def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, omega: complex):
-    """Squared distances of the received vectors ``obs.y`` (..., K, M_R) to
-    every single-slot hypothesis: ``info_cost`` (..., J, M, K) for each
+    """Squared distances of the received vectors ``obs.y`` (..., K, M_R),
+    points then blocks, to every single-slot hypothesis, the channels
+    ``obs.eff`` broadcast: ``info_cost`` (..., J, M, K) for each
     (phase, symbol) pair at power ``p_info_w`` and ``pow_cost`` (..., K)
     for the power sample ``omega``. The differences are formed one receive
     antenna at a time (one step of 8 antennas from 8 antennas up), as two
@@ -113,10 +114,9 @@ def slot_costs(obs: Observation, constellation: Constellation, p_info_w: float, 
     in the order in which ``np.sum`` adds a contiguous antenna axis, so
     every cost equals that sum bit for bit. No (..., J, M, K, M_R) array is
     built."""
-    eff = obs.eff[..., None, :, :] if obs.y.ndim > obs.eff.ndim else obs.eff    # point axis
-    cand = eff[..., :-1, None, :] * (math.sqrt(p_info_w) * constellation.points)[:, None]
+    cand = obs.eff[..., :-1, None, :] * (math.sqrt(p_info_w) * constellation.points)[:, None]
     return (_summed_squares(obs.y[..., None, None, :, :], cand[..., None, :]),
-            _summed_squares(obs.y, eff[..., -1:, :] * omega))
+            _summed_squares(obs.y, obs.eff[..., -1:, :] * omega))
 
 
 _LANES, _BLOCK = 8, 128     # numpy's pairwise sum: its unroll width and its block
@@ -167,12 +167,12 @@ def _squares(y, c, at, re=None, im=None):
 
 @dataclass
 class DetectionResult:
-    """The decision of each row of an observation, with its leading axes on
-    every per-row field: the codeword index ``alpha`` (...), the symbol
-    labels (..., L) in ascending slot order, the index of the information
-    phase, which is the surface bit (...), and the data bits ``ptx_bits``
-    (..., eta) that the codeword and labels carry; ``visited`` sums the
-    hypotheses over the rows."""
+    """The decision of each row of an observation, with its leading axes
+    (points, then blocks) on every per-row field: the codeword index
+    ``alpha`` (...), the symbol labels (..., L) in ascending slot order, the
+    index of the information phase, which is the surface bit (...), and the
+    data bits ``ptx_bits`` (..., eta) that the codeword and labels carry;
+    ``visited`` sums the hypotheses over the rows."""
 
     alpha: np.ndarray
     symbol_labels: np.ndarray
@@ -248,7 +248,7 @@ def llr_per_slot(info_cost, pow_cost, sigma2, k_slots: int, l_slots: int,
                  paper_compat: bool = False) -> np.ndarray:
     """Per-slot log-likelihood ratio of information versus power from slot
     costs (..., J, M, K) and (..., K) at noise variance ``sigma2``, a scalar
-    or one variance per leading point (S,); the result is (..., K).
+    or one per point (S,), the costs' first axis; the result is (..., K).
 
     For each slot the information evidence is the ln-sum-exp over all
     (surface phase, symbol) pairs; ``np.logaddexp.reduce`` folds the J*M
@@ -261,11 +261,11 @@ def llr_per_slot(info_cost, pow_cost, sigma2, k_slots: int, l_slots: int,
     codeword's LLR sum by the same L times the prior and, rounding aside,
     cannot change the selected codeword.
     """
-    if np.any(np.asarray(sigma2) <= 0):
+    if not np.all(np.asarray(sigma2) > 0):
         raise ValueError("the LLR detector needs a positive noise variance")
-    sigma2 = np.reshape(sigma2, np.shape(sigma2) + (1, 1, 1))
-    xi = -info_cost / sigma2
-    delta_p = -pow_cost if paper_compat else -pow_cost / sigma2[..., 0, 0]
+    sigma2 = np.reshape(sigma2, np.shape(sigma2) + (1,) * (pow_cost.ndim - np.ndim(sigma2)))
+    xi = -info_cost / sigma2[..., None, None]
+    delta_p = -pow_cost if paper_compat else -pow_cost / sigma2
 
     prior = math.log(l_slots**2)
     prior -= math.log((k_slots - l_slots) ** 2) if k_slots > l_slots else -math.inf

@@ -170,9 +170,10 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     variance in ``sigma2s``. Each trial's stream draws its links' normals,
     the raw words that give its data bits and its surface bit and, when it
     detects, its unit noise (:func:`draw_trials`); every later step is one
-    call for the batch. With no variance to detect at, only receive antenna
-    0 is realized, the one that co-phasing reads. The links are freed before
-    detection."""
+    call for the batch. An array over the grid is (point, trial, ...), so
+    each counter row is one point's trials, C-ordered. With no variance to
+    detect at, only receive antenna 0 is realized, the one that co-phasing
+    reads. The links are freed before detection."""
     cfg, eta_r = ctx.cfg, ctx.bit_widths[1]
     normals, bits, ris_bit, noise = draw_trials(ctx, start, stop, bool(sigma2s))
     drawn = ctx.channel_model.realize(normals, cfg.m_rx if sigma2s else 1)
@@ -194,10 +195,10 @@ def run_trials(ctx: RunContext, n2s: tuple, sigma2s: tuple, start: int, stop: in
     detect = ml_joint_detect if cfg.detector == "ml" else llr_detect
     det = detect(clean.with_noise(sigma2s, unit), ctx.codebook, ctx.constellation,
                  frame.omega, cfg.p_low_w, cfg.paper_compat)
-    wrong = np.swapaxes(det.ptx_bits != bits[:, None], 0, 1)                    # (S, B, eta)
+    wrong = det.ptx_bits != bits                                                 # (S, B, eta)
     return Tally(dc_ris, dc_eh, np.count_nonzero(wrong, axis=-1),
                  np.count_nonzero(wrong[..., :eta_r], axis=-1),
-                 (det.ris_bit != ris_bit[:, None]).T.astype(np.int64))
+                 (det.ris_bit != ris_bit).astype(np.int64))
 
 
 def run_block_trial(ctx: RunContext, trial_index: int) -> Tally:
@@ -392,14 +393,11 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 def _ber_and_se(errors, width: int):
     """Pooled BER and its standard error of each row of per-block error
     counts (rows, blocks), each out of ``width`` bits, as two lists; None
-    for both when a block carries no such bits. A tally's error rows are
-    F-ordered, and a reduction along the rows of an F-ordered array adds in
-    another order than over each row alone, so they are made C-contiguous
-    first: each row's SE then equals that of the row as a 1-D array."""
+    for both when a block carries no such bits. A tally's rows are
+    C-ordered, so each row's SE equals that of the row as a 1-D array."""
     rows, n = errors.shape
     if width == 0:
         return [None] * rows, [None] * rows
-    errors = np.ascontiguousarray(errors)
     ber = np.sum(errors, axis=-1) / (width * n)
     se = np.std(errors / width, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(rows)
     return ber.tolist(), se.tolist()
@@ -411,7 +409,7 @@ def _aggregate(ctx: RunContext, tally: Tally, n2s: tuple, snr_dbs: tuple = (None
     tally error row s holds SNR point ``snr_dbs[s]``. Each statistic is one
     array call over the rows, each row holding trials in order."""
     cfg = ctx.cfg
-    dc_ris, dc_eh = (np.ascontiguousarray(f) for f in tally[:2])
+    dc_ris, dc_eh = tally[:2]
     if tally.ptx_errors is None:
         bers = [[None]] * 6
     else:

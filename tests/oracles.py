@@ -12,8 +12,9 @@ defines the LLR recursion, :func:`closest_phase` the phase quantizer, and
 :func:`loop_trial` runs one trial alone, block by block, for comparison with
 trial batches, :func:`broadcast_slot_costs` forms every slot-cost difference
 at once and sums over the antennas with ``np.sum``, whose order the kernel,
-which forms them one antenna at a time, follows, and
-:func:`loop_constellation_points` labels the symbol points one at a time.
+which forms them one antenna at a time, follows,
+:func:`loop_constellation_points` labels the symbol points one at a time, and
+:func:`rectenna_cap_w` gives a rectifier's saturated output.
 :func:`codewords` and :func:`codeword_index` read a codebook as the paper's
 1-based slot tuples. :func:`expected_dc_ris` computes the surface's mean
 harvest from the channel statistics, with no draw.
@@ -320,6 +321,12 @@ def expected_dc_ris(ctx, n2):
     return ((k - l_slots) * level(cfg.p_high_w) + l_slots * info) / k
 
 
+def rectenna_cap_w(model):
+    """The most DC power a constant-linear-constant rectifier gives: its
+    efficiency times the span of its linear region."""
+    return model.efficiency * (model.p_sat_w - model.p_on_w)
+
+
 def slot_rectenna_input(h_r2, s_k):
     """Surface rectenna input of one slot: |sum_n h_r2[n] * s_k|^2."""
     if np.size(h_r2) == 0:
@@ -340,13 +347,12 @@ def broadcast_slot_costs(obs, constellation, p_info_w, omega):
     """The slot costs of ``rx.slot_costs`` as one broadcast expression: the
     real and imaginary differences (..., J, M, K, M_R) from strided views of
     the samples and candidates, squared, added and summed over the antenna
-    axis by ``np.sum``."""
-    eff = obs.eff[..., None, :, :] if obs.y.ndim > obs.eff.ndim else obs.eff
+    axis by ``np.sum``; any leading point axis of the samples broadcasts."""
     scaled = math.sqrt(p_info_w) * constellation.points
-    cand = (eff[..., :-1, None, :] * scaled[:, None])[..., None, :]       # (..., J, M, 1, M_R)
+    cand = (obs.eff[..., :-1, None, :] * scaled[:, None])[..., None, :]   # (..., J, M, 1, M_R)
     y = obs.y[..., None, None, :, :]                                      # (..., 1, 1, K, M_R)
     sq = (y.real - cand.real) ** 2 + (y.imag - cand.imag) ** 2
-    dp = obs.y - eff[..., -1:, :] * omega
+    dp = obs.y - obs.eff[..., -1:, :] * omega
     return np.sum(sq, axis=-1), np.sum(dp.real**2 + dp.imag**2, axis=-1)
 
 

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import timsr.rx
@@ -76,7 +77,7 @@ CASES = {
     "llr_8_2_omega_1": ("ber", dict(detector="llr", omega_phase_rad=1.0), 1),
     "ml_8_2_omega_1": ("ber", dict(detector="ml", omega_phase_rad=1.0), 1),
     # the benchmark's LLR sweep at a seed whose 5 dB index-bit SE shows a
-    # reduction of the F-ordered error rows in another order than a 1-D one
+    # reduction of non-C-ordered error rows in another order than a 1-D one
     "llr_8_2_bench_seed_1126": ("ber", dict(detector="llr", trials=120, seed=1126), 1),
     # both ends of the Rician mix: no line of sight, and all but none diffuse
     "llr_8_2_rayleigh": ("ber", dict(detector="llr", kappa=0.0), 1),
@@ -139,8 +140,8 @@ def slot_cost_bytes(name, tmp_path) -> bytes:
     """The bytes of every ``info_cost`` that ``rx.slot_costs`` returns, in
     call order, then of every ``pow_cost``, during the sweep of case
     ``SLOT_COSTS[name]``, which runs in this process. Each call scores one
-    batch, trials first, so the bytes are those of the whole sweep's two
-    arrays whatever the batch size."""
+    batch, points first; its costs are hashed trials first, so the bytes are
+    those of the whole sweep's two arrays whatever the batch size."""
     case = SLOT_COSTS[name]
     assert CASES[case][0] == "ber" and CASES[case][2] == 1
     real, chunks = timsr.rx.slot_costs, ([], [])
@@ -148,7 +149,7 @@ def slot_cost_bytes(name, tmp_path) -> bytes:
     def spy(*args):
         costs = real(*args)
         for chunk, cost in zip(chunks, costs):
-            chunk.append(cost.tobytes())
+            chunk.append(np.moveaxis(cost, 0, 1).tobytes())
         return costs
 
     with mock.patch.object(timsr.rx, "slot_costs", spy):

@@ -11,6 +11,7 @@ from oracles import (
     info_reflection,
     loop_align_group1,
     power_reflection,
+    rectenna_cap_w,
     slot_eh_received,
     slot_rectenna_input,
     wrap_angle,
@@ -198,13 +199,13 @@ class TestClc:
 
     def test_saturation(self):
         assert clc_dc_power(100e-3, RIS_MODEL) == pytest.approx(52.3875e-3, rel=1e-12)
-        assert RIS_MODEL.p_max_w == pytest.approx(52.3875e-3, rel=1e-12)
+        assert rectenna_cap_w(RIS_MODEL) == pytest.approx(52.3875e-3, rel=1e-12)
 
     def test_dense_grid_contract(self):
         grid = np.linspace(0, 0.1, 100_001)
         out = clc_dc_power(grid, RIS_MODEL)
         assert np.all(np.diff(out) >= 0)  # nondecreasing
-        assert out.max() == RIS_MODEL.p_max_w  # capped
+        assert out.max() == rectenna_cap_w(RIS_MODEL)  # capped
         just_on = clc_dc_power(RIS_MODEL.p_on_w + 1e-12, RIS_MODEL)
         assert 0 <= just_on < 1e-11  # continuous at turn-on
 

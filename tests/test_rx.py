@@ -149,7 +149,7 @@ class TestSlotCosts:
             scale = 10.0 ** rng.uniform(-3, 3, shape)
             return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-        obs = Observation(cn(*lead, *points, k_slots, m_rx), 1.0, cn(*lead, 3, m_rx))
+        obs = Observation(cn(*points, *lead, k_slots, m_rx), 1.0, cn(*lead, 3, m_rx))
         args = (build_constellation(m_order), 1.7, 0.3 - 0.2j)
         for got, want in zip(slot_costs(obs, *args), broadcast_slot_costs(obs, *args)):
             assert got.shape == want.shape
@@ -163,7 +163,7 @@ class TestSlotCosts:
         constellation = build_constellation(4)
 
         def peak(m_rx):
-            obs = Observation(rng.standard_normal((20, 14, 16, m_rx)) + 0j, 1.0,
+            obs = Observation(rng.standard_normal((14, 20, 16, m_rx)) + 0j, 1.0,
                               rng.standard_normal((20, 3, m_rx)) + 0j)
             tracemalloc.start()
             try:
@@ -781,7 +781,7 @@ class TestPointBatch:
         assert detect(clean.with_noise(self.GRID, unit), *args).visited == 7 * per_point
         assert detect(clean.with_noise(self.GRID[0], unit), *args).visited == per_point
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_llr_rejects_any_nonpositive_variance(self, bad):
         cfg = make_config(trials=1)
         ctx, frame, _, clean, unit, _ = _block_at_points(cfg, 0)

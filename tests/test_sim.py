@@ -31,7 +31,13 @@ from timsr.config import (
     parse_config_text,
     trial_values,
 )
-from oracles import expected_dc_ris, loop_trial, slot_eh_received, slot_rectenna_input
+from oracles import (
+    expected_dc_ris,
+    loop_trial,
+    rectenna_cap_w,
+    slot_eh_received,
+    slot_rectenna_input,
+)
 from timsr.ris import clc_dc_power
 from timsr.rx import llr_detect, ml_joint_detect
 from timsr.sim import (
@@ -143,8 +149,8 @@ class TestBlockTrial:
         ctx = make_context(cfg, None)
         for i in range(20):
             rec = run_block_trial(ctx, i)
-            assert rec.dc_ris_w <= ctx.ris_model.p_max_w + 1e-18
-            assert rec.dc_eh_w <= ctx.eh_model.p_max_w + 1e-18
+            assert rec.dc_ris_w <= rectenna_cap_w(ctx.ris_model) + 1e-18
+            assert rec.dc_eh_w <= rectenna_cap_w(ctx.eh_model) + 1e-18
 
     def test_harvest_matches_per_slot_ops(self):
         """The vectorized trial bookkeeping equals the per-slot primitives."""
@@ -417,33 +423,20 @@ class TestFusedSweeps:
         rows = harvest_sweep(cfg, n2_grid=grid, workers=workers).table.rows
         assert rows == [pointwise_row(replace(cfg, n2=n2), None) for n2 in grid]
 
-    def test_rows_of_f_ordered_counters_equal_one_dimensional_statistics(self):
-        # a tally's error rows are F-ordered (count_nonzero over swapped axes,
-        # kept by np.concatenate); a reduction along the rows of such an array
-        # adds in another order than one over each row alone
-        ctx, n = make_context(make_config(), None), 120
-        rng = np.random.default_rng(1126)
-        dc = [np.asfortranarray(rng.exponential(2e-3, (4, n))) for _ in range(2)]
-        errors = [np.asfortranarray(rng.integers(0, w + 1, (7, n))) for w in ctx.bit_widths]
-        snr_dbs = tuple(map(float, range(7)))
-        for n2s, snrs, tally in (((35,), snr_dbs, Tally(dc[0][:1], dc[1][:1], *errors)),
-                                 ((0, 16, 35, 100), (None,), Tally(*dc, None, None, None))):
-            rows = iter(_aggregate(ctx, tally, n2s, snrs))
-            for h in range(len(n2s)):
-                ris = np.array(tally.dc_ris_w[h])           # a contiguous 1-D row
-                for s in range(len(snrs)):
-                    row = next(rows)
-                    assert row.avg_dc_ris_uw == float(np.mean(ris) * 1e6)
-                    assert row.avg_dc_eh_uw == float(np.mean(np.array(tally.dc_eh_w[h])) * 1e6)
-                    assert row.standalone_frac_var == float(np.mean(ris >= ctx.p_ris_var_w))
-                    if tally.ptx_errors is None:
-                        continue
-                    for e, w, ber, se in zip(tally[2:], ctx.bit_widths,
-                                             (row.ber_ptx, row.ber_index, row.ber_ris),
-                                             (row.se_ber_ptx, row.se_ber_index, row.se_ber_ris)):
-                        fractions = np.array(e[s], dtype=float) / w
-                        assert ber == float(np.sum(e[s]) / (w * n))
-                        assert se == float(np.std(fractions, ddof=1) / math.sqrt(n))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counter_rows_are_c_ordered(self, workers):
+        # _aggregate reduces each (grid point, trial) row as it lies; a row of
+        # an array in another order would be reduced in another order than the
+        # row alone. Every shard here runs more than one batch.
+        cfg = make_config(trials=180)
+        ctx = make_context(cfg, None)
+        sigma2s = tuple(direct_snr_sigma2(cfg, snr) for snr in cfg.snr_db_grid)
+        for n2s, s2s in (((cfg.n2,), sigma2s), (default_n2_grid(cfg), ())):
+            assert cfg.trials // workers > _batch_size(ctx, len(s2s), len(n2s))
+            tally = _map_points(ctx, n2s, s2s, workers)
+            for field in tally:
+                if field is not None:
+                    assert field.shape[-1] == cfg.trials and field.flags.c_contiguous
 
     def test_pool_never_larger_than_its_batches(self, monkeypatch):
         sizes = []
@@ -546,6 +539,27 @@ class TestWorkerPool:
         finally:
             multiprocessing.set_start_method(default, force=True)
         assert pool._mp_context.get_start_method() == "fork"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the pool forks on Linux only")
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_unguarded_script_runs_multi_worker_sweeps(self, method, tmp_path):
+        # no __main__ guard: a worker that re-imported the script would sweep
+        # again before its bootstrap ended, and fail
+        script = tmp_path / "sweep.py"
+        script.write_text("import multiprocessing\n"
+                          f"multiprocessing.set_start_method({method!r}, force=True)\n"
+                          "from timsr import make_config\n"
+                          "from timsr.sim import ber_sweep, harvest_sweep\n"
+                          "cfg = make_config(trials=20)\n"
+                          "print(ber_sweep(cfg, workers=2).rows == ber_sweep(cfg).rows,\n"
+                          "      harvest_sweep(cfg, workers=2).table.rows\n"
+                          "      == harvest_sweep(cfg).table.rows)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "True True\n"
 
     def test_no_worker_outlives_the_process(self):
         script = ("import multiprocessing\n"
